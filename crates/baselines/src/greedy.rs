@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 use tdals_core::api::{Budget, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason};
 use tdals_core::{par, select_switch, EvalContext, Lac};
 use tdals_netlist::{GateId, Netlist, SignalRef};
+use tdals_sim::SimWords;
 
 use crate::round_stats;
 

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tdals_circuits::Benchmark;
-use tdals_sim::{error_rate, simulate, Patterns};
+use tdals_sim::{error_rate, simulate, Patterns, SimWords};
 
 fn bench_simulate(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulate");

@@ -47,6 +47,6 @@ mod tests {
         let b = sw.elapsed_s();
         assert!(a >= 0.0);
         assert!(b >= a);
-        assert_eq!(sw.elapsed().as_secs_f64().is_sign_negative(), false);
+        assert!(!sw.elapsed().as_secs_f64().is_sign_negative());
     }
 }

@@ -5,7 +5,7 @@
 use rand::Rng;
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use tdals_sim::SimWords;
-use tdals_sta::{critical_path_to_po, TimingReport};
+use tdals_sta::TimingReport;
 
 /// One local approximate change: substitute every use of the target
 /// gate's output with the switch signal.
@@ -68,6 +68,20 @@ impl Lac {
 /// with probability 0.5 per sampled gate — their gate fan-ins.
 ///
 /// Primary inputs never enter the set (they cannot be approximated).
+///
+/// # Equivalence to per-PO path extraction
+///
+/// The set is the union of
+/// [`critical_path_to_po`](tdals_sta::critical_path_to_po) over the
+/// ranked POs, each path pushed in PI→PO order after dropping gates
+/// already taken. That walk goes backwards from the PO driver, always
+/// to the fan-in with the worst arrival, so the rest of a walk from any
+/// gate depends only on that gate. Once a walk reaches a gate already
+/// in the set, the whole remainder is therefore in the set too, and the
+/// walk stops there: the gates it visited before are exactly the ones
+/// the per-path filter would keep, and they are pushed in the same
+/// (reversed) order. Each gate is walked at most once, so the cost is
+/// O(gates + pins) rather than O(POs × depth).
 pub fn collect_targets<R: Rng>(
     netlist: &Netlist,
     report: &TimingReport,
@@ -81,13 +95,37 @@ pub fn collect_targets<R: Rng>(
 
     let mut in_set = vec![false; netlist.gate_count()];
     let mut targets = Vec::new();
+    let mut walk = Vec::new();
     for po in pos {
-        for gate in critical_path_to_po(netlist, report, po) {
-            if !in_set[gate.index()] && !netlist.gate(gate).is_input() {
-                in_set[gate.index()] = true;
-                targets.push(gate);
+        let SignalRef::Gate(mut cursor) = netlist.output_driver(po) else {
+            continue;
+        };
+        // Same step rule as `critical_path_to_po`: the first fan-in gate
+        // with the strictly greatest arrival.
+        while !in_set[cursor.index()] {
+            let gate = netlist.gate(cursor);
+            if gate.is_input() {
+                break;
+            }
+            in_set[cursor.index()] = true;
+            walk.push(cursor);
+            let mut next = None;
+            let mut best = f64::NEG_INFINITY;
+            for fanin in gate.fanins() {
+                if let SignalRef::Gate(src) = fanin {
+                    let t = report.arrival(*src);
+                    if t > best {
+                        best = t;
+                        next = Some(*src);
+                    }
+                }
+            }
+            match next {
+                Some(src) => cursor = src,
+                None => break,
             }
         }
+        targets.extend(walk.drain(..).rev());
     }
     // Uniform (0,1) sampling per path gate: above 0.5, adopt its fan-ins.
     let path_gates = targets.clone();
@@ -183,9 +221,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tdals_circuits::Benchmark;
     use tdals_netlist::builder::Builder;
     use tdals_sim::{simulate, Patterns};
-    use tdals_sta::{analyze, TimingConfig};
+    use tdals_sta::{analyze, critical_path_to_po, TimingConfig};
 
     fn test_circuit() -> Netlist {
         let mut b = Builder::new("t");
@@ -276,5 +315,82 @@ mod tests {
         let lacw = Lac::new(GateId::new(5), SignalRef::Gate(GateId::new(2)));
         assert!(lac0.is_wire_by_constant());
         assert!(!lacw.is_wire_by_constant());
+    }
+
+    /// Target collection by one full `critical_path_to_po` extraction
+    /// per ranked PO — the oracle [`collect_targets`] must match.
+    fn collect_targets_per_path<R: Rng>(
+        netlist: &Netlist,
+        report: &TimingReport,
+        path_count: usize,
+        rng: &mut R,
+    ) -> Vec<GateId> {
+        let mut pos: Vec<usize> = (0..netlist.output_count()).collect();
+        pos.sort_by(|&a, &b| report.po_arrival(b).total_cmp(&report.po_arrival(a)));
+        pos.truncate(path_count.max(1));
+        let mut in_set = vec![false; netlist.gate_count()];
+        let mut targets = Vec::new();
+        for po in pos {
+            for gate in critical_path_to_po(netlist, report, po) {
+                if !in_set[gate.index()] && !netlist.gate(gate).is_input() {
+                    in_set[gate.index()] = true;
+                    targets.push(gate);
+                }
+            }
+        }
+        for gate in targets.clone() {
+            if rng.gen::<f64>() > 0.5 {
+                for fanin in netlist.gate(gate).fanins() {
+                    if let SignalRef::Gate(src) = fanin {
+                        if !in_set[src.index()] && !netlist.gate(*src).is_input() {
+                            in_set[src.index()] = true;
+                            targets.push(*src);
+                        }
+                    }
+                }
+            }
+        }
+        targets
+    }
+
+    #[test]
+    fn collect_targets_matches_per_path_extraction() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for bench in [Benchmark::C880, Benchmark::C1908, Benchmark::Max16] {
+            let accurate = bench.build();
+            let p = Patterns::random(accurate.input_count(), 128, 5);
+            let mut n = accurate.clone();
+            for step in 0..12 {
+                let report = analyze(&n, &TimingConfig::default());
+                for path_count in [0, 1, 2, 3, 7, n.output_count(), n.output_count() + 4] {
+                    let mut fast_rng = StdRng::seed_from_u64(step * 100 + path_count as u64);
+                    let mut oracle_rng = fast_rng.clone();
+                    assert_eq!(
+                        collect_targets(&n, &report, path_count, &mut fast_rng),
+                        collect_targets_per_path(&n, &report, path_count, &mut oracle_rng),
+                        "{bench} step {step} paths {path_count}"
+                    );
+                    assert_eq!(
+                        fast_rng.gen::<u64>(),
+                        oracle_rng.gen::<u64>(),
+                        "{bench} step {step} paths {path_count}: RNG state"
+                    );
+                }
+                // Approximate further, sometimes re-pointing a PO at a
+                // primary input or a constant.
+                let sim = simulate(&n, &p);
+                if let Some(lac) = random_lac(&n, &sim, 16, &mut rng) {
+                    lac.apply(&mut n).expect("TFI switch");
+                }
+                if step % 4 == 3 {
+                    let po = rng.gen_range(0..n.output_count());
+                    let driver = match step % 8 {
+                        3 => SignalRef::Const1,
+                        _ => n.inputs()[0].into(),
+                    };
+                    n.set_output_driver(po, driver);
+                }
+            }
+        }
     }
 }

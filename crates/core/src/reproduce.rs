@@ -2,7 +2,7 @@
 //! best PO-TFI pairs of two approximate circuits into one child, guided
 //! by the `Level` evaluation of Eq. 3.
 
-use tdals_netlist::Netlist;
+use tdals_netlist::{GateId, Netlist, SignalRef};
 
 use crate::fitness::Candidate;
 
@@ -77,6 +77,23 @@ impl LevelWeights {
 /// `a`'s adjacency (the paper: "their information is selected from cp1
 /// and cp2"), which also covers dangling gates.
 ///
+/// # Equivalence to the write-in walk
+///
+/// The walk above — write each chosen cone in rank order, skipping
+/// gates already written — is not run literally (that costs one full
+/// cone traversal per PO). A gate's final row is decided by the *first*
+/// chosen pair whose cone contains it, so it is enough to know, per
+/// parent, the lowest write-in rank among that parent's chosen POs
+/// whose cone (in that parent) reaches the gate. Those ranks come from
+/// one min-propagation per parent, visiting gates by descending id:
+/// every reader has a larger id than its drivers, so a gate's rank is
+/// final before it is pushed to its fan-ins. The gate then takes `b`'s
+/// row iff `b`'s rank is lower than `a`'s (ranks are distinct, and a
+/// gate in no chosen cone has rank `∞` in both); otherwise it keeps
+/// `a`'s, which the child already holds as a clone of `a`. Each PO
+/// appears in exactly one pair, so its driver is the chosen parent's.
+/// Cost: O(gates + pins) per parent instead of O(POs × cone).
+///
 /// # Panics
 ///
 /// Panics if the parents disagree in gate or output count (they are
@@ -121,32 +138,63 @@ pub fn reproduce(a: &Candidate, b: &Candidate, weights: &LevelWeights) -> Netlis
     choices.sort_by(|x, y| y.level.total_cmp(&x.level));
 
     let mut child = na.clone();
-    let mut written = vec![false; na.gate_count()];
-    for choice in &choices {
-        let parent = if choice.from_b { nb } else { na };
-        child.set_output_driver(choice.po, parent.output_driver(choice.po));
-        let cone = parent.po_cone_mask(&[choice.po]);
-        for (idx, &in_cone) in cone.iter().enumerate() {
-            if in_cone && !written[idx] {
-                written[idx] = true;
-                let id = tdals_netlist::GateId::new(idx);
-                if !parent.gate(id).is_input() {
-                    child
-                        .set_fanins(id, parent.gate(id).fanins().to_vec())
-                        .expect("sibling adjacency rows always satisfy the id invariant");
-                }
-            }
+    // Write-in rank of each parent's chosen POs, seeded at their drivers.
+    let mut rank_a = vec![usize::MAX; na.gate_count()];
+    let mut rank_b = vec![usize::MAX; nb.gate_count()];
+    for (rank, choice) in choices.iter().enumerate() {
+        let (parent, ranks) = if choice.from_b {
+            (nb, &mut rank_b)
+        } else {
+            (na, &mut rank_a)
+        };
+        let driver = parent.output_driver(choice.po);
+        child.set_output_driver(choice.po, driver);
+        if let SignalRef::Gate(g) = driver {
+            let slot = &mut ranks[g.index()];
+            *slot = (*slot).min(rank);
+        }
+    }
+    propagate_min_rank(na, &mut rank_a);
+    propagate_min_rank(nb, &mut rank_b);
+
+    for (idx, (&ra, &rb)) in rank_a.iter().zip(&rank_b).enumerate() {
+        let id = GateId::new(idx);
+        if rb < ra && !nb.gate(id).is_input() {
+            child
+                .set_fanins(id, nb.gate(id).fanins().to_vec())
+                .expect("sibling adjacency rows always satisfy the id invariant");
         }
     }
     child
+}
+
+/// Pushes each gate's rank down to its gate fan-ins (keeping minima),
+/// readers before drivers, so `ranks[g]` ends as the minimum seed rank
+/// over every driver whose transitive fan-in cone contains `g`.
+fn propagate_min_rank(netlist: &Netlist, ranks: &mut [usize]) {
+    for idx in (0..ranks.len()).rev() {
+        let rank = ranks[idx];
+        if rank == usize::MAX {
+            continue;
+        }
+        for fanin in netlist.gate(GateId::new(idx)).fanins() {
+            if let SignalRef::Gate(src) = fanin {
+                let slot = &mut ranks[src.index()];
+                *slot = (*slot).min(rank);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fitness::EvalContext;
+    use crate::lac::random_lac;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use tdals_circuits::Benchmark;
     use tdals_netlist::builder::Builder;
-    use tdals_netlist::SignalRef;
     use tdals_sim::{ErrorMetric, Patterns};
     use tdals_sta::TimingConfig;
 
@@ -219,8 +267,6 @@ mod tests {
     fn child_satisfies_invariants_after_heavy_mixing() {
         let (n, ctx) = setup();
         use crate::search::{search_step, SearchConfig};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(7);
         let w = LevelWeights::paper_defaults(ctx.cpd_ori(), 0.1);
         for _ in 0..10 {
@@ -241,6 +287,111 @@ mod tests {
                     d == ca.netlist.output_driver(po) || d == cb.netlist.output_driver(po),
                     "PO {po} driver comes from a parent"
                 );
+            }
+        }
+    }
+
+    /// The paper's write-in walk run literally — one full cone mask per
+    /// PO, first write wins — kept as the oracle [`reproduce`] must
+    /// match exactly.
+    fn reproduce_by_write_in(a: &Candidate, b: &Candidate, weights: &LevelWeights) -> Netlist {
+        let (na, nb) = (&a.netlist, &b.netlist);
+        let mut choices: Vec<(usize, bool, f64)> = (0..na.output_count())
+            .map(|po| {
+                let la = weights.level(a.po_arrivals[po], a.po_errors[po]);
+                let lb = weights.level(b.po_arrivals[po], b.po_errors[po]);
+                if lb > la {
+                    (po, true, lb)
+                } else {
+                    (po, false, la)
+                }
+            })
+            .collect();
+        choices.sort_by(|x, y| y.2.total_cmp(&x.2));
+        let mut child = na.clone();
+        let mut written = vec![false; na.gate_count()];
+        for (po, from_b, _) in choices {
+            let parent = if from_b { nb } else { na };
+            child.set_output_driver(po, parent.output_driver(po));
+            let cone = parent.po_cone_mask(&[po]);
+            for (idx, &in_cone) in cone.iter().enumerate() {
+                if in_cone && !written[idx] {
+                    written[idx] = true;
+                    let id = GateId::new(idx);
+                    if !parent.gate(id).is_input() {
+                        child
+                            .set_fanins(id, parent.gate(id).fanins().to_vec())
+                            .expect("sibling rows");
+                    }
+                }
+            }
+        }
+        child
+    }
+
+    /// A random sibling of `accurate`: a few random LACs, and sometimes
+    /// POs re-pointed at a primary input or a constant.
+    fn random_sibling(ctx: &EvalContext, accurate: &Netlist, rng: &mut StdRng) -> Netlist {
+        let mut n = accurate.clone();
+        for _ in 0..rng.gen_range(0..8) {
+            let sim = ctx.simulate(&n);
+            if let Some(lac) = random_lac(&n, &sim, 16, rng) {
+                lac.apply(&mut n).expect("TFI switch");
+            }
+        }
+        if rng.gen_bool(0.3) {
+            for _ in 0..rng.gen_range(1..4) {
+                let po = rng.gen_range(0..n.output_count());
+                let driver = match rng.gen_range(0..3) {
+                    0 => SignalRef::Const0,
+                    1 => SignalRef::Const1,
+                    _ => n.inputs()[rng.gen_range(0..n.input_count())].into(),
+                };
+                n.set_output_driver(po, driver);
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn reproduce_matches_the_write_in_walk() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for bench in [Benchmark::C880, Benchmark::Int2float, Benchmark::Max16] {
+            let accurate = bench.build();
+            let ctx = EvalContext::new(
+                &accurate,
+                Patterns::random(accurate.input_count(), 256, 3),
+                ErrorMetric::ErrorRate,
+                TimingConfig::default(),
+                0.8,
+            );
+            let w = LevelWeights::paper_defaults(ctx.cpd_ori(), 0.1).with_error_floor(0.01);
+            for case in 0..24 {
+                let pa = random_sibling(&ctx, &accurate, &mut rng);
+                let pb = if case % 6 == 0 {
+                    pa.clone()
+                } else {
+                    random_sibling(&ctx, &accurate, &mut rng)
+                };
+                let mut ca = ctx.evaluate(pa);
+                let mut cb = ctx.evaluate(pb);
+                if case % 2 == 1 {
+                    // Coarse random levels: many ties between POs and
+                    // between parents exercise the stable write-in order.
+                    for c in [&mut ca, &mut cb] {
+                        for po in 0..c.po_arrivals.len() {
+                            c.po_arrivals[po] = f64::from(rng.gen_range(1..4u32)) * 100.0;
+                            c.po_errors[po] = f64::from(rng.gen_range(0..3u32)) * 0.05;
+                        }
+                    }
+                }
+                let child = reproduce(&ca, &cb, &w);
+                assert_eq!(
+                    child,
+                    reproduce_by_write_in(&ca, &cb, &w),
+                    "{bench} case {case}"
+                );
+                child.check_invariants().expect("valid child");
             }
         }
     }

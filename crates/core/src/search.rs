@@ -150,7 +150,6 @@ mod tests {
     fn search_targets_live_on_worst_paths() {
         let (n, ctx) = setup();
         let mut rng = StdRng::seed_from_u64(12);
-        let report = ctx.analyze(&n);
         let live = n.live_mask();
         for _ in 0..20 {
             let mut approx = n.clone();
@@ -158,7 +157,6 @@ mod tests {
                 search_step(&ctx, &mut approx, &SearchConfig::default(), &mut rng).expect("lac");
             assert!(live[lac.target().index()], "targets are live gates");
         }
-        let _ = report;
     }
 
     #[test]

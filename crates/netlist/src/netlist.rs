@@ -606,7 +606,6 @@ impl Netlist {
     pub fn tfi_mask(&self, root: GateId) -> Vec<bool> {
         let mut mask = vec![false; self.gates.len()];
         let mut stack = vec![root];
-        let mut first = true;
         while let Some(id) = stack.pop() {
             for fanin in self.gates[id.index()].fanins() {
                 if let SignalRef::Gate(src) = fanin {
@@ -615,9 +614,6 @@ impl Netlist {
                         stack.push(*src);
                     }
                 }
-            }
-            if first {
-                first = false;
             }
         }
         mask[root.index()] = false;

@@ -5,7 +5,8 @@ use tdals_netlist::{GateId, Netlist, SignalRef};
 use crate::block::SimdWidth;
 use crate::patterns::Patterns;
 use crate::view::{
-    masked_signal_word, raw_signal_block, raw_signal_word, zero_tail_words, SimWords,
+    diff_count_rows, gate_row, masked_signal_word, raw_signal_block, raw_signal_word,
+    zero_tail_words, SimWords,
 };
 
 /// Simulated values of every gate output for one stimulus batch.
@@ -78,8 +79,7 @@ impl SimResult {
     ///
     /// Panics if `id` is out of range.
     pub fn gate_words(&self, id: GateId) -> &[u64] {
-        let base = id.index() * self.word_count;
-        &self.values[base..base + self.word_count]
+        gate_row(&self.values, self.word_count, id)
     }
 
     /// Words of an arbitrary signal (constants expand to all-0/all-1
@@ -100,22 +100,6 @@ impl SimResult {
     /// Mask of valid bits in the final word.
     pub fn tail_mask(&self) -> u64 {
         self.tail_mask
-    }
-
-    /// Counts vectors on which the two signals differ.
-    pub fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
-        let mut diff = 0usize;
-        for w in 0..self.word_count {
-            diff += (self.signal_word(a, w) ^ self.signal_word(b, w)).count_ones() as usize;
-        }
-        diff
-    }
-
-    /// Fraction of vectors on which the two signals agree — the paper's
-    /// *similarity* ("the percentage of cycles when output of target gate
-    /// holds the same value with output of each gate").
-    pub fn similarity(&self, a: SignalRef, b: SignalRef) -> f64 {
-        1.0 - self.diff_count(a, b) as f64 / self.vector_count as f64
     }
 }
 
@@ -164,6 +148,10 @@ impl SimWords for SimResult {
 
     fn po_block(&self, po: usize, w0: usize, out: &mut [u64]) {
         self.signal_block(self.po_drivers[po], w0, out);
+    }
+
+    fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
+        diff_count_rows(self.vector_count, a, b, |g| self.gate_words(g))
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * [`Patterns`] — packed random or exhaustive input stimulus;
 //! * [`simulate`] / [`SimResult`] — evaluate every gate 64 vectors at a
-//!   time; similarity queries ([`SimResult::similarity`]) drive the
+//!   time; similarity queries ([`SimWords::similarity`]) drive the
 //!   paper's switch-gate selection;
 //! * [`DeltaSim`] / [`DeltaView`] — incremental cone re-simulation:
 //!   score or commit a single-gate substitution by re-evaluating only

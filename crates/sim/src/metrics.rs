@@ -171,32 +171,114 @@ pub fn po_flip_rates<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
 /// circuit has 129 outputs; NMED is a ratio, so the relative error of the
 /// f64 path is negligible).
 ///
+/// # Summation order
+///
+/// The value is defined by one fixed order of `f64` operations: vectors
+/// ascending; per differing vector, a signed sum of the normalized
+/// weights `2^j / (2^n − 1)` of its differing POs, `j` ascending (`+`
+/// where the accurate bit is set, `−` where it is clear); then the
+/// absolute value of that sum is added to the total. With at most 64
+/// outputs each 64-vector word is bit-transposed, so one `u64` holds
+/// one vector's PO bits and the walk visits only the set diff bits of
+/// differing vectors — the same additions in the same order, hence the
+/// same bits, as the per-PO scan used for wider circuits.
+///
 /// # Panics
 ///
 /// Panics if the results cover different vector or output counts.
 pub fn nmed<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
     check_compat(ori, app);
     let n_out = ori.output_count();
-    let n_vec = ori.vector_count();
-    let words = ori.word_count();
     // Normalized weight of each output bit: 2^j / (2^n - 1).
     // Computed as exp2(j - n_bits) style scaling to avoid overflow.
     let max_value = (2f64).powi(n_out as i32) - 1.0;
     let weights: Vec<f64> = (0..n_out)
         .map(|j| (2f64).powi(j as i32) / max_value)
         .collect();
+    let total = if n_out <= 64 {
+        nmed_sum_transposed(ori, app, &weights)
+    } else {
+        nmed_sum_per_po(ori, app, &weights)
+    };
+    total / ori.vector_count() as f64
+}
 
+/// The NMED total for at most 64 outputs: words are read a block at a
+/// time, and each word with any difference is transposed to one `u64`
+/// of PO bits per vector.
+fn nmed_sum_transposed<A: SimWords, B: SimWords>(ori: &A, app: &B, weights: &[f64]) -> f64 {
+    const B: usize = 8;
+    let n_out = weights.len();
+    let words = ori.word_count();
+    // Rows [po][lane]: PO-major blocks of accurate words and diff words.
+    let mut o = [[0u64; B]; 64];
+    let mut d = [[0u64; B]; 64];
     let mut total = 0f64;
-    for w in 0..words {
-        let diffs: Vec<u64> = (0..n_out)
-            .map(|po| ori.po_word(po, w) ^ app.po_word(po, w))
-            .collect();
-        let oris: Vec<u64> = (0..n_out).map(|po| ori.po_word(po, w)).collect();
-        let mut remaining: u64 = diffs.iter().fold(0, |acc, d| acc | d);
+    let mut w = 0;
+    while w < words {
+        let n = B.min(words - w);
+        for po in 0..n_out {
+            ori.po_block(po, w, &mut o[po][..n]);
+            app.po_block(po, w, &mut d[po][..n]);
+            for l in 0..n {
+                d[po][l] ^= o[po][l];
+            }
+        }
+        for l in 0..n {
+            let mut diff = [0u64; 64];
+            let mut acc = [0u64; 64];
+            let mut any = 0u64;
+            for po in 0..n_out {
+                diff[po] = d[po][l];
+                acc[po] = o[po][l];
+                any |= diff[po];
+            }
+            if any == 0 {
+                continue;
+            }
+            transpose64(&mut diff);
+            transpose64(&mut acc);
+            let mut vectors = any;
+            while vectors != 0 {
+                let v = vectors.trailing_zeros() as usize;
+                vectors &= vectors - 1;
+                let mut bits = diff[v];
+                let mut signed = 0f64;
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // ori bit set -> app cleared it: +w_j; else -w_j.
+                    if acc[v] >> j & 1 != 0 {
+                        signed += weights[j];
+                    } else {
+                        signed -= weights[j];
+                    }
+                }
+                total += signed.abs();
+            }
+        }
+        w += n;
+    }
+    total
+}
+
+/// The NMED total for any output count: per word, a scan over every
+/// PO for each differing vector.
+fn nmed_sum_per_po<A: SimWords, B: SimWords>(ori: &A, app: &B, weights: &[f64]) -> f64 {
+    let n_out = weights.len();
+    let mut diffs = vec![0u64; n_out];
+    let mut oris = vec![0u64; n_out];
+    let mut total = 0f64;
+    for w in 0..ori.word_count() {
+        let mut remaining = 0u64;
+        for po in 0..n_out {
+            oris[po] = ori.po_word(po, w);
+            diffs[po] = oris[po] ^ app.po_word(po, w);
+            remaining |= diffs[po];
+        }
         while remaining != 0 {
-            let bit = remaining.trailing_zeros();
+            let mask = 1u64 << remaining.trailing_zeros();
             remaining &= remaining - 1;
-            let mask = 1u64 << bit;
             let mut signed = 0f64;
             for j in 0..n_out {
                 if diffs[j] & mask != 0 {
@@ -211,7 +293,28 @@ pub fn nmed<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
             total += signed.abs();
         }
     }
-    total / n_vec as f64
+    total
+}
+
+/// In-place transpose of a 64×64 bit matrix: on return, bit `j` of
+/// `m[i]` is what bit `i` of `m[j]` was. Six rounds of block swaps
+/// (32×32 down to 1×1), as in *Hacker's Delight* §7-3.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            // Swap the high-bit block of row k with the low-bit block of
+            // row k + width.
+            let t = ((m[k] >> width) ^ m[k + width]) & mask;
+            m[k] ^= t << width;
+            m[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
 }
 
 /// Cached golden-reference evaluator.
@@ -500,5 +603,24 @@ mod tests {
         assert!((0.0..=1.0).contains(&er));
         assert!((0.0..=1.0).contains(&m));
         assert_eq!(er, 1.0, "every vector differs");
+    }
+
+    #[test]
+    fn transpose64_matches_the_bitwise_definition() {
+        let mut m = [0u64; 64];
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for row in &mut m {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *row = x;
+        }
+        let original = m;
+        transpose64(&mut m);
+        for (i, row) in m.iter().enumerate() {
+            for (j, col) in original.iter().enumerate() {
+                assert_eq!(row >> j & 1, col >> i & 1, "bit ({i}, {j})");
+            }
+        }
     }
 }

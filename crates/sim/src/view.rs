@@ -7,7 +7,7 @@
 //! and the optimizers' similarity scoring are written once against the
 //! [`SimWords`] trait and cannot diverge between the two paths.
 
-use tdals_netlist::SignalRef;
+use tdals_netlist::{GateId, SignalRef};
 
 /// Raw (tail-unmasked) 64-sample word of `signal` over gate-major
 /// storage `values[g * word_count + w]`.
@@ -103,6 +103,51 @@ pub(crate) fn zero_tail_words(values: &mut [u64], word_count: usize, tail_mask: 
     }
 }
 
+/// Number of vectors on which signals `a` and `b` differ, read straight
+/// from gate rows: `row(g)` is gate `g`'s full `word_count`-word row,
+/// with the invalid tail bits of its final word zeroed (the storage
+/// rule of every evaluator in the crate).
+///
+/// Two gates popcount their XORed rows. Against a constant, a gate's
+/// difference count is its row popcount (`Const0`) or `vector_count`
+/// minus it (`Const1`): the zeroed tail bits are exactly the ones the
+/// masked per-word reads would clip. Two constants differ on every
+/// vector or on none. The result equals the masked per-word XOR
+/// popcount of the [`SimWords::diff_count`] default, with no per-word
+/// dispatch and no block copies.
+pub(crate) fn diff_count_rows<'a>(
+    vector_count: usize,
+    a: SignalRef,
+    b: SignalRef,
+    row: impl Fn(GateId) -> &'a [u64],
+) -> usize {
+    let popcount = |g: GateId| -> usize { row(g).iter().map(|w| w.count_ones() as usize).sum() };
+    match (a, b) {
+        (SignalRef::Gate(x), SignalRef::Gate(y)) => row(x)
+            .iter()
+            .zip(row(y))
+            .map(|(p, q)| (p ^ q).count_ones() as usize)
+            .sum(),
+        (SignalRef::Gate(g), SignalRef::Const0) | (SignalRef::Const0, SignalRef::Gate(g)) => {
+            popcount(g)
+        }
+        (SignalRef::Gate(g), SignalRef::Const1) | (SignalRef::Const1, SignalRef::Gate(g)) => {
+            vector_count - popcount(g)
+        }
+        (SignalRef::Const0, SignalRef::Const0) | (SignalRef::Const1, SignalRef::Const1) => 0,
+        (SignalRef::Const0, SignalRef::Const1) | (SignalRef::Const1, SignalRef::Const0) => {
+            vector_count
+        }
+    }
+}
+
+/// Row `g` of gate-major storage `values[g * word_count + w]`.
+#[inline]
+pub(crate) fn gate_row(values: &[u64], word_count: usize, g: GateId) -> &[u64] {
+    let base = g.index() * word_count;
+    &values[base..base + word_count]
+}
+
 /// Read access to one batch of simulated gate values.
 ///
 /// Implemented by [`SimResult`](crate::SimResult) (full re-simulation),
@@ -157,6 +202,9 @@ pub trait SimWords {
     }
 
     /// Counts vectors on which the two signals differ.
+    ///
+    /// The default is a per-word scan; every implementor in this crate
+    /// overrides it with a row popcount over its gate-major storage.
     fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
         let mut diff = 0usize;
         for w in 0..self.word_count() {
@@ -175,7 +223,6 @@ pub trait SimWords {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdals_netlist::GateId;
 
     #[test]
     fn raw_word_expands_constants() {

@@ -201,16 +201,24 @@ fn cancelled_subset_never_perturbs_survivors() {
 
     // v2 is cancelled immediately — most likely still queued.
     v2.cancel();
-    // v0 and v1 are cancelled once seen running an iteration.
-    for victim in [&v0, &v1] {
-        let mut seen = Vec::new();
-        wait_for("victim to run an iteration", || {
-            seen.extend(victim.poll_events());
-            seen.iter()
-                .any(|ev| matches!(ev, FlowEvent::IterationFinished { .. }))
+    // v0 and v1 are each cancelled as soon as it is seen running an
+    // iteration. Both are watched at once: the pool admits sessions in
+    // whatever order their threads reach it, and waiting on a victim
+    // admitted late would let one admitted early run to completion.
+    let mut running = vec![&v0, &v1];
+    wait_for("victims to run an iteration", || {
+        running.retain(|victim| {
+            let ran = victim
+                .poll_events()
+                .iter()
+                .any(|ev| matches!(ev, FlowEvent::IterationFinished { .. }));
+            if ran {
+                victim.cancel();
+            }
+            !ran
         });
-        victim.cancel();
-    }
+        running.is_empty()
+    });
 
     scheduler.drain();
     assert_eq!(scheduler.active_sessions(), 0);

@@ -5,7 +5,7 @@
 use rand::Rng;
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use tdals_sim::SimWords;
-use tdals_sta::TimingReport;
+use tdals_sta::{worst_fanin, TimingReport};
 
 /// One local approximate change: substitute every use of the target
 /// gate's output with the switch signal.
@@ -74,9 +74,9 @@ impl Lac {
 /// The set is the union of
 /// [`critical_path_to_po`](tdals_sta::critical_path_to_po) over the
 /// ranked POs, each path pushed in PI→PO order after dropping gates
-/// already taken. That walk goes backwards from the PO driver, always
-/// to the fan-in with the worst arrival, so the rest of a walk from any
-/// gate depends only on that gate. Once a walk reaches a gate already
+/// already taken. That walk goes backwards from the PO driver, one
+/// [`worst_fanin`] step at a time (the same step this walk takes), so
+/// the rest of a walk from any gate depends only on that gate. Once a walk reaches a gate already
 /// in the set, the whole remainder is therefore in the set too, and the
 /// walk stops there: the gates it visited before are exactly the ones
 /// the per-path filter would keep, and they are pushed in the same
@@ -100,27 +100,13 @@ pub fn collect_targets<R: Rng>(
         let SignalRef::Gate(mut cursor) = netlist.output_driver(po) else {
             continue;
         };
-        // Same step rule as `critical_path_to_po`: the first fan-in gate
-        // with the strictly greatest arrival.
         while !in_set[cursor.index()] {
-            let gate = netlist.gate(cursor);
-            if gate.is_input() {
+            if netlist.gate(cursor).is_input() {
                 break;
             }
             in_set[cursor.index()] = true;
             walk.push(cursor);
-            let mut next = None;
-            let mut best = f64::NEG_INFINITY;
-            for fanin in gate.fanins() {
-                if let SignalRef::Gate(src) = fanin {
-                    let t = report.arrival(*src);
-                    if t > best {
-                        best = t;
-                        next = Some(*src);
-                    }
-                }
-            }
-            match next {
+            match worst_fanin(netlist, report, cursor) {
                 Some(src) => cursor = src,
                 None => break,
             }

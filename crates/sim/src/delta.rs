@@ -67,9 +67,7 @@ use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use crate::block::SimdWidth;
 use crate::engine::{simulate, simulate_with_width, SimResult};
 use crate::patterns::Patterns;
-use crate::view::{
-    diff_count_rows, gate_row, mask_tail, masked_signal_word, raw_signal_word, SimWords,
-};
+use crate::view::{gate_row, mask_tail, masked_signal_word, raw_signal_word, SimWords};
 
 /// Sentinel for "gate not in the overlay".
 const NO_SLOT: u32 = u32::MAX;
@@ -526,10 +524,8 @@ impl SimWords for DeltaSim {
         self.signal_block(self.netlist.output_driver(po), w0, out);
     }
 
-    fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
-        diff_count_rows(self.vector_count, a, b, |g| {
-            gate_row(&self.values, self.word_count, g)
-        })
+    fn gate_row(&self, g: GateId) -> &[u64] {
+        gate_row(&self.values, self.word_count, g)
     }
 }
 
@@ -560,17 +556,6 @@ impl DeltaView<'_> {
     /// Work counters for this cone re-evaluation.
     pub fn stats(&self) -> DeltaStats {
         self.stats
-    }
-
-    /// Gate `g`'s current row: its overlay row when the cone
-    /// re-evaluation changed it, its base row otherwise. Overlay rows
-    /// are tail-masked like the base storage.
-    fn row(&self, g: GateId) -> &[u64] {
-        let wc = self.base.word_count;
-        match self.slot[g.index()] {
-            NO_SLOT => gate_row(&self.base.values, wc, g),
-            s => &self.words[s as usize * wc..(s as usize + 1) * wc],
-        }
     }
 
     #[inline]
@@ -620,8 +605,15 @@ impl SimWords for DeltaView<'_> {
         self.signal_word(driver, w)
     }
 
-    fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
-        diff_count_rows(self.base.vector_count, a, b, |g| self.row(g))
+    /// The overlay row when the cone re-evaluation changed `g`, its
+    /// base row otherwise. Overlay rows are tail-masked like the base
+    /// storage.
+    fn gate_row(&self, g: GateId) -> &[u64] {
+        let wc = self.base.word_count;
+        match self.slot[g.index()] {
+            NO_SLOT => gate_row(&self.base.values, wc, g),
+            s => &self.words[s as usize * wc..(s as usize + 1) * wc],
+        }
     }
 }
 

@@ -5,8 +5,7 @@ use tdals_netlist::{GateId, Netlist, SignalRef};
 use crate::block::SimdWidth;
 use crate::patterns::Patterns;
 use crate::view::{
-    diff_count_rows, gate_row, masked_signal_word, raw_signal_block, raw_signal_word,
-    zero_tail_words, SimWords,
+    gate_row, masked_signal_word, raw_signal_block, raw_signal_word, zero_tail_words, SimWords,
 };
 
 /// Simulated values of every gate output for one stimulus batch.
@@ -150,8 +149,8 @@ impl SimWords for SimResult {
         self.signal_block(self.po_drivers[po], w0, out);
     }
 
-    fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
-        diff_count_rows(self.vector_count, a, b, |g| self.gate_words(g))
+    fn gate_row(&self, g: GateId) -> &[u64] {
+        self.gate_words(g)
     }
 }
 

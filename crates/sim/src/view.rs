@@ -113,9 +113,8 @@ pub(crate) fn zero_tail_words(values: &mut [u64], word_count: usize, tail_mask: 
 /// minus it (`Const1`): the zeroed tail bits are exactly the ones the
 /// masked per-word reads would clip. Two constants differ on every
 /// vector or on none. The result equals the masked per-word XOR
-/// popcount of the [`SimWords::diff_count`] default, with no per-word
-/// dispatch and no block copies.
-pub(crate) fn diff_count_rows<'a>(
+/// popcount, with no per-word dispatch and no block copies.
+fn diff_count_rows<'a>(
     vector_count: usize,
     a: SignalRef,
     b: SignalRef,
@@ -201,16 +200,14 @@ pub trait SimWords {
         }
     }
 
-    /// Counts vectors on which the two signals differ.
-    ///
-    /// The default is a per-word scan; every implementor in this crate
-    /// overrides it with a row popcount over its gate-major storage.
+    /// All [`SimWords::word_count`] words of gate `g`, with the invalid
+    /// tail bits of the final word zeroed.
+    fn gate_row(&self, g: GateId) -> &[u64];
+
+    /// Counts vectors on which the two signals differ, by a popcount
+    /// over [`SimWords::gate_row`] rows.
     fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
-        let mut diff = 0usize;
-        for w in 0..self.word_count() {
-            diff += (self.signal_word(a, w) ^ self.signal_word(b, w)).count_ones() as usize;
-        }
-        diff
+        diff_count_rows(self.vector_count(), a, b, |g| self.gate_row(g))
     }
 
     /// Fraction of vectors on which the two signals agree — the paper's

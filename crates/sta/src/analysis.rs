@@ -268,24 +268,34 @@ pub fn critical_path_to_po(netlist: &Netlist, report: &TimingReport, po: usize) 
             break;
         }
         path.push(cursor);
-        let mut next: Option<GateId> = None;
-        let mut best = f64::NEG_INFINITY;
-        for fanin in gate.fanins() {
-            if let SignalRef::Gate(src) = fanin {
-                let t = report.arrival(*src);
-                if t > best {
-                    best = t;
-                    next = Some(*src);
-                }
-            }
-        }
-        match next {
+        match worst_fanin(netlist, report, cursor) {
             Some(g) => cursor = g,
             None => break,
         }
     }
     path.reverse();
     path
+}
+
+/// One backward step of a worst-path walk: the fan-in gate of `gate`
+/// with the latest arrival, ties broken toward the first such fan-in
+/// pin. `None` when `gate` has no gate fan-ins.
+///
+/// This is the single step rule behind [`critical_path_to_po`] and any
+/// other walk that must follow the same worst paths.
+pub fn worst_fanin(netlist: &Netlist, report: &TimingReport, gate: GateId) -> Option<GateId> {
+    let mut next = None;
+    let mut best = f64::NEG_INFINITY;
+    for fanin in netlist.gate(gate).fanins() {
+        if let SignalRef::Gate(src) = fanin {
+            let t = report.arrival(*src);
+            if t > best {
+                best = t;
+                next = Some(*src);
+            }
+        }
+    }
+    next
 }
 
 /// Gates on the global critical path (worst PO).

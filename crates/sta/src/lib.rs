@@ -9,7 +9,7 @@
 //!   with per-gate and per-PO timing, the critical path delay (`CPD`),
 //!   and the maximum depth (`Depth` in the paper's fitness, Eq. 8);
 //! * [`critical_path`] / [`critical_path_to_po`] extract the worst paths
-//!   that circuit searching targets;
+//!   that circuit searching targets, one [`worst_fanin`] step at a time;
 //! * [`size_for_timing`] implements the post-optimization sizing step
 //!   (§III-C): greedy drive-strength upsizing under an area constraint.
 //!
@@ -43,7 +43,9 @@ mod incremental;
 mod report;
 mod sizing;
 
-pub use analysis::{analyze, critical_path, critical_path_to_po, TimingConfig, TimingReport};
+pub use analysis::{
+    analyze, critical_path, critical_path_to_po, worst_fanin, TimingConfig, TimingReport,
+};
 pub use incremental::{IncrementalSta, TimingDelta};
 pub use report::{timing_report_text, ReportOptions};
 pub use sizing::{size_for_timing, SizingConfig, SizingResult};

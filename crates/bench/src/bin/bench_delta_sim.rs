@@ -38,7 +38,8 @@ use tdals_bench::timing::Stopwatch;
 use tdals_bench::Effort;
 use tdals_circuits::{Benchmark, CircuitClass};
 use tdals_core::{propose_lac_with, EvalContext, Lac, SearchConfig};
-use tdals_sim::{simulate_with_width, ErrorMetric, Patterns, SimdWidth, ALL_WIDTHS};
+use tdals_netlist::Netlist;
+use tdals_sim::{simulate, simulate_reference, ErrorMetric, Patterns, SimResult, SimdWidth};
 use tdals_sta::TimingConfig;
 
 /// Pinned defaults: the CI gate and the committed baseline must see the
@@ -107,20 +108,19 @@ struct CircuitReport {
     mean_cone_gates: f64,
 }
 
-/// One point of the SIMD width sweep on the largest circuit.
+/// One full-simulation timing on the largest circuit: the scalar
+/// reference (width 1) or the blocked engine.
 struct SimdLane {
     width: usize,
     sim_us_per_pass: f64,
-    delta_us_per_cand: f64,
 }
 
 struct SimdReport {
     circuit: String,
     gates: usize,
     vectors: usize,
-    lanes: Vec<SimdLane>,
+    lanes: [SimdLane; 2],
     sim_speedup_w8: f64,
-    delta_speedup_w8: f64,
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -152,7 +152,7 @@ fn main() {
         .iter()
         .max_by_key(|b| b.build().logic_gate_count())
         .expect("non-empty suite");
-    let simd = measure_simd(largest, effort, seed, candidates, reps);
+    let simd = measure_simd(largest, effort, seed, reps);
 
     let report = to_json(&reports, &simd, seed, candidates, effort);
     let text = format!("{report}\n");
@@ -291,126 +291,62 @@ fn measure(
     report
 }
 
-/// Sweeps the SIMD block width on the largest suite circuit: one full
-/// simulation pass and the incremental scoring path are timed at every
-/// width, after asserting that all widths score every candidate to the
-/// same error bits (width is a throughput knob, never a results knob).
-fn measure_simd(
-    bench: Benchmark,
-    effort: Effort,
-    seed: u64,
-    candidates: usize,
-    reps: usize,
-) -> SimdReport {
+/// Times one full simulation of the largest suite circuit through the
+/// scalar reference kernel and through the blocked engine, after
+/// asserting that both store the same words.
+fn measure_simd(bench: Benchmark, effort: Effort, seed: u64, reps: usize) -> SimdReport {
     let netlist = bench.build();
-    let metric = match bench.class() {
-        CircuitClass::RandomControl => ErrorMetric::ErrorRate,
-        CircuitClass::Arithmetic => ErrorMetric::Nmed,
-    };
     let vectors = effort.vectors(netlist.logic_gate_count());
     let patterns = Patterns::random(netlist.input_count(), vectors, seed);
 
-    // Draft one candidate set at W=1; simulation values are
-    // width-invariant, so every width ranks the same LACs.
-    let ctx1 = EvalContext::new(
-        &netlist,
-        patterns.clone(),
-        metric,
-        TimingConfig::default(),
-        0.8,
-    )
-    .with_simd_width(SimdWidth::W1);
-    let base1 = ctx1.delta_eval(netlist.clone());
-    let report = base1.report();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
-    let cfg = SearchConfig::default();
-    let mut lacs: Vec<Lac> = Vec::with_capacity(candidates);
-    let mut attempts = 0usize;
-    while lacs.len() < candidates {
-        attempts += 1;
-        assert!(
-            attempts <= candidates * 20,
-            "{}: drafted only {} of {candidates} candidate LACs after {attempts} attempts",
-            bench.name(),
-            lacs.len(),
-        );
-        if let Some(lac) = propose_lac_with(base1.netlist(), &report, base1.sim(), &cfg, &mut rng) {
-            lacs.push(lac);
-        }
-    }
-    let reference: Vec<f64> = lacs
-        .iter()
-        .map(|l| ctx1.score_lac(&base1, *l).error)
-        .collect();
+    let reference = simulate_reference(&netlist, &patterns);
+    let blocked = simulate(&netlist, &patterns);
+    assert!(
+        netlist
+            .iter()
+            .all(|(id, _)| reference.gate_words(id) == blocked.gate_words(id)),
+        "{}: blocked simulation diverged from the scalar reference",
+        bench.name(),
+    );
 
-    let mut lanes: Vec<SimdLane> = Vec::new();
-    for width in ALL_WIDTHS {
-        let ctx = EvalContext::new(
-            &netlist,
-            patterns.clone(),
-            metric,
-            TimingConfig::default(),
-            0.8,
-        )
-        .with_simd_width(width);
-        let base = ctx.delta_eval(netlist.clone());
-        for (lac, want) in lacs.iter().zip(&reference) {
-            let got = ctx.score_lac(&base, *lac).error;
-            assert!(
-                got == *want,
-                "{}: width {width} scored {:?} to error {got}, W1 scored {want}",
-                bench.name(),
-                lac,
-            );
-        }
-
-        let mut sim_best = f64::INFINITY;
-        let mut delta_best = f64::INFINITY;
+    let time = |engine: fn(&Netlist, &Patterns) -> SimResult| {
+        let mut best = f64::INFINITY;
         for _ in 0..reps {
             let t = Stopwatch::start();
-            std::hint::black_box(simulate_with_width(&netlist, &patterns, width));
-            sim_best = sim_best.min(t.elapsed_s());
-
-            let t = Stopwatch::start();
-            for lac in &lacs {
-                std::hint::black_box(ctx.score_lac(&base, *lac));
-            }
-            delta_best = delta_best.min(t.elapsed_s());
+            std::hint::black_box(engine(&netlist, &patterns));
+            best = best.min(t.elapsed_s());
         }
-        let lane = SimdLane {
-            width: width.lanes(),
-            sim_us_per_pass: sim_best * 1e6,
-            delta_us_per_cand: delta_best * 1e6 / candidates as f64,
-        };
+        best * 1e6
+    };
+    let lanes = [
+        SimdLane {
+            width: 1,
+            sim_us_per_pass: time(simulate_reference),
+        },
+        SimdLane {
+            width: SimdWidth::auto().lanes(),
+            sim_us_per_pass: time(simulate),
+        },
+    ];
+    for lane in &lanes {
         eprintln!(
-            "{:<10} W{:<2} sim {:>10.1} us/pass  delta {:>8.1} us/cand",
+            "{:<10} W{:<2} sim {:>10.1} us/pass",
             bench.name(),
             lane.width,
             lane.sim_us_per_pass,
-            lane.delta_us_per_cand,
         );
-        lanes.push(lane);
     }
-
-    let lane = |w: usize| {
-        lanes
-            .iter()
-            .find(|l| l.width == w)
-            .expect("swept width present")
-    };
     let report = SimdReport {
         circuit: bench.name().to_string(),
         gates: netlist.logic_gate_count(),
         vectors,
-        sim_speedup_w8: lane(1).sim_us_per_pass / lane(8).sim_us_per_pass,
-        delta_speedup_w8: lane(1).delta_us_per_cand / lane(8).delta_us_per_cand,
+        sim_speedup_w8: lanes[0].sim_us_per_pass / lanes[1].sim_us_per_pass,
         lanes,
     };
     eprintln!(
-        "{:<10} W8-vs-W1: sim {:.2}x  delta {:.2}x  ({} build)",
+        "{:<10} W8-vs-W1: sim {:.2}x  ({} build)",
         report.circuit,
         report.sim_speedup_w8,
-        report.delta_speedup_w8,
         vector_unit(),
     );
     report
@@ -502,10 +438,6 @@ fn to_json(
                                         "sim_us_per_pass".into(),
                                         Json::Num(round2(l.sim_us_per_pass)),
                                     ),
-                                    (
-                                        "delta_us_per_cand".into(),
-                                        Json::Num(round2(l.delta_us_per_cand)),
-                                    ),
                                 ])
                             })
                             .collect(),
@@ -514,10 +446,6 @@ fn to_json(
                 (
                     "sim_speedup_w8".into(),
                     Json::Num(round2(simd.sim_speedup_w8)),
-                ),
-                (
-                    "delta_speedup_w8".into(),
-                    Json::Num(round2(simd.delta_speedup_w8)),
                 ),
             ]),
         ),

@@ -54,7 +54,7 @@ use tdals_obs::clock::{self, Instant};
 use tdals_obs::trace;
 
 use tdals_netlist::{verilog, Netlist, ParseVerilogError};
-use tdals_sim::{ErrorMetric, Patterns, SimdWidth};
+use tdals_sim::{ErrorMetric, Patterns};
 use tdals_sta::TimingConfig;
 
 use crate::dcgwo::{optimize_session, ChaseStrategy, IterationStats, OptimizerConfig};
@@ -752,7 +752,6 @@ pub struct Flow<'a> {
     area_con: Option<f64>,
     budget: Budget,
     threads: Option<usize>,
-    simd_width: Option<SimdWidth>,
     optimizer: Box<dyn Optimizer + 'a>,
     observer: Box<dyn Observer + 'a>,
 }
@@ -810,7 +809,6 @@ impl<'a> Flow<'a> {
             area_con: None,
             budget: Budget::unlimited(),
             threads: None,
-            simd_width: None,
             optimizer: Box::new(Dcgwo::paper()),
             observer: Box::new(NopObserver),
         }
@@ -907,20 +905,6 @@ impl<'a> Flow<'a> {
         self
     }
 
-    /// SIMD block width of the simulation kernels (`[u64; W]` blocks,
-    /// W ∈ {1, 4, 8}). Like [`Flow::threads`], this is a pure
-    /// throughput knob: the [`FlowOutcome`] is bit-identical at every
-    /// width.
-    ///
-    /// Default: [`SimdWidth::auto`] (the widest kernel, or the
-    /// `TDALS_SIMD_WIDTH` environment override). Ignored by
-    /// [`Flow::for_context`] sessions, which inherit the prebuilt
-    /// context's width.
-    pub fn simd_width(mut self, width: SimdWidth) -> Flow<'a> {
-        self.simd_width = Some(width);
-        self
-    }
-
     /// The optimizer to run. Default: [`Dcgwo::paper`].
     pub fn optimizer(mut self, optimizer: impl Optimizer + 'a) -> Flow<'a> {
         self.optimizer = Box::new(optimizer);
@@ -961,7 +945,6 @@ impl<'a> Flow<'a> {
             area_con,
             budget,
             threads,
-            simd_width,
             mut optimizer,
             mut observer,
         } = self;
@@ -982,27 +965,13 @@ impl<'a> Flow<'a> {
         let ctx: &EvalContext = match &source {
             Source::Context(ctx) => ctx,
             Source::Borrowed(netlist) => {
-                built = build_context(
-                    netlist,
-                    metric,
-                    vectors,
-                    pattern_seed,
-                    depth_weight,
-                    timing,
-                    simd_width,
-                )?;
+                built =
+                    build_context(netlist, metric, vectors, pattern_seed, depth_weight, timing)?;
                 &built
             }
             Source::Owned(netlist) => {
-                built = build_context(
-                    netlist,
-                    metric,
-                    vectors,
-                    pattern_seed,
-                    depth_weight,
-                    timing,
-                    simd_width,
-                )?;
+                built =
+                    build_context(netlist, metric, vectors, pattern_seed, depth_weight, timing)?;
                 &built
             }
         };
@@ -1078,7 +1047,6 @@ fn build_context(
     pattern_seed: u64,
     depth_weight: f64,
     timing: TimingConfig,
-    simd_width: Option<SimdWidth>,
 ) -> Result<EvalContext, FlowError> {
     if netlist.input_count() == 0 || netlist.output_count() == 0 {
         return Err(FlowError::EmptyNetlist {
@@ -1094,11 +1062,13 @@ fn build_context(
         });
     }
     let patterns = Patterns::random(netlist.input_count(), vectors, pattern_seed);
-    let mut ctx = EvalContext::new(netlist, patterns, metric, timing, depth_weight);
-    if let Some(width) = simd_width {
-        ctx = ctx.with_simd_width(width);
-    }
-    Ok(ctx)
+    Ok(EvalContext::new(
+        netlist,
+        patterns,
+        metric,
+        timing,
+        depth_weight,
+    ))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
-use tdals_sim::{DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, SimResult, SimWords, SimdWidth};
+use tdals_sim::{DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, SimResult, SimWords};
 use tdals_sta::{analyze, IncrementalSta, TimingConfig, TimingReport};
 
 use crate::lac::Lac;
@@ -405,23 +405,6 @@ impl EvalContext {
         }
     }
 
-    /// Sets the SIMD block width of every simulation kernel this
-    /// context runs — full passes, golden re-use, and the incremental
-    /// engines built by [`EvalContext::delta_sim`] /
-    /// [`EvalContext::delta_eval`]. Width is a pure throughput knob:
-    /// errors, fitness, and every optimizer trajectory are bit-identical
-    /// at any width (pinned by `tests/simd_words.rs`). Returns `self`
-    /// for builder-style chaining.
-    pub fn with_simd_width(mut self, width: SimdWidth) -> EvalContext {
-        self.evaluator = self.evaluator.with_simd_width(width);
-        self
-    }
-
-    /// Current SIMD block width of the simulation kernels.
-    pub fn simd_width(&self) -> SimdWidth {
-        self.evaluator.simd_width()
-    }
-
     /// The accurate reference circuit.
     pub fn accurate(&self) -> &Netlist {
         &self.accurate
@@ -472,12 +455,7 @@ impl EvalContext {
     /// shared stimulus: one full simulation up front, O(affected cone)
     /// per scored or committed substitution afterwards.
     pub fn delta_sim(&self, netlist: Netlist) -> DeltaSim {
-        // Build from an explicit-width full pass so the initial
-        // simulation and every later cone kernel run at the same width.
-        let width = self.simd_width();
-        let sim = tdals_sim::simulate_with_width(&netlist, self.evaluator.patterns(), width);
-        DeltaSim::from_result(netlist, self.evaluator.patterns().clone(), sim)
-            .with_simd_width(width)
+        DeltaSim::new(netlist, self.evaluator.patterns())
     }
 
     /// Runs STA on a netlist with the shared configuration.

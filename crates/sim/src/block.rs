@@ -1,167 +1,71 @@
-//! SIMD block width selection.
+//! The simulation block width.
 //!
-//! Simulation storage is a flat `Vec<u64>` of 64-sample words at every
-//! width — what [`SimdWidth`] selects is the **loop structure** of the
-//! gate-evaluation kernels: how many words one trip through the inner
-//! loop gathers, evaluates ([`eval_block`](tdals_netlist::cell::CellFunc::eval_block)),
+//! Simulation storage is a flat `Vec<u64>` of 64-sample words; what the
+//! block width fixes is the **loop structure** of the gate-evaluation
+//! kernels: how many words one trip through the inner loop gathers,
+//! evaluates ([`eval_block`](tdals_netlist::cell::CellFunc::eval_block)),
 //! and stores. A `[u64; 8]` block is 512 bits of straight-line bitwise
 //! ops with no per-word branching, which LLVM folds into whatever
 //! vector registers the target offers (SSE2 → 2 lanes, AVX2 → 4,
 //! AVX-512 → 8, NEON → 2) — no intrinsics, no `unsafe`, no new
 //! dependencies.
 //!
-//! Because the ops are pure bitwise functions of the same words in the
-//! same storage, **results are identical at every width, bit for bit**:
-//! width is a throughput knob, never a semantics knob. The cross-width
-//! equivalence suite (`tests/simd_words.rs`, `crates/sim/tests/`) pins
-//! this end to end.
+//! The width is one compile-time constant, [`BLOCK_WORDS`]. Eight words
+//! fill one AVX-512 register and two AVX2 registers, and a narrower
+//! machine just emits more scalar ops per trip: on Sqrt, 4-word and
+//! 8-word blocks measured the same (232.7 vs 238.6 µs per full
+//! simulation in the committed `BENCH_delta_sim.json`, AVX-512 host),
+//! so there is nothing to tune at run time. Because the
+//! ops are pure bitwise functions of the same words, the blocked kernel
+//! stores exactly what the one-word reference kernel
+//! ([`simulate_reference`](crate::simulate_reference)) stores; the test
+//! below and `crates/sim/tests/blockwise.rs` pin that, tail words
+//! included.
 
-use std::fmt;
+/// Words per simulation block: the inner-loop width of every gate
+/// kernel and of the blockwise metric loops.
+pub(crate) const BLOCK_WORDS: usize = 8;
 
-/// Block width of the simulation kernels: how many 64-bit words one
-/// inner-loop trip evaluates.
+/// Description of the compiled simulation block width, for bench and
+/// host records. There is one width, so there is one value.
 ///
 /// # Examples
 ///
 /// ```
 /// use tdals_sim::SimdWidth;
 ///
-/// assert_eq!(SimdWidth::W8.lanes(), 8);
-/// assert_eq!("4".parse::<SimdWidth>()?, SimdWidth::W4);
-/// // The default is the widest kernel; the TDALS_SIMD_WIDTH
-/// // environment variable can narrow it process-wide.
-/// assert!(SimdWidth::default().lanes() >= 1);
-/// # Ok::<(), tdals_sim::ParseSimdWidthError>(())
+/// assert_eq!(SimdWidth::auto().lanes(), 8);
+/// assert_eq!(SimdWidth::auto().cli_name(), "8");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SimdWidth {
-    /// Scalar reference: one word per trip.
-    W1,
-    /// 4-word (256-bit) blocks.
-    W4,
-    /// 8-word (512-bit) blocks.
-    W8,
-}
-
-/// All widths from narrowest to widest, in a stable order.
-pub const ALL_WIDTHS: [SimdWidth; 3] = [SimdWidth::W1, SimdWidth::W4, SimdWidth::W8];
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SimdWidth(());
 
 impl SimdWidth {
+    /// The width the kernels are compiled at.
+    pub const fn auto() -> SimdWidth {
+        SimdWidth(())
+    }
+
     /// Number of 64-bit words per block.
     pub const fn lanes(self) -> usize {
-        match self {
-            SimdWidth::W1 => 1,
-            SimdWidth::W4 => 4,
-            SimdWidth::W8 => 8,
-        }
+        BLOCK_WORDS
     }
 
-    /// The width every engine uses unless told otherwise: the widest
-    /// kernel, optionally narrowed process-wide by the
-    /// `TDALS_SIMD_WIDTH` environment variable (`1`, `4` or `8`;
-    /// anything else is ignored).
-    ///
-    /// W8 is always safe to default to — blocks are plain `u64` lane
-    /// loops, so on a narrow machine LLVM simply emits more scalar ops
-    /// per trip and the result is unchanged. The env knob exists for
-    /// process-level A/B comparison (the `simd-equivalence` CI job runs
-    /// whole batches under different widths and byte-compares the
-    /// results files), not for correctness.
-    pub fn auto() -> SimdWidth {
-        match std::env::var("TDALS_SIMD_WIDTH") {
-            Ok(s) => s.parse().unwrap_or(SimdWidth::W8),
-            Err(_) => SimdWidth::W8,
-        }
-    }
-
-    /// Name used on CLIs and in bench JSON (`"1"`, `"4"`, `"8"`).
+    /// Name used in bench JSON (`"8"`).
     pub const fn cli_name(self) -> &'static str {
-        match self {
-            SimdWidth::W1 => "1",
-            SimdWidth::W4 => "4",
-            SimdWidth::W8 => "8",
-        }
+        "8"
     }
 }
 
-impl Default for SimdWidth {
-    /// [`SimdWidth::auto`].
-    fn default() -> SimdWidth {
-        SimdWidth::auto()
-    }
-}
-
-impl fmt::Display for SimdWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.cli_name())
-    }
-}
-
-/// Error returned when a width string is not `1`, `4` or `8`.
-///
-/// # Examples
-///
-/// ```
-/// use tdals_sim::SimdWidth;
-/// assert!("2".parse::<SimdWidth>().is_err());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSimdWidthError {
-    input: String,
-}
-
-impl ParseSimdWidthError {
-    /// The string that failed to parse.
-    pub fn input(&self) -> &str {
-        &self.input
-    }
-}
-
-impl fmt::Display for ParseSimdWidthError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown SIMD width `{}` (expected 1, 4 or 8)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseSimdWidthError {}
-
-impl std::str::FromStr for SimdWidth {
-    type Err = ParseSimdWidthError;
-
-    fn from_str(s: &str) -> Result<SimdWidth, ParseSimdWidthError> {
-        match s.trim() {
-            "1" => Ok(SimdWidth::W1),
-            "4" => Ok(SimdWidth::W4),
-            "8" => Ok(SimdWidth::W8),
-            _ => Err(ParseSimdWidthError {
-                input: s.to_owned(),
-            }),
-        }
-    }
-}
+// `cli_name` spells the width out; keep it in step with the constant.
+const _: () = assert!(BLOCK_WORDS == 8);
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::{simulate_with_width, SimResult};
+    use crate::engine::{simulate, simulate_reference, SimResult};
     use crate::patterns::Patterns;
     use tdals_netlist::cell::{Cell, CellFunc, Drive};
     use tdals_netlist::{Netlist, SignalRef};
-
-    #[test]
-    fn lanes_and_names_round_trip() {
-        for w in ALL_WIDTHS {
-            assert_eq!(w.cli_name().parse::<SimdWidth>().unwrap(), w);
-            assert_eq!(w.to_string(), w.cli_name());
-        }
-        assert!("2".parse::<SimdWidth>().is_err());
-        assert!("".parse::<SimdWidth>().is_err());
-        assert_eq!(" 8 ".parse::<SimdWidth>().unwrap(), SimdWidth::W8);
-    }
 
     /// A small but representative circuit: every arity, constants on
     /// pins, a Const1-driven PO, and enough gates for a multi-block
@@ -203,19 +107,16 @@ mod tests {
         assert_eq!(a.values, b.values);
     }
 
-    /// The Miri-covered kernel pin (see the `miri` CI job): every width
-    /// over word-aligned and ragged-tail vector counts must produce the
-    /// same storage as the scalar reference. Kept small so Miri's
-    /// interpreter finishes quickly even at W=8.
+    /// The Miri-covered kernel pin (see the `miri` CI job): the blocked
+    /// kernel over word-aligned and ragged-tail vector counts must
+    /// produce the same storage as the scalar reference. Kept small so
+    /// Miri's interpreter finishes quickly.
     #[test]
-    fn widths_agree_on_aligned_and_ragged_tails() {
+    fn blocked_kernel_matches_reference_on_aligned_and_ragged_tails() {
         let n = kernel_netlist();
         for vectors in [64, 70, 512, 513] {
             let p = Patterns::random(3, vectors, 0xB10C);
-            let scalar = simulate_with_width(&n, &p, SimdWidth::W1);
-            for w in [SimdWidth::W4, SimdWidth::W8] {
-                assert_same(&scalar, &simulate_with_width(&n, &p, w));
-            }
+            assert_same(&simulate_reference(&n, &p), &simulate(&n, &p));
         }
     }
 }

@@ -64,10 +64,10 @@
 
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 
-use crate::block::SimdWidth;
-use crate::engine::{simulate, simulate_with_width, SimResult};
+use crate::block::BLOCK_WORDS;
+use crate::engine::{simulate, SimResult};
 use crate::patterns::Patterns;
-use crate::view::{gate_row, mask_tail, masked_signal_word, raw_signal_word, SimWords};
+use crate::view::{gate_row, mask_tail, SimWords};
 
 /// Sentinel for "gate not in the overlay".
 const NO_SLOT: u32 = u32::MAX;
@@ -107,9 +107,6 @@ pub struct DeltaSim {
     commits_since_rebase: usize,
     /// Re-base (full resim + fan-out rebuild) period; 0 disables.
     full_resim_every_n: usize,
-    /// Block width of the cone-re-evaluation and re-base kernels.
-    /// A throughput knob only: words are bit-identical at every width.
-    simd: SimdWidth,
     /// Lifetime counters across all commits.
     commit_stats: DeltaStats,
     full_resims: usize,
@@ -156,24 +153,9 @@ impl DeltaSim {
             fanouts,
             commits_since_rebase: 0,
             full_resim_every_n: 0,
-            simd: SimdWidth::auto(),
             commit_stats: DeltaStats::default(),
             full_resims: 0,
         }
-    }
-
-    /// Sets the block width of the incremental kernels and any re-base
-    /// simulations. Width never changes results — only how many words
-    /// one inner-loop trip evaluates — so the already-simulated state
-    /// stays valid as-is. Returns `self` for builder-style chaining.
-    pub fn with_simd_width(mut self, width: SimdWidth) -> DeltaSim {
-        self.simd = width;
-        self
-    }
-
-    /// Current block width of the kernels.
-    pub fn simd_width(&self) -> SimdWidth {
-        self.simd
     }
 
     /// Sets the re-base period: after every `n` committed substitutions
@@ -291,7 +273,7 @@ impl DeltaSim {
         if self.full_resim_every_n > 0 && self.commits_since_rebase >= self.full_resim_every_n {
             // Re-base: mutate, then rebuild everything from scratch.
             let rewritten = self.netlist.substitute(target, switch)?;
-            let sim = simulate_with_width(&self.netlist, &self.patterns, self.simd);
+            let sim = simulate(&self.netlist, &self.patterns);
             self.values = sim.values;
             self.fanouts = self.netlist.fanout_lists();
             self.commits_since_rebase = 0;
@@ -339,8 +321,12 @@ impl DeltaSim {
     }
 
     /// Event-driven cone re-evaluation shared by `preview` and
-    /// `substitute` — the width dispatch over the monomorphized
-    /// [`DeltaSim::propagate_blocks`] kernels.
+    /// `substitute`: walks the fan-out of `target` in topological id
+    /// order, recomputing each reached gate under the pending
+    /// substitution; gates whose recomputed words equal their current
+    /// words do not propagate further. The inner loop evaluates whole
+    /// [`BLOCK_WORDS`]-word blocks with the tail mask folded into the
+    /// final block, then a scalar pass covers the remainder.
     fn propagate(
         &self,
         target: GateId,
@@ -349,27 +335,7 @@ impl DeltaSim {
         words: &mut Vec<u64>,
         stats: &mut DeltaStats,
     ) {
-        match self.simd {
-            SimdWidth::W1 => self.propagate_blocks::<1>(target, switch, slot, words, stats),
-            SimdWidth::W4 => self.propagate_blocks::<4>(target, switch, slot, words, stats),
-            SimdWidth::W8 => self.propagate_blocks::<8>(target, switch, slot, words, stats),
-        }
-    }
-
-    /// Walks the fan-out of `target` in topological id order,
-    /// recomputing each reached gate under the pending substitution;
-    /// gates whose recomputed words equal their current words do not
-    /// propagate further. The inner loop evaluates whole `[u64; W]`
-    /// blocks with the tail mask folded into the final block, then a
-    /// scalar pass covers the `word_count % W` remainder.
-    fn propagate_blocks<const W: usize>(
-        &self,
-        target: GateId,
-        switch: SignalRef,
-        slot: &mut [u32],
-        words: &mut Vec<u64>,
-        stats: &mut DeltaStats,
-    ) {
+        const W: usize = BLOCK_WORDS;
         let wc = self.word_count;
         let n = self.netlist.gate_count();
         // Pending-flag scan instead of a priority queue: fan-outs
@@ -495,37 +461,12 @@ impl SimWords for DeltaSim {
         self.tail_mask
     }
 
-    fn signal_word(&self, signal: SignalRef, w: usize) -> u64 {
-        masked_signal_word(&self.values, self.word_count, self.tail_mask, signal, w)
-    }
-
-    fn po_word(&self, po: usize, w: usize) -> u64 {
-        self.signal_word(self.netlist.output_driver(po), w)
-    }
-
-    fn signal_block(&self, signal: SignalRef, w0: usize, out: &mut [u64]) {
-        match signal {
-            SignalRef::Const0 => out.fill(0),
-            SignalRef::Const1 => out.fill(u64::MAX),
-            SignalRef::Gate(id) => {
-                let base = id.index() * self.word_count + w0;
-                out.copy_from_slice(&self.values[base..base + out.len()]);
-            }
-        }
-        // Stored words are tail-zeroed; clip the constant expansions.
-        if w0 + out.len() == self.word_count {
-            if let Some(last) = out.last_mut() {
-                *last &= self.tail_mask;
-            }
-        }
-    }
-
-    fn po_block(&self, po: usize, w0: usize, out: &mut [u64]) {
-        self.signal_block(self.netlist.output_driver(po), w0, out);
-    }
-
     fn gate_row(&self, g: GateId) -> &[u64] {
         gate_row(&self.values, self.word_count, g)
+    }
+
+    fn po_driver(&self, po: usize) -> SignalRef {
+        self.netlist.output_driver(po)
     }
 }
 
@@ -557,17 +498,6 @@ impl DeltaView<'_> {
     pub fn stats(&self) -> DeltaStats {
         self.stats
     }
-
-    #[inline]
-    fn raw_word(&self, signal: SignalRef, w: usize) -> u64 {
-        if let SignalRef::Gate(g) = signal {
-            let s = self.slot[g.index()];
-            if s != NO_SLOT {
-                return self.words[s as usize * self.base.word_count + w];
-            }
-        }
-        raw_signal_word(&self.base.values, self.base.word_count, signal, w)
-    }
 }
 
 impl SimWords for DeltaView<'_> {
@@ -587,24 +517,6 @@ impl SimWords for DeltaView<'_> {
         self.base.tail_mask
     }
 
-    fn signal_word(&self, signal: SignalRef, w: usize) -> u64 {
-        mask_tail(
-            self.raw_word(signal, w),
-            w,
-            self.base.word_count,
-            self.base.tail_mask,
-        )
-    }
-
-    fn po_word(&self, po: usize, w: usize) -> u64 {
-        // The committed substitution would rewrite PO drivers too.
-        let mut driver = self.base.netlist.output_driver(po);
-        if driver == SignalRef::Gate(self.target) {
-            driver = self.switch;
-        }
-        self.signal_word(driver, w)
-    }
-
     /// The overlay row when the cone re-evaluation changed `g`, its
     /// base row otherwise. Overlay rows are tail-masked like the base
     /// storage.
@@ -613,6 +525,16 @@ impl SimWords for DeltaView<'_> {
         match self.slot[g.index()] {
             NO_SLOT => gate_row(&self.base.values, wc, g),
             s => &self.words[s as usize * wc..(s as usize + 1) * wc],
+        }
+    }
+
+    /// The base driver, or `switch` where that driver is the
+    /// substituted target: the committed substitution would rewrite PO
+    /// drivers too.
+    fn po_driver(&self, po: usize) -> SignalRef {
+        match self.base.netlist.output_driver(po) {
+            SignalRef::Gate(g) if g == self.target => self.switch,
+            driver => driver,
         }
     }
 }

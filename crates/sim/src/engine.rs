@@ -2,11 +2,9 @@
 
 use tdals_netlist::{GateId, Netlist, SignalRef};
 
-use crate::block::SimdWidth;
+use crate::block::BLOCK_WORDS;
 use crate::patterns::Patterns;
-use crate::view::{
-    gate_row, masked_signal_word, raw_signal_block, raw_signal_word, zero_tail_words, SimWords,
-};
+use crate::view::{gate_row, raw_signal_block, raw_signal_word, zero_tail_words, SimWords};
 
 /// Simulated values of every gate output for one stimulus batch.
 ///
@@ -81,19 +79,14 @@ impl SimResult {
         gate_row(&self.values, self.word_count, id)
     }
 
-    /// Words of an arbitrary signal (constants expand to all-0/all-1
-    /// within the valid tail).
-    pub fn signal_word(&self, signal: SignalRef, w: usize) -> u64 {
-        masked_signal_word(&self.values, self.word_count, self.tail_mask, signal, w)
-    }
-
-    /// Word `w` of primary output `po`.
+    /// Word `w` of primary output `po`: [`SimWords::po_word`], callable
+    /// without the trait in scope.
     ///
     /// # Panics
     ///
     /// Panics if `po` or `w` is out of range.
     pub fn po_word(&self, po: usize, w: usize) -> u64 {
-        self.signal_word(self.po_drivers[po], w)
+        SimWords::po_word(self, po, w)
     }
 
     /// Mask of valid bits in the final word.
@@ -119,43 +112,17 @@ impl SimWords for SimResult {
         self.tail_mask
     }
 
-    fn signal_word(&self, signal: SignalRef, w: usize) -> u64 {
-        SimResult::signal_word(self, signal, w)
-    }
-
-    fn po_word(&self, po: usize, w: usize) -> u64 {
-        SimResult::po_word(self, po, w)
-    }
-
-    fn signal_block(&self, signal: SignalRef, w0: usize, out: &mut [u64]) {
-        match signal {
-            SignalRef::Const0 => out.fill(0),
-            SignalRef::Const1 => out.fill(u64::MAX),
-            SignalRef::Gate(id) => {
-                let base = id.index() * self.word_count + w0;
-                out.copy_from_slice(&self.values[base..base + out.len()]);
-            }
-        }
-        // Stored gate words are tail-zeroed already; this clips the
-        // constant expansions the same way the per-word path does.
-        if w0 + out.len() == self.word_count {
-            if let Some(last) = out.last_mut() {
-                *last &= self.tail_mask;
-            }
-        }
-    }
-
-    fn po_block(&self, po: usize, w0: usize, out: &mut [u64]) {
-        self.signal_block(self.po_drivers[po], w0, out);
-    }
-
     fn gate_row(&self, g: GateId) -> &[u64] {
         self.gate_words(g)
     }
+
+    fn po_driver(&self, po: usize) -> SignalRef {
+        self.po_drivers[po]
+    }
 }
 
-/// Simulates every gate of `netlist` on the given stimulus at the
-/// default block width ([`SimdWidth::auto`]).
+/// Simulates every gate of `netlist` on the given stimulus, one
+/// eight-word block per inner-loop trip.
 ///
 /// Gates are evaluated in id order, which the netlist's topological id
 /// invariant guarantees is a valid evaluation order. Dangling gates are
@@ -166,26 +133,21 @@ impl SimWords for SimResult {
 /// Panics if `patterns.input_count()` differs from the netlist's primary
 /// input count.
 pub fn simulate(netlist: &Netlist, patterns: &Patterns) -> SimResult {
-    simulate_with_width(netlist, patterns, SimdWidth::auto())
+    simulate_blocks::<BLOCK_WORDS>(netlist, patterns)
 }
 
-/// [`simulate`] at an explicit block width.
-///
-/// The width selects the inner-loop block size of the gate kernels and
-/// nothing else: results are **bit-identical at every width** (the ops
-/// are pure bitwise functions of the same words — property-tested in
-/// `crates/sim/tests/blockwise.rs` across every tail residue class).
+/// The scalar reference oracle: [`simulate`] one word per inner-loop
+/// trip. It stores exactly the words [`simulate`] stores (the kernel
+/// ops are pure bitwise functions of the same words), which
+/// `crates/sim/tests/blockwise.rs` checks across every tail residue
+/// class; benches time [`simulate`] against it.
 ///
 /// # Panics
 ///
 /// Panics if `patterns.input_count()` differs from the netlist's primary
 /// input count.
-pub fn simulate_with_width(netlist: &Netlist, patterns: &Patterns, width: SimdWidth) -> SimResult {
-    match width {
-        SimdWidth::W1 => simulate_blocks::<1>(netlist, patterns),
-        SimdWidth::W4 => simulate_blocks::<4>(netlist, patterns),
-        SimdWidth::W8 => simulate_blocks::<8>(netlist, patterns),
-    }
+pub fn simulate_reference(netlist: &Netlist, patterns: &Patterns) -> SimResult {
+    simulate_blocks::<1>(netlist, patterns)
 }
 
 /// The monomorphized engine: evaluates whole `[u64; W]` blocks in the

@@ -16,10 +16,13 @@
 //!   its transitive fan-out, bit-identical to a full [`simulate`];
 //! * [`ErrorMetric`], [`error_rate`], [`nmed`], [`ErrorEvaluator`] —
 //!   the ER (Eq. 1) and NMED (Eq. 2) constraint metrics, generic over
-//!   the [`SimWords`] view trait so full and incremental results mix;
-//! * [`SimdWidth`] / [`simulate_with_width`] — SIMD block width of the
-//!   gate kernels (`[u64; W]`, W ∈ {1, 4, 8}): a pure throughput knob,
-//!   results are bit-identical at every width.
+//!   the [`SimWords`] view trait so full and incremental results mix.
+//!
+//! Every gate kernel evaluates eight 64-bit words (512 vectors) per
+//! inner-loop trip: one compile-time block width, described by
+//! [`SimdWidth`]. [`simulate_reference`] runs the same kernel one word
+//! at a time and stores the same bits; it is the oracle the blocked
+//! kernels are tested and benchmarked against.
 //!
 //! # Examples
 //!
@@ -56,9 +59,9 @@ mod metrics_ext;
 mod patterns;
 mod view;
 
-pub use block::{ParseSimdWidthError, SimdWidth, ALL_WIDTHS};
+pub use block::SimdWidth;
 pub use delta::{DeltaSim, DeltaStats, DeltaView};
-pub use engine::{simulate, simulate_with_width, SimResult};
+pub use engine::{simulate, simulate_reference, SimResult};
 pub use metrics::{error_rate, nmed, po_flip_rates, ErrorEvaluator, ErrorMetric};
 pub use metrics_ext::{
     bit_flip_rate, mean_relative_error, med, outputs_identical, worst_case_error_distance,

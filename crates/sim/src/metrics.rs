@@ -3,8 +3,8 @@
 
 use tdals_netlist::Netlist;
 
-use crate::block::SimdWidth;
-use crate::engine::{simulate_with_width, SimResult};
+use crate::block::BLOCK_WORDS;
+use crate::engine::{simulate, SimResult};
 use crate::patterns::Patterns;
 use crate::view::SimWords;
 
@@ -100,19 +100,18 @@ fn check_compat<A: SimWords, B: SimWords>(ori: &A, app: &B) {
 /// ```
 pub fn error_rate<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
     check_compat(ori, app);
-    // Walk whole blocks through the SimWords block accessors so
-    // contiguous implementors serve slice copies instead of per-word
-    // calls. Popcount accumulation is per-word and order-preserving:
-    // the result is exactly the scalar loop's.
-    const B: usize = 8;
+    // Walk whole blocks through `SimWords::po_block`, one slice copy
+    // per PO and block instead of per-word calls. Popcount
+    // accumulation is per-word and order-preserving: the result is
+    // exactly the scalar loop's.
     let words = ori.word_count();
     let mut wrong = 0usize;
     let mut w = 0;
     while w < words {
-        let n = B.min(words - w);
-        let mut any_diff = [0u64; B];
-        let mut o = [0u64; B];
-        let mut a = [0u64; B];
+        let n = BLOCK_WORDS.min(words - w);
+        let mut any_diff = [0u64; BLOCK_WORDS];
+        let mut o = [0u64; BLOCK_WORDS];
+        let mut a = [0u64; BLOCK_WORDS];
         for po in 0..ori.output_count() {
             ori.po_block(po, w, &mut o[..n]);
             app.po_block(po, w, &mut a[..n]);
@@ -140,16 +139,15 @@ pub fn error_rate<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
 pub fn po_flip_rates<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
     check_compat(ori, app);
     let n_vec = ori.vector_count() as f64;
-    const B: usize = 8;
     let words = ori.word_count();
     (0..ori.output_count())
         .map(|po| {
             let mut diff = 0usize;
-            let mut o = [0u64; B];
-            let mut a = [0u64; B];
+            let mut o = [0u64; BLOCK_WORDS];
+            let mut a = [0u64; BLOCK_WORDS];
             let mut w = 0;
             while w < words {
-                let n = B.min(words - w);
+                let n = BLOCK_WORDS.min(words - w);
                 ori.po_block(po, w, &mut o[..n]);
                 app.po_block(po, w, &mut a[..n]);
                 for l in 0..n {
@@ -207,16 +205,15 @@ pub fn nmed<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
 /// time, and each word with any difference is transposed to one `u64`
 /// of PO bits per vector.
 fn nmed_sum_transposed<A: SimWords, B: SimWords>(ori: &A, app: &B, weights: &[f64]) -> f64 {
-    const B: usize = 8;
     let n_out = weights.len();
     let words = ori.word_count();
     // Rows [po][lane]: PO-major blocks of accurate words and diff words.
-    let mut o = [[0u64; B]; 64];
-    let mut d = [[0u64; B]; 64];
+    let mut o = [[0u64; BLOCK_WORDS]; 64];
+    let mut d = [[0u64; BLOCK_WORDS]; 64];
     let mut total = 0f64;
     let mut w = 0;
     while w < words {
-        let n = B.min(words - w);
+        let n = BLOCK_WORDS.min(words - w);
         for po in 0..n_out {
             ori.po_block(po, w, &mut o[po][..n]);
             app.po_block(po, w, &mut d[po][..n]);
@@ -350,35 +347,18 @@ pub struct ErrorEvaluator {
     patterns: Patterns,
     golden: SimResult,
     metric: ErrorMetric,
-    simd: SimdWidth,
 }
 
 impl ErrorEvaluator {
     /// Simulates `accurate` once and prepares to score variants with the
-    /// given metric, at the default block width ([`SimdWidth::auto`]).
+    /// given metric.
     pub fn new(accurate: &Netlist, patterns: Patterns, metric: ErrorMetric) -> ErrorEvaluator {
-        let simd = SimdWidth::auto();
-        let golden = simulate_with_width(accurate, &patterns, simd);
+        let golden = simulate(accurate, &patterns);
         ErrorEvaluator {
             patterns,
             golden,
             metric,
-            simd,
         }
-    }
-
-    /// Sets the block width of every simulation this evaluator runs.
-    /// Width is a throughput knob only — the cached golden result stays
-    /// valid because words are bit-identical at every width. Returns
-    /// `self` for builder-style chaining.
-    pub fn with_simd_width(mut self, width: SimdWidth) -> ErrorEvaluator {
-        self.simd = width;
-        self
-    }
-
-    /// Current block width of the simulation kernels.
-    pub fn simd_width(&self) -> SimdWidth {
-        self.simd
     }
 
     /// Metric being evaluated.
@@ -398,7 +378,7 @@ impl ErrorEvaluator {
 
     /// Simulates an approximate variant on the shared stimulus.
     pub fn simulate(&self, approx: &Netlist) -> SimResult {
-        simulate_with_width(approx, &self.patterns, self.simd)
+        simulate(approx, &self.patterns)
     }
 
     /// Metric value of an approximate variant.
@@ -435,7 +415,6 @@ impl ErrorEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
     use tdals_netlist::cell::{Cell, CellFunc, Drive};
     use tdals_netlist::SignalRef;
 

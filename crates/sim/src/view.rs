@@ -12,12 +12,9 @@ use tdals_netlist::{GateId, SignalRef};
 /// Raw (tail-unmasked) 64-sample word of `signal` over gate-major
 /// storage `values[g * word_count + w]`.
 ///
-/// This is **the** shared expansion rule for constants: `Const0` is
-/// all-zeros, `Const1` is all-ones, gates read their stored word. Every
-/// evaluator in the crate — full simulation, incremental re-simulation,
-/// and the query API — goes through this helper (or its masked twin
-/// [`masked_signal_word`]) so the `Const0`/`Const1`/tail handling can
-/// never drift apart.
+/// The simulation kernels' constant expansion rule: `Const0` is
+/// all-zeros, `Const1` is all-ones, gates read their stored word —
+/// the same rule the read path ([`SimWords::signal_block`]) applies.
 #[inline]
 pub(crate) fn raw_signal_word(
     values: &[u64],
@@ -66,24 +63,6 @@ pub(crate) fn mask_tail(raw: u64, w: usize, word_count: usize, tail_mask: u64) -
     } else {
         raw
     }
-}
-
-/// [`raw_signal_word`] with the invalid tail bits of the final word
-/// cleared, so popcount-based statistics stay exact.
-#[inline]
-pub(crate) fn masked_signal_word(
-    values: &[u64],
-    word_count: usize,
-    tail_mask: u64,
-    signal: SignalRef,
-    w: usize,
-) -> u64 {
-    mask_tail(
-        raw_signal_word(values, word_count, signal, w),
-        w,
-        word_count,
-        tail_mask,
-    )
 }
 
 /// The write-side twin of [`mask_tail`]: zeroes the invalid tail bits
@@ -155,6 +134,12 @@ pub(crate) fn gate_row(values: &[u64], word_count: usize, g: GateId) -> &[u64] {
 /// mutation). Error metrics and similarity scoring accept any
 /// implementor, which is what lets candidate scoring run on the
 /// incremental path without materializing a full `SimResult`.
+///
+/// An implementor supplies only its geometry, its gate rows
+/// ([`SimWords::gate_row`]) and its PO drivers
+/// ([`SimWords::po_driver`]); every word, block and similarity read is
+/// a provided method over those, so the constant expansion and the
+/// tail rule live in one place.
 pub trait SimWords {
     /// Number of vectors simulated.
     fn vector_count(&self) -> usize;
@@ -168,41 +153,48 @@ pub trait SimWords {
     /// Mask of valid bits in the final word.
     fn tail_mask(&self) -> u64;
 
-    /// Word `w` of an arbitrary signal, tail-masked.
-    ///
-    /// The scalar shim over [`SimWords::signal_block`]-style access:
-    /// metrics that walk whole blocks use the block accessors below,
-    /// but per-word reads stay available for tests and tooling.
-    fn signal_word(&self, signal: SignalRef, w: usize) -> u64;
+    /// All [`SimWords::word_count`] words of gate `g`, with the invalid
+    /// tail bits of the final word zeroed.
+    fn gate_row(&self, g: GateId) -> &[u64];
 
-    /// Word `w` of primary output `po`, tail-masked.
-    fn po_word(&self, po: usize, w: usize) -> u64;
+    /// The signal driving primary output `po`.
+    fn po_driver(&self, po: usize) -> SignalRef;
 
     /// Fills `out` with words `w0 .. w0 + out.len()` of `signal`,
-    /// tail-masked — the block-indexed accessor the widened kernels and
-    /// metrics read through. `w0 + out.len()` must not exceed
-    /// [`SimWords::word_count`].
-    ///
-    /// The default forwards to [`SimWords::signal_word`] per word;
-    /// implementors with contiguous storage override it with a slice
-    /// copy.
+    /// tail-masked: **the** read path every other word accessor goes
+    /// through. Gates copy from their [`SimWords::gate_row`]; `Const0`
+    /// expands to all-zeros and `Const1` to all-ones, clipped to the
+    /// valid tail bits of the final word. `w0 + out.len()` must not
+    /// exceed [`SimWords::word_count`].
     fn signal_block(&self, signal: SignalRef, w0: usize, out: &mut [u64]) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.signal_word(signal, w0 + i);
+        match signal {
+            SignalRef::Const0 => out.fill(0),
+            SignalRef::Const1 => out.fill(u64::MAX),
+            SignalRef::Gate(g) => out.copy_from_slice(&self.gate_row(g)[w0..w0 + out.len()]),
+        }
+        let end = w0 + out.len();
+        if let Some(last) = out.last_mut() {
+            *last = mask_tail(*last, end - 1, self.word_count(), self.tail_mask());
         }
     }
 
     /// Fills `out` with words `w0 .. w0 + out.len()` of primary output
-    /// `po`, tail-masked; the block twin of [`SimWords::po_word`].
+    /// `po`, tail-masked; [`SimWords::signal_block`] of its driver.
     fn po_block(&self, po: usize, w0: usize, out: &mut [u64]) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.po_word(po, w0 + i);
-        }
+        self.signal_block(self.po_driver(po), w0, out);
     }
 
-    /// All [`SimWords::word_count`] words of gate `g`, with the invalid
-    /// tail bits of the final word zeroed.
-    fn gate_row(&self, g: GateId) -> &[u64];
+    /// Word `w` of an arbitrary signal, tail-masked.
+    fn signal_word(&self, signal: SignalRef, w: usize) -> u64 {
+        let mut word = [0];
+        self.signal_block(signal, w, &mut word);
+        word[0]
+    }
+
+    /// Word `w` of primary output `po`, tail-masked.
+    fn po_word(&self, po: usize, w: usize) -> u64 {
+        self.signal_word(self.po_driver(po), w)
+    }
 
     /// Counts vectors on which the two signals differ, by a popcount
     /// over [`SimWords::gate_row`] rows.
@@ -230,15 +222,6 @@ mod tests {
             raw_signal_word(&values, 1, SignalRef::Gate(GateId::new(1)), 0),
             0xCD
         );
-    }
-
-    #[test]
-    fn masked_word_clips_only_the_tail() {
-        let values = vec![u64::MAX, u64::MAX];
-        let m = masked_signal_word(&values, 2, 0xF, SignalRef::Const1, 1);
-        assert_eq!(m, 0xF);
-        let m = masked_signal_word(&values, 2, 0xF, SignalRef::Const1, 0);
-        assert_eq!(m, u64::MAX);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Cross-width equivalence of the blockwise simulation kernels.
+//! The blocked simulation engine against the scalar reference.
 //!
-//! The SIMD block width (`SimdWidth`) restructures the gate-eval inner
-//! loops but must never change a single stored bit. These tests pin
-//! that invariant at the `tdals-sim` layer, word for word, including
-//! the masked tail word:
+//! `simulate` evaluates eight-word blocks per inner-loop trip and
+//! finishes the remainder one word at a time; `simulate_reference`
+//! evaluates one word per trip. The block structure must never change
+//! a single stored bit. These tests pin that at the `tdals-sim` layer,
+//! word for word, including the masked tail word:
 //!
 //! * explicit enumeration of every interesting `vector_count` residue
-//!   class modulo `64 * W` (aligned, one-over, one-under, full-word
-//!   tails, ragged tails) — the cases where the blocked main loop and
-//!   the scalar remainder loop split differently per width;
+//!   class modulo the block span (aligned, one-over, one-under,
+//!   full-word tails, ragged tails) — the cases where the blocked main
+//!   loop and the scalar remainder loop split differently;
 //! * proptest-generated random netlists (every cell function, constant
 //!   pins, shared fanins) against random vector counts.
 //!
@@ -20,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals_netlist::cell::{Cell, Drive, ALL_FUNCS};
 use tdals_netlist::{Netlist, SignalRef};
-use tdals_sim::{simulate_with_width, Patterns, SimResult, SimdWidth, ALL_WIDTHS};
+use tdals_sim::{simulate, simulate_reference, Patterns, SimResult, SimdWidth};
 
 /// Grows a random netlist: `inputs` PIs, then `gates` gates whose
 /// functions cycle through the whole cell library and whose fanins are
@@ -85,17 +86,19 @@ fn assert_bit_identical(scalar: &SimResult, wide: &SimResult, n: &Netlist, label
 }
 
 /// Every residue class of `vector_count` modulo the block span that
-/// exercises a distinct main-loop/remainder-loop split at some width:
-/// block-aligned counts, one vector either side, full-word tails, and
-/// single-bit tails, for spans of one and two blocks at each width.
+/// exercises a distinct main-loop/remainder-loop split: block-aligned
+/// counts, one vector either side, full-word tails, and single-bit
+/// tails, for spans of one and two blocks, plus every word count
+/// below one block.
 fn edge_vector_counts() -> Vec<usize> {
+    let span = 64 * SimdWidth::auto().lanes();
     let mut counts = vec![1, 63, 64, 65];
-    for width in ALL_WIDTHS {
-        let span = 64 * width.lanes();
-        for blocks in [1usize, 2] {
-            let base = span * blocks;
-            counts.extend([base - 1, base, base + 1, base + 63, base + 64, base + 65]);
-        }
+    for words in 2..SimdWidth::auto().lanes() {
+        counts.push(64 * words - 1);
+    }
+    for blocks in [1usize, 2] {
+        let base = span * blocks;
+        counts.extend([base - 1, base, base + 1, base + 63, base + 64, base + 65]);
     }
     counts.sort_unstable();
     counts.dedup();
@@ -103,11 +106,11 @@ fn edge_vector_counts() -> Vec<usize> {
 }
 
 #[test]
-fn explicit_tail_residues_agree_at_every_width() {
+fn explicit_tail_residues_match_the_reference() {
     let n = random_netlist(5, 40, 0x5EED);
     for vectors in edge_vector_counts() {
         let p = Patterns::random(n.input_count(), vectors, 0xF00D ^ vectors as u64);
-        let scalar = simulate_with_width(&n, &p, SimdWidth::W1);
+        let scalar = simulate_reference(&n, &p);
         // The final word's unused bits must be zeroed, not garbage —
         // metrics count them via popcount.
         let tail = scalar.tail_mask();
@@ -115,34 +118,31 @@ fn explicit_tail_residues_agree_at_every_width() {
             let last = *scalar.gate_words(id).last().expect("at least one word");
             assert_eq!(last & !tail, 0, "unmasked tail bits at vectors={vectors}");
         }
-        for w in [SimdWidth::W4, SimdWidth::W8] {
-            let wide = simulate_with_width(&n, &p, w);
-            assert_bit_identical(&scalar, &wide, &n, &format!("W{w} vectors={vectors}"));
-        }
+        let blocked = simulate(&n, &p);
+        assert_bit_identical(&scalar, &blocked, &n, &format!("vectors={vectors}"));
     }
 }
 
 #[test]
-fn exhaustive_patterns_agree_at_every_width() {
+fn exhaustive_patterns_match_the_reference() {
     // Exhaustive stimulus has its own tail shape (vector_count = 2^k).
     let n = random_netlist(4, 24, 0xE4);
-    for inputs_used in [4usize] {
-        let p = Patterns::exhaustive(inputs_used);
-        let scalar = simulate_with_width(&n, &p, SimdWidth::W1);
-        for w in [SimdWidth::W4, SimdWidth::W8] {
-            let wide = simulate_with_width(&n, &p, w);
-            assert_bit_identical(&scalar, &wide, &n, &format!("W{w} exhaustive"));
-        }
-    }
+    let p = Patterns::exhaustive(4);
+    assert_bit_identical(
+        &simulate_reference(&n, &p),
+        &simulate(&n, &p),
+        &n,
+        "exhaustive",
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random netlist × random ragged vector count: the blocked kernels
+    /// Random netlist × random ragged vector count: the blocked kernel
     /// must reproduce the scalar reference exactly.
     #[test]
-    fn random_netlists_agree_at_every_width(
+    fn random_netlists_match_the_reference(
         seed in 0u64..1 << 32,
         inputs in 1usize..8,
         gates in 1usize..60,
@@ -150,10 +150,7 @@ proptest! {
     ) {
         let n = random_netlist(inputs, gates, seed);
         let p = Patterns::random(n.input_count(), vectors, seed.rotate_left(17));
-        let scalar = simulate_with_width(&n, &p, SimdWidth::W1);
-        for w in [SimdWidth::W4, SimdWidth::W8] {
-            let wide = simulate_with_width(&n, &p, w);
-            assert_bit_identical(&scalar, &wide, &n, &format!("W{w} seed={seed:#x} vectors={vectors}"));
-        }
+        assert_bit_identical(&simulate_reference(&n, &p), &simulate(&n, &p), &n,
+            &format!("seed={seed:#x} vectors={vectors}"));
     }
 }

@@ -15,7 +15,7 @@ use tdals::circuits::random_logic::{grow, RandomLogicSpec};
 use tdals::core::{optimize, EvalContext, Lac, OptimizerConfig};
 use tdals::netlist::builder::Builder;
 use tdals::netlist::{GateId, Netlist, SignalRef};
-use tdals::sim::{simulate, DeltaSim, ErrorMetric, Patterns, SimWords, SimdWidth, ALL_WIDTHS};
+use tdals::sim::{simulate, DeltaSim, ErrorMetric, Patterns, SimWords};
 use tdals::sta::TimingConfig;
 
 /// Deterministic random netlist from a seed.
@@ -50,16 +50,59 @@ fn random_substitution(netlist: &Netlist, rng: &mut StdRng) -> (GateId, SignalRe
     (target, pool[rng.gen_range(0..pool.len())])
 }
 
-fn assert_words_match<V: SimWords, W: SimWords>(delta: &V, full: &W, context: &str) {
+/// Checks every read path of `delta` against full re-simulation
+/// `full`, over a netlist of `gates` gates. The expected words come
+/// from `full`'s gate rows and PO drivers, with constants expanded by
+/// hand, so the check does not rest on the shared `SimWords` defaults:
+/// per-word PO reads, and PO and signal block reads (of both results)
+/// of every length at every word offset, so blocks ending on the ragged
+/// tail word are covered, for every gate and both constants.
+fn assert_words_match<V: SimWords, W: SimWords>(delta: &V, full: &W, gates: usize, context: &str) {
     assert_eq!(delta.vector_count(), full.vector_count(), "{context}");
+    assert_eq!(delta.word_count(), full.word_count(), "{context}");
     assert_eq!(delta.output_count(), full.output_count(), "{context}");
+    let words = full.word_count();
+    let expect = |signal: SignalRef, w: usize| match signal {
+        SignalRef::Const0 => 0,
+        SignalRef::Const1 if w + 1 == words => full.tail_mask(),
+        SignalRef::Const1 => u64::MAX,
+        SignalRef::Gate(g) => full.gate_row(g)[w],
+    };
     for po in 0..full.output_count() {
-        for w in 0..full.word_count() {
+        for w in 0..words {
             assert_eq!(
                 delta.po_word(po, w),
-                full.po_word(po, w),
+                expect(full.po_driver(po), w),
                 "{context}: po {po} word {w}"
             );
+        }
+    }
+    let signals = (0..gates)
+        .map(|g| SignalRef::Gate(GateId::new(g)))
+        .chain([SignalRef::Const0, SignalRef::Const1]);
+    let mut got = vec![0u64; words];
+    for w0 in 0..words {
+        for len in 1..=words - w0 {
+            let got = &mut got[..len];
+            let want = |signal| {
+                (w0..w0 + len)
+                    .map(|w| expect(signal, w))
+                    .collect::<Vec<_>>()
+            };
+            for po in 0..full.output_count() {
+                let want = want(full.po_driver(po));
+                delta.po_block(po, w0, got);
+                assert_eq!(*got, want, "{context}: po {po} block {w0}+{len}");
+                full.po_block(po, w0, got);
+                assert_eq!(*got, want, "{context}: full po {po} block {w0}+{len}");
+            }
+            for signal in signals.clone() {
+                let want = want(signal);
+                delta.signal_block(signal, w0, got);
+                assert_eq!(*got, want, "{context}: {signal} block {w0}+{len}");
+                full.signal_block(signal, w0, got);
+                assert_eq!(*got, want, "{context}: full {signal} block {w0}+{len}");
+            }
         }
     }
 }
@@ -70,55 +113,58 @@ proptest! {
     /// Tentpole invariant: a previewed substitution is bit-identical to
     /// mutating the netlist and fully re-simulating it, on arbitrary
     /// random netlists and arbitrary single-gate substitutions —
-    /// including unaligned tail words, at every SIMD block width.
+    /// including unaligned tail words, and a PO driver replaced by
+    /// `Const1` (the view must redirect the PO and clip its tail).
     #[test]
     fn preview_is_bit_identical_to_full_resim(
         seed in 0u64..300,
-        vectors in 65usize..300,
+        vectors in 65usize..600,
     ) {
         let n = random_netlist(seed, 6, 50, 5);
         let p = Patterns::random(n.input_count(), vectors, seed ^ 0x5eed);
-        for width in ALL_WIDTHS {
-            let delta = DeltaSim::new(n.clone(), &p).with_simd_width(width);
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31));
-            for _ in 0..4 {
-                let (target, switch) = random_substitution(&n, &mut rng);
-                let view = delta.preview(target, switch);
-                let mut mutated = n.clone();
-                mutated.substitute(target, switch).expect("legal LAC");
-                let full = simulate(&mutated, &p);
-                assert_words_match(&view, &full,
-                    &format!("seed {seed}, W{width}, {target} := {switch}"));
+        let delta = DeltaSim::new(n.clone(), &p);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31));
+        let mut lacs: Vec<(GateId, SignalRef)> =
+            (0..4).map(|_| random_substitution(&n, &mut rng)).collect();
+        if let SignalRef::Gate(driver) = n.output_driver(0) {
+            if !n.gate(driver).is_input() {
+                lacs.push((driver, SignalRef::Const1));
             }
+        }
+        for (target, switch) in lacs {
+            let view = delta.preview(target, switch);
+            let mut mutated = n.clone();
+            mutated.substitute(target, switch).expect("legal LAC");
+            let full = simulate(&mutated, &p);
+            assert_words_match(&view, &full, n.gate_count(),
+                &format!("seed {seed}, {target} := {switch}"));
         }
     }
 
     /// Committed substitution chains (with and without periodic
-    /// re-basing) track full re-simulation exactly — at every SIMD
-    /// block width, since commit and the `full_resim_every_n` re-base
-    /// run different kernels (cone overlay vs whole-netlist pass).
+    /// re-basing) track full re-simulation exactly: commit and the
+    /// `full_resim_every_n` re-base run different kernels (cone overlay
+    /// vs whole-netlist pass).
     #[test]
     fn commit_chains_are_bit_identical(
         seed in 0u64..200,
         rebase_every in 0usize..4,
     ) {
-        for width in ALL_WIDTHS {
-            let mut reference = random_netlist(seed, 5, 40, 4);
-            let p = Patterns::random(reference.input_count(), 200, seed ^ 0xace);
-            let mut delta = DeltaSim::new(reference.clone(), &p)
-                .with_full_resim_every(rebase_every)
-                .with_simd_width(width);
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(17) ^ 9);
-            for step in 0..6 {
-                let (target, switch) = random_substitution(&reference, &mut rng);
-                let a = delta.substitute(target, switch).expect("legal LAC");
-                let b = reference.substitute(target, switch).expect("legal LAC");
-                prop_assert_eq!(a, b, "rewritten counts at step {} W{}", step, width);
-                let full = simulate(&reference, &p);
-                assert_words_match(&delta, &full, &format!("seed {seed} W{width} step {step}"));
-            }
-            prop_assert_eq!(delta.netlist(), &reference);
+        let mut reference = random_netlist(seed, 5, 40, 4);
+        let p = Patterns::random(reference.input_count(), 200, seed ^ 0xace);
+        let mut delta = DeltaSim::new(reference.clone(), &p)
+            .with_full_resim_every(rebase_every);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(17) ^ 9);
+        for step in 0..6 {
+            let (target, switch) = random_substitution(&reference, &mut rng);
+            let a = delta.substitute(target, switch).expect("legal LAC");
+            let b = reference.substitute(target, switch).expect("legal LAC");
+            prop_assert_eq!(a, b, "rewritten counts at step {}", step);
+            let full = simulate(&reference, &p);
+            assert_words_match(&delta, &full, reference.gate_count(),
+                &format!("seed {seed} step {step}"));
         }
+        prop_assert_eq!(delta.netlist(), &reference);
     }
 
     /// The full scoring path: incremental error, timing, and area agree
@@ -237,20 +283,19 @@ fn full_resim_knob_is_behavior_preserving() {
     }
 }
 
-/// Regression guard for the parallel scorer: a wide-kernel `DeltaSim`
-/// scratch clone must stay `Send + Sync` (the worker pool moves clones
-/// across threads), and the clone must carry the parent's width and
-/// keep producing bit-identical previews from another thread.
+/// Regression guard for the parallel scorer: a `DeltaSim` scratch
+/// clone must stay `Send + Sync` (the worker pool moves clones across
+/// threads) and keep producing bit-identical previews from another
+/// thread.
 #[test]
 fn wide_delta_sim_scratch_clone_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>(_: &T) {}
 
     let n = random_netlist(77, 6, 50, 5);
     let p = Patterns::random(n.input_count(), 200, 0x5ca7c4);
-    let parent = DeltaSim::new(n.clone(), &p).with_simd_width(SimdWidth::W8);
+    let parent = DeltaSim::new(n.clone(), &p);
     let scratch = parent.clone();
     assert_send_sync(&scratch);
-    assert_eq!(scratch.simd_width(), SimdWidth::W8);
 
     let mut rng = StdRng::seed_from_u64(0x7ead);
     let (target, switch) = random_substitution(&n, &mut rng);
@@ -263,7 +308,12 @@ fn wide_delta_sim_scratch_clone_is_send_and_sync() {
         scope
             .spawn(move || {
                 let view = scratch.preview(target, switch);
-                assert_words_match(&view, &expected, "scratch clone on another thread");
+                assert_words_match(
+                    &view,
+                    &expected,
+                    n.gate_count(),
+                    "scratch clone on another thread",
+                );
             })
             .join()
             .expect("worker thread");

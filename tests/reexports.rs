@@ -23,10 +23,7 @@ use tdals::server::{
     DaemonConfig, ErrorCode, FlowJob, FrameError, JobBudget, Manifest, Request, Scheduler,
     SchedulerConfig, ServerError, SessionStatus, DEFAULT_MAX_FRAME_LEN, PROTOCOL_SCHEMA,
 };
-use tdals::sim::{
-    simulate, simulate_with_width, ErrorMetric, ParseSimdWidthError, Patterns, SimdWidth,
-    ALL_WIDTHS,
-};
+use tdals::sim::{simulate, simulate_reference, ErrorMetric, Patterns, SimdWidth};
 use tdals::sta::{analyze, SizingConfig, TimingConfig};
 
 #[test]
@@ -61,15 +58,10 @@ fn sim_surface_resolves() {
     assert_eq!(tdals::sim::nmed(&r, &r), 0.0);
     assert_eq!(ErrorMetric::Nmed.compute(&r, &r), 0.0);
 
-    // The SIMD width surface: enum, parse error, explicit-width engine.
-    assert_eq!(ALL_WIDTHS.len(), 3);
-    assert_eq!(SimdWidth::W8.lanes(), 8);
-    let bad: ParseSimdWidthError = "2".parse::<SimdWidth>().unwrap_err();
-    assert_eq!(bad.input(), "2");
-    for width in ALL_WIDTHS {
-        let wide = simulate_with_width(&n, &p, width);
-        assert_eq!(tdals::sim::error_rate(&r, &wide), 0.0, "W{width}");
-    }
+    // The block width description and the scalar reference engine.
+    assert_eq!(SimdWidth::auto().lanes(), 8);
+    let reference = simulate_reference(&n, &p);
+    assert_eq!(tdals::sim::error_rate(&r, &reference), 0.0);
 }
 
 #[test]
@@ -99,10 +91,8 @@ fn core_surface_resolves() {
         ErrorMetric::Nmed,
         TimingConfig::default(),
         0.8,
-    )
-    .with_simd_width(SimdWidth::W4);
+    );
     assert!(ctx.cpd_ori() > 0.0);
-    assert_eq!(ctx.simd_width(), SimdWidth::W4);
 }
 
 #[test]
@@ -313,7 +303,6 @@ fn quickstart_types_compose_across_reexports() {
         .metric(ErrorMetric::Nmed)
         .error_bound(0.02)
         .vectors(256)
-        .simd_width(SimdWidth::W8)
         .optimizer(Dcgwo::paper_for(ErrorMetric::Nmed).quick(4, 2))
         .run()
         .expect("valid session");

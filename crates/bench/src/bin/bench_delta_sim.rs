@@ -29,7 +29,8 @@
 //! the **normalized** scoring cost (incremental time relative to the
 //! same run's full-pipeline time), so the gate is stable across runner
 //! hardware; it fails when the normalized cost regresses by more than
-//! 30% or the largest circuit's speedup drops below 5×.
+//! 30% or the largest circuit's speedup drops below
+//! `REQUIRED_SPEEDUP_LARGEST`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,8 +51,14 @@ const DEFAULT_REPS: usize = 5;
 
 /// Regression tolerance of the CI gate (fractional).
 const REGRESSION_TOLERANCE: f64 = 0.30;
-/// Required full/incremental speedup on the largest suite circuit.
-const REQUIRED_SPEEDUP_LARGEST: f64 = 5.0;
+/// Required full/incremental speedup on the largest suite circuit:
+/// 0.69 of the committed baseline's Sqrt speedup, rounded down to 0.1,
+/// the margin the first 5× floor kept under the first recorded 7.2×.
+/// The full leg clones the parent netlist once per candidate; since the
+/// netlist became flat arrays that clone is 6 allocations instead of
+/// ~29k, which made the full leg 2–3× cheaper and shrank this ratio
+/// while the incremental leg kept its speed.
+const REQUIRED_SPEEDUP_LARGEST: f64 = 1.6;
 /// Required W8-vs-W1 simulation speedup on the largest circuit when the
 /// build carries a ≥256-bit vector unit (the PR 4-style host-aware
 /// rule: strict where the hardware regime supports the claim).
@@ -470,7 +477,7 @@ fn gate(fresh: &Json, baseline: &Json) -> Vec<String> {
     if speedup < REQUIRED_SPEEDUP_LARGEST {
         failures.push(format!(
             "largest circuit {name}: incremental scoring speedup {speedup:.2}x \
-             below the required {REQUIRED_SPEEDUP_LARGEST:.0}x"
+             below the required {REQUIRED_SPEEDUP_LARGEST:.1}x"
         ));
     }
 

@@ -122,7 +122,7 @@ fn counts_of(netlist: &Netlist) -> (Vec<bool>, Vec<u32>, f64) {
             }
         }
     }
-    for (_, driver) in netlist.outputs() {
+    for driver in netlist.output_drivers() {
         if let SignalRef::Gate(src) = driver {
             live_refs[src.index()] += 1;
         }

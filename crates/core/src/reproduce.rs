@@ -161,7 +161,7 @@ pub fn reproduce(a: &Candidate, b: &Candidate, weights: &LevelWeights) -> Netlis
         let id = GateId::new(idx);
         if rb < ra && !nb.gate(id).is_input() {
             child
-                .set_fanins(id, nb.gate(id).fanins().to_vec())
+                .set_fanins(id, nb.gate(id).fanins())
                 .expect("sibling adjacency rows always satisfy the id invariant");
         }
     }
@@ -320,7 +320,7 @@ mod tests {
                     let id = GateId::new(idx);
                     if !parent.gate(id).is_input() {
                         child
-                            .set_fanins(id, parent.gate(id).fanins().to_vec())
+                            .set_fanins(id, parent.gate(id).fanins())
                             .expect("sibling rows");
                     }
                 }

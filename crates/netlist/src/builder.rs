@@ -51,7 +51,7 @@ impl Builder {
     }
 
     /// Declares one primary input.
-    pub fn input(&mut self, name: impl Into<String>) -> SignalRef {
+    pub fn input(&mut self, name: impl AsRef<str>) -> SignalRef {
         self.netlist.add_input(name).into()
     }
 
@@ -64,7 +64,7 @@ impl Builder {
     }
 
     /// Declares one primary output.
-    pub fn output(&mut self, name: impl Into<String>, signal: SignalRef) {
+    pub fn output(&mut self, name: impl AsRef<str>, signal: SignalRef) {
         self.netlist.add_output(name, signal);
     }
 
@@ -98,7 +98,7 @@ impl Builder {
         self.counter += 1;
         let name = format!("u{}", self.counter);
         self.netlist
-            .add_gate(name, Cell::new(func, Drive::X1), fanins.to_vec())
+            .add_gate(name, Cell::new(func, Drive::X1), fanins)
             .expect("builder fanins are always older than the new gate")
             .into()
     }

@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::cell::{Cell, CellFunc, Drive};
 use crate::error::NetlistError;
@@ -43,6 +44,7 @@ impl GateId {
     /// # Panics
     ///
     /// Panics if `index` exceeds `u32::MAX`.
+    #[inline]
     pub fn new(index: usize) -> GateId {
         GateId(u32::try_from(index).expect("gate index exceeds u32::MAX"))
     }
@@ -132,33 +134,59 @@ impl fmt::Display for SignalRef {
     }
 }
 
-/// One gate instance: a cell plus its fan-in adjacency row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gate {
-    name: String,
+/// Read-only view of one gate: a cell plus its fan-in adjacency row.
+///
+/// The netlist stores gates as parallel arrays (see [`Netlist`]), so a
+/// gate is not an object of its own; [`Netlist::gate`] and
+/// [`Netlist::iter`] hand out this `Copy` view instead. The slices and
+/// names it returns borrow from the netlist, not from the view, so
+/// `netlist.gate(id).fanins()` outlives the temporary view.
+#[derive(Clone, Copy)]
+pub struct Gate<'a> {
+    names: &'a Names,
+    id: GateId,
     cell: Cell,
-    fanins: Vec<SignalRef>,
+    fanins: &'a [SignalRef],
 }
 
-impl Gate {
+impl<'a> Gate<'a> {
     /// Instance name (unique within the netlist).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(self) -> &'a str {
+        self.names.get(self.id.index())
     }
 
     /// Library cell instantiated by this gate.
-    pub fn cell(&self) -> Cell {
+    #[inline]
+    pub fn cell(self) -> Cell {
         self.cell
     }
 
     /// Fan-in adjacency row, one entry per input pin.
-    pub fn fanins(&self) -> &[SignalRef] {
-        &self.fanins
+    #[inline]
+    pub fn fanins(self) -> &'a [SignalRef] {
+        self.fanins
     }
 
     /// `true` if this gate is a primary input.
-    pub fn is_input(&self) -> bool {
+    #[inline]
+    pub fn is_input(self) -> bool {
         self.cell.is_input()
+    }
+}
+
+impl fmt::Debug for Gate<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Gate")
+            .field("name", &self.name())
+            .field("cell", &self.cell)
+            .field("fanins", &self.fanins())
+            .finish()
+    }
+}
+
+impl PartialEq for Gate<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cell == other.cell && self.fanins() == other.fanins() && self.name() == other.name()
     }
 }
 
@@ -168,7 +196,104 @@ pub struct Output {
     driver: SignalRef,
 }
 
+/// An append-only table of names packed into one string: name `i` is
+/// `text[bounds[i]..bounds[i + 1]]`: two allocations however many
+/// names it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Names {
+    text: String,
+    bounds: Vec<u32>,
+}
+
+impl Names {
+    fn new() -> Names {
+        Names {
+            text: String::new(),
+            bounds: vec![0],
+        }
+    }
+
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.bounds
+            .push(u32::try_from(self.text.len()).expect("name table exceeds u32::MAX bytes"));
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &str {
+        &self.text[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// The names whose `keep` flag is set, in order, packed afresh.
+    fn retain(&self, keep: &[bool]) -> Names {
+        let mut kept = Names::new();
+        for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            kept.push(self.get(i));
+        }
+        kept
+    }
+}
+
+/// Gate fan-out rows in compressed sparse row form: for every gate,
+/// the gates reading its output, ascending, one entry per reading pin
+/// (a gate that reads a driver on two pins is listed twice).
+///
+/// Primary-output references are not included; combine with
+/// [`Netlist::outputs`] when they matter. Built by
+/// [`Netlist::fanouts`] in two counting passes over the fan-in rows; a
+/// snapshot, so it goes stale when the netlist is rewired.
+///
+/// # Examples
+///
+/// ```
+/// use tdals_netlist::{GateId, Netlist};
+/// use tdals_netlist::cell::{Cell, CellFunc, Drive};
+///
+/// let mut n = Netlist::new("t");
+/// let a = n.add_input("a");
+/// let g = n.add_gate("u", Cell::new(CellFunc::And2, Drive::X1), [a.into(), a.into()])?;
+/// let fanouts = n.fanouts();
+/// assert_eq!(fanouts.readers(a), &[g, g]);
+/// assert!(fanouts.readers(g).is_empty());
+/// # Ok::<(), tdals_netlist::NetlistError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fanouts {
+    /// `readers[start[g]..start[g + 1]]` read gate `g`.
+    start: Vec<u32>,
+    readers: Vec<GateId>,
+}
+
+impl Fanouts {
+    /// The gates reading `driver`'s output, ascending, one per pin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `driver` is out of bounds.
+    #[inline]
+    pub fn readers(&self, driver: GateId) -> &[GateId] {
+        let i = driver.index();
+        &self.readers[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
 /// A combinational gate-level netlist in fan-in adjacency form.
+///
+/// # Storage
+///
+/// Gates live in parallel arrays indexed by [`GateId`]: one `Vec` of
+/// cells, and all fan-in rows back to back in one pin array with an
+/// offsets array (`pins[start[g]..start[g + 1]]` is gate `g`'s row, the
+/// compressed-sparse-row layout). Gate and output names sit in
+/// reference-counted side tables, which only Verilog I/O and
+/// diagnostics need, so a clone copies five flat arrays plus the module
+/// name and only bumps a refcount for the names. Rows never change length after
+/// [`Netlist::add_gate`]: every rewrite ([`Netlist::set_fanin`],
+/// [`Netlist::set_fanins`], [`Netlist::substitute`]) keeps a gate's
+/// arity, so edits are in place.
+///
+/// [`Netlist::gate`] and [`Netlist::iter`] return [`Gate`] views into
+/// these arrays; [`Netlist::fanouts`] builds the reverse adjacency.
 ///
 /// # Examples
 ///
@@ -194,10 +319,28 @@ pub struct Output {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
-    gates: Vec<Gate>,
+    /// Cell of each gate.
+    cells: Vec<Cell>,
+    /// Row offsets into `pins`: `cells.len() + 1` entries, from 0.
+    start: Vec<u32>,
+    /// Every fan-in row, back to back in id order.
+    pins: Vec<SignalRef>,
+    names: Arc<Names>,
     inputs: Vec<GateId>,
-    output_names: Vec<String>,
+    output_names: Arc<Names>,
     outputs: Vec<Output>,
+}
+
+/// Rejects any gate fan-in of `gate` that does not precede it.
+fn check_order(gate: GateId, fanins: &[SignalRef]) -> Result<(), NetlistError> {
+    for &fanin in fanins {
+        if let SignalRef::Gate(src) = fanin {
+            if src >= gate {
+                return Err(NetlistError::FaninOrder { gate, fanin: src });
+            }
+        }
+    }
+    Ok(())
 }
 
 impl Netlist {
@@ -205,9 +348,12 @@ impl Netlist {
     pub fn new(name: impl Into<String>) -> Netlist {
         Netlist {
             name: name.into(),
-            gates: Vec::new(),
+            cells: Vec::new(),
+            start: vec![0],
+            pins: Vec::new(),
+            names: Arc::new(Names::new()),
             inputs: Vec::new(),
-            output_names: Vec::new(),
+            output_names: Arc::new(Names::new()),
             outputs: Vec::new(),
         }
     }
@@ -222,14 +368,31 @@ impl Netlist {
         self.name = name.into();
     }
 
+    /// Fan-in row of gate index `i`.
+    #[inline]
+    fn row(&self, i: usize) -> &[SignalRef] {
+        &self.pins[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Mutable fan-in row of gate index `i`.
+    fn row_mut(&mut self, i: usize) -> &mut [SignalRef] {
+        &mut self.pins[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Appends a gate whose row has already been validated.
+    fn push_gate(&mut self, name: &str, cell: Cell, fanins: &[SignalRef]) -> GateId {
+        let id = GateId::new(self.cells.len());
+        self.cells.push(cell);
+        self.pins.extend_from_slice(fanins);
+        self.start
+            .push(u32::try_from(self.pins.len()).expect("pin count exceeds u32::MAX"));
+        Arc::make_mut(&mut self.names).push(name);
+        id
+    }
+
     /// Adds a primary input and returns its gate id.
-    pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
-        let id = GateId::new(self.gates.len());
-        self.gates.push(Gate {
-            name: name.into(),
-            cell: Cell::input(),
-            fanins: Vec::new(),
-        });
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> GateId {
+        let id = self.push_gate(name.as_ref(), Cell::input(), &[]);
         self.inputs.push(id);
         id
     }
@@ -244,11 +407,12 @@ impl Netlist {
     /// break the topological id invariant).
     pub fn add_gate(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         cell: Cell,
-        fanins: Vec<SignalRef>,
+        fanins: impl AsRef<[SignalRef]>,
     ) -> Result<GateId, NetlistError> {
-        let id = GateId::new(self.gates.len());
+        let fanins = fanins.as_ref();
+        let id = GateId::new(self.cells.len());
         if fanins.len() != cell.arity() {
             return Err(NetlistError::ArityMismatch {
                 gate: id,
@@ -257,38 +421,25 @@ impl Netlist {
                 actual: fanins.len(),
             });
         }
-        for &fanin in &fanins {
-            if let SignalRef::Gate(src) = fanin {
-                if src >= id {
-                    return Err(NetlistError::FaninOrder {
-                        gate: id,
-                        fanin: src,
-                    });
-                }
-            }
-        }
-        self.gates.push(Gate {
-            name: name.into(),
-            cell,
-            fanins,
-        });
-        Ok(id)
+        check_order(id, fanins)?;
+        Ok(self.push_gate(name.as_ref(), cell, fanins))
     }
 
     /// Declares a primary output driven by `driver`.
-    pub fn add_output(&mut self, name: impl Into<String>, driver: SignalRef) {
-        self.output_names.push(name.into());
+    pub fn add_output(&mut self, name: impl AsRef<str>, driver: SignalRef) {
+        Arc::make_mut(&mut self.output_names).push(name.as_ref());
         self.outputs.push(Output { driver });
     }
 
     /// Total number of gates including primary-input pseudo-gates.
+    #[inline]
     pub fn gate_count(&self) -> usize {
-        self.gates.len()
+        self.cells.len()
     }
 
     /// Number of logic gates (excludes primary inputs).
     pub fn logic_gate_count(&self) -> usize {
-        self.gates.len() - self.inputs.len()
+        self.cells.len() - self.inputs.len()
     }
 
     /// Number of primary inputs.
@@ -301,21 +452,49 @@ impl Netlist {
         self.outputs.len()
     }
 
-    /// The gate with the given id.
+    /// A view of the gate with the given id.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of bounds.
-    pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.index()]
+    #[inline]
+    pub fn gate(&self, id: GateId) -> Gate<'_> {
+        let i = id.index();
+        Gate {
+            names: &self.names,
+            id,
+            cell: self.cells[i],
+            fanins: self.row(i),
+        }
     }
 
     /// Iterates over `(id, gate)` pairs in topological (id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (GateId, &Gate)> {
-        self.gates
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (GateId, Gate<'_>)> {
+        // Rows are back to back in id order, so peel them off the pin
+        // array front to back instead of indexing `start` per gate.
+        let mut rest = self.pins.as_slice();
+        let ends = self.start[1..].iter();
+        let mut row_start = 0;
+        self.cells
             .iter()
+            .zip(ends)
             .enumerate()
-            .map(|(i, g)| (GateId::new(i), g))
+            .map(move |(i, (&cell, &end))| {
+                let (fanins, tail) = rest.split_at(end as usize - row_start);
+                rest = tail;
+                row_start = end as usize;
+                let id = GateId::new(i);
+                (
+                    id,
+                    Gate {
+                        names: &self.names,
+                        id,
+                        cell,
+                        fanins,
+                    },
+                )
+            })
     }
 
     /// Ids of the primary inputs, in declaration order.
@@ -328,6 +507,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `po` is out of bounds.
+    #[inline]
     pub fn output_driver(&self, po: usize) -> SignalRef {
         self.outputs[po].driver
     }
@@ -338,15 +518,24 @@ impl Netlist {
     ///
     /// Panics if `po` is out of bounds.
     pub fn output_name(&self, po: usize) -> &str {
-        &self.output_names[po]
+        self.output_names.get(po)
     }
 
     /// Iterates over `(name, driver)` of all primary outputs.
+    #[inline]
     pub fn outputs(&self) -> impl Iterator<Item = (&str, SignalRef)> {
-        self.output_names
+        self.outputs
             .iter()
-            .map(String::as_str)
-            .zip(self.outputs.iter().map(|o| o.driver))
+            .enumerate()
+            .map(|(po, o)| (self.output_names.get(po), o.driver))
+    }
+
+    /// Iterates over the signals driving the primary outputs, in
+    /// declaration order: [`Netlist::outputs`] without the name lookup,
+    /// for the per-candidate paths that read only drivers.
+    #[inline]
+    pub fn output_drivers(&self) -> impl Iterator<Item = SignalRef> + '_ {
+        self.outputs.iter().map(|o| o.driver)
     }
 
     /// Re-points primary output `po` at a new driver.
@@ -378,26 +567,31 @@ impl Netlist {
         pin: usize,
         signal: SignalRef,
     ) -> Result<(), NetlistError> {
-        if let SignalRef::Gate(src) = signal {
-            if src >= gate {
-                return Err(NetlistError::FaninOrder { gate, fanin: src });
-            }
-        }
-        self.gates[gate.index()].fanins[pin] = signal;
+        check_order(gate, &[signal])?;
+        self.row_mut(gate.index())[pin] = signal;
         Ok(())
     }
 
     /// Replaces the whole fan-in row of a gate (used by circuit
     /// reproduction, which copies adjacency rows between population
-    /// members).
+    /// members). The row is overwritten in place.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::ArityMismatch`] or
     /// [`NetlistError::FaninOrder`] under the same conditions as
     /// [`Netlist::add_gate`].
-    pub fn set_fanins(&mut self, gate: GateId, fanins: Vec<SignalRef>) -> Result<(), NetlistError> {
-        let cell = self.gates[gate.index()].cell;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` is out of bounds.
+    pub fn set_fanins(
+        &mut self,
+        gate: GateId,
+        fanins: impl AsRef<[SignalRef]>,
+    ) -> Result<(), NetlistError> {
+        let fanins = fanins.as_ref();
+        let cell = self.cells[gate.index()];
         if fanins.len() != cell.arity() {
             return Err(NetlistError::ArityMismatch {
                 gate,
@@ -406,14 +600,8 @@ impl Netlist {
                 actual: fanins.len(),
             });
         }
-        for &fanin in &fanins {
-            if let SignalRef::Gate(src) = fanin {
-                if src >= gate {
-                    return Err(NetlistError::FaninOrder { gate, fanin: src });
-                }
-            }
-        }
-        self.gates[gate.index()].fanins = fanins;
+        check_order(gate, fanins)?;
+        self.row_mut(gate.index()).copy_from_slice(fanins);
         Ok(())
     }
 
@@ -430,23 +618,20 @@ impl Netlist {
     /// Returns [`NetlistError::FaninOrder`] if `switch` is a gate with
     /// id ≥ `target`; the paper avoids this case by drawing switch gates
     /// from the target's transitive fan-in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is out of bounds.
     pub fn substitute(&mut self, target: GateId, switch: SignalRef) -> Result<usize, NetlistError> {
-        if let SignalRef::Gate(s) = switch {
-            if s >= target {
-                return Err(NetlistError::FaninOrder {
-                    gate: target,
-                    fanin: s,
-                });
-            }
-        }
+        check_order(target, &[switch])?;
         let old = SignalRef::Gate(target);
         let mut rewritten = 0;
-        for gate in &mut self.gates {
-            for fanin in &mut gate.fanins {
-                if *fanin == old {
-                    *fanin = switch;
-                    rewritten += 1;
-                }
+        // Only gates after `target` can read it (topological ids).
+        let first = self.start[target.index() + 1] as usize;
+        for fanin in &mut self.pins[first..] {
+            if *fanin == old {
+                *fanin = switch;
+                rewritten += 1;
             }
         }
         for out in &mut self.outputs {
@@ -464,44 +649,60 @@ impl Netlist {
     ///
     /// Panics if `gate` is out of bounds or names a primary input.
     pub fn set_drive(&mut self, gate: GateId, drive: Drive) {
-        let g = &mut self.gates[gate.index()];
-        assert!(!g.cell.is_input(), "cannot size a primary input");
-        g.cell = g.cell.with_drive(drive);
+        let cell = &mut self.cells[gate.index()];
+        assert!(!cell.is_input(), "cannot size a primary input");
+        *cell = cell.with_drive(drive);
     }
 
     /// Number of fan-in references (gate pins plus PO drivers) fed by each
     /// gate.
     pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.gates.len()];
-        for gate in &self.gates {
-            for fanin in &gate.fanins {
-                if let SignalRef::Gate(src) = fanin {
-                    counts[src.index()] += 1;
-                }
-            }
-        }
-        for out in &self.outputs {
-            if let SignalRef::Gate(src) = out.driver {
+        let mut counts = vec![0usize; self.cells.len()];
+        let drivers = self
+            .pins
+            .iter()
+            .chain(self.outputs.iter().map(|o| &o.driver));
+        for signal in drivers {
+            if let SignalRef::Gate(src) = signal {
                 counts[src.index()] += 1;
             }
         }
         counts
     }
 
-    /// For each gate, the list of gates reading its output.
+    /// For each gate, the gates reading its output, as a [`Fanouts`]
+    /// CSR (ascending, one entry per pin; PO readers not included).
     ///
-    /// PO fan-outs are not included; combine with
-    /// [`Netlist::outputs`] when they matter.
-    pub fn fanout_lists(&self) -> Vec<Vec<GateId>> {
-        let mut lists = vec![Vec::new(); self.gates.len()];
-        for (id, gate) in self.iter() {
-            for fanin in gate.fanins() {
+    /// Two counting passes over the fan-in rows, O(gates + pins), two
+    /// allocations.
+    pub fn fanouts(&self) -> Fanouts {
+        let n = self.cells.len();
+        // Pass 1: count readers per driver into `start[driver + 1]`.
+        let mut start = vec![0u32; n + 1];
+        for fanin in &self.pins {
+            if let SignalRef::Gate(src) = fanin {
+                start[src.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        // Pass 2: scatter readers in ascending reader order, using
+        // `start[driver]` as the fill cursor; afterwards each cursor
+        // sits on the next row's start, so shifting restores the offsets.
+        let mut readers = vec![GateId::new(0); start[n] as usize];
+        for reader in 0..n {
+            for fanin in self.row(reader) {
                 if let SignalRef::Gate(src) = fanin {
-                    lists[src.index()].push(id);
+                    let cursor = &mut start[src.index()];
+                    readers[*cursor as usize] = GateId::new(reader);
+                    *cursor += 1;
                 }
             }
         }
-        lists
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        Fanouts { start, readers }
     }
 
     /// Marks gates transitively reachable from any primary output
@@ -511,7 +712,7 @@ impl Netlist {
     /// paper subtracts their area from `Area_app` and deletes them in
     /// post-optimization.
     pub fn live_mask(&self) -> Vec<bool> {
-        let mut live = vec![false; self.gates.len()];
+        let mut live = vec![false; self.cells.len()];
         let mut stack: Vec<GateId> = Vec::new();
         for out in &self.outputs {
             if let SignalRef::Gate(src) = out.driver {
@@ -522,7 +723,7 @@ impl Netlist {
             }
         }
         while let Some(id) = stack.pop() {
-            for fanin in self.gates[id.index()].fanins() {
+            for fanin in self.row(id.index()) {
                 if let SignalRef::Gate(src) = fanin {
                     if !live[src.index()] {
                         live[src.index()] = true;
@@ -539,16 +740,18 @@ impl Netlist {
 
     /// Total area in µm² of all logic gates (dangling included).
     pub fn area_total(&self) -> f64 {
-        self.gates.iter().map(|g| g.cell.area()).sum()
+        self.cells.iter().map(|c| c.area()).sum()
     }
 
     /// Area in µm² of gates reachable from a primary output
     /// (`Area_app` in the paper: dangling gates do not count).
     pub fn area_live(&self) -> f64 {
         let live = self.live_mask();
-        self.iter()
-            .filter(|(id, _)| live[id.index()])
-            .map(|(_, g)| g.cell.area())
+        self.cells
+            .iter()
+            .zip(&live)
+            .filter(|(_, &l)| l)
+            .map(|(c, _)| c.area())
             .sum()
     }
 
@@ -566,7 +769,7 @@ impl Netlist {
         if removed == 0 {
             return 0;
         }
-        let mut remap: Vec<Option<GateId>> = vec![None; self.gates.len()];
+        let mut remap: Vec<Option<GateId>> = vec![None; self.cells.len()];
         let mut next = 0usize;
         for (i, &keep) in live.iter().enumerate() {
             if keep {
@@ -580,18 +783,21 @@ impl Netlist {
             }
             c => c,
         };
-        let mut gates = Vec::with_capacity(next);
-        for (i, gate) in self.gates.drain(..).enumerate() {
-            if live[i] {
-                let fanins = gate.fanins.iter().map(|&f| remap_sig(f)).collect();
-                gates.push(Gate {
-                    name: gate.name,
-                    cell: gate.cell,
-                    fanins,
-                });
+        let mut cells = Vec::with_capacity(next);
+        let mut start = Vec::with_capacity(next + 1);
+        let mut pins = Vec::new();
+        start.push(0);
+        for (i, &keep) in live.iter().enumerate() {
+            if keep {
+                cells.push(self.cells[i]);
+                pins.extend(self.row(i).iter().map(|&f| remap_sig(f)));
+                start.push(u32::try_from(pins.len()).expect("pin count exceeds u32::MAX"));
             }
         }
-        self.gates = gates;
+        self.cells = cells;
+        self.start = start;
+        self.pins = pins;
+        self.names = Arc::new(self.names.retain(&live));
         for pi in &mut self.inputs {
             *pi = remap[pi.index()].expect("primary input removed");
         }
@@ -604,10 +810,10 @@ impl Netlist {
     /// Gates in the transitive fan-in of `root` (excluding `root`
     /// itself), as a boolean mask.
     pub fn tfi_mask(&self, root: GateId) -> Vec<bool> {
-        let mut mask = vec![false; self.gates.len()];
+        let mut mask = vec![false; self.cells.len()];
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            for fanin in self.gates[id.index()].fanins() {
+            for fanin in self.row(id.index()) {
                 if let SignalRef::Gate(src) = fanin {
                     if !mask[src.index()] {
                         mask[src.index()] = true;
@@ -622,11 +828,11 @@ impl Netlist {
 
     /// Gates in the transitive fan-out of `root` (excluding `root`).
     pub fn tfo_mask(&self, root: GateId) -> Vec<bool> {
-        let fanouts = self.fanout_lists();
-        let mut mask = vec![false; self.gates.len()];
+        let fanouts = self.fanouts();
+        let mut mask = vec![false; self.cells.len()];
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            for &dst in &fanouts[id.index()] {
+            for &dst in fanouts.readers(id) {
                 if !mask[dst.index()] {
                     mask[dst.index()] = true;
                     stack.push(dst);
@@ -640,7 +846,7 @@ impl Netlist {
     /// Gates in the transitive fan-in cones of the given primary outputs,
     /// including the driving gates themselves.
     pub fn po_cone_mask(&self, pos: &[usize]) -> Vec<bool> {
-        let mut mask = vec![false; self.gates.len()];
+        let mut mask = vec![false; self.cells.len()];
         let mut stack: Vec<GateId> = Vec::new();
         for &po in pos {
             if let SignalRef::Gate(src) = self.outputs[po].driver {
@@ -651,7 +857,7 @@ impl Netlist {
             }
         }
         while let Some(id) = stack.pop() {
-            for fanin in self.gates[id.index()].fanins() {
+            for fanin in self.row(id.index()) {
                 if let SignalRef::Gate(src) = fanin {
                     if !mask[src.index()] {
                         mask[src.index()] = true;
@@ -673,39 +879,31 @@ impl Netlist {
     /// or vice versa ([`NetlistError::MalformedInput`]), or dangling
     /// output references ([`NetlistError::UnknownGate`]).
     pub fn check_invariants(&self) -> Result<(), NetlistError> {
-        let mut is_pi = vec![false; self.gates.len()];
+        let mut is_pi = vec![false; self.cells.len()];
         for &pi in &self.inputs {
-            if pi.index() >= self.gates.len() {
+            if pi.index() >= self.cells.len() {
                 return Err(NetlistError::UnknownGate { gate: pi });
             }
             is_pi[pi.index()] = true;
         }
         for (id, gate) in self.iter() {
-            if gate.cell.is_input() != is_pi[id.index()] {
+            let cell = gate.cell();
+            if cell.is_input() != is_pi[id.index()] {
                 return Err(NetlistError::MalformedInput { gate: id });
             }
-            if gate.fanins.len() != gate.cell.arity() {
+            if gate.fanins().len() != cell.arity() {
                 return Err(NetlistError::ArityMismatch {
                     gate: id,
-                    cell: gate.cell,
-                    expected: gate.cell.arity(),
-                    actual: gate.fanins.len(),
+                    cell,
+                    expected: cell.arity(),
+                    actual: gate.fanins().len(),
                 });
             }
-            for fanin in gate.fanins() {
-                if let SignalRef::Gate(src) = fanin {
-                    if *src >= id {
-                        return Err(NetlistError::FaninOrder {
-                            gate: id,
-                            fanin: *src,
-                        });
-                    }
-                }
-            }
+            check_order(id, gate.fanins())?;
         }
         for out in &self.outputs {
             if let SignalRef::Gate(src) = out.driver {
-                if src.index() >= self.gates.len() {
+                if src.index() >= self.cells.len() {
                     return Err(NetlistError::UnknownGate { gate: src });
                 }
             }
@@ -937,13 +1135,13 @@ mod tests {
     fn fanout_counts_match_lists() {
         let n = fig3_netlist();
         let counts = n.fanout_counts();
-        let lists = n.fanout_lists();
+        let fanouts = n.fanouts();
         for (id, _) in n.iter() {
             let po_fanout = n
                 .outputs()
                 .filter(|(_, d)| *d == SignalRef::Gate(id))
                 .count();
-            assert_eq!(counts[id.index()], lists[id.index()].len() + po_fanout);
+            assert_eq!(counts[id.index()], fanouts.readers(id).len() + po_fanout);
         }
     }
 

@@ -565,7 +565,7 @@ pub fn parse(src: &str) -> Result<Netlist, ParseVerilogError> {
     let mut netlist = Netlist::new(module_name);
     let mut pi_gate: Vec<GateId> = Vec::new();
     for &net in &input_order {
-        pi_gate.push(netlist.add_input(net_names[net].clone()));
+        pi_gate.push(netlist.add_input(&net_names[net]));
     }
     let mut inst_gate: Vec<Option<GateId>> = vec![None; instances.len()];
     let signal_of_net = |net: usize,
@@ -604,7 +604,7 @@ pub fn parse(src: &str) -> Result<Netlist, ParseVerilogError> {
                 message: format!("instance `{}` has no output connection", inst.name),
             });
         }
-        let id = netlist.add_gate(inst.name.clone(), inst.cell, fanins)?;
+        let id = netlist.add_gate(&inst.name, inst.cell, fanins)?;
         inst_gate[i] = Some(id);
     }
 

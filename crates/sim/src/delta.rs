@@ -19,8 +19,8 @@
 //! * [`DeltaSim::substitute`] — commit a substitution: the internal
 //!   netlist mutates and the affected words are updated in place.
 //!   Every `full_resim_every_n` commits the engine re-bases with a full
-//!   [`simulate`] pass, bounding any drift a long mutation chain could
-//!   accumulate through the incrementally maintained fan-out lists.
+//!   [`simulate`] pass, bounding how many commits run on incrementally
+//!   updated words.
 //!
 //! # Scratch views for worker threads
 //!
@@ -62,7 +62,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
+use tdals_netlist::{Fanouts, GateId, Netlist, NetlistError, SignalRef};
 
 use crate::block::BLOCK_WORDS;
 use crate::engine::{simulate, SimResult};
@@ -89,7 +89,7 @@ impl DeltaStats {
 }
 
 /// Incremental simulation state: a netlist, its simulated words, and
-/// the fan-out lists needed to chase a mutation's transitive cone.
+/// the fan-out rows needed to chase a mutation's transitive cone.
 #[derive(Debug, Clone)]
 pub struct DeltaSim {
     netlist: Netlist,
@@ -100,9 +100,11 @@ pub struct DeltaSim {
     word_count: usize,
     vector_count: usize,
     tail_mask: u64,
-    /// `fanouts[g]` = gates reading `g`'s output (kept current across
-    /// commits; PO readers are resolved through the netlist).
-    fanouts: Vec<Vec<GateId>>,
+    /// Gate readers of every gate's output, as [`Netlist::fanouts`] of
+    /// the current netlist: rebuilt from the netlist on every commit
+    /// (O(pins); commits are rare next to previews). PO readers are
+    /// resolved through the netlist.
+    fanouts: Fanouts,
     /// Commits since the last full re-simulation.
     commits_since_rebase: usize,
     /// Re-base (full resim + fan-out rebuild) period; 0 disables.
@@ -142,7 +144,7 @@ impl DeltaSim {
             patterns.vector_count(),
             "simulation result must cover the stimulus"
         );
-        let fanouts = netlist.fanout_lists();
+        let fanouts = netlist.fanouts();
         DeltaSim {
             word_count: sim.word_count,
             vector_count: sim.vector_count,
@@ -205,7 +207,7 @@ impl DeltaSim {
             vector_count: self.vector_count,
             word_count: self.word_count,
             values: self.values.clone(),
-            po_drivers: self.netlist.outputs().map(|(_, d)| d).collect(),
+            po_drivers: self.netlist.output_drivers().collect(),
             tail_mask: self.tail_mask,
         }
     }
@@ -250,7 +252,7 @@ impl DeltaSim {
 
     /// Commits the substitution `target := switch`: rewrites the
     /// internal netlist (exactly like [`Netlist::substitute`]), updates
-    /// the affected words in place, and maintains the fan-out lists.
+    /// the affected words in place, and rebuilds the fan-out rows.
     /// Returns the number of rewritten fan-in/PO references.
     ///
     /// Every [`full_resim_every`](DeltaSim::full_resim_every) commits,
@@ -275,7 +277,7 @@ impl DeltaSim {
             let rewritten = self.netlist.substitute(target, switch)?;
             let sim = simulate(&self.netlist, &self.patterns);
             self.values = sim.values;
-            self.fanouts = self.netlist.fanout_lists();
+            self.fanouts = self.netlist.fanouts();
             self.commits_since_rebase = 0;
             self.full_resims += 1;
             tdals_obs::metrics().delta_rebases.incr();
@@ -304,19 +306,9 @@ impl DeltaSim {
                     .copy_from_slice(&words[src..src + self.word_count]);
             }
         }
-        // Fan-out maintenance: every gate reader of `target` now reads
-        // `switch` instead. (PO readers live in the netlist's output
-        // table and need no bookkeeping here.)
-        let readers = std::mem::take(&mut self.fanouts[target.index()]);
-        if let SignalRef::Gate(s) = switch {
-            let list = &mut self.fanouts[s.index()];
-            for r in readers {
-                if !list.contains(&r) {
-                    list.push(r);
-                }
-            }
-            list.sort_unstable();
-        }
+        // Every gate reader of `target` now reads `switch` instead. (PO
+        // readers live in the netlist's output table.)
+        self.fanouts = self.netlist.fanouts();
         Ok(rewritten)
     }
 
@@ -341,12 +333,15 @@ impl DeltaSim {
         // Pending-flag scan instead of a priority queue: fan-outs
         // always have larger ids than their drivers, so one ascending
         // pass over the id space evaluates every affected gate after
-        // all of its fan-ins have settled.
+        // all of its fan-ins have settled. Every pending gate lies in
+        // `lo..end`, so the pass stops at the wavefront's last reader
+        // instead of scanning to the end of the id space.
         let mut pending = vec![false; n];
-        let mut lo = n;
-        for &reader in &self.fanouts[target.index()] {
+        let (mut lo, mut end) = (n, 0);
+        for &reader in self.fanouts.readers(target) {
             pending[reader.index()] = true;
             lo = lo.min(reader.index());
+            end = end.max(reader.index() + 1);
         }
 
         // Per-pin source resolved once per gate, not once per word:
@@ -363,6 +358,9 @@ impl DeltaSim {
         let full = wc - wc % W;
         let mut scratch = vec![0u64; wc];
         for i in lo..n {
+            if i == end {
+                break;
+            }
             if !pending[i] {
                 continue;
             }
@@ -424,8 +422,9 @@ impl DeltaSim {
                 stats.changed += 1;
                 slot[i] = u32::try_from(words.len() / wc).expect("overlay fits u32");
                 words.extend_from_slice(&scratch);
-                for &reader in &self.fanouts[i] {
+                for &reader in self.fanouts.readers(id) {
                     pending[reader.index()] = true;
+                    end = end.max(reader.index() + 1);
                 }
             } else {
                 // Damped: downstream gates would recompute identical

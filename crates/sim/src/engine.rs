@@ -206,7 +206,7 @@ fn simulate_blocks<const W: usize>(netlist: &Netlist, patterns: &Patterns) -> Si
         vector_count: patterns.vector_count(),
         word_count,
         values,
-        po_drivers: netlist.outputs().map(|(_, d)| d).collect(),
+        po_drivers: netlist.output_drivers().collect(),
         tail_mask: tail,
     }
 }

@@ -203,7 +203,7 @@ pub fn analyze(netlist: &Netlist, cfg: &TimingConfig) -> TimingReport {
             }
         }
     }
-    for (_, driver) in netlist.outputs() {
+    for driver in netlist.output_drivers() {
         if let SignalRef::Gate(src) = driver {
             load[src.index()] += cfg.po_load + cfg.wire_cap_per_fanout;
         }
@@ -229,7 +229,7 @@ pub fn analyze(netlist: &Netlist, cfg: &TimingConfig) -> TimingReport {
 
     let mut po_arrival = Vec::with_capacity(netlist.output_count());
     let mut po_depth = Vec::with_capacity(netlist.output_count());
-    for (_, driver) in netlist.outputs() {
+    for driver in netlist.output_drivers() {
         match driver {
             SignalRef::Gate(src) => {
                 po_arrival.push(arrival[src.index()]);

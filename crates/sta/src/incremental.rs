@@ -34,7 +34,7 @@
 
 use std::collections::BinaryHeap;
 
-use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
+use tdals_netlist::{Fanouts, GateId, Netlist, NetlistError, SignalRef};
 
 use crate::analysis::TimingConfig;
 
@@ -75,9 +75,9 @@ pub struct IncrementalSta {
     arrival: Vec<f64>,
     depth: Vec<u32>,
     load: Vec<f64>,
-    /// Gate fan-out adjacency (reader gates only; PO loads are part of
-    /// `load` directly).
-    fanouts: Vec<Vec<GateId>>,
+    /// Gate fan-out rows of the current netlist (reader gates only; PO
+    /// loads are part of `load` directly), rebuilt on every commit.
+    fanouts: Fanouts,
     /// Scratch: dirty flags for the propagation queue.
     queued: Vec<bool>,
 }
@@ -91,7 +91,7 @@ impl IncrementalSta {
             arrival: vec![0.0; n],
             depth: vec![0; n],
             load: vec![0.0; n],
-            fanouts: netlist.fanout_lists(),
+            fanouts: netlist.fanouts(),
             queued: vec![false; n],
         };
         for (_, gate) in netlist.iter() {
@@ -102,7 +102,7 @@ impl IncrementalSta {
                 }
             }
         }
-        for (_, driver) in netlist.outputs() {
+        for driver in netlist.output_drivers() {
             if let SignalRef::Gate(src) = driver {
                 engine.load[src.index()] += cfg.po_load + cfg.wire_cap_per_fanout;
             }
@@ -152,7 +152,7 @@ impl IncrementalSta {
                 continue;
             }
             if self.refresh_gate(netlist, id) {
-                for &reader in &self.fanouts[id.index()] {
+                for &reader in self.fanouts.readers(id) {
                     if !self.queued[reader.index()] {
                         self.queued[reader.index()] = true;
                         heap.push(std::cmp::Reverse(reader));
@@ -164,7 +164,7 @@ impl IncrementalSta {
 
     /// Applies a wire substitution through the engine: mutates the
     /// netlist exactly like [`Netlist::substitute`] and repairs loads,
-    /// fan-out lists, and all affected arrivals.
+    /// fan-out rows, and all affected arrivals.
     ///
     /// Returns the number of rewritten references.
     ///
@@ -180,9 +180,10 @@ impl IncrementalSta {
     ) -> Result<usize, NetlistError> {
         // Collect the readers (gates and their pin caps) before mutating.
         let old = SignalRef::Gate(target);
-        let readers: Vec<GateId> = self.fanouts[target.index()].clone();
-        let po_reader_count = netlist.outputs().filter(|(_, d)| *d == old).count();
+        let readers: Vec<GateId> = self.fanouts.readers(target).to_vec();
+        let po_reader_count = netlist.output_drivers().filter(|&d| d == old).count();
         let rewritten = netlist.substitute(target, switch)?;
+        self.fanouts = netlist.fanouts();
 
         // Load transfer: every reader pin (plus PO loads) moves from the
         // target to the switch gate.
@@ -196,10 +197,8 @@ impl IncrementalSta {
         let mut seeds: Vec<GateId> = Vec::with_capacity(readers.len() + 2);
         if let SignalRef::Gate(sw) = switch {
             self.load[sw.index()] += moved_cap;
-            self.fanouts[sw.index()].extend(readers.iter().copied());
             seeds.push(sw); // its own delay changed with the new load
         }
-        self.fanouts[target.index()].clear();
         // The target's delay changed too (it lost load); it is dangling
         // but keeps consistent timing data.
         seeds.push(target);
@@ -259,10 +258,10 @@ impl IncrementalSta {
                 "switch {s} must precede target {target} in id order"
             );
         }
-        let readers = &self.fanouts[target.index()];
+        let readers = self.fanouts.readers(target);
         let po_reader_count = netlist
-            .outputs()
-            .filter(|(_, d)| *d == SignalRef::Gate(target))
+            .output_drivers()
+            .filter(|&d| d == SignalRef::Gate(target))
             .count();
         let mut moved_cap = 0.0;
         for &reader in readers {
@@ -281,20 +280,23 @@ impl IncrementalSta {
         // Pending-flag scan instead of a priority queue: fan-outs
         // always have larger ids than their drivers, so one ascending
         // pass over the id space visits every affected gate after all
-        // of its fan-ins have settled.
+        // of its fan-ins have settled. Every pending gate lies in
+        // `lo..end`, so the pass stops at the wavefront's last reader
+        // instead of scanning to the end of the id space.
         let mut pending = vec![false; n];
-        let mut lo = n;
+        let (mut lo, mut end) = (n, 0);
         // The switch gate's own delay changes with its increased load.
-        if let SignalRef::Gate(sw) = switch {
-            pending[sw.index()] = true;
-            lo = lo.min(sw.index());
-        }
-        for &reader in readers {
-            pending[reader.index()] = true;
-            lo = lo.min(reader.index());
+        let seeds = switch.gate().into_iter().chain(readers.iter().copied());
+        for g in seeds {
+            pending[g.index()] = true;
+            lo = lo.min(g.index());
+            end = end.max(g.index() + 1);
         }
 
         for i in lo..n {
+            if i == end {
+                break;
+            }
             if !pending[i] {
                 continue;
             }
@@ -336,15 +338,16 @@ impl IncrementalSta {
                 ovl_arrival[i] = arrival;
                 ovl_depth[i] = depth;
                 retimed += 1;
-                for &reader in &self.fanouts[i] {
+                for &reader in self.fanouts.readers(id) {
                     pending[reader.index()] = true;
+                    end = end.max(reader.index() + 1);
                 }
             }
         }
 
         let mut po_arrivals = Vec::with_capacity(netlist.output_count());
         let mut po_depths = Vec::with_capacity(netlist.output_count());
-        for (_, driver) in netlist.outputs() {
+        for driver in netlist.output_drivers() {
             let driver = if driver == SignalRef::Gate(target) {
                 switch
             } else {
@@ -380,7 +383,7 @@ impl IncrementalSta {
     pub fn to_report(&self, netlist: &Netlist) -> crate::analysis::TimingReport {
         let mut po_arrival = Vec::with_capacity(netlist.output_count());
         let mut po_depth = Vec::with_capacity(netlist.output_count());
-        for (_, driver) in netlist.outputs() {
+        for driver in netlist.output_drivers() {
             match driver {
                 SignalRef::Gate(src) => {
                     po_arrival.push(self.arrival[src.index()]);
@@ -419,8 +422,8 @@ impl IncrementalSta {
     /// Critical path delay over the netlist's primary outputs.
     pub fn critical_path_delay(&self, netlist: &Netlist) -> f64 {
         netlist
-            .outputs()
-            .map(|(_, driver)| match driver {
+            .output_drivers()
+            .map(|driver| match driver {
                 SignalRef::Gate(src) => self.arrival[src.index()],
                 _ => 0.0,
             })

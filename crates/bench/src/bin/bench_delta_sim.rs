@@ -31,6 +31,13 @@
 //! hardware; it fails when the normalized cost regresses by more than
 //! 30% or the largest circuit's speedup drops below
 //! `REQUIRED_SPEEDUP_LARGEST`.
+//!
+//! The fresh report also carries two host properties, gated within the
+//! fresh run only: `simd` (one full simulation of the largest circuit,
+//! blocked engine vs scalar reference) and `obs` (a small pinned DCGWO
+//! flow timed with the metric registry disarmed vs armed, which must
+//! cost at most `MAX_OBS_OVERHEAD_PCT` so the always-on counters stay
+//! invisible).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,8 +45,9 @@ use tdals_bench::json::Json;
 use tdals_bench::timing::Stopwatch;
 use tdals_bench::Effort;
 use tdals_circuits::{Benchmark, CircuitClass};
-use tdals_core::{propose_lac_with, EvalContext, Lac, SearchConfig};
+use tdals_core::{propose_lac_with, Dcgwo, EvalContext, Flow, Lac, SearchConfig};
 use tdals_netlist::Netlist;
+use tdals_obs::metrics::set_counters_enabled;
 use tdals_sim::{simulate, simulate_reference, ErrorMetric, Patterns, SimResult, SimdWidth};
 use tdals_sta::TimingConfig;
 
@@ -60,13 +68,24 @@ const REGRESSION_TOLERANCE: f64 = 0.30;
 /// while the incremental leg kept its speed.
 const REQUIRED_SPEEDUP_LARGEST: f64 = 1.6;
 /// Required W8-vs-W1 simulation speedup on the largest circuit when the
-/// build carries a ≥256-bit vector unit (the PR 4-style host-aware
-/// rule: strict where the hardware regime supports the claim).
+/// build carries a ≥256-bit vector unit (host-aware: strict where the
+/// hardware regime supports the claim).
 const REQUIRED_SIMD_SPEEDUP: f64 = 2.0;
 /// On narrow builds (baseline x86-64 is SSE2-only; NEON is 128-bit)
 /// the wide kernels must still not cost more than this slowdown —
 /// blocking is overhead-free restructuring, not a trade-off.
 const MAX_SIMD_OVERHEAD_NARROW: f64 = 1.35;
+
+/// Circuit for the observability-overhead probe: small enough that the
+/// counter/histogram writes are a *measurable* fraction of the work —
+/// on Sqrt they would vanish entirely into the evaluation cost and the
+/// gate would test nothing.
+const OBS_CIRCUIT: Benchmark = Benchmark::Int2float;
+
+/// Allowed slowdown of the instrumented flow (counters armed, tracing
+/// off — the production configuration) over the same flow with the
+/// registry disarmed.
+const MAX_OBS_OVERHEAD_PCT: f64 = 3.0;
 
 /// `true` when the compiler was allowed to use 256-bit-or-wider vector
 /// instructions (`-C target-cpu=native` on an AVX2/AVX-512 host). The
@@ -160,8 +179,9 @@ fn main() {
         .max_by_key(|b| b.build().logic_gate_count())
         .expect("non-empty suite");
     let simd = measure_simd(largest, effort, seed, reps);
+    let obs = measure_obs(seed, reps);
 
-    let report = to_json(&reports, &simd, seed, candidates, effort);
+    let report = to_json(&reports, &simd, obs, seed, candidates, effort);
     let text = format!("{report}\n");
     match &out {
         Some(path) => {
@@ -359,6 +379,65 @@ fn measure_simd(bench: Benchmark, effort: Effort, seed: u64, reps: usize) -> Sim
     report
 }
 
+/// One timed run of the observability probe flow: a small pinned DCGWO
+/// session on [`OBS_CIRCUIT`]. Deterministic, so the armed and
+/// disarmed runs execute the exact same work — the only difference is
+/// whether the registry's atomics absorb the writes.
+fn obs_probe_s(seed: u64) -> f64 {
+    let netlist = OBS_CIRCUIT.build();
+    let t = Stopwatch::start();
+    let outcome = Flow::for_netlist(&netlist)
+        .metric(ErrorMetric::ErrorRate)
+        .error_bound(0.05)
+        .vectors(4096)
+        .pattern_seed(seed)
+        .optimizer(Dcgwo::paper().quick(12, 20))
+        .run()
+        .expect("obs probe flow");
+    let s = t.elapsed_s();
+    std::hint::black_box(outcome);
+    s
+}
+
+/// Measures the cost of the always-on counters: best-of-`reps` timing
+/// of the probe flow with the registry disarmed vs armed (tracing off
+/// in both — the production configuration). Restores the armed state
+/// before returning.
+fn measure_obs(seed: u64, reps: usize) -> Json {
+    let mut uninstrumented = f64::INFINITY;
+    let mut instrumented = f64::INFINITY;
+    // Warm-up run so neither arm pays first-touch costs.
+    obs_probe_s(seed);
+    for _ in 0..reps {
+        // Alternate arms within each rep so drift in host load hits
+        // both measurements, not just the second one.
+        set_counters_enabled(false);
+        uninstrumented = uninstrumented.min(obs_probe_s(seed));
+        set_counters_enabled(true);
+        instrumented = instrumented.min(obs_probe_s(seed));
+    }
+    let overhead_pct = (instrumented - uninstrumented) / uninstrumented * 100.0;
+    eprintln!(
+        "{:<10} obs overhead: {:.4}s disarmed, {:.4}s armed ({:+.2}%)",
+        OBS_CIRCUIT.name(),
+        uninstrumented,
+        instrumented,
+        overhead_pct
+    );
+    Json::Obj(vec![
+        ("circuit".into(), Json::Str(OBS_CIRCUIT.name().into())),
+        (
+            "uninstrumented_s".into(),
+            Json::Num((uninstrumented * 1e4).round() / 1e4),
+        ),
+        (
+            "instrumented_s".into(),
+            Json::Num((instrumented * 1e4).round() / 1e4),
+        ),
+        ("overhead_pct".into(), Json::Num(round2(overhead_pct))),
+    ])
+}
+
 fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
 }
@@ -366,6 +445,7 @@ fn round2(x: f64) -> f64 {
 fn to_json(
     reports: &[CircuitReport],
     simd: &SimdReport,
+    obs: Json,
     seed: u64,
     candidates: usize,
     effort: Effort,
@@ -456,6 +536,7 @@ fn to_json(
                 ),
             ]),
         ),
+        ("obs".into(), obs),
     ])
 }
 
@@ -521,8 +602,7 @@ fn gate(fresh: &Json, baseline: &Json) -> Vec<String> {
         }
     }
 
-    // 3. Host-aware SIMD rule (cf. the bench_parallel parallelism gate):
-    //    on builds compiled with a ≥256-bit vector unit the wide blocks
+    // 3. Host-aware SIMD rule: on builds compiled with a ≥256-bit vector unit the wide blocks
     //    must deliver the headline W8-vs-W1 simulation speedup; on
     //    narrow builds (baseline x86-64 = SSE2, NEON = 128-bit) they
     //    must merely never cost a pathological slowdown. Both bounds are
@@ -558,5 +638,68 @@ fn gate(fresh: &Json, baseline: &Json) -> Vec<String> {
             }
         }
     }
+
+    // 4. Observability must stay invisible in the production shape
+    //    (counters armed, tracing off). Like `simd`, overhead is a
+    //    property of the measuring host, so only the fresh run gates.
+    match fresh
+        .get("obs")
+        .and_then(|o| o.get("overhead_pct"))
+        .and_then(Json::as_f64)
+    {
+        None => failures.push("fresh report missing obs.overhead_pct".into()),
+        Some(pct) if pct > MAX_OBS_OVERHEAD_PCT => failures.push(format!(
+            "obs: instrumented flow is {pct:.2}% slower than with the metric registry \
+             disarmed (allowed: {MAX_OBS_OVERHEAD_PCT:.1}%)"
+        )),
+        Some(_) => {}
+    }
     failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh report that passes every other check, with the given
+    /// `obs` block (or none).
+    fn fresh_with_obs(obs: Option<f64>) -> Json {
+        let obs = obs.map_or(String::new(), |pct| {
+            format!(r#", "obs": {{"circuit": "Int2float", "overhead_pct": {pct}}}"#)
+        });
+        Json::parse(&format!(
+            r#"{{
+                "largest": {{"name": "Sqrt", "gates": 14709, "speedup": 2.5}},
+                "circuits": [],
+                "simd": {{"vector_unit": "sse2", "vector_capable": false, "sim_speedup_w8": 1.0}}
+                {obs}
+            }}"#
+        ))
+        .expect("valid test report")
+    }
+
+    fn baseline() -> Json {
+        Json::Obj(vec![("circuits".into(), Json::Arr(Vec::new()))])
+    }
+
+    #[test]
+    fn obs_overhead_within_bound_passes() {
+        assert_eq!(
+            gate(&fresh_with_obs(Some(2.9)), &baseline()),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn obs_overhead_above_bound_fails() {
+        let failures = gate(&fresh_with_obs(Some(3.5)), &baseline());
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("3.50%"), "{failures:?}");
+    }
+
+    #[test]
+    fn missing_obs_block_fails() {
+        let failures = gate(&fresh_with_obs(None), &baseline());
+        assert_eq!(failures, ["fresh report missing obs.overhead_pct"]);
+    }
 }

@@ -1,17 +1,21 @@
 //! # tdals-bench
 //!
 //! Shared plumbing for the table/figure reproduction binaries and the
-//! Criterion micro-benchmarks. Every binary in `src/bin/` regenerates
-//! one table or figure of the paper's evaluation section; see
-//! `EXPERIMENTS.md` at the workspace root for the index and recorded
-//! results.
+//! `bench_delta_sim` candidate-scoring gate. Every other binary in
+//! `src/bin/` regenerates one table or figure of the paper's evaluation
+//! section.
+//!
+//! The JSON codec and the metric/trace renderers live in `tdals-obs`;
+//! they are re-exported here at their old paths for the benchmark
+//! tools that import them from this crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod json;
-pub mod obs_report;
 pub mod timing;
+
+pub use tdals_obs::json;
+pub use tdals_obs::report as obs_report;
 
 use tdals_circuits::Benchmark;
 use tdals_core::EvalContext;

@@ -11,7 +11,7 @@
 //! reprinting in global order reproduces exactly the bytes
 //! `tdals serve-batch` would have written for the whole manifest.
 
-use tdals_bench::json::Json;
+use tdals_obs::json::Json;
 use tdals_server::results_document_from_records;
 
 use crate::plan::ShardPlan;

@@ -9,7 +9,7 @@
 //! wall-clock, no RNG), so planning the same manifest twice — on the
 //! coordinator and in a post-mortem — yields the same map.
 
-use tdals_bench::json::Json;
+use tdals_obs::json::Json;
 use tdals_server::Manifest;
 
 use crate::ClusterError;

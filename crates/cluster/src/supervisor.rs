@@ -32,7 +32,7 @@ use std::time::Duration;
 use tdals_obs::clock::{self, Instant};
 use tdals_obs::trace;
 
-use tdals_bench::json::Json;
+use tdals_obs::json::Json;
 use tdals_server::{
     as_error, connect_retry, results_document_from_records, Connection, FlowJob, Manifest, Request,
     Stream, PROTOCOL_SCHEMA,

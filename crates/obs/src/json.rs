@@ -1,7 +1,8 @@
-//! Minimal JSON reading/writing for the machine-readable benchmark
-//! pipeline (`BENCH_delta_sim.json` and the CI regression gate).
+//! Minimal JSON reading/writing for every machine-readable artifact of
+//! the workspace: job manifests and results files, the daemon's wire
+//! frames, lint findings, trace documents and the benchmark reports.
 //!
-//! The build environment has no registry access, so instead of serde
+//! The workspace takes no registry dependencies, so instead of serde
 //! this module provides a small self-contained [`Json`] value type with
 //! a recursive-descent parser and a stable pretty-printer. It covers
 //! the full JSON grammar except `\u` escapes beyond the BMP surrogate

@@ -14,8 +14,8 @@
 //! computation, so the counters can stay **always on** without
 //! touching the determinism contract. The one escape hatch is
 //! [`set_counters_enabled`], which exists solely so the overhead
-//! benchmark (`bench_parallel`'s `obs` section) can measure the instrumented
-//! hot paths against a disarmed registry in one process.
+//! benchmark (`bench_delta_sim`'s `obs` section) can measure the
+//! instrumented hot paths against a disarmed registry in one process.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 

@@ -1,16 +1,15 @@
-//! Serialization for `tdals-obs` data: metric snapshots as stable
+//! Serialization for this crate's data: metric snapshots as stable
 //! [`Json`] objects and span rings as Chrome trace-event documents.
 //!
-//! `tdals-obs` itself is dependency-free and owns no serializer; this
-//! module is where its neutral snapshot types meet the workspace's
-//! self-contained JSON codec. The `stats` wire verb, the `--trace`
-//! CLI artifact, and the cluster merge report all render through
-//! here, so they agree on field names by construction.
-
-use tdals_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
-use tdals_obs::trace::SpanRecord;
+//! The registry and the recorder own no serializer; this module is
+//! where their neutral snapshot types meet the crate's self-contained
+//! JSON codec. The `stats` wire verb, the `--trace` CLI artifact, and
+//! the cluster merge report all render through here, so they agree on
+//! field names by construction.
 
 use crate::json::Json;
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::trace::SpanRecord;
 
 fn u64_json(v: u64) -> Json {
     // Counters beyond 2^53 would lose precision as a JSON number; no
@@ -109,7 +108,7 @@ mod tests {
 
     #[test]
     fn snapshot_renders_registry_names() {
-        let doc = snapshot_to_json(&tdals_obs::metrics().snapshot());
+        let doc = snapshot_to_json(&crate::metrics().snapshot());
         let counters = doc.get("counters").expect("counters map");
         assert!(counters.get("evaluations").is_some());
         assert!(counters.get("frames_read").is_some());

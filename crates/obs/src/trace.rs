@@ -13,8 +13,8 @@
 //! disarmed guard after one relaxed atomic load, and no timestamp is
 //! read at all. `--trace out.json` on the CLI enables it for the run
 //! and drains the ring into a Chrome trace-event artifact afterwards
-//! (serialization lives downstream in `tdals_bench::obs_report`; this
-//! crate stays dependency-free).
+//! (serialization lives in [`crate::report`]; this crate stays
+//! dependency-free).
 //!
 //! The ring is bounded: when full, the **oldest** record is dropped
 //! and counted, so a long daemon run keeps its most recent window

@@ -1,17 +1,17 @@
 //! Golden round-trip and malformed-input coverage for
-//! `tdals_bench::json` — the hand-rolled parser/printer every committed
-//! benchmark baseline (`BENCH_delta_sim.json`, `BENCH_parallel.json`)
-//! and CI gate flows through. A silent parsing regression here would
-//! let a gate pass against garbage, so the error cases are pinned as
-//! hard as the happy path.
+//! `tdals_obs::json` — the hand-rolled parser/printer every committed
+//! benchmark baseline (`BENCH_delta_sim.json`) and CI gate flows
+//! through. A silent parsing regression here would let a gate pass
+//! against garbage, so the error cases are pinned as hard as the happy
+//! path.
 
-use tdals_bench::json::Json;
+use tdals_obs::json::Json;
 
 /// A miniature benchmark report in the exact shape the gates consume,
 /// with the printer's canonical formatting.
 const GOLDEN: &str = r#"{
   "schema": 1,
-  "bench": "parallel",
+  "bench": "delta_sim",
   "seed": 57114,
   "circuits": [
     {
@@ -39,7 +39,10 @@ fn golden_document_round_trips_byte_for_byte() {
 fn golden_accessors_reach_every_metric() {
     let parsed = Json::parse(GOLDEN).expect("golden parses");
     assert_eq!(parsed.get("schema").and_then(Json::as_f64), Some(1.0));
-    assert_eq!(parsed.get("bench").and_then(Json::as_str), Some("parallel"));
+    assert_eq!(
+        parsed.get("bench").and_then(Json::as_str),
+        Some("delta_sim")
+    );
     let circuits = parsed
         .get("circuits")
         .and_then(Json::as_array)
@@ -106,7 +109,7 @@ fn non_numeric_metric_is_rejected() {
 fn the_committed_baselines_still_parse() {
     // The repo's committed benchmark baselines must stay within the
     // grammar this parser accepts (duplicate-key rejection included).
-    for path in ["../../BENCH_delta_sim.json", "../../BENCH_parallel.json"] {
+    for path in ["../../BENCH_delta_sim.json"] {
         let Ok(text) = std::fs::read_to_string(path) else {
             continue; // tolerated: baseline not generated yet
         };

@@ -17,8 +17,8 @@
 
 use std::time::Duration;
 
-use tdals_bench::json::Json;
 use tdals_core::api::{FlowEvent, FlowOutcome};
+use tdals_obs::json::Json;
 
 use crate::job::{results_document, FlowJob, Manifest};
 use crate::scheduler::{Scheduler, SchedulerConfig, ServerError, SessionError};

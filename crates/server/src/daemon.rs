@@ -27,7 +27,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use tdals_bench::json::Json;
+use tdals_obs::json::Json;
 
 use crate::job::{session_record_fields, u64_to_json, FlowJob};
 use crate::protocol::{error_frame, event_to_json, Connection, ErrorCode, FrameError, Request};
@@ -533,7 +533,7 @@ impl Daemon {
         // The process-wide registry is one shared instance, so a daemon
         // embedded next to other work reports that work's counters too
         // — by design: the counters describe the process.
-        let metrics = tdals_bench::obs_report::snapshot_to_json(&tdals_obs::metrics().snapshot());
+        let metrics = tdals_obs::report::snapshot_to_json(&tdals_obs::metrics().snapshot());
         Json::Obj(vec![
             schema_field(),
             ok_field("stats"),

@@ -3,9 +3,9 @@
 //! A [`FlowJob`] is everything one tenant asks of the service: a
 //! circuit (named benchmark or structural Verilog), a method, an error
 //! bound, evaluation knobs, a scheduling priority, and a resource
-//! budget. Jobs round-trip through the same hand-rolled JSON value type
-//! the benchmark pipeline uses ([`tdals_bench::json::Json`] — the build
-//! environment has no registry access, so no serde), which is what the
+//! budget. Jobs round-trip through the workspace's hand-rolled JSON
+//! value type ([`tdals_obs::json::Json`] — the workspace takes no
+//! registry dependencies, so no serde), which is what the
 //! `tdals serve-batch` manifest format and the deterministic results
 //! file are made of.
 //!
@@ -17,10 +17,10 @@
 use std::time::Duration;
 
 use tdals_baselines::{Method, MethodConfig};
-use tdals_bench::json::Json;
 use tdals_circuits::{Benchmark, ALL_BENCHMARKS};
 use tdals_core::api::{Budget, Flow, FlowError, FlowOutcome, Observer};
 use tdals_core::OptimizerConfig;
+use tdals_obs::json::Json;
 use tdals_sim::ErrorMetric;
 
 use crate::scheduler::SessionError;

@@ -27,9 +27,9 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
-use tdals_bench::json::Json;
 use tdals_core::api::{FlowEvent, StopReason};
 use tdals_core::{IterationStats, PostOptReport};
+use tdals_obs::json::Json;
 use tdals_sim::ErrorMetric;
 
 use crate::job::{u64_from_json, u64_to_json, FlowJob};

@@ -55,7 +55,6 @@ mod block;
 mod delta;
 mod engine;
 mod metrics;
-mod metrics_ext;
 mod patterns;
 mod view;
 
@@ -63,8 +62,5 @@ pub use block::SimdWidth;
 pub use delta::{DeltaSim, DeltaStats, DeltaView};
 pub use engine::{simulate, simulate_reference, SimResult};
 pub use metrics::{error_rate, nmed, po_flip_rates, ErrorEvaluator, ErrorMetric};
-pub use metrics_ext::{
-    bit_flip_rate, mean_relative_error, med, outputs_identical, worst_case_error_distance,
-};
 pub use patterns::Patterns;
 pub use view::SimWords;

@@ -8,10 +8,10 @@
 //! ```
 
 use tdals::circuits::Benchmark;
+use tdals::obs::json::Json;
 use tdals::server::{
     as_error, connect, Connection, Daemon, DaemonConfig, FlowJob, Listener, Request,
 };
-use tdals_bench::json::Json;
 
 fn call(conn: &mut Connection<tdals::server::Stream>, request: &Request) -> Json {
     conn.send(&request.to_json()).expect("send frame");

@@ -47,6 +47,7 @@ use tdals::circuits::{Benchmark, ALL_BENCHMARKS};
 use tdals::cluster::{merge, plan, run_children, run_daemons, ShardPolicy, SupervisorOptions};
 use tdals::core::api::{FlowEvent, FnObserver};
 use tdals::netlist::{verilog, Netlist};
+use tdals::obs::json::Json;
 use tdals::server::{
     as_error, check_bound, connect_retry, event_to_json, parse_worker_count,
     results_document_from_records, BatchOptions, BatchRun, Connection, Daemon, DaemonConfig,
@@ -54,7 +55,6 @@ use tdals::server::{
 };
 use tdals::sim::ErrorMetric;
 use tdals::sta::{analyze, critical_path, TimingConfig};
-use tdals_bench::json::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -245,7 +245,7 @@ fn write_trace(path: Option<&String>) -> Result<(), CliError> {
     tdals::obs::trace::disable();
     let dropped = tdals::obs::trace::dropped();
     let records = tdals::obs::trace::drain();
-    let doc = tdals_bench::obs_report::trace_to_json(&records, dropped);
+    let doc = tdals::obs::report::trace_to_json(&records, dropped);
     let text = format!("{doc}\n");
     fs::write(path, &text).map_err(|e| CliError::run(format!("writing {path}: {e}")))?;
     eprintln!("wrote {path} ({} span(s))", records.len());

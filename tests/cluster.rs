@@ -13,8 +13,8 @@ use std::process::{Child, Command, Stdio};
 
 use tdals::circuits::Benchmark;
 use tdals::cluster::{merge, plan, ClusterError, ShardPlan, ShardPolicy};
+use tdals::obs::json::Json;
 use tdals::server::{FlowJob, Manifest};
-use tdals_bench::json::Json;
 
 fn quick_job(seed: u64) -> FlowJob {
     FlowJob::benchmark(Benchmark::Int2float)

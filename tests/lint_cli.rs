@@ -4,7 +4,7 @@
 
 use std::process::Command;
 
-use tdals_bench::json::Json;
+use tdals::obs::json::Json;
 
 fn tdals() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tdals"))

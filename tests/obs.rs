@@ -16,11 +16,11 @@
 
 use tdals::baselines::ALL_METHODS;
 use tdals::circuits::Benchmark;
+use tdals::obs::json::Json;
 use tdals::obs::metrics::{Counter, Histogram};
+use tdals::obs::report::trace_to_json;
 use tdals::obs::trace;
 use tdals::server::FlowJob;
-use tdals_bench::json::Json;
-use tdals_bench::obs_report::trace_to_json;
 
 #[test]
 fn counters_and_histograms_lose_nothing_under_concurrent_writers() {

@@ -21,13 +21,13 @@ use std::net::TcpStream;
 use tdals::circuits::Benchmark;
 use tdals::core::api::{FlowEvent, FnObserver, StopReason};
 use tdals::core::{IterationStats, PostOptReport};
+use tdals::obs::json::Json;
 use tdals::server::{
     as_error, error_frame, event_from_json, event_to_json, read_frame, results_document,
     results_document_from_records, session_record_fields, Connection, Daemon, DaemonConfig,
     ErrorCode, FlowJob, FrameError, JobBudget, Request,
 };
 use tdals::sim::ErrorMetric;
-use tdals_bench::json::Json;
 
 fn quick_job(seed: u64) -> FlowJob {
     FlowJob::benchmark(Benchmark::Int2float)

@@ -35,9 +35,9 @@
 //! The fresh report also carries two host properties, gated within the
 //! fresh run only: `simd` (one full simulation of the largest circuit,
 //! blocked engine vs scalar reference) and `obs` (a small pinned DCGWO
-//! flow timed with the metric registry disarmed vs armed, which must
-//! cost at most `MAX_OBS_OVERHEAD_PCT` so the always-on counters stay
-//! invisible).
+//! flow timed in `OBS_PAIRS` pairs with the metric registry disarmed
+//! and armed, whose median slowdown must stay at most
+//! `MAX_OBS_OVERHEAD_PCT` so the always-on counters stay invisible).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,6 +86,11 @@ const OBS_CIRCUIT: Benchmark = Benchmark::Int2float;
 /// off — the production configuration) over the same flow with the
 /// registry disarmed.
 const MAX_OBS_OVERHEAD_PCT: f64 = 3.0;
+/// Probe-flow pairs (one disarmed, one armed) behind the overhead
+/// reading. A probe flow takes 5–9 ms, so one pair resolves ±15% on a
+/// shared host; the median of 64 stays within about ±1.5%, inside the
+/// bound, for about 1 s of probing.
+const OBS_PAIRS: usize = 64;
 
 /// `true` when the compiler was allowed to use 256-bit-or-wider vector
 /// instructions (`-C target-cpu=native` on an AVX2/AVX-512 host). The
@@ -179,7 +184,7 @@ fn main() {
         .max_by_key(|b| b.build().logic_gate_count())
         .expect("non-empty suite");
     let simd = measure_simd(largest, effort, seed, reps);
-    let obs = measure_obs(seed, reps);
+    let obs = measure_obs(seed);
 
     let report = to_json(&reports, &simd, obs, seed, candidates, effort);
     let text = format!("{report}\n");
@@ -399,26 +404,38 @@ fn obs_probe_s(seed: u64) -> f64 {
     s
 }
 
-/// Measures the cost of the always-on counters: best-of-`reps` timing
-/// of the probe flow with the registry disarmed vs armed (tracing off
-/// in both — the production configuration). Restores the armed state
+/// Measures the cost of the always-on counters: the median, over
+/// [`OBS_PAIRS`] back-to-back pairs of probe flows, of the armed-to-
+/// disarmed time ratio (tracing off in both — the production
+/// configuration). Pairing single flows lets host-speed drift hit both
+/// arms alike, alternating which arm runs first cancels order effects,
+/// and the median ignores preempted outliers. Restores the armed state
 /// before returning.
-fn measure_obs(seed: u64, reps: usize) -> Json {
-    let mut uninstrumented = f64::INFINITY;
-    let mut instrumented = f64::INFINITY;
+fn measure_obs(seed: u64) -> Json {
+    let mut disarmed = Vec::with_capacity(OBS_PAIRS);
+    let mut armed = Vec::with_capacity(OBS_PAIRS);
+    let mut ratios = Vec::with_capacity(OBS_PAIRS);
     // Warm-up run so neither arm pays first-touch costs.
     obs_probe_s(seed);
-    for _ in 0..reps {
-        // Alternate arms within each rep so drift in host load hits
-        // both measurements, not just the second one.
-        set_counters_enabled(false);
-        uninstrumented = uninstrumented.min(obs_probe_s(seed));
-        set_counters_enabled(true);
-        instrumented = instrumented.min(obs_probe_s(seed));
+    for pair in 0..OBS_PAIRS {
+        let mut s = [0.0; 2];
+        for arm in [pair % 2, 1 - pair % 2] {
+            set_counters_enabled(arm == 1);
+            s[arm] = obs_probe_s(seed);
+        }
+        disarmed.push(s[0]);
+        armed.push(s[1]);
+        ratios.push(s[1] / s[0]);
     }
-    let overhead_pct = (instrumented - uninstrumented) / uninstrumented * 100.0;
+    set_counters_enabled(true);
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (uninstrumented, instrumented) = (median(disarmed), median(armed));
+    let overhead_pct = (median(ratios) - 1.0) * 100.0;
     eprintln!(
-        "{:<10} obs overhead: {:.4}s disarmed, {:.4}s armed ({:+.2}%)",
+        "{:<10} obs overhead: {:.4}s disarmed, {:.4}s armed, median of {OBS_PAIRS} pairs {:+.2}%",
         OBS_CIRCUIT.name(),
         uninstrumented,
         instrumented,

@@ -5,9 +5,8 @@
 //! `src/bin/` regenerates one table or figure of the paper's evaluation
 //! section.
 //!
-//! The JSON codec and the metric/trace renderers live in `tdals-obs`;
-//! they are re-exported here at their old paths for the benchmark
-//! tools that import them from this crate.
+//! The JSON codec lives in `tdals-obs`; it is re-exported here at its
+//! old path for the benchmark tools that import it from this crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,7 +14,6 @@
 pub mod timing;
 
 pub use tdals_obs::json;
-pub use tdals_obs::report as obs_report;
 
 use tdals_circuits::Benchmark;
 use tdals_core::EvalContext;

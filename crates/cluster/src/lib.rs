@@ -17,12 +17,12 @@
 //! * [`plan`](mod@plan) — split the manifest into per-shard index sets
 //!   ([`ShardPlan`]) under a [`ShardPolicy`], recorded in a JSON shard
 //!   map so the merge is order-reconstructible;
-//! * [`supervisor`] — run one worker per shard: spawn
-//!   `tdals serve-batch` child processes ([`run_children`], mode A) or
-//!   drive already-running `tdals serve` daemons over the wire
-//!   protocol ([`run_daemons`], mode B), with per-shard timeouts and a
-//!   bounded restart for crashed children (safe to re-run precisely
-//!   because results are seed-driven);
+//! * [`supervisor`] — run one `tdals serve` daemon per shard and drive
+//!   it over the wire protocol: daemons the supervisor spawns itself
+//!   ([`run_children`]) or daemons already running at given addresses
+//!   ([`run_daemons`]), with per-shard timeouts and one restart for a
+//!   spawned daemon that dies (safe to re-run precisely because results
+//!   are seed-driven);
 //! * [`merge`](mod@merge) — stitch the per-shard, submission-ordered
 //!   result records back into manifest order ([`merge()`]).
 //!
@@ -49,8 +49,8 @@
 //! let manifest = Manifest::new(jobs);
 //! let plan = plan(&manifest, 2, ShardPolicy::RoundRobin).expect("plannable");
 //!
-//! // Run each shard through the same engine a worker process runs
-//! // (in-process here; the supervisor does this across processes).
+//! // Run each shard in-process through the `serve-batch` engine (the
+//! // supervisor runs each on a `tdals serve` daemon: the same bytes).
 //! let opts = BatchOptions::new().with_total_threads(1);
 //! let docs: Vec<String> = (0..plan.shard_count())
 //!     .map(|s| {
@@ -78,8 +78,8 @@ pub use plan::{plan, ShardPlan, ShardPolicy, SHARD_MAP_SCHEMA};
 pub use supervisor::{run_children, run_daemons, SupervisorOptions};
 
 /// Why a sharded run failed. Each variant names the layer that broke:
-/// planning, process management, the results a worker produced, the
-/// wire protocol, or the merge invariant.
+/// planning, process management, the wire protocol, or the merge
+/// invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ClusterError {
@@ -93,8 +93,7 @@ pub enum ClusterError {
         /// What failed, with the OS error.
         what: String,
     },
-    /// A worker process died without producing a complete results file,
-    /// even after the bounded restart.
+    /// A spawned worker process died, even after the bounded restart.
     Worker {
         /// Which shard's worker.
         shard: usize,
@@ -103,17 +102,8 @@ pub enum ClusterError {
         /// Diagnosis, including the worker's last stderr lines.
         what: String,
     },
-    /// A worker exited cleanly but its results file does not cover its
-    /// shard (missing, unparseable, or short), even after the bounded
-    /// restart.
-    PartialResults {
-        /// Which shard's worker.
-        shard: usize,
-        /// What the file looked like.
-        what: String,
-    },
-    /// A mode B daemon conversation failed (dial, error frame, or a
-    /// malformed reply).
+    /// A daemon conversation failed (dial, error frame, or a malformed
+    /// reply).
     Protocol {
         /// Which shard's daemon.
         shard: usize,
@@ -145,9 +135,6 @@ impl std::fmt::Display for ClusterError {
                 status,
                 what,
             } => write!(f, "shard {shard} worker died ({status}): {what}"),
-            ClusterError::PartialResults { shard, what } => {
-                write!(f, "shard {shard} produced partial results: {what}")
-            }
             ClusterError::Protocol { shard, what } => {
                 write!(f, "shard {shard} protocol error: {what}")
             }

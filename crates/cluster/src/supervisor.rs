@@ -1,35 +1,38 @@
-//! The worker supervisor: one worker per shard, two ways to get one.
+//! The worker supervisor: one `tdals serve` daemon per shard, driven
+//! over the wire protocol.
 //!
-//! **Mode A** ([`run_children`]) spawns one `tdals serve-batch` child
-//! process per shard with a per-shard manifest and results file. A
-//! worker that dies without a complete results file is restarted once
-//! from its manifest — safe because results are seed-driven, so the
-//! re-run writes the same bytes the first run would have. A worker
-//! that *exits* nonzero but leaves a complete results file is fine:
-//! that is `serve-batch`'s normal exit for a batch with failed jobs,
-//! and the per-job failure records are part of the deterministic
-//! output.
+//! [`run_daemons`] drives daemons that are already running: one submit
+//! client per shard, reassembling each shard's records exactly as
+//! `tdals submit` does.
 //!
-//! **Mode B** ([`run_daemons`]) drives already-running `tdals serve`
-//! daemons over the wire protocol — one submit client per shard,
-//! reassembling each shard's records exactly as `tdals submit` does.
+//! [`run_children`] is a thin front over the same client. For each
+//! shard it spawns `tdals serve --listen 127.0.0.1:0`, reads the bound
+//! address from the daemon's `serve: listening on …` banner, drives it,
+//! and sends it the protocol's `shutdown` verb when the shard is done.
+//! A spawned daemon that dies — before its banner, or with the
+//! connection lost mid-conversation — is respawned once and its shard
+//! is re-driven from its first job. That is safe because results are
+//! seed-driven: the rerun produces the bytes the first run would have.
+//! Daemons given by address are never restarted. On any other error,
+//! or a blown per-shard timeout, every spawned daemon is killed and
+//! reaped.
 //!
-//! Both modes return one results-document text per shard, ready for
+//! Both return one results-document text per shard, ready for
 //! [`merge`](crate::merge::merge), and both multiplex worker progress
-//! frames through a caller-supplied callback with a `shard` tag
-//! spliced in. The multiplexed *order* across shards is wall-clock
-//! (it is a progress stream on stderr); the results documents are not.
+//! frames through a caller-supplied callback with a `shard` tag. The
+//! multiplexed *order* across shards is wall-clock (it is a progress
+//! stream on stderr); the results documents are not.
 
 use std::collections::VecDeque;
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tdals_obs::clock::{self, Instant};
+use tdals_obs::clock;
 use tdals_obs::trace;
 
 use tdals_obs::json::Json;
@@ -42,16 +45,25 @@ use crate::plan::ShardPlan;
 use crate::ClusterError;
 
 /// Environment hook for the crash-restart soak: when set to a shard
-/// number, that shard's **first** child process is killed right after
+/// number, that shard's **first** spawned worker is killed right after
 /// spawning, forcing the supervisor down the restart path. The restart
 /// must still converge to byte-identical output — which is what the
-/// `shard-soak` CI job asserts.
+/// determinism soak script asserts.
 pub const CRASH_SHARD_ENV: &str = "TDALS_CLUSTER_CRASH_SHARD";
 
 /// How many trailing worker stderr lines are kept for diagnostics.
 const STDERR_TAIL: usize = 20;
 
-/// Supervision knobs shared by both worker modes.
+/// How long a worker whose conversation broke may take to exit before
+/// the supervisor decides it is alive (and the error was the daemon's
+/// answer, not its death).
+const DEATH_GRACE: Duration = Duration::from_secs(1);
+
+/// How long a worker may take to exit after a `shutdown` before it is
+/// killed.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+
+/// Supervision knobs shared by spawned and connected workers.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SupervisorOptions {
@@ -59,25 +71,19 @@ pub struct SupervisorOptions {
     /// reported as [`ClusterError::Timeout`] — no restart, since a
     /// re-run would spend the same time again. `None` means unbounded.
     pub timeout: Option<Duration>,
-    /// Worker pool width forwarded to each mode A child
-    /// (`--total-threads`); `None` lets each child pick its own core
+    /// Worker pool width forwarded to each spawned daemon
+    /// (`--total-threads`); `None` lets each daemon pick its own core
     /// count. Results are width-invariant either way.
     pub total_threads: Option<usize>,
-    /// Mode B dial retries per daemon ([`connect_retry`]).
+    /// Dial retries per daemon ([`connect_retry`]).
     pub retries: usize,
-    /// Forward worker progress frames to the callback (mode A children
-    /// additionally get `--progress` only when set).
+    /// Forward worker progress frames to the callback.
     pub progress: bool,
-    /// Mode A scratch directory for per-shard manifests/results. A
-    /// caller-provided directory is created if needed and left in
-    /// place; `None` uses a fresh temp directory that is removed after
-    /// the run.
-    pub workdir: Option<PathBuf>,
 }
 
 impl SupervisorOptions {
     /// Defaults: no timeout, worker-chosen widths, no dial retries, no
-    /// progress forwarding, temp scratch.
+    /// progress forwarding.
     pub fn new() -> SupervisorOptions {
         SupervisorOptions::default()
     }
@@ -88,13 +94,13 @@ impl SupervisorOptions {
         self
     }
 
-    /// Sets the per-child pool width (mode A).
+    /// Sets the pool width of each spawned daemon.
     pub fn with_total_threads(mut self, total: impl Into<Option<usize>>) -> SupervisorOptions {
         self.total_threads = total.into();
         self
     }
 
-    /// Sets the dial retry budget (mode B).
+    /// Sets the dial retry budget.
     pub fn with_retries(mut self, retries: usize) -> SupervisorOptions {
         self.retries = retries;
         self
@@ -105,39 +111,10 @@ impl SupervisorOptions {
         self.progress = progress;
         self
     }
-
-    /// Sets the mode A scratch directory.
-    pub fn with_workdir(mut self, workdir: impl Into<PathBuf>) -> SupervisorOptions {
-        self.workdir = Some(workdir.into());
-        self
-    }
 }
 
-/// Splices `"shard": n` into a worker's event frame, right after the
-/// `schema` member, so multiplexed streams from different shards stay
-/// distinguishable.
-fn tag_shard(frame: Json, shard: usize) -> Json {
-    let Json::Obj(members) = frame else {
-        return frame;
-    };
-    let mut out = Vec::with_capacity(members.len() + 1);
-    let mut inserted = false;
-    for (key, value) in members {
-        let after = key == "schema";
-        out.push((key, value));
-        if after && !inserted {
-            out.push(("shard".into(), Json::Num(shard as f64)));
-            inserted = true;
-        }
-    }
-    if !inserted {
-        out.insert(0, ("shard".into(), Json::Num(shard as f64)));
-    }
-    Json::Obj(out)
-}
-
-/// The frame mode B emits per event — field-for-field the frame a mode
-/// A child prints (via the CLI's shared renderer) after shard tagging.
+/// The frame forwarded per worker event: a `tdals serve-batch
+/// --progress` line with the `shard` tag after `schema`.
 fn shard_frame(shard: usize, session: usize, name: &str, event: Json) -> Json {
     Json::Obj(vec![
         ("schema".into(), Json::Num(PROTOCOL_SCHEMA as f64)),
@@ -148,180 +125,220 @@ fn shard_frame(shard: usize, session: usize, name: &str, event: Json) -> Json {
     ])
 }
 
+/// Runs `drive(shard, jobs, frames)` for every shard on its own thread
+/// and forwards frames to `on_frame` as they arrive. Returns the
+/// documents in shard order, or the lowest-numbered shard's error.
+fn fan_out<F>(
+    manifest: &Manifest,
+    plan: &ShardPlan,
+    on_frame: &mut dyn FnMut(&Json),
+    drive: F,
+) -> Result<Vec<String>, ClusterError>
+where
+    F: Fn(usize, Vec<FlowJob>, &Sender<Json>) -> Result<String, ClusterError> + Sync,
+{
+    let drive = &drive;
+    let (frames_tx, frames_rx) = std::sync::mpsc::channel::<Json>();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..plan.shard_count())
+            .map(|shard| {
+                let jobs = plan.manifest_for(manifest, shard).jobs;
+                let frames = frames_tx.clone();
+                scope.spawn(move || drive(shard, jobs, &frames))
+            })
+            .collect();
+        drop(frames_tx);
+        // Multiplex frames until every shard thread has dropped its
+        // sender (i.e. finished), then collect in shard order.
+        while let Ok(frame) = frames_rx.recv() {
+            on_frame(&frame);
+        }
+        let mut docs = Vec::with_capacity(handles.len());
+        let mut first_error: Option<ClusterError> = None;
+        for (shard, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(Ok(doc)) => docs.push(doc),
+                Ok(Err(e)) => first_error = first_error.or(Some(e)),
+                Err(_) => {
+                    first_error = first_error.or(Some(ClusterError::Protocol {
+                        shard,
+                        what: "shard client thread panicked".into(),
+                    }))
+                }
+            }
+        }
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(docs),
+        }
+    })
+}
+
 // ---------------------------------------------------------------------
-// Mode A: child worker processes
+// Spawned workers
 // ---------------------------------------------------------------------
 
-/// Distinguishes concurrent supervisors inside one process (tests run
-/// several at once) when naming the temp scratch directory.
-static SCRATCH_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
+/// One spawned `tdals serve` process.
 struct Worker {
-    shard: usize,
-    attempt: usize,
     child: Child,
-    /// Start of this attempt, for the per-shard timeout.
-    started: Instant,
     tail: Arc<Mutex<VecDeque<String>>>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    reader: Option<JoinHandle<()>>,
 }
 
 impl Worker {
-    fn tail_text(&self) -> String {
+    /// Spawns `exe serve` on an ephemeral port. The receiver yields the
+    /// bound address once the daemon prints its banner, and disconnects
+    /// if its stderr closes first.
+    fn spawn(
+        shard: usize,
+        attempt: usize,
+        exe: &Path,
+        opts: &SupervisorOptions,
+    ) -> Result<(Worker, Receiver<String>), ClusterError> {
+        let mut command = Command::new(exe);
+        command
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped());
+        if let Some(total) = opts.total_threads {
+            command.arg("--total-threads").arg(total.to_string());
+        }
+        let mut child = command.spawn().map_err(|e| ClusterError::Io {
+            what: format!("spawning shard {shard} worker {}: {e}", exe.display()),
+        })?;
+
+        // The crash-soak hook: kill the first attempt immediately so the
+        // restart path runs under CI. Only ever the first attempt — the
+        // restart must be allowed to converge.
+        if attempt == 0 && std::env::var(CRASH_SHARD_ENV).is_ok_and(|t| t == shard.to_string()) {
+            let _ = child.kill();
+        }
+
+        let (banner_tx, banner_rx) = std::sync::mpsc::channel();
+        let tail = Arc::new(Mutex::new(VecDeque::with_capacity(STDERR_TAIL)));
+        let reader = child.stderr.take().map(|stderr| {
+            let tail = Arc::clone(&tail);
+            std::thread::spawn(move || {
+                for line in std::io::BufReader::new(stderr).lines() {
+                    let Ok(line) = line else { break };
+                    if let Some(spec) = line
+                        .strip_prefix("serve: listening on ")
+                        .and_then(|rest| rest.split(' ').next())
+                    {
+                        let _ = banner_tx.send(spec.to_owned());
+                    }
+                    let mut tail = tail.lock().unwrap_or_else(PoisonError::into_inner);
+                    if tail.len() == STDERR_TAIL {
+                        tail.pop_front();
+                    }
+                    tail.push_back(line);
+                }
+            })
+        });
+        let worker = Worker {
+            child,
+            tail,
+            reader,
+        };
+        Ok((worker, banner_rx))
+    }
+
+    /// Waits up to `grace` for the process to exit by itself, kills it
+    /// if it has not, and reaps it. Returns the exit status if the
+    /// process exited by itself, and its stderr tail.
+    fn finish(mut self, grace: Duration) -> (Option<ExitStatus>, String) {
+        let started = clock::now();
+        let exited = loop {
+            match self.child.try_wait() {
+                Ok(Some(status)) => break Some(status),
+                Ok(None) if started.elapsed() < grace => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                _ => break None,
+            }
+        };
+        if exited.is_none() {
+            let _ = self.child.kill();
+        }
+        let _ = self.child.wait();
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
         let tail = self.tail.lock().unwrap_or_else(PoisonError::into_inner);
-        if tail.is_empty() {
+        let tail = if tail.is_empty() {
             "worker wrote nothing to stderr".into()
         } else {
             format!(
                 "last stderr lines:\n{}",
                 tail.iter().cloned().collect::<Vec<_>>().join("\n")
             )
-        }
-    }
-}
-
-struct Scratch {
-    dir: PathBuf,
-    /// Whether the supervisor owns (and removes) the directory.
-    owned: bool,
-}
-
-impl Scratch {
-    fn prepare(opts: &SupervisorOptions) -> Result<Scratch, ClusterError> {
-        let (dir, owned) = match &opts.workdir {
-            Some(dir) => (dir.clone(), false),
-            None => {
-                let nonce = SCRATCH_COUNTER.fetch_add(1, Ordering::Relaxed);
-                let dir = std::env::temp_dir()
-                    .join(format!("tdals-shard-{}-{nonce}", std::process::id()));
-                (dir, true)
-            }
         };
-        std::fs::create_dir_all(&dir).map_err(|e| ClusterError::Io {
-            what: format!("creating scratch dir {}: {e}", dir.display()),
-        })?;
-        Ok(Scratch { dir, owned })
-    }
-
-    fn manifest_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard{shard}-manifest.json"))
-    }
-
-    fn results_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard{shard}-results.json"))
+        (exited, tail)
     }
 }
 
-impl Drop for Scratch {
+/// The workers [`run_children`] has spawned, one slot per shard. The
+/// first shard to fail kills every other worker, so the run stops at
+/// once instead of waiting for the rest; dropping the fleet kills and
+/// reaps whatever is left.
+struct Fleet {
+    workers: Mutex<Vec<Option<Worker>>>,
+    /// The failure that stopped the run, if one did.
+    failure: Mutex<Option<ClusterError>>,
+}
+
+impl Fleet {
+    fn workers(&self) -> MutexGuard<'_, Vec<Option<Worker>>> {
+        self.workers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn failure(&self) -> MutexGuard<'_, Option<ClusterError>> {
+        self.failure.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn failed(&self) -> bool {
+        self.failure().is_some()
+    }
+
+    /// Spawns and registers shard's worker; returns its banner receiver.
+    fn spawn(
+        &self,
+        shard: usize,
+        attempt: usize,
+        exe: &Path,
+        opts: &SupervisorOptions,
+    ) -> Result<Receiver<String>, ClusterError> {
+        let (mut worker, banner) = Worker::spawn(shard, attempt, exe, opts)?;
+        let mut workers = self.workers();
+        // A worker spawned after the run failed dies at once; `fail`
+        // sets the flag before it takes this lock, so none slips by.
+        if self.failed() {
+            let _ = worker.child.kill();
+        }
+        workers[shard] = Some(worker);
+        Ok(banner)
+    }
+
+    fn take(&self, shard: usize) -> Worker {
+        self.workers()[shard]
+            .take()
+            .expect("spawn registered the worker")
+    }
+
+    /// Records the run's first failure and kills every live worker.
+    fn fail(&self, error: &ClusterError) {
+        self.failure().get_or_insert_with(|| error.clone());
+        for worker in self.workers().iter_mut().flatten() {
+            let _ = worker.child.kill();
+        }
+    }
+}
+
+impl Drop for Fleet {
     fn drop(&mut self) {
-        if self.owned {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-}
-
-fn spawn_worker(
-    shard: usize,
-    attempt: usize,
-    exe: &Path,
-    scratch: &Scratch,
-    opts: &SupervisorOptions,
-    frames: &Sender<Json>,
-) -> Result<Worker, ClusterError> {
-    // A fresh attempt must not inherit a half-written results file.
-    let _ = std::fs::remove_file(scratch.results_path(shard));
-    let mut command = Command::new(exe);
-    command
-        .arg("serve-batch")
-        .arg("--manifest")
-        .arg(scratch.manifest_path(shard))
-        .arg("--out")
-        .arg(scratch.results_path(shard))
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped());
-    if let Some(total) = opts.total_threads {
-        command.arg("--total-threads").arg(total.to_string());
-    }
-    if opts.progress {
-        command.arg("--progress");
-    }
-    let mut child = command.spawn().map_err(|e| ClusterError::Io {
-        what: format!("spawning shard {shard} worker {}: {e}", exe.display()),
-    })?;
-
-    // The crash-soak hook: kill the first attempt immediately so the
-    // restart path runs under CI. Only ever the first attempt — the
-    // restart must be allowed to converge.
-    if attempt == 0 {
-        if let Ok(target) = std::env::var(CRASH_SHARD_ENV) {
-            if target == shard.to_string() {
-                let _ = child.kill();
-            }
-        }
-    }
-
-    let tail = Arc::new(Mutex::new(VecDeque::with_capacity(STDERR_TAIL)));
-    let reader = child.stderr.take().map(|stderr| {
-        let tail = Arc::clone(&tail);
-        let frames = frames.clone();
-        let forward = opts.progress;
-        std::thread::spawn(move || {
-            for line in std::io::BufReader::new(stderr).lines() {
-                let Ok(line) = line else { break };
-                // Progress frames are one-line JSON objects with an
-                // `event` member; everything else is diagnostics.
-                if forward && line.starts_with('{') {
-                    if let Ok(frame) = Json::parse(&line) {
-                        if frame.get("event").is_some() {
-                            let _ = frames.send(tag_shard(frame, shard));
-                            continue;
-                        }
-                    }
-                }
-                let mut tail = tail.lock().unwrap_or_else(PoisonError::into_inner);
-                if tail.len() == STDERR_TAIL {
-                    tail.pop_front();
-                }
-                tail.push_back(line);
-            }
-        })
-    });
-    Ok(Worker {
-        shard,
-        attempt,
-        child,
-        started: clock::now(),
-        tail,
-        reader,
-    })
-}
-
-/// Checks that a shard's results file covers its whole assignment;
-/// returns the raw text (the merge re-parses it).
-fn read_shard_doc(path: &Path, expected: usize) -> Result<String, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("results file {} is unreadable: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("results file is not valid JSON: {e}"))?;
-    if doc.get("schema").and_then(Json::as_uint) != Some(1) {
-        return Err("results file schema is not 1".into());
-    }
-    match doc.get("results").and_then(Json::as_array) {
-        Some(records) if records.len() == expected => Ok(text),
-        Some(records) => Err(format!(
-            "{} record(s) for {expected} assigned job(s)",
-            records.len()
-        )),
-        None => Err("results file has no `results` array".into()),
-    }
-}
-
-fn kill_all(workers: &mut [Option<Worker>]) {
-    for worker in workers.iter_mut().flatten() {
-        let _ = worker.child.kill();
-        let _ = worker.child.wait();
-        if let Some(reader) = worker.reader.take() {
-            let _ = reader.join();
+        for worker in self.workers().drain(..).flatten() {
+            worker.finish(Duration::ZERO);
         }
     }
 }
@@ -333,18 +350,88 @@ fn status_label(status: &ExitStatus) -> String {
     }
 }
 
-/// Mode A: one `tdals serve-batch` child process per shard, restart
-/// once on crash, per-shard results documents back in shard order.
-/// `exe` is the `tdals` binary (a coordinator CLI passes its own
-/// `current_exe`). Worker progress frames stream through `on_frame`
-/// when [`SupervisorOptions::progress`] is set.
+/// Best-effort `shutdown` of a daemon whose shard is done; the caller
+/// kills it anyway if it does not exit.
+fn shut_down(spec: &str) {
+    if let Ok(stream) = connect_retry(spec, 0) {
+        let mut conn = Connection::new(stream);
+        if conn.send(&Request::Shutdown.to_json()).is_ok() {
+            let _ = conn.receive();
+        }
+    }
+}
+
+/// One shard on spawned workers: spawn, wait for the banner, drive,
+/// shut down — and once, if the worker died, all of it again.
+fn run_spawned_shard(
+    shard: usize,
+    jobs: Vec<FlowJob>,
+    exe: &Path,
+    opts: &SupervisorOptions,
+    fleet: &Fleet,
+    frames: &Sender<Json>,
+) -> Result<String, ClusterError> {
+    let mut attempt = 0;
+    loop {
+        let banner = fleet.spawn(shard, attempt, exe, opts)?;
+        let spec = match opts.timeout {
+            Some(limit) => banner.recv_timeout(limit),
+            None => banner.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let outcome = match spec {
+            Ok(spec) => drive_daemon(shard, jobs.clone(), &spec, opts, frames).inspect(|_| {
+                shut_down(&spec);
+            }),
+            Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout {
+                shard,
+                seconds: opts.timeout.unwrap_or_default().as_secs(),
+            }),
+            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::Protocol {
+                shard,
+                what: "worker exited before its listening banner".into(),
+            }),
+        };
+        let grace = match &outcome {
+            Ok(_) => SHUTDOWN_GRACE,
+            Err(ClusterError::Protocol { .. }) => DEATH_GRACE,
+            Err(_) => Duration::ZERO,
+        };
+        let (exited, tail) = fleet.take(shard).finish(grace);
+        match (outcome, exited) {
+            (Ok(doc), _) => return Ok(doc),
+            // A broken conversation with a worker that has exited: it
+            // died. Restart once, unless the run already failed.
+            (Err(ClusterError::Protocol { what, .. }), Some(status)) if !fleet.failed() => {
+                if attempt == 0 {
+                    tdals_obs::metrics().shard_restarts.incr();
+                    attempt = 1;
+                    continue;
+                }
+                return Err(ClusterError::Worker {
+                    shard,
+                    status: status_label(&status),
+                    what: format!("{what}; {tail}"),
+                });
+            }
+            (Err(e), _) => return Err(e),
+        }
+    }
+}
+
+/// Spawns one `tdals serve` daemon per shard (`exe` is the `tdals`
+/// binary; a coordinator CLI passes its own `current_exe`) and drives
+/// each with the [`run_daemons`] client, returning the per-shard
+/// results documents in shard order. A worker that dies is restarted
+/// once; every daemon is shut down and reaped before this returns.
+/// Worker progress frames stream through `on_frame` when
+/// [`SupervisorOptions::progress`] is set.
 ///
 /// # Errors
 ///
-/// The typed [`ClusterError`] taxonomy: spawn/scratch I/O, a worker
-/// dead twice without complete results ([`ClusterError::Worker`]), a
-/// clean exit with an incomplete file ([`ClusterError::PartialResults`]),
-/// or a blown per-shard timeout.
+/// The typed [`ClusterError`] taxonomy: spawn I/O, a worker dead twice
+/// ([`ClusterError::Worker`], with its stderr tail), a daemon's error
+/// frame ([`ClusterError::Protocol`]), or a blown per-shard timeout.
+/// The first shard to fail kills every other worker.
 pub fn run_children(
     manifest: &Manifest,
     plan: &ShardPlan,
@@ -353,148 +440,31 @@ pub fn run_children(
     on_frame: &mut dyn FnMut(&Json),
 ) -> Result<Vec<String>, ClusterError> {
     let count = plan.shard_count();
-    // The flows themselves run in child processes — their spans land in
+    // The flows themselves run in the daemons — their spans land in
     // those processes' (disabled) recorders. The coordinator's trace
     // covers what *this* process does: the supervision window.
     let _span = trace::span(trace::cat::FLOW, "shard-children").arg("shards", count as u64);
-    let scratch = Scratch::prepare(opts)?;
-    for shard in 0..count {
-        let path = scratch.manifest_path(shard);
-        let text = format!("{}\n", plan.manifest_for(manifest, shard).to_json());
-        std::fs::write(&path, text).map_err(|e| ClusterError::Io {
-            what: format!("writing shard manifest {}: {e}", path.display()),
-        })?;
-    }
-
-    let (frames_tx, frames_rx) = std::sync::mpsc::channel::<Json>();
-    let mut workers: Vec<Option<Worker>> = Vec::with_capacity(count);
-    for shard in 0..count {
-        match spawn_worker(shard, 0, exe, &scratch, opts, &frames_tx) {
-            Ok(worker) => workers.push(Some(worker)),
-            Err(e) => {
-                kill_all(&mut workers);
-                return Err(e);
-            }
+    let fleet = Fleet {
+        workers: Mutex::new((0..count).map(|_| None).collect()),
+        failure: Mutex::new(None),
+    };
+    let docs = fan_out(manifest, plan, on_frame, |shard, jobs, frames| {
+        let result = run_spawned_shard(shard, jobs, exe, opts, &fleet, frames);
+        if let Err(e) = &result {
+            fleet.fail(e);
         }
-    }
-
-    let mut docs: Vec<Option<String>> = vec![None; count];
-    let result = supervise_children(
-        plan,
-        exe,
-        &scratch,
-        opts,
-        &frames_tx,
-        &frames_rx,
-        &mut workers,
-        &mut docs,
-        on_frame,
-    );
-    drop(frames_tx);
-    while let Ok(frame) = frames_rx.try_recv() {
-        on_frame(&frame);
-    }
-    result?;
-    Ok(docs
-        .into_iter()
-        .map(|d| d.expect("supervision completed every shard"))
-        .collect())
-}
-
-/// The child-worker supervision loop, factored out so `run_children`
-/// can flush the frame channel on both the success and error paths.
-#[allow(clippy::too_many_arguments)]
-fn supervise_children(
-    plan: &ShardPlan,
-    exe: &Path,
-    scratch: &Scratch,
-    opts: &SupervisorOptions,
-    frames_tx: &Sender<Json>,
-    frames_rx: &Receiver<Json>,
-    workers: &mut [Option<Worker>],
-    docs: &mut [Option<String>],
-    on_frame: &mut dyn FnMut(&Json),
-) -> Result<(), ClusterError> {
-    loop {
-        while let Ok(frame) = frames_rx.try_recv() {
-            on_frame(&frame);
-        }
-        let mut live = false;
-        for slot in 0..workers.len() {
-            let Some(worker) = workers[slot].as_mut() else {
-                continue;
-            };
-            live = true;
-            if let Some(limit) = opts.timeout {
-                if worker.started.elapsed() >= limit {
-                    let shard = worker.shard;
-                    kill_all(workers);
-                    return Err(ClusterError::Timeout {
-                        shard,
-                        seconds: limit.as_secs(),
-                    });
-                }
-            }
-            let status = match worker.child.try_wait() {
-                Ok(None) => continue,
-                Ok(Some(status)) => status,
-                Err(e) => {
-                    let shard = worker.shard;
-                    kill_all(workers);
-                    return Err(ClusterError::Io {
-                        what: format!("waiting on shard {shard} worker: {e}"),
-                    });
-                }
-            };
-            let mut worker = workers[slot].take().expect("checked Some above");
-            if let Some(reader) = worker.reader.take() {
-                let _ = reader.join();
-            }
-            let shard = worker.shard;
-            match read_shard_doc(&scratch.results_path(shard), plan.jobs_of(shard).len()) {
-                // A complete results file is authoritative whatever the
-                // exit status: serve-batch exits nonzero when jobs
-                // *fail*, and failure records are part of the output.
-                Ok(text) => docs[shard] = Some(text),
-                Err(_) if worker.attempt == 0 => {
-                    // Crashed (or corrupted) on the first attempt:
-                    // deterministic re-run from the same manifest.
-                    tdals_obs::metrics().shard_restarts.incr();
-                    match spawn_worker(shard, 1, exe, scratch, opts, frames_tx) {
-                        Ok(respawned) => workers[slot] = Some(respawned),
-                        Err(e) => {
-                            kill_all(workers);
-                            return Err(e);
-                        }
-                    }
-                }
-                Err(what) => {
-                    let diagnosis = format!("{what}; {}", worker.tail_text());
-                    kill_all(workers);
-                    return Err(if status.success() {
-                        ClusterError::PartialResults {
-                            shard,
-                            what: diagnosis,
-                        }
-                    } else {
-                        ClusterError::Worker {
-                            shard,
-                            status: status_label(&status),
-                            what: diagnosis,
-                        }
-                    });
-                }
-            }
-        }
-        if !live {
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(20));
+        result
+    });
+    // Report the failure that stopped the run, not a shard it took down.
+    let failure = fleet.failure().take();
+    match failure {
+        Some(e) => Err(e),
+        None => docs,
     }
 }
 
 // ---------------------------------------------------------------------
-// Mode B: remote daemons over the wire protocol
+// The daemon client
 // ---------------------------------------------------------------------
 
 /// One wire round-trip with typed shard-tagged errors.
@@ -646,13 +616,12 @@ fn drive_daemon(
     Ok(format!("{}\n", results_document_from_records(rows)))
 }
 
-/// Mode B: one submit client per shard against already-running
-/// `tdals serve` daemons. `specs` lists one daemon address per shard
-/// (the first [`ShardPlan::shard_count`] entries are used — extra
-/// addresses are tolerated, since the plan may hold fewer shards than
-/// requested when the manifest is small). Worker progress frames
-/// stream through `on_frame` when [`SupervisorOptions::progress`] is
-/// set.
+/// One submit client per shard against already-running `tdals serve`
+/// daemons. `specs` lists one daemon address per shard (the first
+/// [`ShardPlan::shard_count`] entries are used — extra addresses are
+/// tolerated, since the plan may hold fewer shards than requested when
+/// the manifest is small). Worker progress frames stream through
+/// `on_frame` when [`SupervisorOptions::progress`] is set.
 ///
 /// # Errors
 ///
@@ -678,39 +647,7 @@ pub fn run_daemons(
             ),
         });
     }
-    let (frames_tx, frames_rx) = std::sync::mpsc::channel::<Json>();
-    let mut handles = Vec::with_capacity(count);
-    for (shard, spec) in specs.iter().enumerate().take(count) {
-        let jobs: Vec<FlowJob> = plan.manifest_for(manifest, shard).jobs;
-        let spec = spec.clone();
-        let opts = opts.clone();
-        let frames = frames_tx.clone();
-        handles.push(std::thread::spawn(move || {
-            drive_daemon(shard, jobs, &spec, &opts, &frames)
-        }));
-    }
-    drop(frames_tx);
-    // Multiplex frames until every shard thread has dropped its sender
-    // (i.e. finished), then collect in shard order.
-    while let Ok(frame) = frames_rx.recv() {
-        on_frame(&frame);
-    }
-    let mut docs = Vec::with_capacity(count);
-    let mut first_error: Option<ClusterError> = None;
-    for (shard, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(Ok(doc)) => docs.push(doc),
-            Ok(Err(e)) => first_error = first_error.or(Some(e)),
-            Err(_) => {
-                first_error = first_error.or(Some(ClusterError::Protocol {
-                    shard,
-                    what: "shard client thread panicked".into(),
-                }))
-            }
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(docs),
-    }
+    fan_out(manifest, plan, on_frame, |shard, jobs, frames| {
+        drive_daemon(shard, jobs, &specs[shard], opts, frames)
+    })
 }

@@ -78,13 +78,6 @@ pub struct OptimizerConfig {
     /// Enables the circuit-reproduction action (ablation knob; with it
     /// off, every action is circuit searching).
     pub reproduction: bool,
-    /// Re-base period for the incremental simulation engine: after this
-    /// many committed LACs a [`tdals_sim::DeltaSim`] chain discards its
-    /// state and fully re-simulates, bounding any drift the
-    /// incrementally maintained bookkeeping could accumulate. `0` never re-bases
-    /// (incremental results are bit-identical by construction, so this
-    /// is a defense-in-depth knob, not a correctness requirement).
-    pub full_resim_every_n: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -103,7 +96,6 @@ impl Default for OptimizerConfig {
             seed: 0xDC6E0,
             threads: 1,
             reproduction: true,
-            full_resim_every_n: 64,
         }
     }
 }
@@ -197,12 +189,6 @@ impl OptimizerConfig {
     /// Enables or disables the circuit-reproduction action.
     pub fn with_reproduction(mut self, reproduction: bool) -> OptimizerConfig {
         self.reproduction = reproduction;
-        self
-    }
-
-    /// Sets the incremental-simulation re-base period.
-    pub fn with_full_resim_every(mut self, n: usize) -> OptimizerConfig {
-        self.full_resim_every_n = n;
         self
     }
 }
@@ -311,8 +297,7 @@ pub fn optimize_session(
         ctx.accurate().clone(),
         ctx.evaluator().patterns().clone(),
         ctx.evaluator().golden().clone(),
-    )
-    .with_full_resim_every(cfg.full_resim_every_n);
+    );
     let accurate = ctx.evaluate_delta(&base_delta);
     tracker.record_evaluations(1);
     let threads = par::resolve_threads(cfg.threads);
@@ -397,7 +382,7 @@ pub fn optimize_session(
         // With worker threads, build each member's scoring base (the
         // expensive full sim + STA) in parallel before the serial,
         // RNG-owning chase.
-        let mut bases = prebuild_bases(ctx, &population, cfg, threads);
+        let mut bases = prebuild_bases(ctx, &population, threads);
         let offspring = match cfg.chase {
             ChaseStrategy::DoubleChase => {
                 double_chase(ctx, &population, &mut bases, a, cfg, &weights, &mut rng)
@@ -652,41 +637,19 @@ fn decision_parameter<R: Rng>(guide_fitness: f64, own_fitness: f64, a: f64, rng:
     encircle * d
 }
 
+/// Builds a circuit-searching child: the scoring base (`prebuilt`, or
+/// one simulation and STA of `netlist()`) feeds similarity-based switch
+/// selection and critical-path target collection, the proposed LAC is
+/// packaged with it so the scoring pass re-evaluates just the affected
+/// cone.
 fn search_child<R: Rng>(
     ctx: &EvalContext,
-    parent: &Candidate,
     prebuilt: Option<DeltaEval>,
+    netlist: impl FnOnce() -> tdals_netlist::Netlist,
     cfg: &OptimizerConfig,
     rng: &mut R,
 ) -> Offspring {
-    let base = prebuilt.unwrap_or_else(|| {
-        ctx.delta_eval(parent.netlist.clone())
-            .with_full_resim_every(cfg.full_resim_every_n)
-    });
-    propose_into_offspring(base, cfg, rng)
-}
-
-/// Simulates and times `netlist` once (the simulation feeds
-/// similarity-based switch selection, the timing feeds critical-path
-/// target collection), proposes a circuit-searching LAC, and packages
-/// both so the scoring pass re-evaluates just the affected cone.
-fn searched_offspring<R: Rng>(
-    ctx: &EvalContext,
-    netlist: tdals_netlist::Netlist,
-    cfg: &OptimizerConfig,
-    rng: &mut R,
-) -> Offspring {
-    let base = ctx
-        .delta_eval(netlist)
-        .with_full_resim_every(cfg.full_resim_every_n);
-    propose_into_offspring(base, cfg, rng)
-}
-
-fn propose_into_offspring<R: Rng>(
-    base: DeltaEval,
-    cfg: &OptimizerConfig,
-    rng: &mut R,
-) -> Offspring {
+    let base = prebuilt.unwrap_or_else(|| ctx.delta_eval(netlist()));
     let report = base.report();
     match propose_lac_with(base.netlist(), &report, base.sim(), &cfg.search, rng) {
         Some(lac) => Offspring::Scored {
@@ -707,17 +670,13 @@ fn propose_into_offspring<R: Rng>(
 fn prebuild_bases(
     ctx: &EvalContext,
     population: &[Candidate],
-    cfg: &OptimizerConfig,
     threads: usize,
 ) -> Vec<Option<DeltaEval>> {
     if threads <= 1 || population.is_empty() {
         return population.iter().map(|_| None).collect();
     }
     par::par_map(threads, population.iter().collect(), |cand: &Candidate| {
-        Some(
-            ctx.delta_eval(cand.netlist.clone())
-                .with_full_resim_every(cfg.full_resim_every_n),
-        )
+        Some(ctx.delta_eval(cand.netlist.clone()))
     })
 }
 
@@ -756,7 +715,13 @@ fn double_chase<R: Rng>(
             let partner = &population[rng.gen_range(0..rank)];
             offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
         } else {
-            offspring.push(search_child(ctx, ci, bases[rank].take(), cfg, rng));
+            offspring.push(search_child(
+                ctx,
+                bases[rank].take(),
+                || ci.netlist.clone(),
+                cfg,
+                rng,
+            ));
         }
     }
 
@@ -766,21 +731,39 @@ fn double_chase<R: Rng>(
         let w = decision_parameter(elite_mean, ci.fitness, a, rng);
         let elite_partner = &population[rng.gen_range(0..elite_end)];
         if !cfg.reproduction {
-            offspring.push(search_child(ctx, ci, bases[idx].take(), cfg, rng));
+            offspring.push(search_child(
+                ctx,
+                bases[idx].take(),
+                || ci.netlist.clone(),
+                cfg,
+                rng,
+            ));
         } else if w > cfg.omega_threshold {
             // Both actions compound on one circuit: reproduce with an
             // elite, then search the child.
             let child = reproduce(ci, elite_partner, weights);
-            offspring.push(searched_offspring(ctx, child, cfg, rng));
+            offspring.push(search_child(ctx, None, || child, cfg, rng));
         } else if rng.gen_bool(0.5) {
-            offspring.push(search_child(ctx, ci, bases[idx].take(), cfg, rng));
+            offspring.push(search_child(
+                ctx,
+                bases[idx].take(),
+                || ci.netlist.clone(),
+                cfg,
+                rng,
+            ));
         } else {
             offspring.push(Offspring::Full(reproduce(ci, elite_partner, weights)));
         }
     }
 
     // The leader searches after the chase to keep its variability.
-    offspring.push(search_child(ctx, leader, bases[0].take(), cfg, rng));
+    offspring.push(search_child(
+        ctx,
+        bases[0].take(),
+        || leader.netlist.clone(),
+        cfg,
+        rng,
+    ));
     offspring
 }
 
@@ -809,14 +792,21 @@ fn single_chase<R: Rng>(
             let partner = &population[rng.gen_range(0..leader_end)];
             offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
         } else {
-            offspring.push(search_child(ctx, ci, bases[idx].take(), cfg, rng));
+            offspring.push(search_child(
+                ctx,
+                bases[idx].take(),
+                || ci.netlist.clone(),
+                cfg,
+                rng,
+            ));
         }
     }
     for idx in 0..leader_end {
+        let parent = &population[idx];
         offspring.push(search_child(
             ctx,
-            &population[idx],
             bases[idx].take(),
+            || parent.netlist.clone(),
             cfg,
             rng,
         ));

@@ -155,13 +155,6 @@ impl DeltaEval {
         self.area_live = area_live;
     }
 
-    /// Sets the simulation engine's re-base period (see
-    /// [`DeltaSim::with_full_resim_every`]).
-    pub fn with_full_resim_every(mut self, n: usize) -> DeltaEval {
-        self.sim = self.sim.with_full_resim_every(n);
-        self
-    }
-
     /// The base netlist.
     pub fn netlist(&self) -> &Netlist {
         self.sim.netlist()

@@ -7,7 +7,7 @@
 //!
 //! * [`metrics`](mod@metrics) — a process-wide registry of sharded atomic counters
 //!   and fixed-bucket histograms for the facts the hot paths already
-//!   know (evaluations, delta-sim previews/commits/rebases and cone
+//!   know (evaluations, delta-sim previews/commits and cone
 //!   sizes, lease waits and grant widths, daemon frame traffic, shard
 //!   restarts). Counters are always on; an increment is one relaxed
 //!   atomic add on a thread-striped shard.
@@ -31,7 +31,8 @@
 //! Nothing the hot paths record feeds back into computation: metrics and
 //! spans are write-only from the hot paths' point of view, so enabling
 //! or disabling them cannot change a single byte of a results file —
-//! the `obs-soak` CI job diffs exactly that.
+//! the CI determinism soak (`ci/determinism-soak.sh`) diffs exactly
+//! that.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -217,8 +217,6 @@ pub struct Metrics {
     pub delta_previews: Counter,
     /// `DeltaSim` incremental commits.
     pub delta_commits: Counter,
-    /// `DeltaSim` full-resimulation re-bases.
-    pub delta_rebases: Counter,
     /// `SlotPool` lease requests that had to wait in line.
     pub lease_waits: Counter,
     /// Wire frames read by the daemon.
@@ -246,7 +244,6 @@ impl Metrics {
             lacs_accepted: Counter::new(),
             delta_previews: Counter::new(),
             delta_commits: Counter::new(),
-            delta_rebases: Counter::new(),
             lease_waits: Counter::new(),
             frames_read: Counter::new(),
             frames_written: Counter::new(),
@@ -267,7 +264,6 @@ impl Metrics {
                 ("lacs_accepted", self.lacs_accepted.get()),
                 ("delta_previews", self.delta_previews.get()),
                 ("delta_commits", self.delta_commits.get()),
-                ("delta_rebases", self.delta_rebases.get()),
                 ("lease_waits", self.lease_waits.get()),
                 ("frames_read", self.frames_read.get()),
                 ("frames_written", self.frames_written.get()),

@@ -12,7 +12,8 @@
 //! is field-for-field the record `tdals serve-batch` writes
 //! ([`session_record_fields`]), so a client that prepends its own
 //! submission indices reassembles a byte-identical results document —
-//! the property the CI daemon-soak job diffs.
+//! the property the CI determinism soak (`ci/determinism-soak.sh`)
+//! diffs.
 //!
 //! [`Daemon::handle`] is transport-free (a request frame in, a response
 //! frame out), so the whole verb surface is unit-testable without

@@ -799,8 +799,8 @@ fn opt_uint(obj: &Json, key: &str, job: usize, default: usize) -> Result<usize, 
 /// One session's result as a JSON record: job identity plus either the
 /// outcome's numbers or the typed failure. Deliberately excludes every
 /// wall-clock quantity (`runtime_s`), so a results file is byte-for-byte
-/// reproducible for any pool width — the property the CI soak job
-/// diffs. The one input that can break it is a *binding*
+/// reproducible for any pool width — the property the CI determinism
+/// soak diffs. The one input that can break it is a *binding*
 /// `deadline_ms`: a deadline that actually fires stops the session at
 /// a load-dependent iteration, which is inherent to wall-clock
 /// budgets, not to the scheduler.

@@ -135,12 +135,15 @@ pub fn read_frame(reader: &mut impl BufRead, max_len: usize) -> Result<Option<St
 }
 
 /// Writes one frame: the value on a single line, then `\n`, then flush.
+/// The line goes out in one write: over TCP, a frame split across two
+/// writes stalls on Nagle's algorithm against the peer's delayed ACK
+/// (about 40 ms per request/reply round trip).
 ///
 /// # Errors
 ///
 /// The underlying transport's I/O error.
 pub fn write_frame(writer: &mut impl Write, frame: &Json) -> io::Result<()> {
-    writeln!(writer, "{}", frame.compact())?;
+    writer.write_all(format!("{}\n", frame.compact()).as_bytes())?;
     writer.flush()
 }
 

@@ -17,10 +17,8 @@
 //!   words) that answers every [`SimWords`] query bit-identically to a
 //!   full re-simulation of the mutated netlist.
 //! * [`DeltaSim::substitute`] — commit a substitution: the internal
-//!   netlist mutates and the affected words are updated in place.
-//!   Every `full_resim_every_n` commits the engine re-bases with a full
-//!   [`simulate`] pass, bounding how many commits run on incrementally
-//!   updated words.
+//!   netlist mutates and the affected words are updated in place,
+//!   bit-identically to a full [`simulate`] of the mutated netlist.
 //!
 //! # Scratch views for worker threads
 //!
@@ -105,13 +103,8 @@ pub struct DeltaSim {
     /// (O(pins); commits are rare next to previews). PO readers are
     /// resolved through the netlist.
     fanouts: Fanouts,
-    /// Commits since the last full re-simulation.
-    commits_since_rebase: usize,
-    /// Re-base (full resim + fan-out rebuild) period; 0 disables.
-    full_resim_every_n: usize,
     /// Lifetime counters across all commits.
     commit_stats: DeltaStats,
-    full_resims: usize,
 }
 
 impl DeltaSim {
@@ -153,25 +146,8 @@ impl DeltaSim {
             netlist,
             patterns,
             fanouts,
-            commits_since_rebase: 0,
-            full_resim_every_n: 0,
             commit_stats: DeltaStats::default(),
-            full_resims: 0,
         }
-    }
-
-    /// Sets the re-base period: after every `n` committed substitutions
-    /// the engine discards its incremental state and re-simulates from
-    /// scratch. `0` (the default) never re-bases. Returns `self` for
-    /// builder-style chaining.
-    pub fn with_full_resim_every(mut self, n: usize) -> DeltaSim {
-        self.full_resim_every_n = n;
-        self
-    }
-
-    /// Current re-base period (0 = never).
-    pub fn full_resim_every(&self) -> usize {
-        self.full_resim_every_n
     }
 
     /// The netlist in its current (post-commit) state.
@@ -192,11 +168,6 @@ impl DeltaSim {
     /// Lifetime counters over all committed substitutions.
     pub fn commit_stats(&self) -> DeltaStats {
         self.commit_stats
-    }
-
-    /// How many full re-simulations the re-base schedule has triggered.
-    pub fn full_resims(&self) -> usize {
-        self.full_resims
     }
 
     /// Snapshot of the current state as an owned [`SimResult`]
@@ -255,9 +226,6 @@ impl DeltaSim {
     /// the affected words in place, and rebuilds the fan-out rows.
     /// Returns the number of rewritten fan-in/PO references.
     ///
-    /// Every [`full_resim_every`](DeltaSim::full_resim_every) commits,
-    /// the engine re-bases with a full simulation instead.
-    ///
     /// # Errors
     ///
     /// Returns [`NetlistError::FaninOrder`] if `switch` is a gate with
@@ -271,22 +239,8 @@ impl DeltaSim {
                 });
             }
         }
-        self.commits_since_rebase += 1;
-        if self.full_resim_every_n > 0 && self.commits_since_rebase >= self.full_resim_every_n {
-            // Re-base: mutate, then rebuild everything from scratch.
-            let rewritten = self.netlist.substitute(target, switch)?;
-            let sim = simulate(&self.netlist, &self.patterns);
-            self.values = sim.values;
-            self.fanouts = self.netlist.fanouts();
-            self.commits_since_rebase = 0;
-            self.full_resims += 1;
-            tdals_obs::metrics().delta_rebases.incr();
-            return Ok(rewritten);
-        }
-
-        // Incremental path: re-evaluate the cone into an overlay, then
-        // merge. (The overlay indirection keeps the propagation code
-        // shared with `preview`.)
+        // Re-evaluate the cone into an overlay, then merge. (The overlay
+        // indirection keeps the propagation code shared with `preview`.)
         let mut slot = vec![NO_SLOT; self.netlist.gate_count()];
         let mut words: Vec<u64> = Vec::new();
         let mut stats = DeltaStats::default();
@@ -668,17 +622,6 @@ mod tests {
             }
         }
         assert_eq!(delta.netlist(), &reference);
-    }
-
-    #[test]
-    fn rebase_schedule_triggers_full_resims() {
-        let (n, g1, g2) = chain();
-        let p = Patterns::exhaustive(3);
-        let mut delta = DeltaSim::new(n, &p).with_full_resim_every(2);
-        delta.substitute(g2, SignalRef::Gate(g1)).expect("legal");
-        assert_eq!(delta.full_resims(), 0);
-        delta.substitute(g1, SignalRef::Const0).expect("legal");
-        assert_eq!(delta.full_resims(), 1, "second commit re-bases");
     }
 
     #[test]

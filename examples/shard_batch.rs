@@ -3,12 +3,12 @@
 //! worker engine, and merge the per-shard results back into a document
 //! **byte-identical** to the single-process run.
 //!
-//! This is the library face of `tdals shard-batch`. The CLI's mode A
-//! spawns one `tdals serve-batch` child process per shard; here each
-//! shard runs in-process through the very same [`BatchRun`] engine
-//! those children execute, so the example needs no spawned binaries
-//! and still demonstrates the whole plan → run → merge contract,
-//! byte-for-byte.
+//! This is the library face of `tdals shard-batch`. The CLI runs each
+//! shard on a `tdals serve` daemon (spawned per shard, or already
+//! running via `--connect`); here each shard runs in-process through
+//! [`BatchRun`], the `serve-batch` engine, on the same scheduler those
+//! daemons run, so the example needs no spawned binaries and still
+//! demonstrates the whole plan → run → merge contract, byte-for-byte.
 //!
 //! ```sh
 //! cargo run --release --example shard_batch

@@ -8,10 +8,9 @@
 //! * `serve-batch` — run a JSON manifest of jobs as concurrent
 //!   sessions over one shared worker pool and write a deterministic
 //!   results file;
-//! * `shard-batch` — fan the same manifest across N worker processes
-//!   (spawned `serve-batch` children, or running `serve` daemons via
-//!   `--connect`) and merge a results file byte-identical to the
-//!   single-process run;
+//! * `shard-batch` — fan the same manifest across N `serve` daemons
+//!   (spawned per shard, or already running via `--connect`) and merge
+//!   a results file byte-identical to the single-process run;
 //! * `serve`  — the same serving layer as a long-lived daemon speaking
 //!   the versioned frame protocol over TCP or a unix socket;
 //! * `submit` — client for `serve`: submit a manifest, stream events,
@@ -97,8 +96,7 @@ const USAGE: &str = "usage:
   tdals serve-batch --manifest <jobs.json> [--out <results.json>]
                [--total-threads <n>] [--session-threads <n>] [--progress]
                [--trace <trace.json>]
-  tdals shard-batch --manifest <jobs.json> --shards <n>
-               [--workers serve-batch | --connect <addr,addr,...>]
+  tdals shard-batch --manifest <jobs.json> --shards <n> [--connect <addr,addr,...>]
                [--policy <round-robin|size-weighted>] [--out <results.json>]
                [--shard-map <file.json>] [--total-threads <n>] [--timeout <secs>]
                [--retry <n>] [--progress] [--trace <trace.json>]
@@ -425,10 +423,10 @@ fn cmd_serve_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     .map_err(|e| CliError::run(e.to_string()))?;
     let progress = opts.contains_key("progress");
 
-    // The engine lives in tdals-server::batch — the same code path each
-    // shard-batch worker process runs, which is what makes a sharded
-    // run's merged results file byte-identical to this one. It
-    // validates the whole batch before running any of it: a manifest
+    // The engine lives in tdals-server::batch, on the same scheduler
+    // each `serve` daemon (and so each shard-batch worker) runs, which
+    // is what makes a sharded run's merged results file byte-identical
+    // to this one. It validates the whole batch before running any of it: a manifest
     // with one inadmissible job never produces a partial results file.
     let run = BatchRun::prepare(
         &manifest,
@@ -483,8 +481,8 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let manifest_path = opts
         .get("manifest")
         .ok_or_else(|| CliError::Usage("--manifest is required".into()))?;
-    // Mode selection: --connect drives running daemons (mode B),
-    // --workers serve-batch (the default) spawns child processes.
+    // --connect drives running daemons; without it, shard-batch spawns
+    // its own.
     let connect_specs: Option<Vec<String>> = opts.get("connect").map(|list| {
         list.split(',')
             .map(str::trim)
@@ -492,25 +490,9 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
             .map(str::to_owned)
             .collect()
     });
-    match opts.get("workers").map(String::as_str) {
-        None => {}
-        Some("serve-batch") if connect_specs.is_some() => {
-            return Err(CliError::run(
-                "--workers serve-batch and --connect are mutually exclusive: child \
-                 processes or running daemons, not both",
-            ));
-        }
-        Some("serve-batch") => {}
-        Some(other) => {
-            return Err(CliError::run(format!(
-                "--workers: only `serve-batch` workers can be spawned, got `{other}` \
-                 (use --connect for running daemons)"
-            )));
-        }
-    }
     let shards = match parse_positive(opts, "shards")? {
         Some(n) => n,
-        // Mode B has a natural default: one shard per daemon.
+        // Running daemons give a natural default: one shard per daemon.
         None => match &connect_specs {
             Some(specs) if !specs.is_empty() => specs.len(),
             _ => return Err(CliError::Usage("--shards is required".into())),
@@ -550,9 +532,9 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
         .with_progress(progress);
     let mut on_frame = |frame: &Json| {
         if let Some(stats) = frame.get("stats") {
-            // Per-shard stats summary (mode B, from daemons that speak
-            // the verb) — part of the merge report, so it prints
-            // whether or not --progress is set.
+            // Per-shard stats summary (from daemons that speak the
+            // verb) — part of the merge report, so it prints whether or
+            // not --progress is set.
             let shard = frame.get("shard").and_then(Json::as_f64).unwrap_or(-1.0);
             let counter = |name: &str| {
                 stats
@@ -586,12 +568,12 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
             run_daemons(&manifest, &shard_plan, specs, &supervisor, &mut on_frame)
         }
         None => {
-            // Each worker is this very binary running `serve-batch` on
-            // its shard's sub-manifest.
+            // Each worker is this very binary running `serve` on an
+            // ephemeral port.
             let exe = std::env::current_exe()
                 .map_err(|e| CliError::run(format!("locating the tdals binary: {e}")))?;
             eprintln!(
-                "shard-batch: {} job(s) over {} shard(s) ({} policy), serve-batch workers",
+                "shard-batch: {} job(s) over {} shard(s) ({} policy), spawned daemons",
                 shard_plan.job_count(),
                 shard_plan.shard_count(),
                 policy
@@ -730,7 +712,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
     // Dial retries are opt-in (default 0): an absent daemon should fail
     // fast with the typed connection-refused error unless the caller is
     // deliberately racing a daemon that is still binding its socket
-    // (the CI soak job does exactly that, with a generous --retry).
+    // (the CI determinism soak does exactly that, with a generous --retry).
     let retries = parse_num(opts, "retry", 0usize)?;
 
     // Parse (and resolve circuit files to inline Verilog) before

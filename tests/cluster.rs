@@ -1,18 +1,21 @@
 //! Acceptance suite for the shard coordinator (`tdals::cluster` /
 //! `tdals shard-batch`).
 //!
-//! The headline contract: for any shard count and either worker mode,
-//! the merged results file is **byte-identical** to what
-//! `tdals serve-batch` writes for the unsharded manifest. Everything
-//! else here defends the pieces that contract leans on: plan
-//! stability, shard-map validation, merge invariants, crash-restart
-//! convergence, and the typed dial errors.
+//! The headline contract: for any shard count, on spawned or running
+//! `tdals serve` daemons, the merged results file is
+//! **byte-identical** to what `tdals serve-batch` writes for the
+//! unsharded manifest. Everything else here defends the pieces that
+//! contract leans on: plan stability, shard-map validation, merge
+//! invariants, crash-restart convergence, the typed worker-death
+//! error, and the typed dial errors.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
 use tdals::circuits::Benchmark;
 use tdals::cluster::{merge, plan, ClusterError, ShardPlan, ShardPolicy};
+#[cfg(unix)]
+use tdals::cluster::{run_children, SupervisorOptions};
 use tdals::obs::json::Json;
 use tdals::server::{FlowJob, Manifest};
 
@@ -208,7 +211,7 @@ fn merge_rejects_count_schema_and_index_violations() {
 }
 
 // ---------------------------------------------------------------------
-// The headline: CLI byte-identity, mode A (spawned children)
+// The headline: CLI byte-identity on spawned daemons
 // ---------------------------------------------------------------------
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -246,7 +249,7 @@ fn run_serve_batch(manifest: &std::path::Path, out: &std::path::Path) -> String 
 
 #[test]
 fn shard_batch_children_are_byte_identical_to_serve_batch() {
-    let dir = scratch_dir("modea");
+    let dir = scratch_dir("spawned");
     let manifest = write_manifest(&dir);
     let solo = run_serve_batch(&manifest, &dir.join("solo.json"));
 
@@ -276,6 +279,12 @@ fn shard_batch_children_are_byte_identical_to_serve_batch() {
         );
         let sharded = std::fs::read_to_string(&out).expect("results written");
         assert_eq!(sharded, solo, "--shards {shards} diverged from serve-batch");
+        // Each spawned daemon answers the stats verb once its shard is
+        // done.
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains("spawned daemons"), "{stderr}");
+        let n: usize = shards.parse().expect("numeric");
+        assert_eq!(stderr.matches(" stats: ").count(), n, "{stderr}");
         // The recorded shard map parses and covers the manifest.
         let map_doc =
             Json::parse(&std::fs::read_to_string(&map).expect("map written")).expect("map is JSON");
@@ -313,10 +322,10 @@ fn shard_batch_children_are_byte_identical_to_serve_batch() {
 
 #[test]
 fn crashed_child_restarts_and_still_converges() {
-    // Kill shard 1's first child right after spawn (the supervisor's
-    // own crash hook): the bounded restart re-runs the same shard
-    // manifest, and seed-driven determinism makes the merged file
-    // byte-identical anyway.
+    // Kill shard 1's first spawned daemon right after spawn (the
+    // supervisor's own crash hook): the bounded restart respawns it and
+    // re-drives the shard from its first job, and seed-driven
+    // determinism makes the merged file byte-identical anyway.
     let dir = scratch_dir("crash");
     let manifest = write_manifest(&dir);
     let solo = run_serve_batch(&manifest, &dir.join("solo.json"));
@@ -350,8 +359,118 @@ fn crashed_child_restarts_and_still_converges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn verilog_file_jobs_reach_spawned_daemons_byte_identically() {
+    // A `circuit` file path is read by the coordinator and travels to
+    // its shard's daemon as inline `verilog` (the daemon reads no
+    // files); the record must still match serve-batch's byte-for-byte.
+    let dir = scratch_dir("verilog");
+    let netlist = dir.join("max16.v");
+    let bench = tdals()
+        .args(["bench", "--name", "Max16", "--output"])
+        .arg(&netlist)
+        .output()
+        .expect("run tdals bench");
+    assert!(
+        bench.status.success(),
+        "{}",
+        String::from_utf8_lossy(&bench.stderr)
+    );
+    let path = netlist.to_str().expect("utf8");
+    let manifest = dir.join("jobs.json");
+    std::fs::write(
+        &manifest,
+        format!(
+            r#"{{"jobs": [
+  {{"circuit": "{path}", "metric": "nmed", "bound": 0.0244, "method": "dcgwo",
+   "population": 4, "iterations": 1, "vectors": 256, "seed": 3}},
+  {{"circuit": "bench:Int2float", "name": "i2f", "metric": "er", "bound": 0.05,
+   "method": "greedy", "iterations": 1, "vectors": 256, "seed": 5, "max_iterations": 2}},
+  {{"circuit": "{path}", "name": "max-file-b", "metric": "nmed", "bound": 0.0244,
+   "method": "gwo", "population": 4, "iterations": 1, "vectors": 256, "seed": 7}}
+]}}"#
+        ),
+    )
+    .expect("write manifest");
+    let solo = run_serve_batch(&manifest, &dir.join("solo.json"));
+    assert!(solo.contains(r#""circuit": "verilog""#), "{solo}");
+
+    let out = dir.join("sharded.json");
+    let run = tdals()
+        .args(["shard-batch", "--manifest"])
+        .arg(&manifest)
+        .args(["--shards", "2", "--total-threads", "2", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run tdals shard-batch");
+    assert!(
+        run.status.success(),
+        "verilog shard run: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert_eq!(std::fs::read_to_string(&out).expect("written"), solo);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[cfg(unix)]
+#[test]
+fn worker_dead_on_both_attempts_is_a_typed_error_with_its_stderr() {
+    // An executable that exits at once never prints the daemon's
+    // listening banner: the shard is restarted once, then reported as a
+    // dead worker naming the shard, its exit status and stderr tail.
+    let manifest = five_jobs();
+    let p = plan(&manifest, 1, ShardPolicy::RoundRobin).expect("plannable");
+    let restarts = || {
+        tdals::obs::metrics()
+            .snapshot()
+            .counter("shard_restarts")
+            .unwrap_or(0)
+    };
+    let before = restarts();
+    let opts = SupervisorOptions::new();
+    let err = run_children(
+        &manifest,
+        &p,
+        std::path::Path::new("/bin/false"),
+        &opts,
+        &mut |_| {},
+    )
+    .expect_err("/bin/false is no daemon");
+    match &err {
+        ClusterError::Worker {
+            shard,
+            status,
+            what,
+        } => {
+            assert_eq!(*shard, 0);
+            assert_eq!(status, "exit code 1");
+            assert!(what.contains("listening banner"), "{what}");
+            assert!(what.contains("wrote nothing to stderr"), "{what}");
+        }
+        other => panic!("expected a worker error, got {other:?}"),
+    }
+    assert_eq!(restarts(), before + 1, "one restart before giving up");
+
+    // A shell handed `serve --listen …` complains about its script
+    // argument on stderr; that complaint is the error's tail.
+    let err = run_children(
+        &manifest,
+        &p,
+        std::path::Path::new("/bin/sh"),
+        &opts,
+        &mut |_| {},
+    )
+    .expect_err("/bin/sh is no daemon");
+    let ClusterError::Worker { shard: 0, what, .. } = &err else {
+        panic!("expected a shard 0 worker error, got {err:?}");
+    };
+    assert!(what.contains("last stderr lines:"), "{what}");
+    assert!(what.contains("serve"), "{what}");
+    assert!(err.to_string().starts_with("shard 0 worker died"), "{err}");
+}
+
 // ---------------------------------------------------------------------
-// Mode B: driving running daemons
+// Driving running daemons (`--connect`)
 // ---------------------------------------------------------------------
 
 /// Spawns `tdals serve` on an ephemeral port and parses the bound
@@ -386,7 +505,7 @@ fn spawn_daemon() -> (Child, String) {
 
 #[test]
 fn shard_batch_daemons_are_byte_identical_to_serve_batch() {
-    let dir = scratch_dir("modeb");
+    let dir = scratch_dir("connect");
     let manifest = write_manifest(&dir);
     let solo = run_serve_batch(&manifest, &dir.join("solo.json"));
 
@@ -410,7 +529,7 @@ fn shard_batch_daemons_are_byte_identical_to_serve_batch() {
     d2.kill().ok();
     d1.wait().ok();
     d2.wait().ok();
-    assert!(run.status.success(), "mode B: {stderr}");
+    assert!(run.status.success(), "--connect: {stderr}");
     // --shards defaulted to the daemon count.
     assert!(stderr.contains("over 2 shard(s)"), "{stderr}");
     assert_eq!(

@@ -141,19 +141,14 @@ proptest! {
         }
     }
 
-    /// Committed substitution chains (with and without periodic
-    /// re-basing) track full re-simulation exactly: commit and the
-    /// `full_resim_every_n` re-base run different kernels (cone overlay
-    /// vs whole-netlist pass).
+    /// Committed substitution chains track full re-simulation exactly:
+    /// each commit runs the cone overlay kernel, the reference a
+    /// whole-netlist pass.
     #[test]
-    fn commit_chains_are_bit_identical(
-        seed in 0u64..200,
-        rebase_every in 0usize..4,
-    ) {
+    fn commit_chains_are_bit_identical(seed in 0u64..200) {
         let mut reference = random_netlist(seed, 5, 40, 4);
         let p = Patterns::random(reference.input_count(), 200, seed ^ 0xace);
-        let mut delta = DeltaSim::new(reference.clone(), &p)
-            .with_full_resim_every(rebase_every);
+        let mut delta = DeltaSim::new(reference.clone(), &p);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(17) ^ 9);
         for step in 0..6 {
             let (target, switch) = random_substitution(&reference, &mut rng);
@@ -246,40 +241,6 @@ fn dcgwo_pareto_front_is_thread_count_invariant() {
     for (x, y) in serial.history.iter().zip(&parallel.history) {
         assert_eq!(x.best_fitness, y.best_fitness);
         assert_eq!(x.feasible, y.feasible);
-    }
-}
-
-/// The re-base knob must not change results, only when full
-/// re-simulations happen.
-#[test]
-fn full_resim_knob_is_behavior_preserving() {
-    let mut b = Builder::new("add4");
-    let a = b.inputs("a", 4);
-    let x = b.inputs("b", 4);
-    let (s, c) = b.ripple_add(&a, &x, SignalRef::Const0);
-    b.outputs("s", &s);
-    b.output("c", c);
-    let n = b.finish();
-    let ctx = EvalContext::new(
-        &n,
-        Patterns::exhaustive(8),
-        ErrorMetric::ErrorRate,
-        TimingConfig::default(),
-        0.8,
-    );
-    let cfg = |every: usize| {
-        OptimizerConfig::default()
-            .with_population(8)
-            .with_iterations(5)
-            .with_seed(33)
-            .with_full_resim_every(every)
-    };
-    let never = optimize(&ctx, 0.06, &cfg(0));
-    let often = optimize(&ctx, 0.06, &cfg(1));
-    assert_eq!(never.best.netlist, often.best.netlist);
-    assert_eq!(never.best.fitness, often.best.fitness);
-    for (x, y) in never.history.iter().zip(&often.history) {
-        assert_eq!(x.best_fitness, y.best_fitness);
     }
 }
 

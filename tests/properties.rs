@@ -243,9 +243,7 @@ proptest! {
             TimingConfig::default(),
             0.8,
         );
-        // A tiny re-base period so the sequence also exercises the
-        // simulator's full-resimulation path between commits.
-        let mut base = ctx.delta_eval(n).with_full_resim_every(2);
+        let mut base = ctx.delta_eval(n);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x99);
         for _ in 0..lacs {
             let Some(lac) = random_lac(base.netlist(), base.sim(), 16, &mut rng) else {

@@ -11,7 +11,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals_core::api::{Budget, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason};
 use tdals_core::{
-    par, random_lac, reproduce, Candidate, EvalContext, IterationStats, Lac, LevelWeights,
+    par, random_lac, reproduce, Candidate, EvalContext, EvalScratch, IterationStats, Lac,
+    LevelWeights,
 };
 use tdals_netlist::Netlist;
 
@@ -102,6 +103,9 @@ pub fn genetic_depth_session(
     let mut best_fit = ga_fitness(ctx, &best, error_bound);
 
     let mut population: Vec<Candidate> = vec![accurate.clone()];
+    // Per-worker simulation buffers, reused by every evaluation of the
+    // run.
+    let mut eval: Vec<EvalScratch> = Vec::new();
     // Deterministic pre-truncation: never fan out work a deterministic
     // cap will refuse to admit — a pre-stopped budget seeds nothing, an
     // evaluation cap bounds the member count, and both depend only on
@@ -134,15 +138,16 @@ pub fn genetic_depth_session(
         // caps stop admission at the same member for every thread
         // count, and the accurate anchor is already in, so stopping
         // early is always safe.
-        let seeded = par::par_map_batched(
+        let seeded = par::par_map_batched_with(
             threads,
+            &mut eval,
             seed_drafts,
-            |lac| {
+            |scratch, lac| {
                 let mut netlist = accurate.netlist.clone();
                 if let Some(lac) = lac {
                     lac.apply(&mut netlist).expect("legal LAC");
                 }
-                ctx.evaluate(netlist)
+                ctx.evaluate_in(netlist, scratch)
             },
             || tracker.interrupted().is_none(),
         );
@@ -229,10 +234,11 @@ pub fn genetic_depth_session(
         // Parallel build-and-evaluate phase (crossover, optional
         // mutation, full evaluation), reduced in child order.
         let population_ref = &population;
-        let children = par::par_map_batched(
+        let children = par::par_map_batched_with(
             threads,
+            &mut eval,
             plans,
-            |plan| {
+            |scratch, plan| {
                 let mut child = if plan.pa == plan.pb {
                     population_ref[plan.pa].netlist.clone()
                 } else {
@@ -240,14 +246,13 @@ pub fn genetic_depth_session(
                 };
                 if let Some(seed) = plan.mutation_seed {
                     let mut crng = StdRng::seed_from_u64(seed);
-                    let sim = ctx.simulate(&child);
-                    if let Some(lac) =
-                        random_lac(&child, &sim, cfg.max_switch_candidates, &mut crng)
+                    let sim = ctx.simulate_in(&child, scratch);
+                    if let Some(lac) = random_lac(&child, sim, cfg.max_switch_candidates, &mut crng)
                     {
                         lac.apply(&mut child).expect("legal LAC");
                     }
                 }
-                ctx.evaluate(child)
+                ctx.evaluate_in(child, scratch)
             },
             || tracker.interrupted().is_none(),
         );

@@ -14,18 +14,19 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tdals_netlist::Netlist;
 use tdals_sim::DeltaSim;
 
 use crate::api::{
     Budget, BudgetTracker, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason,
 };
-use crate::fitness::{Candidate, DeltaEval, EvalContext, LacScore};
-use crate::lac::Lac;
+use crate::fitness::{Candidate, DeltaEval, EvalContext, EvalScratch, LacScore};
+use crate::lac::{Lac, SearchScratch};
 use crate::par;
 use crate::pareto::{select, Objectives};
 use crate::reproduce::{reproduce, LevelWeights};
 use crate::schedule::ErrorSchedule;
-use crate::search::{propose_lac_with, SearchConfig};
+use crate::search::{propose_lac_in, SearchConfig};
 
 /// Population-guidance strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,6 +354,8 @@ pub fn optimize_session(
         },
         || tracker.interrupted().is_none(),
     );
+    // The seeding base's words are not needed past this point.
+    drop(base_delta);
     for cand in seeded.results {
         if tracker.stop_before_iteration(0).is_some() {
             break;
@@ -366,6 +369,7 @@ pub fn optimize_session(
 
     let mut stop = StopReason::Completed;
     let mut history = Vec::with_capacity(cfg.iterations);
+    let mut scratch = RunScratch::default();
     for iter in 0..cfg.iterations {
         if let Some(reason) = tracker.stop_before_iteration(iter) {
             stop = reason;
@@ -379,17 +383,22 @@ pub fn optimize_session(
         let a = 2.0 - 2.0 * iter as f64 / cfg.iterations.max(1) as f64;
         sort_by_fitness(&mut population);
 
-        // With worker threads, build each member's scoring base (the
+        // With worker threads, rebuild each member's scoring base (the
         // expensive full sim + STA) in parallel before the serial,
         // RNG-owning chase.
-        let mut bases = prebuild_bases(ctx, &population, threads);
+        prebuild_bases(ctx, &population, threads, &mut scratch.members);
+        let mut chase = Chase {
+            ctx,
+            population: &population,
+            bases: &scratch.members,
+            child: &mut scratch.child,
+            search: &mut scratch.search,
+            cfg,
+            rng: &mut rng,
+        };
         let offspring = match cfg.chase {
-            ChaseStrategy::DoubleChase => {
-                double_chase(ctx, &population, &mut bases, a, cfg, &weights, &mut rng)
-            }
-            ChaseStrategy::SingleChase => {
-                single_chase(ctx, &population, &mut bases, a, cfg, &weights, &mut rng)
-            }
+            ChaseStrategy::DoubleChase => chase.double(a, &weights),
+            ChaseStrategy::SingleChase => chase.single(a, &weights),
         };
 
         // Score the offspring over the worker pool, polling for
@@ -397,7 +406,14 @@ pub fn optimize_session(
         // the run within one batch even mid-iteration. Best-so-far
         // tracking and event emission stay on this thread, in
         // candidate-index order.
-        let scored = evaluate_offspring(ctx, offspring, threads, &tracker);
+        let scored = evaluate_offspring(
+            ctx,
+            offspring,
+            &scratch.members,
+            threads,
+            &mut scratch.eval,
+            &tracker,
+        );
         tracker.record_evaluations(scored.results.len() as u64);
         let mut new_entries: Vec<PoolEntry> = Vec::with_capacity(scored.results.len());
         for entry in scored.results {
@@ -488,32 +504,51 @@ pub fn optimize_session(
     }
 }
 
+/// Buffers one optimizer run keeps across iterations, so that scoring
+/// reuses storage instead of allocating per child. Every use overwrites
+/// what it reads: nothing here carries information from one candidate
+/// to the next, and results equal those with fresh buffers.
+#[derive(Default)]
+struct RunScratch {
+    /// Per population member, its scoring base, rebuilt in place each
+    /// iteration; empty at one thread, where nothing is prebuilt.
+    members: Vec<Option<DeltaEval>>,
+    /// The base in which a search child without a prebuilt one is
+    /// built, proposed and scored.
+    child: Option<DeltaEval>,
+    /// Per-worker buffers for full evaluations.
+    eval: Vec<EvalScratch>,
+    /// Switch-selection marks for the chase.
+    search: SearchScratch,
+}
+
 /// One chase product awaiting evaluation.
 ///
-/// Search children keep the parent's scoring state plus the proposed
-/// LAC so ranking re-evaluates only the substitution's affected cone;
-/// reproduced children (whole fan-in rows copied between parents) have
-/// no single-cone provenance and are scored with a full evaluation.
+/// Search children carry a proposed LAC and are ranked by re-evaluating
+/// only the substitution's affected cone; reproduced children (whole
+/// fan-in rows copied between parents) have no single-cone provenance
+/// and are scored with a full evaluation.
 enum Offspring {
     /// Score with a full evaluation.
-    Full(tdals_netlist::Netlist),
-    /// Score incrementally: `base` holds the pre-LAC netlist with its
-    /// simulated words and timing state; the candidate is `base` +
-    /// `lac`.
-    Scored { base: Box<DeltaEval>, lac: Lac },
+    Full(Netlist),
+    /// Score in the offspring pass against population member `member`'s
+    /// prebuilt base; the candidate is that base + `lac`.
+    Member { member: usize, lac: Lac },
+    /// Already scored during the chase, in the run's child base.
+    Scored(PoolEntry),
 }
 
 /// A scored member of the survivor-selection pool. Lazy entries defer
 /// netlist materialization until they actually survive selection (or
-/// set a new best): losing candidates never pay a netlist clone, and a
+/// set a new best): losing candidates never apply their LAC, and a
 /// surviving one materializes by mutating the owned base netlist in
-/// place. The heavy scoring state (simulated words, timing arrays) is
-/// dropped as soon as the score is computed.
+/// place. A lazy entry holds no simulated words or timing arrays; those
+/// stay in the run's recycled scoring bases.
 enum PoolEntry {
     Ready(Candidate),
     Lazy {
         /// The pre-LAC base netlist, owned.
-        netlist: tdals_netlist::Netlist,
+        netlist: Netlist,
         lac: Lac,
         score: LacScore,
     },
@@ -575,34 +610,46 @@ impl PoolEntry {
 }
 
 /// Scores offspring into pool entries over the worker pool, polling the
-/// tracker's bounded-latency interrupts between batches. The output
-/// order always matches the input order, so parallel and serial runs
-/// are bit-identical; an aborted run returns the completed prefix with
+/// tracker's bounded-latency interrupts between batches. Full
+/// evaluations simulate into the workers' `eval` buffers; member
+/// children score against their prebuilt `bases`. The output order
+/// always matches the input order, so parallel and serial runs are
+/// bit-identical; an aborted run returns the completed prefix with
 /// `completed == false`.
 fn evaluate_offspring(
     ctx: &EvalContext,
     offspring: Vec<Offspring>,
+    bases: &[Option<DeltaEval>],
     threads: usize,
+    eval: &mut Vec<EvalScratch>,
     tracker: &BudgetTracker,
 ) -> par::BatchedMap<PoolEntry> {
-    par::par_map_batched(
+    par::par_map_batched_with(
         threads,
+        eval,
         offspring,
-        |off| match off {
-            Offspring::Full(netlist) => PoolEntry::Ready(ctx.evaluate(netlist)),
-            Offspring::Scored { base, lac } => {
-                let score = ctx.score_lac(&base, lac);
-                // Keep only the base netlist; the simulated words and
-                // timing arrays are dead weight once the score exists.
-                PoolEntry::Lazy {
-                    netlist: (*base).into_netlist(),
-                    lac,
-                    score,
-                }
+        |scratch, off| match off {
+            Offspring::Full(netlist) => PoolEntry::Ready(ctx.evaluate_in(netlist, scratch)),
+            Offspring::Member { member, lac } => {
+                let base = bases[member]
+                    .as_ref()
+                    .expect("member children have a prebuilt base");
+                lazy_entry(ctx, base, lac)
             }
+            Offspring::Scored(entry) => entry,
         },
         || tracker.interrupted().is_none(),
     )
+}
+
+/// Scores `base` + `lac`, keeping only what the pool needs: the base
+/// netlist, the LAC and the score.
+fn lazy_entry(ctx: &EvalContext, base: &DeltaEval, lac: Lac) -> PoolEntry {
+    PoolEntry::Lazy {
+        netlist: base.netlist().clone(),
+        lac,
+        score: ctx.score_lac(base, lac),
+    }
 }
 
 fn sort_by_fitness(population: &mut [Candidate]) {
@@ -637,181 +684,179 @@ fn decision_parameter<R: Rng>(guide_fitness: f64, own_fitness: f64, a: f64, rng:
     encircle * d
 }
 
-/// Builds a circuit-searching child: the scoring base (`prebuilt`, or
-/// one simulation and STA of `netlist()`) feeds similarity-based switch
-/// selection and critical-path target collection, the proposed LAC is
-/// packaged with it so the scoring pass re-evaluates just the affected
-/// cone.
-fn search_child<R: Rng>(
-    ctx: &EvalContext,
-    prebuilt: Option<DeltaEval>,
-    netlist: impl FnOnce() -> tdals_netlist::Netlist,
-    cfg: &OptimizerConfig,
-    rng: &mut R,
-) -> Offspring {
-    let base = prebuilt.unwrap_or_else(|| ctx.delta_eval(netlist()));
-    let report = base.report();
-    match propose_lac_with(base.netlist(), &report, base.sim(), &cfg.search, rng) {
-        Some(lac) => Offspring::Scored {
-            base: Box::new(base),
-            lac,
-        },
-        None => Offspring::Full(base.into_netlist()),
-    }
-}
-
-/// Builds the per-member scoring bases (one full simulation + STA
-/// each) ahead of the chase, in parallel, so the expensive part of
-/// offspring construction scales with the `threads` knob. The chase
-/// itself stays serial (it owns the RNG stream); base construction
-/// draws no randomness, so parallel and serial runs stay bit-identical.
-/// With `threads <= 1` nothing is prebuilt — members that end up
-/// reproducing instead of searching then never pay for a base.
+/// Rebuilds the per-member scoring bases (one full simulation + STA
+/// each) ahead of the chase, in parallel and in place, so the expensive
+/// part of offspring construction scales with the `threads` knob and
+/// reuses the previous iteration's buffers. The chase itself stays
+/// serial (it owns the RNG stream); base construction draws no
+/// randomness, so parallel and serial runs stay bit-identical. With
+/// `threads <= 1` nothing is prebuilt: members that end up reproducing
+/// instead of searching then never pay for a base.
 fn prebuild_bases(
     ctx: &EvalContext,
     population: &[Candidate],
     threads: usize,
-) -> Vec<Option<DeltaEval>> {
-    if threads <= 1 || population.is_empty() {
-        return population.iter().map(|_| None).collect();
+    bases: &mut Vec<Option<DeltaEval>>,
+) {
+    if threads <= 1 {
+        return;
     }
-    par::par_map(threads, population.iter().collect(), |cand: &Candidate| {
-        Some(ctx.delta_eval(cand.netlist.clone()))
-    })
+    bases.resize_with(population.len(), || None);
+    let slots: Vec<_> = bases.iter_mut().zip(population).collect();
+    par::par_map(threads, slots, |(slot, cand)| {
+        build_in(slot, ctx, cand.netlist.clone());
+    });
 }
 
-fn double_chase<R: Rng>(
+/// The scoring base of `netlist`, in `slot`: rebuilt in place when the
+/// slot holds a base, built fresh otherwise.
+fn build_in<'a>(
+    slot: &'a mut Option<DeltaEval>,
     ctx: &EvalContext,
-    population: &[Candidate],
-    bases: &mut [Option<DeltaEval>],
-    a: f64,
-    cfg: &OptimizerConfig,
-    weights: &LevelWeights,
-    rng: &mut R,
-) -> Vec<Offspring> {
-    let n = population.len();
-    let mut offspring = Vec::new();
-    if n == 0 {
-        return offspring;
-    }
-    let leader = &population[0];
-    let elite_end = n.min(4);
-    let elite_mean = if elite_end > 1 {
-        population[1..elite_end]
-            .iter()
-            .map(|c| c.fitness)
-            .sum::<f64>()
-            / (elite_end - 1) as f64
+    netlist: Netlist,
+) -> &'a DeltaEval {
+    if let Some(base) = slot {
+        base.rebuild(netlist);
     } else {
-        leader.fitness
-    };
-
-    // Chase 1: the leader guides the elites.
-    for rank in 1..elite_end {
-        let ci = &population[rank];
-        let w = decision_parameter(leader.fitness, ci.fitness, a, rng);
-        if w > cfg.elite_threshold && cfg.reproduction {
-            // Reproduce with a circuit of superior fitness.
-            let partner = &population[rng.gen_range(0..rank)];
-            offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
-        } else {
-            offspring.push(search_child(
-                ctx,
-                bases[rank].take(),
-                || ci.netlist.clone(),
-                cfg,
-                rng,
-            ));
-        }
+        *slot = Some(ctx.delta_eval(netlist));
     }
-
-    // Chase 2: the elites guide the ω group.
-    for idx in elite_end..n {
-        let ci = &population[idx];
-        let w = decision_parameter(elite_mean, ci.fitness, a, rng);
-        let elite_partner = &population[rng.gen_range(0..elite_end)];
-        if !cfg.reproduction {
-            offspring.push(search_child(
-                ctx,
-                bases[idx].take(),
-                || ci.netlist.clone(),
-                cfg,
-                rng,
-            ));
-        } else if w > cfg.omega_threshold {
-            // Both actions compound on one circuit: reproduce with an
-            // elite, then search the child.
-            let child = reproduce(ci, elite_partner, weights);
-            offspring.push(search_child(ctx, None, || child, cfg, rng));
-        } else if rng.gen_bool(0.5) {
-            offspring.push(search_child(
-                ctx,
-                bases[idx].take(),
-                || ci.netlist.clone(),
-                cfg,
-                rng,
-            ));
-        } else {
-            offspring.push(Offspring::Full(reproduce(ci, elite_partner, weights)));
-        }
-    }
-
-    // The leader searches after the chase to keep its variability.
-    offspring.push(search_child(
-        ctx,
-        bases[0].take(),
-        || leader.netlist.clone(),
-        cfg,
-        rng,
-    ));
-    offspring
+    slot.as_ref().expect("the slot was just filled")
 }
 
-fn single_chase<R: Rng>(
-    ctx: &EvalContext,
-    population: &[Candidate],
-    bases: &mut [Option<DeltaEval>],
-    a: f64,
-    cfg: &OptimizerConfig,
-    weights: &LevelWeights,
+/// Proposes a circuit-searching LAC on `base`: its words feed
+/// similarity-based switch selection and its timing feeds
+/// critical-path target collection.
+fn propose<R: Rng>(
+    base: &DeltaEval,
+    search: &SearchConfig,
+    scratch: &mut SearchScratch,
     rng: &mut R,
-) -> Vec<Offspring> {
-    let n = population.len();
-    let mut offspring = Vec::new();
-    if n == 0 {
-        return offspring;
-    }
-    // Traditional GWO: alpha/beta/delta guide the whole pack with one
-    // threshold and no finer hierarchy.
-    let leader_end = n.min(3);
-    let alpha = &population[0];
-    for idx in leader_end..n {
-        let ci = &population[idx];
-        let w = decision_parameter(alpha.fitness, ci.fitness, a, rng);
-        if w > cfg.elite_threshold && cfg.reproduction {
-            let partner = &population[rng.gen_range(0..leader_end)];
-            offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
-        } else {
-            offspring.push(search_child(
-                ctx,
-                bases[idx].take(),
-                || ci.netlist.clone(),
-                cfg,
-                rng,
-            ));
+) -> Option<Lac> {
+    let report = base.report();
+    propose_lac_in(base.netlist(), &report, base.sim(), search, scratch, rng)
+}
+
+/// The serial, RNG-owning half of an iteration: guidance decisions,
+/// reproduction and search-child proposals. A child of a member with a
+/// prebuilt base is only proposed here and is scored in the offspring
+/// pass; every other search child is built in the run's one child base,
+/// proposed and scored right here, so at one thread an iteration holds
+/// one scoring base at a time.
+struct Chase<'a, R: Rng> {
+    ctx: &'a EvalContext,
+    population: &'a [Candidate],
+    bases: &'a [Option<DeltaEval>],
+    child: &'a mut Option<DeltaEval>,
+    search: &'a mut SearchScratch,
+    cfg: &'a OptimizerConfig,
+    rng: &'a mut R,
+}
+
+impl<R: Rng> Chase<'_, R> {
+    /// A circuit-searching child of population member `idx`.
+    fn search_member(&mut self, idx: usize) -> Offspring {
+        let bases = self.bases;
+        match bases.get(idx).and_then(Option::as_ref) {
+            Some(base) => match propose(base, &self.cfg.search, self.search, self.rng) {
+                Some(lac) => Offspring::Member { member: idx, lac },
+                None => Offspring::Full(base.netlist().clone()),
+            },
+            None => self.search_new(self.population[idx].netlist.clone()),
         }
     }
-    for idx in 0..leader_end {
-        let parent = &population[idx];
-        offspring.push(search_child(
-            ctx,
-            bases[idx].take(),
-            || parent.netlist.clone(),
-            cfg,
-            rng,
-        ));
+
+    /// A circuit-searching child of `netlist`, built, proposed and
+    /// scored in the child base.
+    fn search_new(&mut self, netlist: Netlist) -> Offspring {
+        let base = build_in(self.child, self.ctx, netlist);
+        match propose(base, &self.cfg.search, self.search, self.rng) {
+            Some(lac) => Offspring::Scored(lazy_entry(self.ctx, base, lac)),
+            None => Offspring::Full(base.netlist().clone()),
+        }
     }
-    offspring
+
+    fn double(&mut self, a: f64, weights: &LevelWeights) -> Vec<Offspring> {
+        let (population, cfg) = (self.population, self.cfg);
+        let n = population.len();
+        let mut offspring = Vec::new();
+        if n == 0 {
+            return offspring;
+        }
+        let leader = &population[0];
+        let elite_end = n.min(4);
+        let elite_mean = if elite_end > 1 {
+            population[1..elite_end]
+                .iter()
+                .map(|c| c.fitness)
+                .sum::<f64>()
+                / (elite_end - 1) as f64
+        } else {
+            leader.fitness
+        };
+
+        // Chase 1: the leader guides the elites.
+        for rank in 1..elite_end {
+            let ci = &population[rank];
+            let w = decision_parameter(leader.fitness, ci.fitness, a, self.rng);
+            if w > cfg.elite_threshold && cfg.reproduction {
+                // Reproduce with a circuit of superior fitness.
+                let partner = &population[self.rng.gen_range(0..rank)];
+                offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
+            } else {
+                offspring.push(self.search_member(rank));
+            }
+        }
+
+        // Chase 2: the elites guide the ω group.
+        for idx in elite_end..n {
+            let ci = &population[idx];
+            let w = decision_parameter(elite_mean, ci.fitness, a, self.rng);
+            let elite_partner = &population[self.rng.gen_range(0..elite_end)];
+            if !cfg.reproduction {
+                offspring.push(self.search_member(idx));
+            } else if w > cfg.omega_threshold {
+                // Both actions compound on one circuit: reproduce with an
+                // elite, then search the child.
+                let child = reproduce(ci, elite_partner, weights);
+                offspring.push(self.search_new(child));
+            } else if self.rng.gen_bool(0.5) {
+                offspring.push(self.search_member(idx));
+            } else {
+                offspring.push(Offspring::Full(reproduce(ci, elite_partner, weights)));
+            }
+        }
+
+        // The leader searches after the chase to keep its variability.
+        offspring.push(self.search_member(0));
+        offspring
+    }
+
+    fn single(&mut self, a: f64, weights: &LevelWeights) -> Vec<Offspring> {
+        let (population, cfg) = (self.population, self.cfg);
+        let n = population.len();
+        let mut offspring = Vec::new();
+        if n == 0 {
+            return offspring;
+        }
+        // Traditional GWO: alpha/beta/delta guide the whole pack with one
+        // threshold and no finer hierarchy.
+        let leader_end = n.min(3);
+        let alpha = &population[0];
+        for idx in leader_end..n {
+            let ci = &population[idx];
+            let w = decision_parameter(alpha.fitness, ci.fitness, a, self.rng);
+            if w > cfg.elite_threshold && cfg.reproduction {
+                let partner = &population[self.rng.gen_range(0..leader_end)];
+                offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
+            } else {
+                offspring.push(self.search_member(idx));
+            }
+        }
+        for idx in 0..leader_end {
+            offspring.push(self.search_member(idx));
+        }
+        offspring
+    }
 }
 
 #[cfg(test)]

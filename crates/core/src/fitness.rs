@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
-use tdals_sim::{DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, SimResult, SimWords};
+use tdals_sim::{
+    simulate_reusing, DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, SimResult, SimWords,
+};
 use tdals_sta::{analyze, IncrementalSta, TimingConfig, TimingReport};
 
 use crate::lac::Lac;
@@ -92,7 +94,8 @@ impl LacScore {
 /// Built with one full simulation and one full STA pass; every
 /// [`EvalContext::score_lac`] against it then costs only the
 /// substitution's affected cone. This is what makes candidate scoring
-/// O(cone) instead of O(gates × words).
+/// O(cone) instead of O(gates × words). [`DeltaEval::rebuild`] re-targets
+/// a base at another netlist inside its existing buffers.
 #[derive(Debug, Clone)]
 pub struct DeltaEval {
     sim: DeltaSim,
@@ -106,12 +109,12 @@ pub struct DeltaEval {
     area_live: f64,
 }
 
-/// Liveness mask, live reference counts, and live area of a netlist,
-/// computed from scratch (the ground truth [`DeltaEval`] maintains
-/// incrementally).
-fn counts_of(netlist: &Netlist) -> (Vec<bool>, Vec<u32>, f64) {
-    let live = netlist.live_mask();
-    let mut live_refs = vec![0u32; netlist.gate_count()];
+/// Live reference counts of a netlist whose liveness mask is `live`,
+/// computed from scratch into `live_refs` (the ground truth
+/// [`DeltaEval`] maintains incrementally). Returns the live area.
+fn counts_into(netlist: &Netlist, live: &[bool], live_refs: &mut Vec<u32>) -> f64 {
+    live_refs.clear();
+    live_refs.resize(netlist.gate_count(), 0);
     for (id, gate) in netlist.iter() {
         if !live[id.index()] {
             continue;
@@ -127,43 +130,53 @@ fn counts_of(netlist: &Netlist) -> (Vec<bool>, Vec<u32>, f64) {
             live_refs[src.index()] += 1;
         }
     }
-    let area_live = netlist
+    netlist
         .iter()
         .filter(|(id, _)| live[id.index()])
         .map(|(_, g)| g.cell().area())
-        .sum();
-    (live, live_refs, area_live)
+        .sum()
 }
 
 impl DeltaEval {
     fn new(sim: DeltaSim, sta: IncrementalSta) -> DeltaEval {
-        let (live, live_refs, area_live) = counts_of(sim.netlist());
-        DeltaEval {
+        let mut base = DeltaEval {
             sim,
             sta,
-            live,
-            live_refs,
-            area_live,
-        }
+            live: Vec::new(),
+            live_refs: Vec::new(),
+            area_live: 0.0,
+        };
+        base.recount();
+        base
     }
 
     /// Rebuilds the liveness state from scratch off the current netlist.
     fn recount(&mut self) {
-        let (live, live_refs, area_live) = counts_of(self.sim.netlist());
-        self.live = live;
-        self.live_refs = live_refs;
-        self.area_live = area_live;
+        let netlist = self.sim.netlist();
+        self.live = netlist.live_mask();
+        self.area_live = counts_into(netlist, &self.live, &mut self.live_refs);
+    }
+
+    /// Re-targets the scoring state at `netlist`, on the stimulus and
+    /// timing configuration it was built with: the state afterwards
+    /// equals [`EvalContext::delta_eval`] of `netlist`, but the full
+    /// simulation, the timing arrays, the fan-out rows and the liveness
+    /// counts are written into this base's existing buffers, so a
+    /// netlist of the previous one's gate count allocates no words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `netlist`'s primary input count differs from the
+    /// stimulus width.
+    pub fn rebuild(&mut self, netlist: Netlist) {
+        self.sta.rebuild(&netlist);
+        self.sim.rebuild(netlist);
+        self.recount();
     }
 
     /// The base netlist.
     pub fn netlist(&self) -> &Netlist {
         self.sim.netlist()
-    }
-
-    /// Consumes the scoring state, returning the base netlist (the
-    /// simulated words and timing arrays are dropped).
-    pub fn into_netlist(self) -> Netlist {
-        self.sim.into_netlist()
     }
 
     /// The base simulation state (feeds similarity scoring).
@@ -332,6 +345,16 @@ impl DeltaEval {
     }
 }
 
+/// Reusable buffers for [`EvalContext::evaluate_in`] and
+/// [`EvalContext::simulate_in`]: the last simulation, whose word storage
+/// the next one writes into. A worker keeps one across evaluations, so
+/// full evaluations of same-sized netlists allocate their words once.
+/// Its contents never affect a result.
+#[derive(Debug, Default)]
+pub struct EvalScratch {
+    sim: Option<SimResult>,
+}
+
 /// Shared evaluation context: the accurate circuit's reference numbers,
 /// the Monte-Carlo error evaluator, and the timing configuration.
 ///
@@ -444,6 +467,23 @@ impl EvalContext {
         self.evaluator.simulate(netlist)
     }
 
+    /// [`EvalContext::simulate`] into `scratch`'s word buffer. The result
+    /// lives in the scratch until its next use.
+    pub fn simulate_in<'s>(
+        &self,
+        netlist: &Netlist,
+        scratch: &'s mut EvalScratch,
+    ) -> &'s SimResult {
+        let words = scratch
+            .sim
+            .take()
+            .map(SimResult::into_words)
+            .unwrap_or_default();
+        scratch
+            .sim
+            .insert(simulate_reusing(netlist, self.evaluator.patterns(), words))
+    }
+
     /// Builds an incremental simulation state for `netlist` on the
     /// shared stimulus: one full simulation up front, O(affected cone)
     /// per scored or committed substitution afterwards.
@@ -458,9 +498,15 @@ impl EvalContext {
 
     /// Fully evaluates an approximate netlist into a [`Candidate`].
     pub fn evaluate(&self, netlist: Netlist) -> Candidate {
+        self.evaluate_in(netlist, &mut EvalScratch::default())
+    }
+
+    /// [`EvalContext::evaluate`] with the simulation written into
+    /// `scratch`'s buffer; the candidate is the same.
+    pub fn evaluate_in(&self, netlist: Netlist, scratch: &mut EvalScratch) -> Candidate {
         let report = analyze(&netlist, &self.timing);
-        let sim = self.evaluator.simulate(&netlist);
-        self.evaluate_with(netlist, &report, &sim)
+        let sim = self.simulate_in(&netlist, scratch);
+        self.evaluate_with(netlist, &report, sim)
     }
 
     /// Builds the incremental scoring state for `netlist`: one full
@@ -669,6 +715,51 @@ mod tests {
         let c = ctx.evaluate(n.clone());
         assert_eq!(c.po_arrivals.len(), n.output_count());
         assert_eq!(c.po_errors.len(), n.output_count());
+    }
+
+    /// A recycled base and a recycled simulation buffer, last used on
+    /// another netlist, give exactly the fresh results.
+    #[test]
+    fn recycled_base_and_buffer_equal_fresh_ones() {
+        let (n, ctx) = ctx(ErrorMetric::Nmed, 0.8);
+        let mut approx = n.clone();
+        let first = approx.find_gate("u1").expect("first gate");
+        approx.substitute(first, SignalRef::Const0).expect("lac");
+
+        let mut base = ctx.delta_eval(approx.clone());
+        base.rebuild(n.clone());
+        let fresh = ctx.delta_eval(n.clone());
+        assert_eq!(base.netlist(), fresh.netlist());
+        assert_eq!(base.live(), fresh.live());
+        assert_eq!(base.live_refs(), fresh.live_refs());
+        assert_eq!(base.area_live().to_bits(), fresh.area_live().to_bits());
+        for (id, gate) in n.iter() {
+            if gate.is_input() {
+                continue;
+            }
+            let lac = Lac::new(id, SignalRef::Const1);
+            let (a, b) = (ctx.score_lac(&base, lac), ctx.score_lac(&fresh, lac));
+            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits(), "{id}");
+            assert_eq!(a.error.to_bits(), b.error.to_bits(), "{id}");
+            assert_eq!(a.po_arrivals, b.po_arrivals, "{id}");
+        }
+
+        let mut scratch = EvalScratch::default();
+        let other = EvalContext::new(
+            &small_adder(),
+            Patterns::random(8, 1000, 3),
+            ErrorMetric::Nmed,
+            TimingConfig::default(),
+            0.8,
+        );
+        drop(other.evaluate_in(small_adder(), &mut scratch));
+        for netlist in [approx, n] {
+            let a = ctx.evaluate_in(netlist.clone(), &mut scratch);
+            let b = ctx.evaluate(netlist);
+            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
+            assert_eq!(a.error.to_bits(), b.error.to_bits());
+            assert_eq!(a.po_errors, b.po_errors);
+        }
     }
 
     #[test]

@@ -130,6 +130,47 @@ pub fn collect_targets<R: Rng>(
     targets
 }
 
+/// Reusable buffers for [`select_switch_in`]: generation-stamped visit
+/// marks, so finding a target's transitive fan-in clears nothing and
+/// allocates nothing per call, plus the candidate pool. One scratch
+/// serves any sequence of netlists; its contents never affect a
+/// decision.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SearchScratch {
+    /// Per gate: the generation that last visited it.
+    stamp: Vec<u32>,
+    generation: u32,
+    stack: Vec<GateId>,
+    pool: Vec<SignalRef>,
+}
+
+impl SearchScratch {
+    /// Stamps the transitive fan-in of `root` (`root` excluded) with a
+    /// fresh generation, which it returns.
+    fn mark_tfi(&mut self, netlist: &Netlist, root: GateId) -> u32 {
+        if self.stamp.len() != netlist.gate_count() || self.generation == u32::MAX {
+            self.stamp.clear();
+            self.stamp.resize(netlist.gate_count(), 0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        let generation = self.generation;
+        self.stack.clear();
+        self.stack.push(root);
+        while let Some(id) = self.stack.pop() {
+            for fanin in netlist.gate(id).fanins() {
+                if let SignalRef::Gate(src) = *fanin {
+                    if self.stamp[src.index()] != generation {
+                        self.stamp[src.index()] = generation;
+                        self.stack.push(src);
+                    }
+                }
+            }
+        }
+        generation
+    }
+}
+
 /// Selects the switch signal for `target` by output similarity: the
 /// candidate pool is the target's transitive fan-in (sampled down to
 /// `max_candidates` when large) plus the constants `0` and `1`; the
@@ -149,13 +190,32 @@ pub fn select_switch<R: Rng, V: SimWords>(
     max_candidates: usize,
     rng: &mut R,
 ) -> Option<Lac> {
-    let tfi = netlist.tfi_mask(target);
-    let mut pool: Vec<SignalRef> = tfi
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| m)
-        .map(|(i, _)| SignalRef::Gate(GateId::new(i)))
-        .collect();
+    let mut scratch = SearchScratch::default();
+    select_switch_in(netlist, sim, target, max_candidates, &mut scratch, rng)
+}
+
+/// [`select_switch`] with reusable buffers: the same decision and the
+/// same random draws, without a per-call O(gates) fan-in mask.
+pub(crate) fn select_switch_in<R: Rng, V: SimWords>(
+    netlist: &Netlist,
+    sim: &V,
+    target: GateId,
+    max_candidates: usize,
+    scratch: &mut SearchScratch,
+    rng: &mut R,
+) -> Option<Lac> {
+    let generation = scratch.mark_tfi(netlist, target);
+    // Fan-ins precede their readers, so the whole cone lies below the
+    // target; ascending ids give the pool its fixed order.
+    let pool = &mut scratch.pool;
+    pool.clear();
+    pool.extend(
+        scratch.stamp[..target.index()]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s == generation)
+            .map(|(i, _)| SignalRef::Gate(GateId::new(i))),
+    );
     if pool.len() > max_candidates {
         // Sample without replacement via partial Fisher-Yates.
         for i in 0..max_candidates {
@@ -169,7 +229,7 @@ pub fn select_switch<R: Rng, V: SimWords>(
 
     let target_sig = SignalRef::Gate(target);
     let mut best: Option<(SignalRef, f64)> = None;
-    for cand in pool {
+    for &cand in pool.iter() {
         if cand == target_sig {
             continue;
         }
@@ -254,6 +314,45 @@ mod tests {
             // come from the target's TFI.
             if let SignalRef::Gate(s) = lac.switch() {
                 assert!(n.tfi_mask(id)[s.index()], "switch inside TFI");
+            }
+        }
+    }
+
+    /// One scratch reused across targets, across two netlists of
+    /// different sizes and across a generation wrap yields each
+    /// target's exact fan-in cone, ascending, and the decisions of a
+    /// fresh scratch.
+    #[test]
+    fn reused_switch_scratch_matches_the_fan_in_mask() {
+        let small = test_circuit();
+        let large = Benchmark::C880.build();
+        let mut scratch = SearchScratch::default();
+        for (round, n) in [&small, &large, &small].into_iter().enumerate() {
+            let sim = simulate(n, &Patterns::random(n.input_count(), 128, 4));
+            if round == 2 {
+                scratch.generation = u32::MAX - 3;
+            }
+            for (id, gate) in n.iter() {
+                if gate.is_input() {
+                    continue;
+                }
+                let mut fresh_rng = StdRng::seed_from_u64(id.index() as u64);
+                let mut reused_rng = fresh_rng.clone();
+                let fresh = select_switch(n, &sim, id, 5, &mut fresh_rng);
+                let reused = select_switch_in(n, &sim, id, 5, &mut scratch, &mut reused_rng);
+                assert_eq!(fresh, reused, "round {round}, target {id}");
+
+                let mut rng = StdRng::seed_from_u64(0);
+                select_switch_in(n, &sim, id, usize::MAX, &mut scratch, &mut rng);
+                let mut want: Vec<SignalRef> = n
+                    .tfi_mask(id)
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &m)| m)
+                    .map(|(i, _)| SignalRef::Gate(GateId::new(i)))
+                    .collect();
+                want.extend([SignalRef::Const0, SignalRef::Const1]);
+                assert_eq!(scratch.pool, want, "round {round}, target {id}");
             }
         }
     }

@@ -65,7 +65,7 @@ pub use api::{
 pub use dcgwo::{
     optimize, optimize_session, ChaseStrategy, IterationStats, OptimizerConfig, OptimizerResult,
 };
-pub use fitness::{Candidate, DeltaEval, EvalContext, LacScore};
+pub use fitness::{Candidate, DeltaEval, EvalContext, EvalScratch, LacScore};
 pub use lac::{collect_targets, random_lac, select_switch, Lac};
 pub use postopt::{post_optimize, PostOptConfig, PostOptReport};
 pub use reproduce::{reproduce, LevelWeights};

@@ -76,11 +76,36 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    par_map_with(threads, &mut Vec::new(), items, |(), item| f(item))
+}
+
+/// [`par_map`] with per-worker scratch lent from a caller-owned `Vec`:
+/// each worker has exclusive use of one element for every item it
+/// processes, and the inline path uses the first. `scratch` grows to
+/// the worker count with `S::default()` and never shrinks, so a caller
+/// that keeps it across calls reuses whatever buffers its elements
+/// hold. Which worker, and so which element, serves an item depends on
+/// scheduling: `f`'s result must not depend on the scratch's contents.
+pub fn par_map_with<S, T, R, F>(threads: usize, scratch: &mut Vec<S>, items: Vec<T>, f: F) -> Vec<R>
+where
+    S: Default + Send,
+    T: Send,
+    R: Send,
+    F: Fn(&mut S, T) -> R + Sync,
+{
     let threads = resolve_threads(threads);
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
+    let workers = if threads <= 1 || items.len() <= 1 {
+        1
+    } else {
+        threads.min(items.len())
+    };
+    if scratch.len() < workers {
+        scratch.resize_with(workers, S::default);
     }
-    let workers = threads.min(items.len());
+    if workers == 1 {
+        let own = &mut scratch[0];
+        return items.into_iter().map(|item| f(own, item)).collect();
+    }
     let _span = trace::span(trace::cat::PAR, "par_map")
         .arg("items", items.len() as u64)
         .arg("workers", workers as u64);
@@ -90,9 +115,12 @@ where
     let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    // Shared borrows each worker closure takes by move, next to its own
+    // scratch element.
+    let (jobs, slots_ref, cursor, f) = (&jobs, &slots, &cursor, &f);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
+        for own in &mut scratch[..workers] {
+            scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= jobs.len() {
                     break;
@@ -102,8 +130,8 @@ where
                     .expect("job mutex is never poisoned")
                     .take()
                     .expect("each job is claimed exactly once");
-                let result = f(item);
-                *slots[i].lock().expect("slot mutex is never poisoned") = Some(result);
+                let result = f(own, item);
+                *slots_ref[i].lock().expect("slot mutex is never poisoned") = Some(result);
             });
         }
     });
@@ -138,16 +166,30 @@ pub struct BatchedMap<R> {
 /// non-deterministic interrupts (cancellation, wall-clock deadline) and
 /// enforce deterministic caps in the serial reduction, per item, in
 /// input order.
-pub fn par_map_batched<T, R, F, P>(
+pub fn par_map_batched<T, R, F, P>(threads: usize, items: Vec<T>, f: F, poll: P) -> BatchedMap<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+    P: FnMut() -> bool,
+{
+    par_map_batched_with(threads, &mut Vec::new(), items, |(), item| f(item), poll)
+}
+
+/// [`par_map_batched`] with per-worker scratch lent from `scratch`, as
+/// in [`par_map_with`].
+pub fn par_map_batched_with<S, T, R, F, P>(
     threads: usize,
+    scratch: &mut Vec<S>,
     items: Vec<T>,
     f: F,
     mut poll: P,
 ) -> BatchedMap<R>
 where
+    S: Default + Send,
     T: Send,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
     P: FnMut() -> bool,
 {
     let batch = poll_batch(threads);
@@ -167,7 +209,7 @@ where
                 completed: false,
             };
         }
-        results.extend(par_map(threads, chunk, &f));
+        results.extend(par_map_with(threads, scratch, chunk, &f));
     }
 }
 
@@ -518,6 +560,29 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map(4, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map(4, vec![7u32], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn par_map_with_lends_one_scratch_per_worker_and_keeps_it() {
+        let items: Vec<u64> = (0..57).collect();
+        let serial: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        for threads in [1, 2, 3, 8] {
+            // Each element counts the items its worker processed.
+            let mut scratch: Vec<u64> = Vec::new();
+            for round in 1..=2u64 {
+                let got = par_map_with(threads, &mut scratch, items.clone(), |seen, x| {
+                    *seen += 1;
+                    x * 3
+                });
+                assert_eq!(got, serial, "threads {threads}");
+                assert_eq!(scratch.len(), threads, "one element per worker");
+                assert_eq!(scratch.iter().sum::<u64>(), round * 57, "kept across calls");
+            }
+        }
+        let mut scratch = vec![0u64; 5];
+        let out = par_map_batched_with(2, &mut scratch, items.clone(), |_, x| x * 3, || true);
+        assert_eq!(out.results, serial);
+        assert_eq!(scratch.len(), 5, "scratch never shrinks");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use tdals_netlist::Netlist;
 use tdals_sim::{DeltaSim, SimWords};
 
 use crate::fitness::EvalContext;
-use crate::lac::{collect_targets, select_switch, Lac};
+use crate::lac::{collect_targets, select_switch_in, Lac, SearchScratch};
 
 /// Tunables for circuit searching.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,12 +62,39 @@ pub fn propose_lac_with<R: Rng, V: SimWords>(
     cfg: &SearchConfig,
     rng: &mut R,
 ) -> Option<Lac> {
+    propose_lac_in(
+        netlist,
+        report,
+        sim,
+        cfg,
+        &mut SearchScratch::default(),
+        rng,
+    )
+}
+
+/// [`propose_lac_with`] with reusable switch-selection buffers: the same
+/// LAC from the same random draws.
+pub(crate) fn propose_lac_in<R: Rng, V: SimWords>(
+    netlist: &Netlist,
+    report: &tdals_sta::TimingReport,
+    sim: &V,
+    cfg: &SearchConfig,
+    scratch: &mut SearchScratch,
+    rng: &mut R,
+) -> Option<Lac> {
     let targets = collect_targets(netlist, report, cfg.path_count, rng);
     if targets.is_empty() {
         return None;
     }
     let target = targets[rng.gen_range(0..targets.len())];
-    select_switch(netlist, sim, target, cfg.max_switch_candidates, rng)
+    select_switch_in(
+        netlist,
+        sim,
+        target,
+        cfg.max_switch_candidates,
+        scratch,
+        rng,
+    )
 }
 
 /// Applies one circuit-searching step to `netlist`, returning the LAC

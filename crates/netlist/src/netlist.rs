@@ -676,9 +676,23 @@ impl Netlist {
     /// Two counting passes over the fan-in rows, O(gates + pins), two
     /// allocations.
     pub fn fanouts(&self) -> Fanouts {
+        let mut fanouts = Fanouts {
+            start: Vec::new(),
+            readers: Vec::new(),
+        };
+        self.fanouts_into(&mut fanouts);
+        fanouts
+    }
+
+    /// [`Netlist::fanouts`] written into an existing [`Fanouts`], whose
+    /// buffers are reused: no allocation once they have held rows of
+    /// this size.
+    pub fn fanouts_into(&self, fanouts: &mut Fanouts) {
         let n = self.cells.len();
+        let Fanouts { start, readers } = fanouts;
         // Pass 1: count readers per driver into `start[driver + 1]`.
-        let mut start = vec![0u32; n + 1];
+        start.clear();
+        start.resize(n + 1, 0);
         for fanin in &self.pins {
             if let SignalRef::Gate(src) = fanin {
                 start[src.index() + 1] += 1;
@@ -690,7 +704,8 @@ impl Netlist {
         // Pass 2: scatter readers in ascending reader order, using
         // `start[driver]` as the fill cursor; afterwards each cursor
         // sits on the next row's start, so shifting restores the offsets.
-        let mut readers = vec![GateId::new(0); start[n] as usize];
+        readers.clear();
+        readers.resize(start[n] as usize, GateId::new(0));
         for reader in 0..n {
             for fanin in self.row(reader) {
                 if let SignalRef::Gate(src) = fanin {
@@ -702,7 +717,6 @@ impl Netlist {
         }
         start.copy_within(0..n, 1);
         start[0] = 0;
-        Fanouts { start, readers }
     }
 
     /// Marks gates transitively reachable from any primary output

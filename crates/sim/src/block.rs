@@ -62,7 +62,7 @@ const _: () = assert!(BLOCK_WORDS == 8);
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{simulate, simulate_reference, SimResult};
+    use crate::engine::{simulate, simulate_reference, simulate_reusing, SimResult};
     use crate::patterns::Patterns;
     use tdals_netlist::cell::{Cell, CellFunc, Drive};
     use tdals_netlist::{Netlist, SignalRef};
@@ -117,6 +117,25 @@ mod tests {
         for vectors in [64, 70, 512, 513] {
             let p = Patterns::random(3, vectors, 0xB10C);
             assert_same(&simulate_reference(&n, &p), &simulate(&n, &p));
+        }
+    }
+
+    /// `simulate_reusing` skips the zero fill when the recycled buffer
+    /// has the result's length, so every word of every row, tail words
+    /// included, must be rewritten: a buffer of all-ones words has to
+    /// come back equal to a fresh simulation. A buffer of any other
+    /// length is replaced. Miri runs this with the kernel pin above.
+    #[test]
+    fn dirty_recycled_buffer_matches_a_fresh_simulation() {
+        let n = kernel_netlist();
+        for vectors in [64, 70, 512, 513] {
+            let p = Patterns::random(3, vectors, 0xD1A7);
+            let fresh = simulate(&n, &p);
+            let len = fresh.values.len();
+            for dirty_len in [len, 0, len - 1, len + 3] {
+                let dirty = vec![u64::MAX; dirty_len];
+                assert_same(&fresh, &simulate_reusing(&n, &p, dirty));
+            }
         }
     }
 }

@@ -63,7 +63,7 @@
 use tdals_netlist::{Fanouts, GateId, Netlist, NetlistError, SignalRef};
 
 use crate::block::BLOCK_WORDS;
-use crate::engine::{simulate, SimResult};
+use crate::engine::{simulate, simulate_reusing, SimResult};
 use crate::patterns::Patterns;
 use crate::view::{gate_row, mask_tail, SimWords};
 
@@ -88,6 +88,10 @@ impl DeltaStats {
 
 /// Incremental simulation state: a netlist, its simulated words, and
 /// the fan-out rows needed to chase a mutation's transitive cone.
+///
+/// [`DeltaSim::rebuild`] recycles the word buffer, so a long-lived
+/// engine re-targeted at one same-sized netlist after another allocates
+/// its words once.
 #[derive(Debug, Clone)]
 pub struct DeltaSim {
     netlist: Netlist,
@@ -150,14 +154,27 @@ impl DeltaSim {
         }
     }
 
+    /// Re-targets the engine at `netlist` on the same stimulus: one full
+    /// simulation into the existing word buffer, and the fan-out rows
+    /// rebuilt into theirs. The state afterwards equals
+    /// `DeltaSim::new(netlist, self.patterns())`; for a netlist with the
+    /// previous one's gate count, the words need no new allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist's primary input count differs from the
+    /// stimulus width.
+    pub fn rebuild(&mut self, netlist: Netlist) {
+        let words = std::mem::take(&mut self.values);
+        self.values = simulate_reusing(&netlist, &self.patterns, words).into_words();
+        netlist.fanouts_into(&mut self.fanouts);
+        self.netlist = netlist;
+        self.commit_stats = DeltaStats::default();
+    }
+
     /// The netlist in its current (post-commit) state.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
-    }
-
-    /// Consumes the engine, returning the current netlist.
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
     }
 
     /// The stimulus shared by every evaluation.
@@ -262,7 +279,7 @@ impl DeltaSim {
         }
         // Every gate reader of `target` now reads `switch` instead. (PO
         // readers live in the netlist's output table.)
-        self.fanouts = self.netlist.fanouts();
+        self.netlist.fanouts_into(&mut self.fanouts);
         Ok(rewritten)
     }
 
@@ -622,6 +639,23 @@ mod tests {
             }
         }
         assert_eq!(delta.netlist(), &reference);
+    }
+
+    #[test]
+    fn rebuild_equals_a_fresh_engine() {
+        let (n, g1, g2) = chain();
+        let p = Patterns::random(3, 100, 9);
+        let mut other = n.clone();
+        other.substitute(g2, SignalRef::Gate(g1)).expect("legal");
+        let fresh = DeltaSim::new(other.clone(), &p);
+        // A committed engine re-targeted at another netlist.
+        let mut rebuilt = DeltaSim::new(n, &p);
+        rebuilt.substitute(g1, SignalRef::Const1).expect("legal");
+        rebuilt.rebuild(other);
+        assert_eq!(rebuilt.netlist(), fresh.netlist());
+        assert_eq!(rebuilt.values, fresh.values);
+        assert_eq!(rebuilt.fanouts, fresh.fanouts);
+        assert_eq!(rebuilt.commit_stats(), fresh.commit_stats());
     }
 
     #[test]

@@ -93,6 +93,12 @@ impl SimResult {
     pub fn tail_mask(&self) -> u64 {
         self.tail_mask
     }
+
+    /// Consumes the result, returning its word storage for the next
+    /// [`simulate_reusing`] call.
+    pub fn into_words(self) -> Vec<u64> {
+        self.values
+    }
 }
 
 impl SimWords for SimResult {
@@ -133,7 +139,23 @@ impl SimWords for SimResult {
 /// Panics if `patterns.input_count()` differs from the netlist's primary
 /// input count.
 pub fn simulate(netlist: &Netlist, patterns: &Patterns) -> SimResult {
-    simulate_blocks::<BLOCK_WORDS>(netlist, patterns)
+    simulate_blocks::<BLOCK_WORDS>(netlist, patterns, Vec::new())
+}
+
+/// [`simulate`] into a recycled word buffer, such as one returned by
+/// [`SimResult::into_words`]. The result is identical to [`simulate`]'s.
+///
+/// A buffer that already holds `gate_count × word_count` words is used
+/// as it is, without clearing: every word of every row is rewritten.
+/// Any other buffer is dropped for a fresh zeroed one, as [`simulate`]
+/// allocates.
+///
+/// # Panics
+///
+/// Panics if `patterns.input_count()` differs from the netlist's primary
+/// input count.
+pub fn simulate_reusing(netlist: &Netlist, patterns: &Patterns, words: Vec<u64>) -> SimResult {
+    simulate_blocks::<BLOCK_WORDS>(netlist, patterns, words)
 }
 
 /// The scalar reference oracle: [`simulate`] one word per inner-loop
@@ -147,7 +169,7 @@ pub fn simulate(netlist: &Netlist, patterns: &Patterns) -> SimResult {
 /// Panics if `patterns.input_count()` differs from the netlist's primary
 /// input count.
 pub fn simulate_reference(netlist: &Netlist, patterns: &Patterns) -> SimResult {
-    simulate_blocks::<1>(netlist, patterns)
+    simulate_blocks::<1>(netlist, patterns, Vec::new())
 }
 
 /// The monomorphized engine: evaluates whole `[u64; W]` blocks in the
@@ -155,15 +177,29 @@ pub fn simulate_reference(netlist: &Netlist, patterns: &Patterns) -> SimResult {
 /// finishes the `word_count % W` remainder one word at a time. The tail
 /// mask is applied once at the end, to the final word of every gate,
 /// via the shared [`zero_tail_words`] rule.
-fn simulate_blocks<const W: usize>(netlist: &Netlist, patterns: &Patterns) -> SimResult {
+///
+/// `words` is reused when it has exactly the result's length: primary
+/// input rows are copied from the stimulus and every other row is
+/// evaluated word by word, so no stale word survives. Otherwise the
+/// storage is a fresh `vec![0; n]`, which takes zeroed pages from the
+/// allocator instead of writing every word as a resize would.
+fn simulate_blocks<const W: usize>(
+    netlist: &Netlist,
+    patterns: &Patterns,
+    words: Vec<u64>,
+) -> SimResult {
     assert_eq!(
         patterns.input_count(),
         netlist.input_count(),
         "stimulus width must match primary input count"
     );
     let word_count = patterns.word_count();
-    let gate_count = netlist.gate_count();
-    let mut values = vec![0u64; gate_count * word_count];
+    let len = netlist.gate_count() * word_count;
+    let mut values = if words.len() == len {
+        words
+    } else {
+        vec![0u64; len]
+    };
 
     // Primary inputs copy their stimulus words.
     for (pi_idx, &pi) in netlist.inputs().iter().enumerate() {

@@ -9,8 +9,9 @@
 //!
 //! * [`Patterns`] — packed random or exhaustive input stimulus;
 //! * [`simulate`] / [`SimResult`] — evaluate every gate 64 vectors at a
-//!   time; similarity queries ([`SimWords::similarity`]) drive the
-//!   paper's switch-gate selection;
+//!   time ([`simulate_reusing`] writes into a recycled word buffer);
+//!   similarity queries ([`SimWords::similarity`]) drive the paper's
+//!   switch-gate selection;
 //! * [`DeltaSim`] / [`DeltaView`] — incremental cone re-simulation:
 //!   score or commit a single-gate substitution by re-evaluating only
 //!   its transitive fan-out, bit-identical to a full [`simulate`];
@@ -60,7 +61,7 @@ mod view;
 
 pub use block::SimdWidth;
 pub use delta::{DeltaSim, DeltaStats, DeltaView};
-pub use engine::{simulate, simulate_reference, SimResult};
+pub use engine::{simulate, simulate_reference, simulate_reusing, SimResult};
 pub use metrics::{error_rate, nmed, po_flip_rates, ErrorEvaluator, ErrorMetric};
 pub use patterns::Patterns;
 pub use view::SimWords;

@@ -245,11 +245,7 @@ fn nmed_sum_transposed<A: SimWords, B: SimWords>(ori: &A, app: &B, weights: &[f6
                     let j = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     // ori bit set -> app cleared it: +w_j; else -w_j.
-                    if acc[v] >> j & 1 != 0 {
-                        signed += weights[j];
-                    } else {
-                        signed -= weights[j];
-                    }
+                    signed += signed_weight(weights[j], acc[v] >> j & 1 == 0);
                 }
                 total += signed.abs();
             }
@@ -280,17 +276,22 @@ fn nmed_sum_per_po<A: SimWords, B: SimWords>(ori: &A, app: &B, weights: &[f64]) 
             for j in 0..n_out {
                 if diffs[j] & mask != 0 {
                     // ori bit set -> app cleared it: +w_j; else -w_j.
-                    if oris[j] & mask != 0 {
-                        signed += weights[j];
-                    } else {
-                        signed -= weights[j];
-                    }
+                    signed += signed_weight(weights[j], oris[j] & mask == 0);
                 }
             }
             total += signed.abs();
         }
     }
     total
+}
+
+/// `-weight` when `negate`, else `weight`, by flipping the sign bit
+/// instead of branching on the data. Adding the result is exact:
+/// `a - w` and `a + (-w)` round identically, so the summation order and
+/// every bit of the total are those of the branching form.
+#[inline]
+fn signed_weight(weight: f64, negate: bool) -> f64 {
+    f64::from_bits(weight.to_bits() ^ (u64::from(negate) << 63))
 }
 
 /// In-place transpose of a 64×64 bit matrix: on return, bit `j` of

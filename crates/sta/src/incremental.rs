@@ -85,34 +85,58 @@ pub struct IncrementalSta {
 impl IncrementalSta {
     /// Builds the initial state with a full analysis pass.
     pub fn new(netlist: &Netlist, cfg: TimingConfig) -> IncrementalSta {
-        let n = netlist.gate_count();
         let mut engine = IncrementalSta {
             cfg,
-            arrival: vec![0.0; n],
-            depth: vec![0; n],
-            load: vec![0.0; n],
+            arrival: Vec::new(),
+            depth: Vec::new(),
+            load: Vec::new(),
             fanouts: netlist.fanouts(),
-            queued: vec![false; n],
+            queued: Vec::new(),
         };
+        engine.full_pass(netlist);
+        engine
+    }
+
+    /// Re-targets the engine at `netlist` with the same configuration:
+    /// the state afterwards equals `IncrementalSta::new(netlist, cfg)`,
+    /// computed into the existing arrays and fan-out rows, so a netlist
+    /// of the previous one's size costs no allocation.
+    pub fn rebuild(&mut self, netlist: &Netlist) {
+        netlist.fanouts_into(&mut self.fanouts);
+        self.full_pass(netlist);
+    }
+
+    /// Loads, arrivals and depths of every gate from scratch, into the
+    /// engine's arrays resized to the netlist.
+    fn full_pass(&mut self, netlist: &Netlist) {
+        let n = netlist.gate_count();
+        let cfg = self.cfg;
+        for values in [&mut self.arrival, &mut self.load] {
+            values.clear();
+            values.resize(n, 0.0);
+        }
+        self.depth.clear();
+        self.depth.resize(n, 0);
+        self.queued.clear();
+        self.queued.resize(n, false);
         for (_, gate) in netlist.iter() {
             let cap = gate.cell().input_cap();
             for fanin in gate.fanins() {
                 if let SignalRef::Gate(src) = fanin {
-                    engine.load[src.index()] += cap + cfg.wire_cap_per_fanout;
+                    self.load[src.index()] += cap + cfg.wire_cap_per_fanout;
                 }
             }
         }
         for driver in netlist.output_drivers() {
             if let SignalRef::Gate(src) = driver {
-                engine.load[src.index()] += cfg.po_load + cfg.wire_cap_per_fanout;
+                self.load[src.index()] += cfg.po_load + cfg.wire_cap_per_fanout;
             }
         }
         for (id, gate) in netlist.iter() {
             if !gate.is_input() {
-                engine.refresh_gate(netlist, id);
+                self.refresh_gate(netlist, id);
             }
         }
-        engine
     }
 
     fn refresh_gate(&mut self, netlist: &Netlist, id: GateId) -> bool {
@@ -183,7 +207,7 @@ impl IncrementalSta {
         let readers: Vec<GateId> = self.fanouts.readers(target).to_vec();
         let po_reader_count = netlist.output_drivers().filter(|&d| d == old).count();
         let rewritten = netlist.substitute(target, switch)?;
-        self.fanouts = netlist.fanouts();
+        netlist.fanouts_into(&mut self.fanouts);
 
         // Load transfer: every reader pin (plus PO loads) moves from the
         // target to the switch gate.
@@ -580,6 +604,23 @@ mod tests {
         }
         for po in 0..n.output_count() {
             assert!((snap.po_arrival(po) - full.po_arrival(po)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn rebuild_equals_a_fresh_engine() {
+        let cfg = TimingConfig::default();
+        let mut inc = IncrementalSta::new(&random_dag(4), cfg);
+        for seed in [5, 6] {
+            let n = random_dag(seed);
+            inc.rebuild(&n);
+            let fresh = IncrementalSta::new(&n, cfg);
+            for (id, _) in n.iter() {
+                assert_eq!(inc.arrival(id).to_bits(), fresh.arrival(id).to_bits());
+                assert_eq!(inc.depth(id), fresh.depth(id));
+                assert_eq!(inc.load(id).to_bits(), fresh.load(id).to_bits());
+            }
+            assert_eq!(inc.fanouts, fresh.fanouts);
         }
     }
 

@@ -115,33 +115,100 @@ const USAGE: &str = "usage:
 /// Options that are flags (present/absent, no value).
 const FLAGS: [&str; 4] = ["progress", "json", "drain", "shutdown"];
 
+/// A subcommand's entry point, given its parsed options.
+type Command = fn(&HashMap<String, String>) -> Result<(), CliError>;
+
 fn run(args: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage("missing subcommand".into()));
     };
-    let opts = parse_options(rest).map_err(CliError::Usage)?;
-    match command.as_str() {
-        "flow" => cmd_flow(&opts),
-        "serve-batch" => cmd_serve_batch(&opts),
-        "shard-batch" => cmd_shard_batch(&opts),
-        "serve" => cmd_serve(&opts),
-        "submit" => cmd_submit(&opts),
-        "stats" => cmd_stats(&opts),
-        "report" => cmd_report(&opts),
-        "bench" => cmd_bench(&opts),
-        "lint" => cmd_lint(&opts),
-        "list" => cmd_list(),
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
-    }
+    // Each subcommand with the options it reads, as listed in `USAGE`.
+    // Any other option is a usage error, so a misspelt or retired
+    // option fails instead of being ignored.
+    let (allowed, cmd): (&[&str], Command) = match command.as_str() {
+        "flow" => (
+            &[
+                "input",
+                "metric",
+                "bound",
+                "method",
+                "output",
+                "population",
+                "iterations",
+                "vectors",
+                "area-con",
+                "seed",
+                "threads",
+                "progress",
+                "trace",
+            ],
+            cmd_flow,
+        ),
+        "serve-batch" => (
+            &[
+                "manifest",
+                "out",
+                "total-threads",
+                "session-threads",
+                "progress",
+                "trace",
+            ],
+            cmd_serve_batch,
+        ),
+        "shard-batch" => (
+            &[
+                "manifest",
+                "shards",
+                "connect",
+                "policy",
+                "out",
+                "shard-map",
+                "total-threads",
+                "timeout",
+                "retry",
+                "progress",
+                "trace",
+            ],
+            cmd_shard_batch,
+        ),
+        "serve" => (
+            &[
+                "listen",
+                "total-threads",
+                "session-threads",
+                "max-sessions",
+                "tenant-quota",
+            ],
+            cmd_serve,
+        ),
+        "submit" => (
+            &[
+                "connect", "manifest", "out", "tenant", "retry", "progress", "drain", "shutdown",
+            ],
+            cmd_submit,
+        ),
+        "stats" => (&["connect", "retry"], cmd_stats),
+        "report" => (&["input"], cmd_report),
+        "bench" => (&["name", "output"], cmd_bench),
+        "lint" => (&["input", "deny", "json", "out"], cmd_lint),
+        "list" => (&[], |_| cmd_list()),
+        other => return Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+    };
+    let opts =
+        parse_options(rest, allowed).map_err(|msg| CliError::Usage(format!("{command}: {msg}")))?;
+    cmd(&opts)
 }
 
-fn parse_options(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_options(args: &[String], allowed: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --option, found `{key}`"));
         };
+        if !allowed.contains(&name) {
+            return Err(format!("unknown option `--{name}`"));
+        }
         if FLAGS.contains(&name) {
             opts.insert(name.to_owned(), "true".to_owned());
             continue;

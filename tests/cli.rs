@@ -89,6 +89,52 @@ fn bad_arguments_fail_with_usage() {
     assert!(err.contains("usage"), "stderr: {err}");
 }
 
+/// Every subcommand rejects options it does not read: a misspelt
+/// option (`--total-thread` would otherwise run on every core) or a
+/// retired one (`shard-batch --workers`) fails with usage instead of
+/// being ignored.
+#[test]
+fn unknown_options_fail_with_usage() {
+    for (args, option) in [
+        (
+            &[
+                "serve-batch",
+                "--manifest",
+                "jobs.json",
+                "--total-thread",
+                "4",
+            ][..],
+            "--total-thread",
+        ),
+        (
+            &[
+                "shard-batch",
+                "--manifest",
+                "jobs.json",
+                "--shards",
+                "2",
+                "--workers",
+                "serve-batch",
+            ][..],
+            "--workers",
+        ),
+        (&["list", "--json"][..], "--json"),
+        (
+            &["report", "--input", "bench:Max16", "--threads", "2"][..],
+            "--threads",
+        ),
+    ] {
+        let out = tdals().args(args).output().expect("run tdals");
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option `{option}`")),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("usage"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn flow_with_method_and_progress_streams_events() {
     let out = tdals()

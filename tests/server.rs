@@ -167,6 +167,64 @@ fn concurrent_mixed_methods_match_solo_digests() {
     }
 }
 
+/// Every optimizer run owns its scoring scratch (recycled bases and
+/// simulation buffers), so no buffer outlives its run or crosses
+/// sessions. Two flows of different geometry (circuit and vector
+/// count) run back to back on this thread, in both orders, and two
+/// concurrent sessions of them, all reproduce the digests of their
+/// first runs: a scratch kept past a run would hand the second flow a
+/// stale geometry, and one shared between sessions would mix their
+/// words.
+#[test]
+fn scoring_scratch_is_isolated_across_flows_and_sessions() {
+    let jobs: Vec<FlowJob> = [Method::Dcgwo, Method::Vaacs]
+        .into_iter()
+        .flat_map(|method| {
+            [
+                quick_job(method, 31),
+                FlowJob::benchmark(Benchmark::Max16)
+                    .with_method(method)
+                    .with_metric(tdals::sim::ErrorMetric::Nmed)
+                    .with_bound(0.02)
+                    .with_scale(6, 3)
+                    .with_vectors(1000)
+                    .with_seed(32),
+            ]
+        })
+        .collect();
+    let first: Vec<Digest> = jobs.iter().map(solo_digest).collect();
+    for (job, want) in jobs.iter().zip(&first).rev() {
+        assert_eq!(
+            &solo_digest(job),
+            want,
+            "{} re-run after the others",
+            job.name
+        );
+    }
+
+    // Four slots for two sessions at a time: each DCGWO session runs
+    // at two workers, on the prebuilt member-base path.
+    for (pair, want) in jobs.chunks(2).zip(first.chunks(2)) {
+        let scheduler = Scheduler::new(SchedulerConfig::new(4)).expect("valid config");
+        let handles: Vec<_> = pair
+            .iter()
+            .map(|job| scheduler.submit(job.clone()).expect("admitted"))
+            .collect();
+        scheduler.drain();
+        for ((job, handle), want) in pair.iter().zip(&handles).zip(want) {
+            assert_eq!(handle.status(), SessionStatus::Completed, "{}", job.name);
+            let outcome = handle.result().expect("completed");
+            let events: Vec<String> = handle.poll_events().iter().map(event_key).collect();
+            assert_eq!(
+                &digest(&outcome, events),
+                want,
+                "{} diverged in a concurrent session",
+                job.name
+            );
+        }
+    }
+}
+
 #[test]
 fn cancelled_subset_never_perturbs_survivors() {
     // Three long-running victims and three normal survivors (pinned

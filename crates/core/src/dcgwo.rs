@@ -11,6 +11,15 @@
 //! the chase, candidates are filtered by the asymptotically relaxed
 //! error constraint and reduced to the next population by non-dominated
 //! sorting with crowding distance.
+//!
+//! Each iteration runs in two halves. The serial chase owns the run's
+//! RNG and decides every action: the decision parameters, the partner
+//! picks and the reproduce-or-search coins; it draws one stream seed
+//! per iteration and gives its k-th search child the proposal stream
+//! [`par::split_seed`]`(stream, k)`. The offspring pass then builds,
+//! proposes and scores every child over the worker pool, each worker in
+//! its own recycled scoring base, so a search child's draws and score
+//! are the same on any worker and at any thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,10 +80,13 @@ pub struct OptimizerConfig {
     pub chase: ChaseStrategy,
     /// RNG seed (runs are deterministic given the seed).
     pub seed: u64,
-    /// Worker threads for seeding and offspring evaluation (the paper
-    /// exploits "the inherent parallelism of GWO"); `1` evaluates
-    /// inline, `0` means one worker per available core. Results are
-    /// bit-identical for any thread count (see [`crate::par`]).
+    /// Worker threads for seeding and for building, proposing and
+    /// scoring the offspring (the paper exploits "the inherent
+    /// parallelism of GWO"); `1` evaluates inline, `0` means one worker
+    /// per available core. Each worker holds one recycled scoring base,
+    /// and every search child is built exactly once whatever the width.
+    /// Results are bit-identical for any thread count (see
+    /// [`crate::par`]).
     pub threads: usize,
     /// Enables the circuit-reproduction action (ablation knob; with it
     /// off, every action is circuit searching).
@@ -369,7 +381,7 @@ pub fn optimize_session(
 
     let mut stop = StopReason::Completed;
     let mut history = Vec::with_capacity(cfg.iterations);
-    let mut scratch = RunScratch::default();
+    let mut workers: Vec<WorkerScratch> = Vec::new();
     for iter in 0..cfg.iterations {
         if let Some(reason) = tracker.stop_before_iteration(iter) {
             stop = reason;
@@ -383,37 +395,28 @@ pub fn optimize_session(
         let a = 2.0 - 2.0 * iter as f64 / cfg.iterations.max(1) as f64;
         sort_by_fitness(&mut population);
 
-        // With worker threads, rebuild each member's scoring base (the
-        // expensive full sim + STA) in parallel before the serial,
-        // RNG-owning chase.
-        prebuild_bases(ctx, &population, threads, &mut scratch.members);
+        // The serial chase decides every action; the search children's
+        // proposal streams split off one draw of the chase RNG.
+        let stream: u64 = rng.gen();
         let mut chase = Chase {
-            ctx,
             population: &population,
-            bases: &scratch.members,
-            child: &mut scratch.child,
-            search: &mut scratch.search,
             cfg,
             rng: &mut rng,
+            stream,
+            searches: 0,
         };
         let offspring = match cfg.chase {
             ChaseStrategy::DoubleChase => chase.double(a, &weights),
             ChaseStrategy::SingleChase => chase.single(a, &weights),
         };
 
-        // Score the offspring over the worker pool, polling for
-        // cancellation/deadline between batches so a raised flag stops
-        // the run within one batch even mid-iteration. Best-so-far
-        // tracking and event emission stay on this thread, in
-        // candidate-index order.
-        let scored = evaluate_offspring(
-            ctx,
-            offspring,
-            &scratch.members,
-            threads,
-            &mut scratch.eval,
-            &tracker,
-        );
+        // Build, propose and score the offspring over the worker pool,
+        // polling for cancellation/deadline between batches so a raised
+        // flag stops the run within one batch even mid-iteration.
+        // Best-so-far tracking and event emission stay on this thread,
+        // in candidate-index order.
+        let scored =
+            evaluate_offspring(ctx, &cfg.search, offspring, threads, &mut workers, &tracker);
         tracker.record_evaluations(scored.results.len() as u64);
         let mut new_entries: Vec<PoolEntry> = Vec::with_capacity(scored.results.len());
         for entry in scored.results {
@@ -504,38 +507,34 @@ pub fn optimize_session(
     }
 }
 
-/// Buffers one optimizer run keeps across iterations, so that scoring
-/// reuses storage instead of allocating per child. Every use overwrites
-/// what it reads: nothing here carries information from one candidate
-/// to the next, and results equal those with fresh buffers.
+/// Buffers one offspring worker keeps across iterations, so that
+/// scoring reuses storage instead of allocating per child. Every use
+/// overwrites what it reads: nothing here carries information from one
+/// candidate to the next, and results equal those with fresh buffers,
+/// whichever worker serves a child.
 #[derive(Default)]
-struct RunScratch {
-    /// Per population member, its scoring base, rebuilt in place each
-    /// iteration; empty at one thread, where nothing is prebuilt.
-    members: Vec<Option<DeltaEval>>,
-    /// The base in which a search child without a prebuilt one is
-    /// built, proposed and scored.
-    child: Option<DeltaEval>,
-    /// Per-worker buffers for full evaluations.
-    eval: Vec<EvalScratch>,
-    /// Switch-selection marks for the chase.
+struct WorkerScratch {
+    /// The base in which a search child is built, proposed and scored,
+    /// rebuilt in place for each one.
+    base: Option<DeltaEval>,
+    /// The buffer full evaluations simulate into.
+    eval: EvalScratch,
+    /// Switch-selection marks for proposals.
     search: SearchScratch,
 }
 
 /// One chase product awaiting evaluation.
 ///
-/// Search children carry a proposed LAC and are ranked by re-evaluating
-/// only the substitution's affected cone; reproduced children (whole
+/// Search children are proposed and ranked by re-evaluating only the
+/// proposed substitution's affected cone; reproduced children (whole
 /// fan-in rows copied between parents) have no single-cone provenance
 /// and are scored with a full evaluation.
 enum Offspring {
     /// Score with a full evaluation.
     Full(Netlist),
-    /// Score in the offspring pass against population member `member`'s
-    /// prebuilt base; the candidate is that base + `lac`.
-    Member { member: usize, lac: Lac },
-    /// Already scored during the chase, in the run's child base.
-    Scored(PoolEntry),
+    /// Propose a LAC on `netlist`, drawing from the proposal stream
+    /// `seed`, and score the result.
+    Search { netlist: Netlist, seed: u64 },
 }
 
 /// A scored member of the survivor-selection pool. Lazy entries defer
@@ -543,7 +542,7 @@ enum Offspring {
 /// set a new best): losing candidates never apply their LAC, and a
 /// surviving one materializes by mutating the owned base netlist in
 /// place. A lazy entry holds no simulated words or timing arrays; those
-/// stay in the run's recycled scoring bases.
+/// stay in the workers' recycled scoring bases.
 enum PoolEntry {
     Ready(Candidate),
     Lazy {
@@ -610,45 +609,66 @@ impl PoolEntry {
 }
 
 /// Scores offspring into pool entries over the worker pool, polling the
-/// tracker's bounded-latency interrupts between batches. Full
-/// evaluations simulate into the workers' `eval` buffers; member
-/// children score against their prebuilt `bases`. The output order
-/// always matches the input order, so parallel and serial runs are
-/// bit-identical; an aborted run returns the completed prefix with
-/// `completed == false`.
+/// tracker's bounded-latency interrupts between batches. A child's
+/// entry depends only on the child, never on which worker's buffers
+/// served it, and the output order matches the input order, so parallel
+/// and serial runs are bit-identical; an aborted run returns the
+/// completed prefix with `completed == false`.
 fn evaluate_offspring(
     ctx: &EvalContext,
+    search: &SearchConfig,
     offspring: Vec<Offspring>,
-    bases: &[Option<DeltaEval>],
     threads: usize,
-    eval: &mut Vec<EvalScratch>,
+    workers: &mut Vec<WorkerScratch>,
     tracker: &BudgetTracker,
 ) -> par::BatchedMap<PoolEntry> {
     par::par_map_batched_with(
         threads,
-        eval,
+        workers,
         offspring,
-        |scratch, off| match off {
-            Offspring::Full(netlist) => PoolEntry::Ready(ctx.evaluate_in(netlist, scratch)),
-            Offspring::Member { member, lac } => {
-                let base = bases[member]
-                    .as_ref()
-                    .expect("member children have a prebuilt base");
-                lazy_entry(ctx, base, lac)
-            }
-            Offspring::Scored(entry) => entry,
-        },
+        |worker, off| worker.score(ctx, search, off),
         || tracker.interrupted().is_none(),
     )
 }
 
-/// Scores `base` + `lac`, keeping only what the pool needs: the base
-/// netlist, the LAC and the score.
-fn lazy_entry(ctx: &EvalContext, base: &DeltaEval, lac: Lac) -> PoolEntry {
-    PoolEntry::Lazy {
-        netlist: base.netlist().clone(),
-        lac,
-        score: ctx.score_lac(base, lac),
+impl WorkerScratch {
+    /// Scores one chase product. A search child is built in this
+    /// worker's recycled base, proposed from the child's own stream (the
+    /// base's words feed similarity-based switch selection and its
+    /// timing feeds critical-path target collection) and scored there;
+    /// a full evaluation, or a search child with nothing to propose,
+    /// simulates into the worker's buffer.
+    fn score(&mut self, ctx: &EvalContext, search: &SearchConfig, off: Offspring) -> PoolEntry {
+        let (netlist, seed) = match off {
+            Offspring::Full(netlist) => {
+                return PoolEntry::Ready(ctx.evaluate_in(netlist, &mut self.eval))
+            }
+            Offspring::Search { netlist, seed } => (netlist, seed),
+        };
+        let base = match &mut self.base {
+            Some(base) => {
+                base.rebuild(netlist);
+                base
+            }
+            slot @ None => slot.insert(ctx.delta_eval(netlist)),
+        };
+        let report = base.report();
+        let mut rng = StdRng::seed_from_u64(seed);
+        match propose_lac_in(
+            base.netlist(),
+            &report,
+            base.sim(),
+            search,
+            &mut self.search,
+            &mut rng,
+        ) {
+            Some(lac) => PoolEntry::Lazy {
+                netlist: base.netlist().clone(),
+                lac,
+                score: ctx.score_lac(base, lac),
+            },
+            None => PoolEntry::Ready(ctx.evaluate_in(base.netlist().clone(), &mut self.eval)),
+        }
     }
 }
 
@@ -684,95 +704,31 @@ fn decision_parameter<R: Rng>(guide_fitness: f64, own_fitness: f64, a: f64, rng:
     encircle * d
 }
 
-/// Rebuilds the per-member scoring bases (one full simulation + STA
-/// each) ahead of the chase, in parallel and in place, so the expensive
-/// part of offspring construction scales with the `threads` knob and
-/// reuses the previous iteration's buffers. The chase itself stays
-/// serial (it owns the RNG stream); base construction draws no
-/// randomness, so parallel and serial runs stay bit-identical. With
-/// `threads <= 1` nothing is prebuilt: members that end up reproducing
-/// instead of searching then never pay for a base.
-fn prebuild_bases(
-    ctx: &EvalContext,
-    population: &[Candidate],
-    threads: usize,
-    bases: &mut Vec<Option<DeltaEval>>,
-) {
-    if threads <= 1 {
-        return;
-    }
-    bases.resize_with(population.len(), || None);
-    let slots: Vec<_> = bases.iter_mut().zip(population).collect();
-    par::par_map(threads, slots, |(slot, cand)| {
-        build_in(slot, ctx, cand.netlist.clone());
-    });
-}
-
-/// The scoring base of `netlist`, in `slot`: rebuilt in place when the
-/// slot holds a base, built fresh otherwise.
-fn build_in<'a>(
-    slot: &'a mut Option<DeltaEval>,
-    ctx: &EvalContext,
-    netlist: Netlist,
-) -> &'a DeltaEval {
-    if let Some(base) = slot {
-        base.rebuild(netlist);
-    } else {
-        *slot = Some(ctx.delta_eval(netlist));
-    }
-    slot.as_ref().expect("the slot was just filled")
-}
-
-/// Proposes a circuit-searching LAC on `base`: its words feed
-/// similarity-based switch selection and its timing feeds
-/// critical-path target collection.
-fn propose<R: Rng>(
-    base: &DeltaEval,
-    search: &SearchConfig,
-    scratch: &mut SearchScratch,
-    rng: &mut R,
-) -> Option<Lac> {
-    let report = base.report();
-    propose_lac_in(base.netlist(), &report, base.sim(), search, scratch, rng)
-}
-
-/// The serial, RNG-owning half of an iteration: guidance decisions,
-/// reproduction and search-child proposals. A child of a member with a
-/// prebuilt base is only proposed here and is scored in the offspring
-/// pass; every other search child is built in the run's one child base,
-/// proposed and scored right here, so at one thread an iteration holds
-/// one scoring base at a time.
+/// The serial, RNG-owning half of an iteration: guidance decisions and
+/// reproduction. Search children are only described here, each with
+/// its own proposal stream split off `stream` by its index among the
+/// iteration's search children, so the offspring pass can build,
+/// propose and score them on any worker with the same draws.
 struct Chase<'a, R: Rng> {
-    ctx: &'a EvalContext,
     population: &'a [Candidate],
-    bases: &'a [Option<DeltaEval>],
-    child: &'a mut Option<DeltaEval>,
-    search: &'a mut SearchScratch,
     cfg: &'a OptimizerConfig,
     rng: &'a mut R,
+    stream: u64,
+    searches: u64,
 }
 
 impl<R: Rng> Chase<'_, R> {
-    /// A circuit-searching child of population member `idx`.
-    fn search_member(&mut self, idx: usize) -> Offspring {
-        let bases = self.bases;
-        match bases.get(idx).and_then(Option::as_ref) {
-            Some(base) => match propose(base, &self.cfg.search, self.search, self.rng) {
-                Some(lac) => Offspring::Member { member: idx, lac },
-                None => Offspring::Full(base.netlist().clone()),
-            },
-            None => self.search_new(self.population[idx].netlist.clone()),
-        }
+    /// A circuit-searching child of `netlist`, on the next proposal
+    /// stream.
+    fn search(&mut self, netlist: Netlist) -> Offspring {
+        let seed = par::split_seed(self.stream, self.searches);
+        self.searches += 1;
+        Offspring::Search { netlist, seed }
     }
 
-    /// A circuit-searching child of `netlist`, built, proposed and
-    /// scored in the child base.
-    fn search_new(&mut self, netlist: Netlist) -> Offspring {
-        let base = build_in(self.child, self.ctx, netlist);
-        match propose(base, &self.cfg.search, self.search, self.rng) {
-            Some(lac) => Offspring::Scored(lazy_entry(self.ctx, base, lac)),
-            None => Offspring::Full(base.netlist().clone()),
-        }
+    /// A circuit-searching child of population member `idx`.
+    fn search_member(&mut self, idx: usize) -> Offspring {
+        self.search(self.population[idx].netlist.clone())
     }
 
     fn double(&mut self, a: f64, weights: &LevelWeights) -> Vec<Offspring> {
@@ -818,7 +774,7 @@ impl<R: Rng> Chase<'_, R> {
                 // Both actions compound on one circuit: reproduce with an
                 // elite, then search the child.
                 let child = reproduce(ci, elite_partner, weights);
-                offspring.push(self.search_new(child));
+                offspring.push(self.search(child));
             } else if self.rng.gen_bool(0.5) {
                 offspring.push(self.search_member(idx));
             } else {

@@ -147,6 +147,7 @@ impl DeltaEval {
             area_live: 0.0,
         };
         base.recount();
+        tdals_obs::metrics().scoring_bases.incr();
         base
     }
 
@@ -169,9 +170,10 @@ impl DeltaEval {
     /// Panics if `netlist`'s primary input count differs from the
     /// stimulus width.
     pub fn rebuild(&mut self, netlist: Netlist) {
-        self.sta.rebuild(&netlist);
         self.sim.rebuild(netlist);
+        self.sta.rebuild(self.sim.netlist(), self.sim.fanouts());
         self.recount();
+        tdals_obs::metrics().scoring_bases.incr();
     }
 
     /// The base netlist.
@@ -513,8 +515,9 @@ impl EvalContext {
     /// simulation plus one full STA pass up front; every
     /// [`EvalContext::score_lac`] against it is then O(affected cone).
     pub fn delta_eval(&self, netlist: Netlist) -> DeltaEval {
-        let sta = IncrementalSta::new(&netlist, self.timing);
-        DeltaEval::new(self.delta_sim(netlist), sta)
+        let sim = self.delta_sim(netlist);
+        let sta = IncrementalSta::with_fanouts(sim.netlist(), self.timing, sim.fanouts().clone());
+        DeltaEval::new(sim, sta)
     }
 
     /// Scores the candidate obtained by applying `lac` to `base`'s

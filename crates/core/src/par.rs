@@ -217,9 +217,10 @@ where
 ///
 /// Parallel phases that need randomness *inside* the fanned-out work —
 /// the DCGWO seeding phase chains LACs whose switch selection depends
-/// on the member's own evolving simulation state — give each item its
-/// own stream derived from `(seed, index)`, so the draws are identical
-/// whether the items run on one worker or eight.
+/// on the member's own evolving simulation state, and each search child
+/// proposes from its own base's simulation and timing — give each item
+/// its own stream derived from `(seed, index)`, so the draws are
+/// identical whether the items run on one worker or eight.
 pub fn split_seed(seed: u64, index: u64) -> u64 {
     let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -257,11 +257,27 @@ impl Names {
 /// assert!(fanouts.readers(g).is_empty());
 /// # Ok::<(), tdals_netlist::NetlistError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Fanouts {
     /// `readers[start[g]..start[g + 1]]` read gate `g`.
     start: Vec<u32>,
     readers: Vec<GateId>,
+}
+
+impl Clone for Fanouts {
+    fn clone(&self) -> Fanouts {
+        Fanouts {
+            start: self.start.clone(),
+            readers: self.readers.clone(),
+        }
+    }
+
+    /// Copies `source`'s rows into this value's buffers: no allocation
+    /// once they have held rows of this size.
+    fn clone_from(&mut self, source: &Fanouts) {
+        self.start.clone_from(&source.start);
+        self.readers.clone_from(&source.readers);
+    }
 }
 
 impl Fanouts {

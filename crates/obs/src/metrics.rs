@@ -217,6 +217,9 @@ pub struct Metrics {
     pub delta_previews: Counter,
     /// `DeltaSim` incremental commits.
     pub delta_commits: Counter,
+    /// `DeltaEval` scoring bases built or rebuilt (one full simulation
+    /// plus one full STA pass each).
+    pub scoring_bases: Counter,
     /// `SlotPool` lease requests that had to wait in line.
     pub lease_waits: Counter,
     /// Wire frames read by the daemon.
@@ -244,6 +247,7 @@ impl Metrics {
             lacs_accepted: Counter::new(),
             delta_previews: Counter::new(),
             delta_commits: Counter::new(),
+            scoring_bases: Counter::new(),
             lease_waits: Counter::new(),
             frames_read: Counter::new(),
             frames_written: Counter::new(),
@@ -264,6 +268,7 @@ impl Metrics {
                 ("lacs_accepted", self.lacs_accepted.get()),
                 ("delta_previews", self.delta_previews.get()),
                 ("delta_commits", self.delta_commits.get()),
+                ("scoring_bases", self.scoring_bases.get()),
                 ("lease_waits", self.lease_waits.get()),
                 ("frames_read", self.frames_read.get()),
                 ("frames_written", self.frames_written.get()),

@@ -177,6 +177,12 @@ impl DeltaSim {
         &self.netlist
     }
 
+    /// The current netlist's gate fan-out rows, equal to
+    /// [`Netlist::fanouts`] of it.
+    pub fn fanouts(&self) -> &Fanouts {
+        &self.fanouts
+    }
+
     /// The stimulus shared by every evaluation.
     pub fn patterns(&self) -> &Patterns {
         &self.patterns

@@ -85,24 +85,41 @@ pub struct IncrementalSta {
 impl IncrementalSta {
     /// Builds the initial state with a full analysis pass.
     pub fn new(netlist: &Netlist, cfg: TimingConfig) -> IncrementalSta {
+        IncrementalSta::with_fanouts(netlist, cfg, netlist.fanouts())
+    }
+
+    /// [`IncrementalSta::new`] on fan-out rows the caller already built,
+    /// which must equal `netlist.fanouts()`.
+    pub fn with_fanouts(netlist: &Netlist, cfg: TimingConfig, fanouts: Fanouts) -> IncrementalSta {
+        debug_assert!(
+            fanouts == netlist.fanouts(),
+            "rows must describe the netlist"
+        );
         let mut engine = IncrementalSta {
             cfg,
             arrival: Vec::new(),
             depth: Vec::new(),
             load: Vec::new(),
-            fanouts: netlist.fanouts(),
+            fanouts,
             queued: Vec::new(),
         };
         engine.full_pass(netlist);
         engine
     }
 
-    /// Re-targets the engine at `netlist` with the same configuration:
-    /// the state afterwards equals `IncrementalSta::new(netlist, cfg)`,
-    /// computed into the existing arrays and fan-out rows, so a netlist
-    /// of the previous one's size costs no allocation.
-    pub fn rebuild(&mut self, netlist: &Netlist) {
-        netlist.fanouts_into(&mut self.fanouts);
+    /// Re-targets the engine at `netlist` with the same configuration,
+    /// copying its fan-out rows from `fanouts` (which must equal
+    /// `netlist.fanouts()`, typically another engine's rows) instead of
+    /// recounting them: the state afterwards equals
+    /// `IncrementalSta::new(netlist, cfg)`, computed into the existing
+    /// arrays and rows, so a netlist of the previous one's size costs no
+    /// allocation.
+    pub fn rebuild(&mut self, netlist: &Netlist, fanouts: &Fanouts) {
+        debug_assert!(
+            *fanouts == netlist.fanouts(),
+            "rows must describe the netlist"
+        );
+        self.fanouts.clone_from(fanouts);
         self.full_pass(netlist);
     }
 
@@ -613,14 +630,21 @@ mod tests {
         let mut inc = IncrementalSta::new(&random_dag(4), cfg);
         for seed in [5, 6] {
             let n = random_dag(seed);
-            inc.rebuild(&n);
+            // The rows come from elsewhere, as a scoring base lends its
+            // simulator's rows: rebuilt and shared-row engines must both
+            // equal one that counted its own.
+            let rows = n.fanouts();
+            inc.rebuild(&n, &rows);
+            let shared = IncrementalSta::with_fanouts(&n, cfg, rows.clone());
             let fresh = IncrementalSta::new(&n, cfg);
-            for (id, _) in n.iter() {
-                assert_eq!(inc.arrival(id).to_bits(), fresh.arrival(id).to_bits());
-                assert_eq!(inc.depth(id), fresh.depth(id));
-                assert_eq!(inc.load(id).to_bits(), fresh.load(id).to_bits());
+            for engine in [&inc, &shared] {
+                for (id, _) in n.iter() {
+                    assert_eq!(engine.arrival(id).to_bits(), fresh.arrival(id).to_bits());
+                    assert_eq!(engine.depth(id), fresh.depth(id));
+                    assert_eq!(engine.load(id).to_bits(), fresh.load(id).to_bits());
+                }
+                assert_eq!(engine.fanouts, fresh.fanouts);
             }
-            assert_eq!(inc.fanouts, fresh.fanouts);
         }
     }
 

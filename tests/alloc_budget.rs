@@ -161,7 +161,7 @@ fn one_thread_dcgwo_allocates_word_storage_a_fixed_number_of_times() {
     let population = 10;
     // Word-storage-sized allocations a one-thread run makes: the seeding
     // base (a copy of the golden simulation), one copy of it per seeded
-    // member, the recycled search-child base and the recycled
+    // member, and the one worker's recycled search-child base and
     // full-evaluation buffer.
     let budget = population as u64 + 2;
     let run = |iterations: usize| {

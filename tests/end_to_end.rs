@@ -182,23 +182,27 @@ fn dcgwo_beats_single_chase_on_timing() {
 
 #[test]
 fn tighter_error_budget_never_helps_timing() {
-    // Stochastic trajectories wobble at quick-test effort, so compare
-    // seed averages with a small tolerance.
+    // Stochastic trajectories wobble at quick-test effort: over 200
+    // seeds the per-seed loose-minus-tight gap of `ratio_cpd` has a
+    // standard deviation of about 0.09 around a mean of about -0.01.
+    // Averaging 76 seeds puts the 0.025 tolerance more than 3σ of the
+    // mean away, so a false failure is under 0.1% likely; 6 seeds would
+    // fail about one contiguous window in five.
     let accurate = Benchmark::Max16.build();
     let mut tight_sum = 0.0;
     let mut loose_sum = 0.0;
-    let seeds = [1u64, 2, 3, 4, 5, 6];
+    let seeds = 1u64..=76;
+    let count = seeds.clone().count() as f64;
     for seed in seeds {
         let mut dcgwo = quick_dcgwo(ErrorMetric::Nmed);
         dcgwo.config_mut().seed = seed;
         tight_sum += quick_flow(&accurate, ErrorMetric::Nmed, 0.0048, dcgwo.clone()).ratio_cpd;
         loose_sum += quick_flow(&accurate, ErrorMetric::Nmed, 0.0244, dcgwo).ratio_cpd;
     }
+    let (tight, loose) = (tight_sum / count, loose_sum / count);
     assert!(
-        loose_sum <= tight_sum + 0.15,
-        "loose avg {} vs tight avg {}",
-        loose_sum / seeds.len() as f64,
-        tight_sum / seeds.len() as f64
+        loose <= tight + 0.025,
+        "loose avg {loose} vs tight avg {tight}"
     );
 }
 

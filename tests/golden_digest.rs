@@ -27,7 +27,7 @@ const GOLDEN: [(ErrorMetric, [u64; 5]); 2] = [
             0x1e44_c108_0359_7dd2,
             0xdc64_fb74_d434_19b2,
             0x737a_0129_c17d_ade9,
-            0x7b64_aa6f_1be6_8c27,
+            0xb333_b30f_55d5_4859,
             0x9f12_d0de_a69a_a336,
         ],
     ),
@@ -37,8 +37,8 @@ const GOLDEN: [(ErrorMetric, [u64; 5]); 2] = [
             0x2869_8e97_a071_1a86,
             0xdc64_fb74_d434_19b2,
             0xf777_fc2a_c1f0_bb59,
-            0xf1e5_76f9_9423_2959,
-            0xc6f3_4d82_d850_c97d,
+            0x47a3_52c7_0594_968c,
+            0x77fe_5c3a_641e_76bf,
         ],
     ),
 ];

@@ -203,7 +203,7 @@ fn scoring_scratch_is_isolated_across_flows_and_sessions() {
     }
 
     // Four slots for two sessions at a time: each DCGWO session runs
-    // at two workers, on the prebuilt member-base path.
+    // at two workers, each scoring children in its own base.
     for (pair, want) in jobs.chunks(2).zip(first.chunks(2)) {
         let scheduler = Scheduler::new(SchedulerConfig::new(4)).expect("valid config");
         let handles: Vec<_> = pair

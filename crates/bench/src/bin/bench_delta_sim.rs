@@ -34,7 +34,7 @@
 //!
 //! The fresh report also carries two host properties, gated within the
 //! fresh run only: `simd` (one full simulation of the largest circuit,
-//! blocked engine vs scalar reference) and `obs` (a small pinned DCGWO
+//! row kernel vs scalar reference) and `obs` (a small pinned DCGWO
 //! flow timed in `OBS_PAIRS` pairs with the metric registry disarmed
 //! and armed, whose median slowdown must stay at most
 //! `MAX_OBS_OVERHEAD_PCT` so the always-on counters stay invisible).
@@ -67,13 +67,14 @@ const REGRESSION_TOLERANCE: f64 = 0.30;
 /// ~29k, which made the full leg 2–3× cheaper and shrank this ratio
 /// while the incremental leg kept its speed.
 const REQUIRED_SPEEDUP_LARGEST: f64 = 1.6;
-/// Required W8-vs-W1 simulation speedup on the largest circuit when the
-/// build carries a ≥256-bit vector unit (host-aware: strict where the
+/// Required simulation speedup of the row kernel over the scalar
+/// reference (`sim_speedup_w8`) on the largest circuit when the build
+/// carries a ≥256-bit vector unit (host-aware: strict where the
 /// hardware regime supports the claim).
 const REQUIRED_SIMD_SPEEDUP: f64 = 2.0;
 /// On narrow builds (baseline x86-64 is SSE2-only; NEON is 128-bit)
-/// the wide kernels must still not cost more than this slowdown —
-/// blocking is overhead-free restructuring, not a trade-off.
+/// the row kernel must still not cost more than this slowdown — whole-row
+/// evaluation is overhead-free restructuring, not a trade-off.
 const MAX_SIMD_OVERHEAD_NARROW: f64 = 1.35;
 
 /// Circuit for the observability-overhead probe: small enough that the
@@ -95,7 +96,7 @@ const OBS_PAIRS: usize = 64;
 /// `true` when the compiler was allowed to use 256-bit-or-wider vector
 /// instructions (`-C target-cpu=native` on an AVX2/AVX-512 host). The
 /// kernels are plain lane loops, so this — not runtime CPUID — is what
-/// decides whether wide blocks can beat the scalar reference by the
+/// decides whether the row loops can beat the scalar reference by the
 /// strict margin.
 fn vector_capable() -> bool {
     cfg!(any(target_feature = "avx2", target_feature = "avx512f"))
@@ -140,7 +141,8 @@ struct CircuitReport {
 }
 
 /// One full-simulation timing on the largest circuit: the scalar
-/// reference (width 1) or the blocked engine.
+/// reference (recorded as width 1) or the row kernel (recorded at the
+/// [`SimdWidth`] width, 8).
 struct SimdLane {
     width: usize,
     sim_us_per_pass: f64,
@@ -324,7 +326,7 @@ fn measure(
 }
 
 /// Times one full simulation of the largest suite circuit through the
-/// scalar reference kernel and through the blocked engine, after
+/// scalar reference kernel and through the row kernel, after
 /// asserting that both store the same words.
 fn measure_simd(bench: Benchmark, effort: Effort, seed: u64, reps: usize) -> SimdReport {
     let netlist = bench.build();
@@ -332,12 +334,12 @@ fn measure_simd(bench: Benchmark, effort: Effort, seed: u64, reps: usize) -> Sim
     let patterns = Patterns::random(netlist.input_count(), vectors, seed);
 
     let reference = simulate_reference(&netlist, &patterns);
-    let blocked = simulate(&netlist, &patterns);
+    let rows = simulate(&netlist, &patterns);
     assert!(
         netlist
             .iter()
-            .all(|(id, _)| reference.gate_words(id) == blocked.gate_words(id)),
-        "{}: blocked simulation diverged from the scalar reference",
+            .all(|(id, _)| reference.gate_words(id) == rows.gate_words(id)),
+        "{}: row-kernel simulation diverged from the scalar reference",
         bench.name(),
     );
 
@@ -376,7 +378,7 @@ fn measure_simd(bench: Benchmark, effort: Effort, seed: u64, reps: usize) -> Sim
         lanes,
     };
     eprintln!(
-        "{:<10} W8-vs-W1: sim {:.2}x  ({} build)",
+        "{:<10} rows-vs-reference: sim {:.2}x  ({} build)",
         report.circuit,
         report.sim_speedup_w8,
         vector_unit(),
@@ -619,10 +621,11 @@ fn gate(fresh: &Json, baseline: &Json) -> Vec<String> {
         }
     }
 
-    // 3. Host-aware SIMD rule: on builds compiled with a ≥256-bit vector unit the wide blocks
-    //    must deliver the headline W8-vs-W1 simulation speedup; on
-    //    narrow builds (baseline x86-64 = SSE2, NEON = 128-bit) they
-    //    must merely never cost a pathological slowdown. Both bounds are
+    // 3. Host-aware SIMD rule: on builds compiled with a ≥256-bit
+    //    vector unit the row kernel must deliver the headline
+    //    simulation speedup over the scalar reference; on narrow builds
+    //    (baseline x86-64 = SSE2, NEON = 128-bit) it must merely never
+    //    cost a pathological slowdown. Both bounds are
     //    measured within the fresh run, so no cross-host comparison.
     match fresh.get("simd") {
         None => failures.push("fresh report missing the `simd` section".into()),
@@ -639,15 +642,15 @@ fn gate(fresh: &Json, baseline: &Json) -> Vec<String> {
                 None => failures.push("fresh report missing simd.sim_speedup_w8".into()),
                 Some(speedup) if capable && speedup < REQUIRED_SIMD_SPEEDUP => {
                     failures.push(format!(
-                        "simd: W8-vs-W1 simulation speedup {speedup:.2}x below the \
+                        "simd: row-kernel simulation speedup {speedup:.2}x below the \
                          required {REQUIRED_SIMD_SPEEDUP:.1}x on a vector-capable \
                          build ({unit})"
                     ));
                 }
                 Some(speedup) if !capable && speedup < 1.0 / MAX_SIMD_OVERHEAD_NARROW => {
                     failures.push(format!(
-                        "simd: W8 blocks cost a {:.2}x slowdown over W1 on a narrow \
-                         build ({unit}); blocking must stay overhead-free",
+                        "simd: the row kernel costs a {:.2}x slowdown over the scalar \
+                         reference on a narrow build ({unit}); it must stay overhead-free",
                         1.0 / speedup
                     ));
                 }

@@ -151,20 +151,32 @@ impl CellFunc {
         }
     }
 
-    /// Evaluate the function on `64 × W` input vectors at once: lane `l`
-    /// of block `i` carries samples `64·l .. 64·l+63` of input pin `i`.
+    /// Evaluate the function over whole rows of 64-sample words:
+    /// `out[w]` receives the function of word `w` of every input row.
     ///
     /// This is the single source of truth for every cell's bitwise
-    /// semantics — [`CellFunc::eval_word`] is the `W = 1` instance — and
-    /// the per-lane loops are written so LLVM can fold a whole block
-    /// into vector registers (SSE2/AVX2/AVX-512/NEON, whatever the
-    /// target provides; no intrinsics, no `unsafe`).
+    /// semantics — [`CellFunc::eval_word`] is the one-word instance. Each
+    /// function is one zipped loop over equal-length slices, with no
+    /// per-word dispatch, so LLVM vectorizes it into whatever vector
+    /// registers the target offers (SSE2/AVX2/AVX-512/NEON; no
+    /// intrinsics, no `unsafe`).
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from [`CellFunc::arity`].
+    /// Panics if `inputs.len()` differs from [`CellFunc::arity`] or an
+    /// input row's length differs from `out.len()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tdals_netlist::cell::CellFunc;
+    ///
+    /// let mut out = [0u64; 2];
+    /// CellFunc::Xor2.eval_rows(&[&[0b1100, 1], &[0b1010, 1]], &mut out);
+    /// assert_eq!(out, [0b0110, 0]);
+    /// ```
     #[inline]
-    pub fn eval_block<const W: usize>(self, inputs: &[[u64; W]]) -> [u64; W] {
+    pub fn eval_rows(self, inputs: &[&[u64]], out: &mut [u64]) {
         assert_eq!(
             inputs.len(),
             self.arity(),
@@ -172,56 +184,44 @@ impl CellFunc {
             self.arity(),
             inputs.len()
         );
-        use std::array::from_fn;
         match self {
-            CellFunc::Input => [0; W],
-            CellFunc::Inv => from_fn(|l| !inputs[0][l]),
-            CellFunc::Buf => inputs[0],
-            CellFunc::And2 => from_fn(|l| inputs[0][l] & inputs[1][l]),
-            CellFunc::And3 => from_fn(|l| inputs[0][l] & inputs[1][l] & inputs[2][l]),
-            CellFunc::Or2 => from_fn(|l| inputs[0][l] | inputs[1][l]),
-            CellFunc::Or3 => from_fn(|l| inputs[0][l] | inputs[1][l] | inputs[2][l]),
-            CellFunc::Nand2 => from_fn(|l| !(inputs[0][l] & inputs[1][l])),
-            CellFunc::Nand3 => from_fn(|l| !(inputs[0][l] & inputs[1][l] & inputs[2][l])),
-            CellFunc::Nor2 => from_fn(|l| !(inputs[0][l] | inputs[1][l])),
-            CellFunc::Nor3 => from_fn(|l| !(inputs[0][l] | inputs[1][l] | inputs[2][l])),
-            CellFunc::Xor2 => from_fn(|l| inputs[0][l] ^ inputs[1][l]),
-            CellFunc::Xnor2 => from_fn(|l| !(inputs[0][l] ^ inputs[1][l])),
-            CellFunc::Aoi21 => from_fn(|l| !((inputs[0][l] & inputs[1][l]) | inputs[2][l])),
-            CellFunc::Oai21 => from_fn(|l| !((inputs[0][l] | inputs[1][l]) & inputs[2][l])),
-            CellFunc::Mux2 => {
-                from_fn(|l| (inputs[0][l] & inputs[2][l]) | (!inputs[0][l] & inputs[1][l]))
-            }
-            CellFunc::Maj3 => from_fn(|l| {
-                (inputs[0][l] & inputs[1][l])
-                    | (inputs[0][l] & inputs[2][l])
-                    | (inputs[1][l] & inputs[2][l])
-            }),
+            CellFunc::Input => out.fill(0),
+            CellFunc::Inv => map1(out, inputs, |a| !a),
+            CellFunc::Buf => out.copy_from_slice(inputs[0]),
+            CellFunc::And2 => map2(out, inputs, |a, b| a & b),
+            CellFunc::And3 => map3(out, inputs, |a, b, c| a & b & c),
+            CellFunc::Or2 => map2(out, inputs, |a, b| a | b),
+            CellFunc::Or3 => map3(out, inputs, |a, b, c| a | b | c),
+            CellFunc::Nand2 => map2(out, inputs, |a, b| !(a & b)),
+            CellFunc::Nand3 => map3(out, inputs, |a, b, c| !(a & b & c)),
+            CellFunc::Nor2 => map2(out, inputs, |a, b| !(a | b)),
+            CellFunc::Nor3 => map3(out, inputs, |a, b, c| !(a | b | c)),
+            CellFunc::Xor2 => map2(out, inputs, |a, b| a ^ b),
+            CellFunc::Xnor2 => map2(out, inputs, |a, b| !(a ^ b)),
+            CellFunc::Aoi21 => map3(out, inputs, |a, b, c| !((a & b) | c)),
+            CellFunc::Oai21 => map3(out, inputs, |a, b, c| !((a | b) & c)),
+            CellFunc::Mux2 => map3(out, inputs, |s, a, b| (s & b) | (!s & a)),
+            CellFunc::Maj3 => map3(out, inputs, |a, b, c| (a & b) | (a & c) | (b & c)),
         }
     }
 
     /// Evaluate the function on 64 input vectors at once (bit-parallel).
     ///
     /// Word `i` of `inputs` carries 64 samples of input pin `i`. This is
-    /// [`CellFunc::eval_block`] at `W = 1`.
+    /// [`CellFunc::eval_rows`] on one-word rows.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from [`CellFunc::arity`].
     #[inline]
     pub fn eval_word(self, inputs: &[u64]) -> u64 {
-        assert_eq!(
-            inputs.len(),
-            self.arity(),
-            "cell {self:?} expects {} inputs, got {}",
-            self.arity(),
-            inputs.len()
-        );
-        let mut blocks = [[0u64; 1]; 3];
-        for (block, &word) in blocks.iter_mut().zip(inputs) {
-            block[0] = word;
+        let mut rows: [&[u64]; 3] = [&[]; 3];
+        for (row, word) in rows.iter_mut().zip(inputs) {
+            *row = std::slice::from_ref(word);
         }
-        self.eval_block::<1>(&blocks[..inputs.len()])[0]
+        let mut out = 0;
+        self.eval_rows(&rows[..inputs.len()], std::slice::from_mut(&mut out));
+        out
     }
 
     /// Evaluate the function on a single boolean input assignment.
@@ -322,6 +322,46 @@ impl CellFunc {
     /// `true` for the `Input` pseudo-function.
     pub const fn is_input(self) -> bool {
         matches!(self, CellFunc::Input)
+    }
+}
+
+// The row loops of `CellFunc::eval_rows`, one per arity. Each checks
+// its rows' lengths itself: with the arity known that is a few
+// compares, where one check looping over `inputs` slowed full
+// simulations of eight-word rows by 10–15%.
+
+const ROW_LENGTHS: &str = "input rows must match the output row's length";
+
+#[inline(always)]
+fn map1(out: &mut [u64], rows: &[&[u64]], f: impl Fn(u64) -> u64) {
+    let a = rows[0];
+    assert!(a.len() == out.len(), "{ROW_LENGTHS}");
+    for (o, &a) in out.iter_mut().zip(a) {
+        *o = f(a);
+    }
+}
+
+#[inline(always)]
+fn map2(out: &mut [u64], rows: &[&[u64]], f: impl Fn(u64, u64) -> u64) {
+    let (a, b) = (rows[0], rows[1]);
+    assert!(
+        a.len() == out.len() && b.len() == out.len(),
+        "{ROW_LENGTHS}"
+    );
+    for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+        *o = f(a, b);
+    }
+}
+
+#[inline(always)]
+fn map3(out: &mut [u64], rows: &[&[u64]], f: impl Fn(u64, u64, u64) -> u64) {
+    let (a, b, c) = (rows[0], rows[1], rows[2]);
+    assert!(
+        a.len() == out.len() && b.len() == out.len() && c.len() == out.len(),
+        "{ROW_LENGTHS}"
+    );
+    for (((o, &a), &b), &c) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = f(a, b, c);
     }
 }
 
@@ -523,16 +563,6 @@ impl Cell {
         self.func.eval_word(inputs)
     }
 
-    /// Evaluate `64 × W` samples at once; see [`CellFunc::eval_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the cell arity.
-    #[inline]
-    pub fn eval_block<const W: usize>(self, inputs: &[[u64; W]]) -> [u64; W] {
-        self.func.eval_block(inputs)
-    }
-
     /// Evaluate a single boolean assignment; see [`CellFunc::eval_bool`].
     ///
     /// # Panics
@@ -678,34 +708,38 @@ mod tests {
     }
 
     #[test]
-    fn block_eval_matches_word_eval_lane_by_lane() {
-        // Each lane of a block must compute exactly what eval_word
-        // computes on that lane's words, for every function.
-        fn lane_words(n: usize, salt: u64) -> Vec<u64> {
-            (0..n)
-                .map(|p| {
-                    let x = salt
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(p as u64 + 1);
-                    x ^ (x >> 31) ^ (x << 7)
-                })
-                .collect()
+    fn row_eval_matches_word_eval_word_by_word() {
+        // Word `w` of the output row must be exactly what eval_word
+        // computes on word `w` of each input row, for every function and
+        // row lengths on either side of a vector register.
+        fn word(pin: usize, w: usize) -> u64 {
+            let x = (w as u64 + 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(pin as u64 + 1);
+            x ^ (x >> 31) ^ (x << 7)
         }
         for func in ALL_FUNCS {
             let n = func.arity();
-            let mut blocks = [[0u64; 4]; 3];
-            for l in 0..4u64 {
-                let words = lane_words(n, l);
-                for p in 0..n {
-                    blocks[p][l as usize] = words[p];
+            for len in [1, 3, 8, 9] {
+                let rows: Vec<Vec<u64>> = (0..n)
+                    .map(|pin| (0..len).map(|w| word(pin, w)).collect())
+                    .collect();
+                let row_refs: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+                let mut out = vec![0xDEAD_BEEF; len];
+                func.eval_rows(&row_refs, &mut out);
+                for (w, &got) in out.iter().enumerate() {
+                    let words: Vec<u64> = (0..n).map(|pin| word(pin, w)).collect();
+                    assert_eq!(got, func.eval_word(&words), "{func} word {w} of {len}");
                 }
             }
-            let out = func.eval_block::<4>(&blocks[..n]);
-            for (l, &got) in out.iter().enumerate() {
-                let words = lane_words(n, l as u64);
-                assert_eq!(got, func.eval_word(&words), "{func} lane {l}");
-            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "must match the output row")]
+    fn row_eval_rejects_a_short_input_row() {
+        let mut out = [0u64; 2];
+        CellFunc::And2.eval_rows(&[&[1, 2], &[3]], &mut out);
     }
 
     #[test]

@@ -62,10 +62,10 @@
 
 use tdals_netlist::{Fanouts, GateId, Netlist, NetlistError, SignalRef};
 
-use crate::block::BLOCK_WORDS;
 use crate::engine::{simulate, simulate_reusing, SimResult};
+use crate::kernel::eval_gate_row;
 use crate::patterns::Patterns;
-use crate::view::{gate_row, mask_tail, SimWords};
+use crate::view::{gate_row, SimWords};
 
 /// Sentinel for "gate not in the overlay".
 const NO_SLOT: u32 = u32::MAX;
@@ -293,9 +293,11 @@ impl DeltaSim {
     /// `substitute`: walks the fan-out of `target` in topological id
     /// order, recomputing each reached gate under the pending
     /// substitution; gates whose recomputed words equal their current
-    /// words do not propagate further. The inner loop evaluates whole
-    /// [`BLOCK_WORDS`]-word blocks with the tail mask folded into the
-    /// final block, then a scalar pass covers the remainder.
+    /// words do not propagate further. Each gate is one row-kernel call
+    /// into a scratch row, with its fan-ins read from the overlay where
+    /// the cone already changed them and from the base otherwise; the
+    /// tail mask then clips the scratch row's final word, and one row
+    /// comparison against the base decides whether the gate changed.
     fn propagate(
         &self,
         target: GateId,
@@ -304,7 +306,6 @@ impl DeltaSim {
         words: &mut Vec<u64>,
         stats: &mut DeltaStats,
     ) {
-        const W: usize = BLOCK_WORDS;
         let wc = self.word_count;
         let n = self.netlist.gate_count();
         // Pending-flag scan instead of a priority queue: fan-outs
@@ -321,18 +322,6 @@ impl DeltaSim {
             end = end.max(reader.index() + 1);
         }
 
-        // Per-pin source resolved once per gate, not once per word:
-        // either a constant word or an offset into the base/overlay
-        // storage.
-        enum Pin {
-            Const(u64),
-            Base(usize),
-            Overlay(usize),
-        }
-        let mut pins: [Pin; 3] = [Pin::Const(0), Pin::Const(0), Pin::Const(0)];
-        let mut fanin_blocks = [[0u64; W]; 3];
-        let mut fanin_words = [0u64; 3];
-        let full = wc - wc % W;
         let mut scratch = vec![0u64; wc];
         for i in lo..n {
             if i == end {
@@ -343,59 +332,26 @@ impl DeltaSim {
             }
             let id = GateId::new(i);
             let gate = self.netlist.gate(id);
-            let cell = gate.cell();
-            let arity = cell.arity();
-            for (pin, &fanin) in gate.fanins().iter().enumerate() {
-                // The pending substitution: readers of `target` see
-                // `switch` instead.
-                let src = if fanin == SignalRef::Gate(target) {
+            // The pending substitution: readers of `target` see
+            // `switch` instead.
+            let fanins = gate.fanins().iter().map(|&fanin| {
+                if fanin == SignalRef::Gate(target) {
                     switch
                 } else {
                     fanin
-                };
-                pins[pin] = match src {
-                    SignalRef::Const0 => Pin::Const(0),
-                    SignalRef::Const1 => Pin::Const(u64::MAX),
-                    SignalRef::Gate(g) if slot[g.index()] != NO_SLOT => {
-                        Pin::Overlay(slot[g.index()] as usize * wc)
-                    }
-                    SignalRef::Gate(g) => Pin::Base(g.index() * wc),
-                };
+                }
+            });
+            eval_gate_row(
+                gate.cell().func(),
+                fanins,
+                &self.patterns,
+                |g| overlay_row(&self.values, words, slot, wc, g),
+                &mut scratch,
+            );
+            if let Some(last) = scratch.last_mut() {
+                *last &= self.tail_mask;
             }
-            let base = id.index() * wc;
-            let mut changed = false;
-            let mut w = 0;
-            while w < full {
-                for (pin, resolved) in pins[..arity].iter().enumerate() {
-                    fanin_blocks[pin] = match resolved {
-                        Pin::Const(c) => [*c; W],
-                        Pin::Base(off) => block_from(&self.values, off + w),
-                        Pin::Overlay(off) => block_from(words, off + w),
-                    };
-                }
-                let mut out = cell.eval_block::<W>(&fanin_blocks[..arity]);
-                if w + W == wc {
-                    out[W - 1] &= self.tail_mask;
-                }
-                for (lane, &word) in out.iter().enumerate() {
-                    changed |= word != self.values[base + w + lane];
-                }
-                scratch[w..w + W].copy_from_slice(&out);
-                w += W;
-            }
-            for w in full..wc {
-                for (pin, resolved) in pins[..arity].iter().enumerate() {
-                    fanin_words[pin] = match resolved {
-                        Pin::Const(c) => *c,
-                        Pin::Base(off) => self.values[off + w],
-                        Pin::Overlay(off) => words[off + w],
-                    };
-                }
-                let out = mask_tail(cell.eval_word(&fanin_words[..arity]), w, wc, self.tail_mask);
-                scratch[w] = out;
-                changed |= out != self.values[base + w];
-            }
-            if changed {
+            if scratch[..] != *gate_row(&self.values, wc, id) {
                 stats.changed += 1;
                 slot[i] = u32::try_from(words.len() / wc).expect("overlay fits u32");
                 words.extend_from_slice(&scratch);
@@ -412,12 +368,21 @@ impl DeltaSim {
     }
 }
 
-/// Copies `W` consecutive words starting at `off` into an owned block.
+/// Row `g` of an overlay over gate-major `base` storage: overlay row
+/// `slot[g]` of `words` where the cone re-evaluation changed `g`, its
+/// base row otherwise.
 #[inline]
-fn block_from<const W: usize>(storage: &[u64], off: usize) -> [u64; W] {
-    let mut block = [0u64; W];
-    block.copy_from_slice(&storage[off..off + W]);
-    block
+fn overlay_row<'a>(
+    base: &'a [u64],
+    words: &'a [u64],
+    slot: &[u32],
+    word_count: usize,
+    g: GateId,
+) -> &'a [u64] {
+    match slot[g.index()] {
+        NO_SLOT => gate_row(base, word_count, g),
+        s => &words[s as usize * word_count..(s as usize + 1) * word_count],
+    }
 }
 
 impl SimWords for DeltaSim {
@@ -497,11 +462,13 @@ impl SimWords for DeltaView<'_> {
     /// base row otherwise. Overlay rows are tail-masked like the base
     /// storage.
     fn gate_row(&self, g: GateId) -> &[u64] {
-        let wc = self.base.word_count;
-        match self.slot[g.index()] {
-            NO_SLOT => gate_row(&self.base.values, wc, g),
-            s => &self.words[s as usize * wc..(s as usize + 1) * wc],
-        }
+        overlay_row(
+            &self.base.values,
+            &self.words,
+            &self.slot,
+            self.base.word_count,
+            g,
+        )
     }
 
     /// The base driver, or `switch` where that driver is the

@@ -1,10 +1,11 @@
 //! Bit-parallel netlist evaluation.
 
+use tdals_netlist::cell::CellFunc;
 use tdals_netlist::{GateId, Netlist, SignalRef};
 
-use crate::block::BLOCK_WORDS;
+use crate::kernel::eval_gate_row;
 use crate::patterns::Patterns;
-use crate::view::{gate_row, raw_signal_block, raw_signal_word, zero_tail_words, SimWords};
+use crate::view::{gate_row, raw_signal_word, zero_tail_words, SimWords};
 
 /// Simulated values of every gate output for one stimulus batch.
 ///
@@ -127,8 +128,8 @@ impl SimWords for SimResult {
     }
 }
 
-/// Simulates every gate of `netlist` on the given stimulus, one
-/// eight-word block per inner-loop trip.
+/// Simulates every gate of `netlist` on the given stimulus, one whole
+/// word row per gate through the row kernel.
 ///
 /// Gates are evaluated in id order, which the netlist's topological id
 /// invariant guarantees is a valid evaluation order. Dangling gates are
@@ -139,7 +140,7 @@ impl SimWords for SimResult {
 /// Panics if `patterns.input_count()` differs from the netlist's primary
 /// input count.
 pub fn simulate(netlist: &Netlist, patterns: &Patterns) -> SimResult {
-    simulate_blocks::<BLOCK_WORDS>(netlist, patterns, Vec::new())
+    simulate_reusing(netlist, patterns, Vec::new())
 }
 
 /// [`simulate`] into a recycled word buffer, such as one returned by
@@ -155,38 +156,58 @@ pub fn simulate(netlist: &Netlist, patterns: &Patterns) -> SimResult {
 /// Panics if `patterns.input_count()` differs from the netlist's primary
 /// input count.
 pub fn simulate_reusing(netlist: &Netlist, patterns: &Patterns, words: Vec<u64>) -> SimResult {
-    simulate_blocks::<BLOCK_WORDS>(netlist, patterns, words)
+    simulate_with(netlist, patterns, words, |func, fanins, done, out| {
+        let word_count = out.len();
+        eval_gate_row(
+            func,
+            fanins.iter().copied(),
+            patterns,
+            |g| gate_row(done, word_count, g),
+            out,
+        );
+    })
 }
 
 /// The scalar reference oracle: [`simulate`] one word per inner-loop
-/// trip. It stores exactly the words [`simulate`] stores (the kernel
-/// ops are pure bitwise functions of the same words), which
-/// `crates/sim/tests/blockwise.rs` checks across every tail residue
-/// class; benches time [`simulate`] against it.
+/// trip, through [`CellFunc::eval_word`]. It stores exactly the words
+/// [`simulate`] stores (the kernel ops are pure bitwise functions of the
+/// same words), which `crates/sim/tests/blockwise.rs` checks across
+/// every tail residue class; benches time [`simulate`] against it.
 ///
 /// # Panics
 ///
 /// Panics if `patterns.input_count()` differs from the netlist's primary
 /// input count.
 pub fn simulate_reference(netlist: &Netlist, patterns: &Patterns) -> SimResult {
-    simulate_blocks::<1>(netlist, patterns, Vec::new())
+    let mut fanin_words = [0u64; 3];
+    simulate_with(netlist, patterns, Vec::new(), |func, fanins, done, out| {
+        let word_count = out.len();
+        for (w, word) in out.iter_mut().enumerate() {
+            for (pin, &fanin) in fanin_words.iter_mut().zip(fanins) {
+                *pin = raw_signal_word(done, word_count, fanin, w);
+            }
+            *word = func.eval_word(&fanin_words[..fanins.len()]);
+        }
+    })
 }
 
-/// The monomorphized engine: evaluates whole `[u64; W]` blocks in the
-/// inner loop (straight-line bitwise ops LLVM can vectorize), then
-/// finishes the `word_count % W` remainder one word at a time. The tail
-/// mask is applied once at the end, to the final word of every gate,
-/// via the shared [`zero_tail_words`] rule.
+/// The engine both kernels share. Primary input rows are copied from
+/// the stimulus; every other gate, in id order, gets
+/// `eval(func, fanins, done, row)`, where `row` is the gate's own row
+/// and `done` the storage of every smaller id, which holds all of its
+/// fan-ins by the topological id invariant. The tail mask is applied
+/// once at the end, to the final word of every gate, via the shared
+/// [`zero_tail_words`] rule.
 ///
-/// `words` is reused when it has exactly the result's length: primary
-/// input rows are copied from the stimulus and every other row is
-/// evaluated word by word, so no stale word survives. Otherwise the
-/// storage is a fresh `vec![0; n]`, which takes zeroed pages from the
-/// allocator instead of writing every word as a resize would.
-fn simulate_blocks<const W: usize>(
+/// `words` is reused when it has exactly the result's length: every row
+/// is copied or evaluated in full, so no stale word survives. Otherwise
+/// the storage is a fresh `vec![0; n]`, which takes zeroed pages from
+/// the allocator instead of writing every word as a resize would.
+fn simulate_with(
     netlist: &Netlist,
     patterns: &Patterns,
     words: Vec<u64>,
+    mut eval: impl FnMut(CellFunc, &[SignalRef], &[u64], &mut [u64]),
 ) -> SimResult {
     assert_eq!(
         patterns.input_count(),
@@ -207,31 +228,17 @@ fn simulate_blocks<const W: usize>(
         values[base..base + word_count].copy_from_slice(patterns.input_words(pi_idx));
     }
 
-    let full = word_count - word_count % W;
-    let mut fanin_blocks = [[0u64; W]; 3];
-    let mut fanin_words = [0u64; 3];
     for (id, gate) in netlist.iter() {
         if gate.is_input() {
             continue;
         }
-        let cell = gate.cell();
-        let arity = cell.arity();
-        let base = id.index() * word_count;
-        let mut w = 0;
-        while w < full {
-            for (pin, &fanin) in gate.fanins().iter().enumerate() {
-                fanin_blocks[pin] = raw_signal_block::<W>(&values, word_count, fanin, w);
-            }
-            let out = cell.eval_block::<W>(&fanin_blocks[..arity]);
-            values[base + w..base + w + W].copy_from_slice(&out);
-            w += W;
-        }
-        for w in full..word_count {
-            for (pin, &fanin) in gate.fanins().iter().enumerate() {
-                fanin_words[pin] = raw_signal_word(&values, word_count, fanin, w);
-            }
-            values[base + w] = cell.eval_word(&fanin_words[..arity]);
-        }
+        let (done, rest) = values.split_at_mut(id.index() * word_count);
+        eval(
+            gate.cell().func(),
+            gate.fanins(),
+            done,
+            &mut rest[..word_count],
+        );
     }
 
     // Zero the invalid tail bits of every gate so popcounts stay exact.
@@ -250,7 +257,7 @@ fn simulate_blocks<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdals_netlist::cell::{Cell, CellFunc, Drive};
+    use tdals_netlist::cell::{Cell, Drive};
 
     fn x1(func: CellFunc) -> Cell {
         Cell::new(func, Drive::X1)

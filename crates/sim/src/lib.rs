@@ -19,11 +19,12 @@
 //!   the ER (Eq. 1) and NMED (Eq. 2) constraint metrics, generic over
 //!   the [`SimWords`] view trait so full and incremental results mix.
 //!
-//! Every gate kernel evaluates eight 64-bit words (512 vectors) per
-//! inner-loop trip: one compile-time block width, described by
-//! [`SimdWidth`]. [`simulate_reference`] runs the same kernel one word
-//! at a time and stores the same bits; it is the oracle the blocked
-//! kernels are tested and benchmarked against.
+//! Every gate is evaluated a whole word row at a time: its fan-in rows
+//! are resolved once and the cell function runs one vectorizable loop
+//! over them, in full simulation and in cone propagation alike.
+//! [`simulate_reference`] evaluates one word at a time and stores the
+//! same bits; it is the oracle the row kernel is tested and benchmarked
+//! against.
 //!
 //! # Examples
 //!
@@ -55,6 +56,7 @@
 mod block;
 mod delta;
 mod engine;
+mod kernel;
 mod metrics;
 mod patterns;
 mod view;

@@ -6,7 +6,7 @@ use tdals_netlist::Netlist;
 use crate::block::BLOCK_WORDS;
 use crate::engine::{simulate, SimResult};
 use crate::patterns::Patterns;
-use crate::view::SimWords;
+use crate::view::{diff_count_rows, SimWords};
 
 /// Which error metric constrains the optimization.
 ///
@@ -138,24 +138,20 @@ pub fn error_rate<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
 /// Panics if the results cover different vector or output counts.
 pub fn po_flip_rates<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
     check_compat(ori, app);
-    let n_vec = ori.vector_count() as f64;
-    let words = ori.word_count();
+    // Each PO's flip count is one XOR popcount of its two driver rows
+    // (or the constant rule of `diff_count_rows`): an integer, so the
+    // rates are exactly those of a per-word scan.
+    let vectors = ori.vector_count();
     (0..ori.output_count())
         .map(|po| {
-            let mut diff = 0usize;
-            let mut o = [0u64; BLOCK_WORDS];
-            let mut a = [0u64; BLOCK_WORDS];
-            let mut w = 0;
-            while w < words {
-                let n = BLOCK_WORDS.min(words - w);
-                ori.po_block(po, w, &mut o[..n]);
-                app.po_block(po, w, &mut a[..n]);
-                for l in 0..n {
-                    diff += (o[l] ^ a[l]).count_ones() as usize;
-                }
-                w += n;
-            }
-            diff as f64 / n_vec
+            let diff = diff_count_rows(
+                vectors,
+                ori.po_driver(po),
+                |g| ori.gate_row(g),
+                app.po_driver(po),
+                |g| app.gate_row(g),
+            );
+            diff as f64 / vectors as f64
         })
         .collect()
 }

@@ -31,7 +31,8 @@ pub struct Patterns {
     input_count: usize,
     vector_count: usize,
     word_count: usize,
-    /// Input-major storage: `words[i * word_count + w]`.
+    /// Input-major storage: `words[i * word_count + w]`, followed by
+    /// the constant rows (see [`Patterns::const_rows`]).
     words: Vec<u64>,
 }
 
@@ -51,17 +52,12 @@ impl Patterns {
         // draw order is part of the pattern-reproducibility contract),
         // then clip every input's tail through the same shared rule the
         // simulation engines use.
-        let mut words = Vec::with_capacity(input_count * word_count);
+        let mut words = Vec::with_capacity((input_count + 2) * word_count);
         for _ in 0..input_count * word_count {
             words.push(rng.gen::<u64>());
         }
         crate::view::zero_tail_words(&mut words, word_count, tail_mask(vector_count));
-        Patterns {
-            input_count,
-            vector_count,
-            word_count,
-            words,
-        }
+        Patterns::from_input_rows(input_count, vector_count, words)
     }
 
     /// Enumerates all `2^input_count` input vectors (exact error metrics
@@ -86,6 +82,14 @@ impl Patterns {
                 }
             }
         }
+        Patterns::from_input_rows(input_count, vector_count, words)
+    }
+
+    /// Wraps `input_count` input rows and appends the constant rows.
+    fn from_input_rows(input_count: usize, vector_count: usize, mut words: Vec<u64>) -> Patterns {
+        let word_count = vector_count.div_ceil(64);
+        words.resize((input_count + 1) * word_count, 0);
+        words.resize((input_count + 2) * word_count, u64::MAX);
         Patterns {
             input_count,
             vector_count,
@@ -126,7 +130,17 @@ impl Patterns {
     ///
     /// Panics if `i` is out of range.
     pub fn input_words(&self, i: usize) -> &[u64] {
+        assert!(i < self.input_count, "input {i} out of range");
         &self.words[i * self.word_count..(i + 1) * self.word_count]
+    }
+
+    /// The rows a constant pin reads: `word_count` all-zeros words and
+    /// `word_count` all-ones words, built once per stimulus. The ones
+    /// row sets the invalid tail bits of its final word; every evaluator
+    /// masks the final word of the rows it stores, so those bits never
+    /// reach a reader.
+    pub(crate) fn const_rows(&self) -> (&[u64], &[u64]) {
+        self.words[self.input_count * self.word_count..].split_at(self.word_count)
     }
 
     /// Mask selecting the valid bits of the final word.
@@ -199,6 +213,21 @@ mod tests {
         let ones: u32 = p.input_words(0).iter().map(|w| w.count_ones()).sum();
         let frac = f64::from(ones) / 6400.0;
         assert!((0.45..0.55).contains(&frac), "ones fraction {frac}");
+    }
+
+    #[test]
+    fn const_rows_follow_the_inputs() {
+        for p in [Patterns::random(3, 70, 1), Patterns::exhaustive(2)] {
+            let (zeros, ones) = p.const_rows();
+            assert_eq!(zeros, vec![0; p.word_count()]);
+            assert_eq!(ones, vec![u64::MAX; p.word_count()]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn input_words_reject_the_constant_rows() {
+        let _ = Patterns::random(2, 64, 0).input_words(2);
     }
 
     #[test]

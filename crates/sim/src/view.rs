@@ -29,29 +29,6 @@ pub(crate) fn raw_signal_word(
     }
 }
 
-/// Raw (tail-unmasked) block of `W` consecutive words of `signal`
-/// starting at word `w0` — the blockwise twin of [`raw_signal_word`],
-/// with the same `Const0`/`Const1`/gate expansion rule. The caller must
-/// ensure `w0 + W <= word_count`.
-#[inline]
-pub(crate) fn raw_signal_block<const W: usize>(
-    values: &[u64],
-    word_count: usize,
-    signal: SignalRef,
-    w0: usize,
-) -> [u64; W] {
-    match signal {
-        SignalRef::Const0 => [0; W],
-        SignalRef::Const1 => [u64::MAX; W],
-        SignalRef::Gate(id) => {
-            let base = id.index() * word_count + w0;
-            let mut block = [0u64; W];
-            block.copy_from_slice(&values[base..base + W]);
-            block
-        }
-    }
-}
-
 /// **The** tail rule, shared by every read path: a raw word is masked
 /// iff it is the final word of its signal. Hoisted here so the full
 /// engine, the incremental engine, and the query API cannot diverge on
@@ -82,9 +59,10 @@ pub(crate) fn zero_tail_words(values: &mut [u64], word_count: usize, tail_mask: 
     }
 }
 
-/// Number of vectors on which signals `a` and `b` differ, read straight
-/// from gate rows: `row(g)` is gate `g`'s full `word_count`-word row,
-/// with the invalid tail bits of its final word zeroed (the storage
+/// Number of vectors on which signal `a` of one evaluator and signal
+/// `b` of another (or the same) differ, read straight from gate rows:
+/// `row_a(g)` and `row_b(g)` are gate `g`'s full `word_count`-word rows,
+/// with the invalid tail bits of their final word zeroed (the storage
 /// rule of every evaluator in the crate).
 ///
 /// Two gates popcount their XORed rows. Against a constant, a gate's
@@ -93,25 +71,24 @@ pub(crate) fn zero_tail_words(values: &mut [u64], word_count: usize, tail_mask: 
 /// masked per-word reads would clip. Two constants differ on every
 /// vector or on none. The result equals the masked per-word XOR
 /// popcount, with no per-word dispatch and no block copies.
-fn diff_count_rows<'a>(
+pub(crate) fn diff_count_rows<'a, 'b>(
     vector_count: usize,
     a: SignalRef,
+    row_a: impl Fn(GateId) -> &'a [u64],
     b: SignalRef,
-    row: impl Fn(GateId) -> &'a [u64],
+    row_b: impl Fn(GateId) -> &'b [u64],
 ) -> usize {
-    let popcount = |g: GateId| -> usize { row(g).iter().map(|w| w.count_ones() as usize).sum() };
+    let popcount = |row: &[u64]| -> usize { row.iter().map(|w| w.count_ones() as usize).sum() };
     match (a, b) {
-        (SignalRef::Gate(x), SignalRef::Gate(y)) => row(x)
+        (SignalRef::Gate(x), SignalRef::Gate(y)) => row_a(x)
             .iter()
-            .zip(row(y))
+            .zip(row_b(y))
             .map(|(p, q)| (p ^ q).count_ones() as usize)
             .sum(),
-        (SignalRef::Gate(g), SignalRef::Const0) | (SignalRef::Const0, SignalRef::Gate(g)) => {
-            popcount(g)
-        }
-        (SignalRef::Gate(g), SignalRef::Const1) | (SignalRef::Const1, SignalRef::Gate(g)) => {
-            vector_count - popcount(g)
-        }
+        (SignalRef::Gate(g), SignalRef::Const0) => popcount(row_a(g)),
+        (SignalRef::Const0, SignalRef::Gate(g)) => popcount(row_b(g)),
+        (SignalRef::Gate(g), SignalRef::Const1) => vector_count - popcount(row_a(g)),
+        (SignalRef::Const1, SignalRef::Gate(g)) => vector_count - popcount(row_b(g)),
         (SignalRef::Const0, SignalRef::Const0) | (SignalRef::Const1, SignalRef::Const1) => 0,
         (SignalRef::Const0, SignalRef::Const1) | (SignalRef::Const1, SignalRef::Const0) => {
             vector_count
@@ -199,7 +176,8 @@ pub trait SimWords {
     /// Counts vectors on which the two signals differ, by a popcount
     /// over [`SimWords::gate_row`] rows.
     fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
-        diff_count_rows(self.vector_count(), a, b, |g| self.gate_row(g))
+        let row = |g| self.gate_row(g);
+        diff_count_rows(self.vector_count(), a, row, b, row)
     }
 
     /// Fraction of vectors on which the two signals agree — the paper's
@@ -221,23 +199,6 @@ mod tests {
         assert_eq!(
             raw_signal_word(&values, 1, SignalRef::Gate(GateId::new(1)), 0),
             0xCD
-        );
-    }
-
-    #[test]
-    fn raw_block_expands_constants_and_gates() {
-        let values = vec![1, 2, 3, 4, 5, 6];
-        assert_eq!(
-            raw_signal_block::<2>(&values, 3, SignalRef::Const0, 1),
-            [0, 0]
-        );
-        assert_eq!(
-            raw_signal_block::<2>(&values, 3, SignalRef::Const1, 1),
-            [u64::MAX; 2]
-        );
-        assert_eq!(
-            raw_signal_block::<2>(&values, 3, SignalRef::Gate(GateId::new(1)), 1),
-            [5, 6]
         );
     }
 

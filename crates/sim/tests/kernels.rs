@@ -1,8 +1,8 @@
-//! Exactness of the fast similarity and NMED kernels.
+//! Exactness of the fast similarity, flip-rate and NMED kernels.
 //!
-//! `diff_count` reads gate rows directly and `nmed` walks transposed
-//! words; both must return exactly what the plain per-word scans
-//! return — the same count, and the same `f64` bits. The scans are kept
+//! `diff_count` and `po_flip_rates` read gate rows directly and `nmed`
+//! walks transposed words; all must return exactly what the plain
+//! per-word scans return — the same count, and the same `f64` bits. The scans are kept
 //! here as oracles and compared on random netlists for every evaluator
 //! (`SimResult`, `DeltaSim`, `DeltaView`), every gate/constant pairing,
 //! and vector counts around the word boundaries.
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals_netlist::cell::{Cell, Drive, ALL_FUNCS};
 use tdals_netlist::{GateId, Netlist, SignalRef};
-use tdals_sim::{nmed, simulate, DeltaSim, Patterns, SimWords};
+use tdals_sim::{nmed, po_flip_rates, simulate, DeltaSim, Patterns, SimWords};
 
 const VECTOR_COUNTS: [usize; 5] = [1, 63, 64, 65, 4095];
 
@@ -106,6 +106,18 @@ fn nmed_per_word<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
     total / ori.vector_count() as f64
 }
 
+/// Per-PO flip rates by a masked per-word XOR popcount.
+fn po_flip_rates_per_word<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
+    (0..ori.output_count())
+        .map(|po| {
+            let diff: usize = (0..ori.word_count())
+                .map(|w| (ori.po_word(po, w) ^ app.po_word(po, w)).count_ones() as usize)
+                .sum();
+            diff as f64 / ori.vector_count() as f64
+        })
+        .collect()
+}
+
 /// Checks `diff_count` against the per-word scan on a sample of
 /// signals that always includes both constants and a primary input.
 fn check_diff_counts<V: SimWords>(v: &V, n: &Netlist, rng: &mut StdRng, label: &str) {
@@ -187,6 +199,47 @@ fn nmed_is_bit_identical_to_the_per_word_scan() {
                     nmed_per_word(&golden, &delta).to_bits(),
                     "{label}: DeltaSim"
                 );
+            }
+        }
+    }
+}
+
+/// Every PO, constant and primary-input drivers included, against a
+/// preview, a committed state and a full simulation of it.
+#[test]
+fn po_flip_rates_are_bit_identical_to_the_per_word_scan() {
+    let mut rng = StdRng::seed_from_u64(17);
+    for (case, &vectors) in VECTOR_COUNTS.iter().enumerate() {
+        let n = random_netlist(7, 80, 24, case as u64 + 40);
+        let p = Patterns::random(n.input_count(), vectors, case as u64 + 41);
+        let golden = simulate(&n, &p);
+        let mut delta = DeltaSim::new(n.clone(), &p);
+        for step in 0..4 {
+            let (target, switch) = random_lac(delta.netlist(), &mut rng);
+            let label = format!("{vectors} vectors, step {step}");
+            let bits =
+                |rates: Vec<f64>| -> Vec<u64> { rates.iter().map(|r| r.to_bits()).collect() };
+            let view = delta.preview(target, switch);
+            assert_eq!(
+                bits(po_flip_rates(&golden, &view)),
+                bits(po_flip_rates_per_word(&golden, &view)),
+                "{label}: DeltaView"
+            );
+            delta.substitute(target, switch).expect("legal LAC");
+            let full = simulate(delta.netlist(), &p);
+            for (name, rates, oracle) in [
+                (
+                    "SimResult",
+                    po_flip_rates(&golden, &full),
+                    po_flip_rates_per_word(&golden, &full),
+                ),
+                (
+                    "DeltaSim",
+                    po_flip_rates(&full, &delta),
+                    po_flip_rates_per_word(&full, &delta),
+                ),
+            ] {
+                assert_eq!(bits(rates), bits(oracle), "{label}: {name}");
             }
         }
     }

@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use tdals::baselines::{Method, MethodConfig, ALL_METHODS};
 use tdals::circuits::Benchmark;
 use tdals::core::api::{Budget, Flow, FlowEvent, StopReason};
+use tdals::core::par::poll_batch;
 use tdals::core::{EvalContext, IterationStats};
 use tdals::netlist::Netlist;
 use tdals::sim::{ErrorMetric, Patterns};
@@ -37,9 +38,24 @@ fn quick_ctx() -> EvalContext {
     )
 }
 
-fn quick_cfg(seed: u64, threads: usize) -> MethodConfig {
+/// Population of a method's runs. DCGWO and GWO score their offspring,
+/// one per member, in batches of `par::poll_batch(threads)`, and every
+/// worker keeps one recycled scoring base across batches. Their
+/// population is `poll_batch(8) + 2` = 34: at every width up to 8 the
+/// offspring outnumber a batch, so a base serves search children of at
+/// least two batches, the leader's search child (always the last
+/// offspring) among them. `run_digest` fails a width whose batch would
+/// hold every child. The other methods keep a small population.
+fn population(method: Method) -> usize {
+    match method {
+        Method::Dcgwo | Method::SingleChaseGwo => 34,
+        _ => 6,
+    }
+}
+
+fn quick_cfg(method: Method, seed: u64, threads: usize) -> MethodConfig {
     MethodConfig::default()
-        .with_population(6)
+        .with_population(population(method))
         .with_iterations(3)
         .with_seed(seed)
         .with_threads(threads)
@@ -137,11 +153,18 @@ fn run_digest(
     threads: usize,
     budget: Budget,
 ) -> RunDigest {
+    if matches!(method, Method::Dcgwo | Method::SingleChaseGwo) && threads != 0 {
+        assert!(
+            population(method) > poll_batch(threads),
+            "{method}: {} offspring fit one batch at {threads} worker(s)",
+            population(method)
+        );
+    }
     let events: RefCell<Vec<String>> = RefCell::new(Vec::new());
     let outcome = Flow::for_context(ctx)
         .error_bound(0.05)
         .budget(budget)
-        .optimizer(method.optimizer(&quick_cfg(seed, threads)))
+        .optimizer(method.optimizer(&quick_cfg(method, seed, threads)))
         .observe(|ev: &FlowEvent| events.borrow_mut().push(event_key(ev)))
         .run()
         .expect("valid session");
@@ -195,13 +218,28 @@ fn deterministic_budgets_stop_identically_at_any_width() {
     // reduction, per candidate in index order — never at thread-count-
     // dependent batch boundaries — so a budgeted run stops at the very
     // same candidate for every width.
+    //
+    // The evaluation cap, population + 4, lies past seeding (the anchor
+    // and population - 1 members), so the first iteration's chase and
+    // offspring pass run under the cap before it stops the run.
     let ctx = quick_ctx();
     for method in ALL_METHODS {
-        for budget in [
-            Budget::unlimited().with_max_evaluations(10),
-            Budget::unlimited().with_max_iterations(1),
+        let max_evaluations = population(method) as u64 + 4;
+        for (budget, evaluation_capped) in [
+            (
+                Budget::unlimited().with_max_evaluations(max_evaluations),
+                true,
+            ),
+            (Budget::unlimited().with_max_iterations(1), false),
         ] {
             let sequential = run_digest(&ctx, method, 5, 1, budget.clone());
+            if evaluation_capped {
+                assert_eq!(sequential.stop, StopReason::EvaluationLimit, "{method}");
+                assert!(
+                    !sequential.history.is_empty(),
+                    "{method}: evaluation cap stopped the run during seeding"
+                );
+            }
             let parallel = run_digest(&ctx, method, 5, 8, budget);
             assert_eq!(
                 sequential, parallel,
@@ -221,7 +259,7 @@ fn flow_threads_knob_matches_config_knob() {
     let events: RefCell<Vec<String>> = RefCell::new(Vec::new());
     let outcome = Flow::for_context(&ctx)
         .error_bound(0.05)
-        .optimizer(Method::Dcgwo.optimizer(&quick_cfg(31, 1)))
+        .optimizer(Method::Dcgwo.optimizer(&quick_cfg(Method::Dcgwo, 31, 1)))
         .threads(8)
         .observe(|ev: &FlowEvent| events.borrow_mut().push(event_key(ev)))
         .run()

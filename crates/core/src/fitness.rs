@@ -1,6 +1,7 @@
 //! Circuit fitness evaluation (Eq. 8 of the paper) and the evaluated
 //! candidate representation shared by all optimizers.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
@@ -99,7 +100,10 @@ impl LacScore {
 #[derive(Debug, Clone)]
 pub struct DeltaEval {
     sim: DeltaSim,
-    sta: IncrementalSta,
+    /// Timing state on the simulator's netlist and fan-out rows. A
+    /// preview re-times its cone in place and restores it, so scoring
+    /// through a shared reference borrows it mutably for that long.
+    sta: RefCell<IncrementalSta>,
     /// Liveness of each gate in the base netlist.
     live: Vec<bool>,
     /// Per gate: live reader pins + PO driver references (0 for dead
@@ -109,25 +113,36 @@ pub struct DeltaEval {
     area_live: f64,
 }
 
-/// Live reference counts of a netlist whose liveness mask is `live`,
-/// computed from scratch into `live_refs` (the ground truth
-/// [`DeltaEval`] maintains incrementally). Returns the live area.
-fn counts_into(netlist: &Netlist, live: &[bool], live_refs: &mut Vec<u32>) -> f64 {
+/// Liveness and live reference counts of `netlist` from scratch, into
+/// `live` and `live_refs` (the ground truth [`DeltaEval`] maintains
+/// incrementally). Returns the live area.
+///
+/// One descending pass over the fan-in rows: readers have larger ids
+/// than their drivers, so when the pass reaches a gate every reference
+/// to it has been counted, and it is live exactly when one exists (a
+/// primary input always is). The area is then summed in ascending id
+/// order, as [`Netlist::area_live`] sums it.
+fn count_live(netlist: &Netlist, live: &mut Vec<bool>, live_refs: &mut Vec<u32>) -> f64 {
+    let n = netlist.gate_count();
+    live.clear();
+    live.resize(n, false);
     live_refs.clear();
-    live_refs.resize(netlist.gate_count(), 0);
-    for (id, gate) in netlist.iter() {
-        if !live[id.index()] {
+    live_refs.resize(n, 0);
+    for driver in netlist.output_drivers() {
+        if let SignalRef::Gate(src) = driver {
+            live_refs[src.index()] += 1;
+        }
+    }
+    for i in (0..n).rev() {
+        let gate = netlist.gate(GateId::new(i));
+        if !gate.is_input() && live_refs[i] == 0 {
             continue;
         }
+        live[i] = true;
         for fanin in gate.fanins() {
             if let SignalRef::Gate(src) = fanin {
                 live_refs[src.index()] += 1;
             }
-        }
-    }
-    for driver in netlist.output_drivers() {
-        if let SignalRef::Gate(src) = driver {
-            live_refs[src.index()] += 1;
         }
     }
     netlist
@@ -141,7 +156,7 @@ impl DeltaEval {
     fn new(sim: DeltaSim, sta: IncrementalSta) -> DeltaEval {
         let mut base = DeltaEval {
             sim,
-            sta,
+            sta: RefCell::new(sta),
             live: Vec::new(),
             live_refs: Vec::new(),
             area_live: 0.0,
@@ -151,19 +166,19 @@ impl DeltaEval {
         base
     }
 
-    /// Rebuilds the liveness state from scratch off the current netlist.
+    /// Rebuilds the liveness state from scratch off the current netlist,
+    /// in the base's existing buffers.
     fn recount(&mut self) {
-        let netlist = self.sim.netlist();
-        self.live = netlist.live_mask();
-        self.area_live = counts_into(netlist, &self.live, &mut self.live_refs);
+        self.area_live = count_live(self.sim.netlist(), &mut self.live, &mut self.live_refs);
     }
 
     /// Re-targets the scoring state at `netlist`, on the stimulus and
     /// timing configuration it was built with: the state afterwards
     /// equals [`EvalContext::delta_eval`] of `netlist`, but the full
-    /// simulation, the timing arrays, the fan-out rows and the liveness
-    /// counts are written into this base's existing buffers, so a
-    /// netlist of the previous one's gate count allocates no words.
+    /// simulation, the fan-out rows (the simulator's, which the timing
+    /// engine reads too), the timing arrays and the liveness counts are
+    /// written into this base's existing buffers, so a netlist of the
+    /// previous one's gate count allocates no words.
     ///
     /// # Panics
     ///
@@ -171,7 +186,7 @@ impl DeltaEval {
     /// stimulus width.
     pub fn rebuild(&mut self, netlist: Netlist) {
         self.sim.rebuild(netlist);
-        self.sta.rebuild(self.sim.netlist(), self.sim.fanouts());
+        self.sta.get_mut().rebuild(self.sim.netlist());
         self.recount();
         tdals_obs::metrics().scoring_bases.incr();
     }
@@ -186,15 +201,10 @@ impl DeltaEval {
         &self.sim
     }
 
-    /// The base timing state.
-    pub fn sta(&self) -> &IncrementalSta {
-        &self.sta
-    }
-
     /// Snapshot of the base timing as a [`TimingReport`] (feeds
     /// critical-path target collection).
     pub fn report(&self) -> TimingReport {
-        self.sta.to_report(self.sim.netlist())
+        self.sta.borrow().to_report(self.sim.netlist())
     }
 
     /// `Area_app` of the base netlist in µm².
@@ -228,12 +238,15 @@ impl DeltaEval {
     /// Returns [`NetlistError`] (and leaves the state untouched) if the
     /// substitution violates the topological id invariant.
     pub fn commit(&mut self, target: GateId, switch: SignalRef) -> Result<usize, NetlistError> {
-        // The timing engine applies the mutation to the netlist it is
-        // handed; give it a scratch clone so the simulator (which owns
-        // the real netlist and applies the same rewiring internally)
-        // stays the single source of truth.
-        let mut scratch = self.sim.netlist().clone();
-        self.sta.substitute(&mut scratch, target, switch)?;
+        // The timing engine reads the simulator's netlist and rows as
+        // they are before the substitution, which the simulator then
+        // applies to both.
+        self.sta.get_mut().substitute_timing(
+            self.sim.netlist(),
+            self.sim.fanouts(),
+            target,
+            switch,
+        )?;
         let rewired = self.sim.substitute(target, switch)?;
         self.cascade_refcounts(target, switch);
         #[cfg(debug_assertions)]
@@ -516,7 +529,7 @@ impl EvalContext {
     /// [`EvalContext::score_lac`] against it is then O(affected cone).
     pub fn delta_eval(&self, netlist: Netlist) -> DeltaEval {
         let sim = self.delta_sim(netlist);
-        let sta = IncrementalSta::with_fanouts(sim.netlist(), self.timing, sim.fanouts().clone());
+        let sta = IncrementalSta::new(sim.netlist(), self.timing);
         DeltaEval::new(sim, sta)
     }
 
@@ -525,17 +538,22 @@ impl EvalContext {
     /// simulation cone preview, timing through the STA cone preview,
     /// and area through the dead-cone reference-count cascade.
     ///
-    /// The error terms are bit-identical to a full
-    /// [`EvalContext::evaluate`] of the mutated netlist (the
-    /// incremental simulator shares its word expansion with the full
-    /// one); timing and area agree to floating-point settle tolerance.
+    /// The error and timing terms are bit-identical to a full
+    /// [`EvalContext::evaluate`] of the mutated netlist: the incremental
+    /// simulator shares its word expansion with the full one, and the
+    /// incremental STA sums loads and settles arrivals exactly as full
+    /// STA does. The area is the base's live area minus the dead cone's,
+    /// which can differ from a fresh sum in the last bits.
     pub fn score_lac(&self, base: &DeltaEval, lac: Lac) -> LacScore {
         let view = base.sim().preview(lac.target(), lac.switch());
         let error = self.evaluator.error_of_sim(&view);
         let po_errors = self.evaluator.po_errors_of_sim(&view);
-        let timing = base
-            .sta()
-            .preview_substitute(base.netlist(), lac.target(), lac.switch());
+        let timing = base.sta.borrow_mut().preview_substitute(
+            base.netlist(),
+            base.sim().fanouts(),
+            lac.target(),
+            lac.switch(),
+        );
         let area = base.area_after(lac.target(), lac.switch());
         self.score_from(
             timing.max_depth(),

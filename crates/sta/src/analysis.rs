@@ -1,6 +1,6 @@
 //! Arrival-time propagation, logic depth, and critical-path extraction.
 
-use tdals_netlist::{GateId, Netlist, SignalRef};
+use tdals_netlist::{Gate, GateId, Netlist, SignalRef};
 
 /// Parasitics and boundary conditions for timing analysis.
 ///
@@ -175,12 +175,7 @@ impl TimingReport {
 
     /// Index of the primary output with the worst arrival time.
     pub fn critical_po(&self) -> usize {
-        self.po_arrival
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        worst_po(self.po_arrival.iter().copied())
     }
 }
 
@@ -192,40 +187,8 @@ impl TimingReport {
 /// fan-out branch, plus the PO load where applicable; the gate delay is
 /// the cell's linear delay into that load.
 pub fn analyze(netlist: &Netlist, cfg: &TimingConfig) -> TimingReport {
-    let n = netlist.gate_count();
-    let mut load = vec![0.0f64; n];
-
-    for (_, gate) in netlist.iter() {
-        let cap = gate.cell().input_cap();
-        for fanin in gate.fanins() {
-            if let SignalRef::Gate(src) = fanin {
-                load[src.index()] += cap + cfg.wire_cap_per_fanout;
-            }
-        }
-    }
-    for driver in netlist.output_drivers() {
-        if let SignalRef::Gate(src) = driver {
-            load[src.index()] += cfg.po_load + cfg.wire_cap_per_fanout;
-        }
-    }
-
-    let mut arrival = vec![0.0f64; n];
-    let mut depth = vec![0u32; n];
-    for (id, gate) in netlist.iter() {
-        if gate.is_input() {
-            continue;
-        }
-        let mut worst_arrival = 0.0f64;
-        let mut worst_depth = 0u32;
-        for fanin in gate.fanins() {
-            if let SignalRef::Gate(src) = fanin {
-                worst_arrival = worst_arrival.max(arrival[src.index()]);
-                worst_depth = worst_depth.max(depth[src.index()]);
-            }
-        }
-        arrival[id.index()] = worst_arrival + gate.cell().delay(load[id.index()]);
-        depth[id.index()] = worst_depth + 1;
-    }
+    let (mut load, mut arrival, mut depth) = (Vec::new(), Vec::new(), Vec::new());
+    time_gates(netlist, cfg, &mut load, &mut arrival, &mut depth);
 
     let mut po_arrival = Vec::with_capacity(netlist.output_count());
     let mut po_depth = Vec::with_capacity(netlist.output_count());
@@ -251,12 +214,106 @@ pub fn analyze(netlist: &Netlist, cfg: &TimingConfig) -> TimingReport {
     }
 }
 
+/// Per-gate arrival times, as a worst-path walk reads them: a
+/// [`TimingReport`], or the live state of an
+/// [`IncrementalSta`](crate::IncrementalSta).
+pub trait Arrivals {
+    /// Output arrival time of a gate in ps.
+    fn arrival(&self, id: GateId) -> f64;
+}
+
+impl Arrivals for TimingReport {
+    fn arrival(&self, id: GateId) -> f64 {
+        self.arrival[id.index()]
+    }
+}
+
+/// Index of the worst of the given PO arrivals (the last one on a tie):
+/// the rule behind [`TimingReport::critical_po`].
+pub(crate) fn worst_po(po_arrivals: impl Iterator<Item = f64>) -> usize {
+    po_arrivals
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
+}
+
+/// Loads, arrivals and depths of every gate of `netlist`, computed into
+/// the given arrays resized to its gate count: the pass behind
+/// [`analyze`] and every from-scratch state of the incremental engine,
+/// so both sum each load in the same order.
+pub(crate) fn time_gates(
+    netlist: &Netlist,
+    cfg: &TimingConfig,
+    load: &mut Vec<f64>,
+    arrival: &mut Vec<f64>,
+    depth: &mut Vec<u32>,
+) {
+    let n = netlist.gate_count();
+    for values in [&mut *load, &mut *arrival] {
+        values.clear();
+        values.resize(n, 0.0);
+    }
+    depth.clear();
+    depth.resize(n, 0);
+
+    for (_, gate) in netlist.iter() {
+        let cap = gate.cell().input_cap();
+        for fanin in gate.fanins() {
+            if let SignalRef::Gate(src) = fanin {
+                load[src.index()] += cap + cfg.wire_cap_per_fanout;
+            }
+        }
+    }
+    for driver in netlist.output_drivers() {
+        if let SignalRef::Gate(src) = driver {
+            load[src.index()] += cfg.po_load + cfg.wire_cap_per_fanout;
+        }
+    }
+
+    for (id, gate) in netlist.iter() {
+        if gate.is_input() {
+            continue;
+        }
+        let i = id.index();
+        (arrival[i], depth[i]) = gate_timing(gate, load[i], arrival, depth, |signal| signal);
+    }
+}
+
+/// Arrival and depth of a logic gate: its worst fan-in arrival plus the
+/// cell's delay into `load`, and one level past its deepest fan-in,
+/// with each fan-in reference read through `reads` (the identity except
+/// under a pending substitution). The one timing rule of [`analyze`]
+/// and the incremental engine, so both compute every arrival alike.
+#[inline]
+pub(crate) fn gate_timing(
+    gate: Gate<'_>,
+    load: f64,
+    arrival: &[f64],
+    depth: &[u32],
+    reads: impl Fn(SignalRef) -> SignalRef,
+) -> (f64, u32) {
+    let mut worst_arrival = 0.0f64;
+    let mut worst_depth = 0u32;
+    for &fanin in gate.fanins() {
+        if let SignalRef::Gate(src) = reads(fanin) {
+            worst_arrival = worst_arrival.max(arrival[src.index()]);
+            worst_depth = worst_depth.max(depth[src.index()]);
+        }
+    }
+    (worst_arrival + gate.cell().delay(load), worst_depth + 1)
+}
+
 /// Gates on the single worst path feeding primary output `po`, from the
 /// earliest gate (nearest the inputs) to the PO driver.
 ///
 /// Ties are broken toward the lower gate id; primary-input pseudo-gates
 /// are not included.
-pub fn critical_path_to_po(netlist: &Netlist, report: &TimingReport, po: usize) -> Vec<GateId> {
+pub fn critical_path_to_po<A: Arrivals + ?Sized>(
+    netlist: &Netlist,
+    timing: &A,
+    po: usize,
+) -> Vec<GateId> {
     let mut path = Vec::new();
     let mut cursor = match netlist.output_driver(po) {
         SignalRef::Gate(g) => g,
@@ -268,7 +325,7 @@ pub fn critical_path_to_po(netlist: &Netlist, report: &TimingReport, po: usize) 
             break;
         }
         path.push(cursor);
-        match worst_fanin(netlist, report, cursor) {
+        match worst_fanin(netlist, timing, cursor) {
             Some(g) => cursor = g,
             None => break,
         }
@@ -283,12 +340,16 @@ pub fn critical_path_to_po(netlist: &Netlist, report: &TimingReport, po: usize) 
 ///
 /// This is the single step rule behind [`critical_path_to_po`] and any
 /// other walk that must follow the same worst paths.
-pub fn worst_fanin(netlist: &Netlist, report: &TimingReport, gate: GateId) -> Option<GateId> {
+pub fn worst_fanin<A: Arrivals + ?Sized>(
+    netlist: &Netlist,
+    timing: &A,
+    gate: GateId,
+) -> Option<GateId> {
     let mut next = None;
     let mut best = f64::NEG_INFINITY;
     for fanin in netlist.gate(gate).fanins() {
         if let SignalRef::Gate(src) = fanin {
-            let t = report.arrival(*src);
+            let t = timing.arrival(*src);
             if t > best {
                 best = t;
                 next = Some(*src);

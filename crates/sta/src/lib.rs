@@ -44,7 +44,7 @@ mod report;
 mod sizing;
 
 pub use analysis::{
-    analyze, critical_path, critical_path_to_po, worst_fanin, TimingConfig, TimingReport,
+    analyze, critical_path, critical_path_to_po, worst_fanin, Arrivals, TimingConfig, TimingReport,
 };
 pub use incremental::{IncrementalSta, TimingDelta};
 pub use report::{timing_report_text, ReportOptions};

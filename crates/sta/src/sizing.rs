@@ -10,18 +10,30 @@
 //!
 //! The algorithm is a classic greedy TILOS-style sizer:
 //!
-//! 1. run STA, extract the critical path;
+//! 1. extract the critical path;
 //! 2. for every gate on it, locally estimate the CPD change of a one-step
 //!    upsize (self speeds up, its drivers slow down under the higher pin
-//!    capacitance);
-//! 3. apply the best estimated move that fits the area budget, re-run
-//!    STA, and keep the move only if the measured CPD improved;
-//! 4. stop when no move fits or helps.
+//!    capacitance), and rank the moves that fit the area budget;
+//! 3. try the ranked moves in order, each applied through an
+//!    [`IncrementalSta`] and taken back unless it improves the measured
+//!    CPD, and keep the first that does;
+//! 4. re-rank after each accepted move; stop when no move fits or helps.
+//!
+//! A rejected trial leaves the drives, the timing and the area as they
+//! were, so the ranking it was drawn from still holds and the next trial
+//! is the next ranked move. The engine's timing equals a full
+//! [`analyze`](crate::analyze) bit for bit after every trial and every
+//! undo, so the moves are exactly those of a sizer that re-runs full
+//! STA after every trial.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use tdals_netlist::cell::Drive;
-use tdals_netlist::{GateId, Netlist, SignalRef};
+use tdals_netlist::{Fanouts, GateId, Netlist, SignalRef};
 
-use crate::analysis::{analyze, critical_path, TimingConfig, TimingReport};
+use crate::analysis::TimingConfig;
+use crate::incremental::IncrementalSta;
 
 /// Options for [`size_for_timing`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,14 +69,14 @@ pub struct SizingResult {
 }
 
 /// Estimated CPD benefit of upsizing `gate` one step, using local delay
-/// arithmetic only (no full STA).
+/// arithmetic only (no STA).
 ///
 /// Negative values predict improvement. The estimate sums the gate's own
 /// delay change at its current load with the slowdown of each fan-in
 /// driver caused by the increased pin capacitance.
 fn estimate_upsize_delta(
     netlist: &Netlist,
-    report: &TimingReport,
+    sta: &IncrementalSta,
     gate: GateId,
 ) -> Option<(Drive, f64)> {
     let g = netlist.gate(gate);
@@ -74,7 +86,7 @@ fn estimate_upsize_delta(
     let cell = g.cell();
     let up = cell.drive().upsize()?;
     let bigger = cell.with_drive(up);
-    let load = report.load(gate);
+    let load = sta.load(gate);
     let mut delta = bigger.delay(load) - cell.delay(load);
     let cap_increase = bigger.input_cap() - cell.input_cap();
     for fanin in g.fanins() {
@@ -88,6 +100,162 @@ fn estimate_upsize_delta(
     Some((up, delta))
 }
 
+/// One candidate upsize: the gate, its next drive, the area it adds,
+/// and its rank score (estimated CPD change per added area).
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    score: f64,
+    gate: GateId,
+    drive: Drive,
+    extra_area: f64,
+}
+
+/// Heap order: the better move is the greater one, so a max-heap pops
+/// the lowest score first and, on a tie, the lower gate id.
+impl Ord for Move {
+    fn cmp(&self, other: &Move) -> Ordering {
+        other
+            .score
+            .total_cmp(&self.score)
+            .then(other.gate.cmp(&self.gate))
+    }
+}
+
+impl PartialOrd for Move {
+    fn partial_cmp(&self, other: &Move) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Move {
+    fn eq(&self, other: &Move) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Move {}
+
+/// Per-gate bookkeeping of one sizing run.
+///
+/// Upsize estimates are kept across rankings. An estimate reads only
+/// the gate's cell and load and its fan-in drivers' cells, so an
+/// accepted move at `g` stales just the estimates of `g`, of its fan-in
+/// drivers (their loads moved) and of its readers (a driver's
+/// resistance moved); a trial that is undone stales nothing.
+struct Candidates {
+    /// Liveness; sizing never changes it.
+    live: Vec<bool>,
+    /// The drive at which the gate's last trial upsize failed; it is
+    /// retried only after an accepted move changes its drive.
+    rejected: Vec<Option<Drive>>,
+    estimate: Vec<Option<(Drive, f64)>>,
+    fresh: Vec<bool>,
+    /// Dedup marks of one ranking, all `false` between rankings.
+    seen: Vec<bool>,
+}
+
+impl Candidates {
+    fn new(netlist: &Netlist) -> Candidates {
+        let n = netlist.gate_count();
+        Candidates {
+            live: netlist.live_mask(),
+            rejected: vec![None; n],
+            estimate: vec![None; n],
+            fresh: vec![false; n],
+            seen: vec![false; n],
+        }
+    }
+
+    fn estimate(
+        &mut self,
+        netlist: &Netlist,
+        sta: &IncrementalSta,
+        gate: GateId,
+    ) -> Option<(Drive, f64)> {
+        let i = gate.index();
+        if !self.fresh[i] {
+            self.estimate[i] = estimate_upsize_delta(netlist, sta, gate);
+            self.fresh[i] = true;
+        }
+        self.estimate[i]
+    }
+
+    /// The upsizes worth trying on the current critical path, as a heap
+    /// that pops the best first: by estimated CPD change per added area,
+    /// then by gate id. Candidates are the path's gates (plus, optionally,
+    /// their live fan-ins), minus those rejected at their current drive,
+    /// those not predicted to help, and those that would take the live
+    /// area `area` past `area_con`. A run tries only a few moves per
+    /// ranking, so the heap orders no more of them than are popped.
+    fn rank(
+        &mut self,
+        netlist: &Netlist,
+        sta: &IncrementalSta,
+        area: f64,
+        area_con: f64,
+        sizing: &SizingConfig,
+    ) -> BinaryHeap<Move> {
+        let path = sta.critical_path(netlist);
+        let mut candidates: Vec<GateId> = Vec::with_capacity(path.len() * 3);
+        for &g in &path {
+            candidates.push(g);
+            if sizing.include_fanins {
+                for fanin in netlist.gate(g).fanins() {
+                    if let SignalRef::Gate(src) = fanin {
+                        if self.live[src.index()] && !netlist.gate(*src).is_input() {
+                            candidates.push(*src);
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut ranked = Vec::with_capacity(candidates.len());
+        for &g in &candidates {
+            if std::mem::replace(&mut self.seen[g.index()], true) {
+                continue;
+            }
+            let cell = netlist.gate(g).cell();
+            if self.rejected[g.index()] == Some(cell.drive()) {
+                continue;
+            }
+            let Some((up, delta)) = self.estimate(netlist, sta, g) else {
+                continue;
+            };
+            if delta >= 0.0 {
+                continue;
+            }
+            let extra_area = cell.with_drive(up).area() - cell.area();
+            if area + extra_area > area_con {
+                continue;
+            }
+            ranked.push(Move {
+                score: delta / extra_area.max(1e-9),
+                gate: g,
+                drive: up,
+                extra_area,
+            });
+        }
+        for g in candidates {
+            self.seen[g.index()] = false;
+        }
+        BinaryHeap::from(ranked)
+    }
+
+    /// Stales the estimates an accepted move at `gate` changes.
+    fn moved(&mut self, netlist: &Netlist, rows: &Fanouts, gate: GateId) {
+        self.fresh[gate.index()] = false;
+        for fanin in netlist.gate(gate).fanins() {
+            if let SignalRef::Gate(src) = fanin {
+                self.fresh[src.index()] = false;
+            }
+        }
+        for &reader in rows.readers(gate) {
+            self.fresh[reader.index()] = false;
+        }
+    }
+}
+
 /// Greedily upsizes gates to minimize critical path delay while keeping
 /// the live area at or below `area_con` µm².
 ///
@@ -95,6 +263,10 @@ fn estimate_upsize_delta(
 /// — so the function is function-preserving by construction. If the
 /// circuit already exceeds `area_con`, no upsizing is performed (the
 /// paper never encounters this case because approximate circuits shrink).
+///
+/// One [`IncrementalSta`] serves the whole run: each trial re-times its
+/// move's cone, a rejected one is undone from the engine's journal, and
+/// only an accepted move is re-ranked.
 ///
 /// # Examples
 ///
@@ -117,6 +289,7 @@ fn estimate_upsize_delta(
 /// let result = size_for_timing(&mut n, &cfg, budget, &SizingConfig::default());
 /// assert!(result.cpd_after <= result.cpd_before);
 /// assert!(result.area_after <= budget);
+/// assert_eq!(result.cpd_after.to_bits(), analyze(&n, &cfg).critical_path_delay().to_bits());
 /// # Ok::<(), tdals_netlist::NetlistError>(())
 /// ```
 pub fn size_for_timing(
@@ -125,80 +298,34 @@ pub fn size_for_timing(
     area_con: f64,
     sizing: &SizingConfig,
 ) -> SizingResult {
-    let mut report = analyze(netlist, cfg);
-    let cpd_before = report.critical_path_delay();
+    // Sizing never rewires, so one set of fan-out rows serves every call.
+    let rows = netlist.fanouts();
+    let mut sta = IncrementalSta::new(netlist, *cfg);
+    let cpd_before = sta.critical_path_delay(netlist);
     let mut cpd = cpd_before;
     let mut area = netlist.area_live();
     let mut moves = 0usize;
-    let live = netlist.live_mask();
-    // Gates whose last attempted upsize failed validation at the drive
-    // recorded here; retried only after they change drive via another
-    // accepted move.
-    let mut rejected: std::collections::HashMap<GateId, Drive> = std::collections::HashMap::new();
+    let mut candidates = Candidates::new(netlist);
 
-    while moves < sizing.max_moves {
-        // Candidate set: gates on the critical path (plus optionally
-        // their live fan-ins, whose drive shows up in the path delay).
-        let path = critical_path(netlist, &report);
-        if path.is_empty() {
-            break;
+    'rank: while moves < sizing.max_moves {
+        let mut ranked = candidates.rank(netlist, &sta, area, area_con, sizing);
+        while let Some(mv) = ranked.pop() {
+            sta.set_drive(netlist, &rows, mv.gate, mv.drive);
+            let new_cpd = sta.critical_path_delay(netlist);
+            if new_cpd < cpd {
+                cpd = new_cpd;
+                area += mv.extra_area;
+                moves += 1;
+                candidates.moved(netlist, &rows, mv.gate);
+                continue 'rank;
+            }
+            // Local estimate was optimistic: take the move back, remember
+            // the failure at this drive, and let the next ranked move
+            // compete.
+            sta.undo_drive(netlist);
+            candidates.rejected[mv.gate.index()] = Some(netlist.gate(mv.gate).cell().drive());
         }
-        let mut candidates: Vec<GateId> = path.clone();
-        if sizing.include_fanins {
-            for &g in &path {
-                for fanin in netlist.gate(g).fanins() {
-                    if let SignalRef::Gate(src) = fanin {
-                        if live[src.index()] && !netlist.gate(*src).is_input() {
-                            candidates.push(*src);
-                        }
-                    }
-                }
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        // Rank by locally-estimated benefit per area.
-        let mut best: Option<(GateId, Drive, f64, f64)> = None;
-        for &g in &candidates {
-            if rejected.get(&g) == Some(&netlist.gate(g).cell().drive()) {
-                continue;
-            }
-            let Some((up, delta)) = estimate_upsize_delta(netlist, &report, g) else {
-                continue;
-            };
-            if delta >= 0.0 {
-                continue;
-            }
-            let cell = netlist.gate(g).cell();
-            let extra_area = cell.with_drive(up).area() - cell.area();
-            if area + extra_area > area_con {
-                continue;
-            }
-            let score = delta / extra_area.max(1e-9);
-            if best.is_none_or(|(_, _, _, s)| score < s) {
-                best = Some((g, up, extra_area, score));
-            }
-        }
-        let Some((g, up, extra_area, _)) = best else {
-            break;
-        };
-
-        let old_drive = netlist.gate(g).cell().drive();
-        netlist.set_drive(g, up);
-        let new_report = analyze(netlist, cfg);
-        let new_cpd = new_report.critical_path_delay();
-        if new_cpd < cpd {
-            cpd = new_cpd;
-            area += extra_area;
-            report = new_report;
-            moves += 1;
-        } else {
-            // Local estimate was optimistic; revert, remember the
-            // failure at this drive, and let other candidates compete.
-            netlist.set_drive(g, old_drive);
-            rejected.insert(g, old_drive);
-        }
+        break;
     }
 
     SizingResult {

@@ -39,8 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         netlist.gate(target).name()
     );
     let mut engine = IncrementalSta::new(&netlist, cfg);
+    let mut rows = netlist.fanouts();
     let before = engine.critical_path_delay(&netlist);
-    engine.substitute(&mut netlist, target, SignalRef::Const0)?;
+    engine.substitute(&mut netlist, &mut rows, target, SignalRef::Const0)?;
     let after = engine.critical_path_delay(&netlist);
     println!("  CPD {before:.2} ps -> {after:.2} ps (incremental update)");
 

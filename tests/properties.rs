@@ -187,6 +187,7 @@ proptest! {
     fn incremental_sta_tracks_lac_sequences(seed in 0u64..60, lacs in 1usize..6) {
         use tdals::sta::IncrementalSta;
         let mut n = random_netlist(seed, 5, 35, 4);
+        let mut rows = n.fanouts();
         let cfg = TimingConfig::default();
         let mut engine = IncrementalSta::new(&n, cfg);
         let p = Patterns::random(5, 128, seed);
@@ -195,18 +196,85 @@ proptest! {
             let sim = simulate(&n, &p);
             if let Some(lac) = random_lac(&n, &sim, 16, &mut rng) {
                 engine
-                    .substitute(&mut n, lac.target(), lac.switch())
+                    .substitute(&mut n, &mut rows, lac.target(), lac.switch())
                     .expect("legal LAC");
             }
         }
         let full = analyze(&n, &cfg);
         for (id, _) in n.iter() {
-            prop_assert!((engine.arrival(id) - full.arrival(id)).abs() < 1e-9);
+            prop_assert_eq!(engine.arrival(id).to_bits(), full.arrival(id).to_bits());
             prop_assert_eq!(engine.depth(id), full.depth(id));
         }
-        prop_assert!(
-            (engine.critical_path_delay(&n) - full.critical_path_delay()).abs() < 1e-9
+        prop_assert_eq!(
+            engine.critical_path_delay(&n).to_bits(),
+            full.critical_path_delay().to_bits()
         );
+    }
+
+    /// Exactness of the incremental engine under mixed edit sequences:
+    /// after every `substitute` or `set_drive` commit, and after every
+    /// `undo_drive`, arrival, load and depth equal a fresh
+    /// `IncrementalSta::new` of the netlist by `to_bits`, and every
+    /// `preview_substitute` equals `analyze` of the applied netlist by
+    /// `to_bits`.
+    #[test]
+    fn incremental_sta_is_bit_exact_under_edit_sequences(seed in 0u64..80, edits in 1usize..12) {
+        use rand::Rng;
+        use tdals::netlist::cell::Drive;
+        use tdals::netlist::GateId;
+        use tdals::sta::IncrementalSta;
+        const DRIVES: [Drive; 5] = [Drive::X0, Drive::X1, Drive::X2, Drive::X4, Drive::X8];
+        let mut n = random_netlist(seed, 6, 60, 5);
+        let mut rows = n.fanouts();
+        let cfg = TimingConfig::default();
+        let mut engine = IncrementalSta::new(&n, cfg);
+        let p = Patterns::random(6, 128, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xe7ac);
+        let assert_fresh = |engine: &IncrementalSta, n: &Netlist| {
+            let fresh = IncrementalSta::new(n, cfg);
+            for (id, _) in n.iter() {
+                assert_eq!(engine.arrival(id).to_bits(), fresh.arrival(id).to_bits(), "{}", id);
+                assert_eq!(engine.load(id).to_bits(), fresh.load(id).to_bits(), "{}", id);
+                assert_eq!(engine.depth(id), fresh.depth(id), "{}", id);
+            }
+        };
+        for _ in 0..edits {
+            let logic: Vec<GateId> = n
+                .iter()
+                .filter(|(_, g)| !g.is_input())
+                .map(|(id, _)| id)
+                .collect();
+            let gate = logic[rng.gen_range(0..logic.len())];
+            let drive = DRIVES[rng.gen_range(0..DRIVES.len())];
+            // A trial drive change, then its undo.
+            engine.set_drive(&mut n, &rows, gate, drive);
+            assert_fresh(&engine, &n);
+            engine.undo_drive(&mut n);
+            assert_fresh(&engine, &n);
+
+            let sim = simulate(&n, &p);
+            let lac = random_lac(&n, &sim, 16, &mut rng);
+            if let Some(lac) = lac {
+                let mut mutated = n.clone();
+                lac.apply(&mut mutated).expect("legal LAC");
+                let delta = engine.preview_substitute(&n, &rows, lac.target(), lac.switch());
+                let full = analyze(&mutated, &cfg);
+                for po in 0..mutated.output_count() {
+                    prop_assert_eq!(delta.po_arrivals[po].to_bits(), full.po_arrival(po).to_bits());
+                    prop_assert_eq!(delta.po_depths[po], full.po_depth(po));
+                }
+                assert_fresh(&engine, &n);
+            }
+            match lac {
+                Some(lac) if rng.gen_bool(0.5) => {
+                    engine
+                        .substitute(&mut n, &mut rows, lac.target(), lac.switch())
+                        .expect("legal LAC");
+                }
+                _ => engine.set_drive(&mut n, &rows, gate, drive),
+            }
+            assert_fresh(&engine, &n);
+        }
     }
 
     #[test]

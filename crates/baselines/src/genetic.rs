@@ -232,24 +232,34 @@ pub fn genetic_depth_session(
             })
             .collect();
         // Parallel build-and-evaluate phase (crossover, optional
-        // mutation, full evaluation), reduced in child order.
+        // mutation, full evaluation), reduced in child order. Every
+        // candidate comes from a full evaluation, so an unmutated child
+        // equal to a parent takes that parent's scores, bit for bit.
         let population_ref = &population;
         let children = par::par_map_batched_with(
             threads,
             &mut eval,
             plans,
             |scratch, plan| {
+                let (pa, pb) = (&population_ref[plan.pa], &population_ref[plan.pb]);
                 let mut child = if plan.pa == plan.pb {
-                    population_ref[plan.pa].netlist.clone()
+                    pa.netlist.clone()
                 } else {
-                    reproduce(&population_ref[plan.pa], &population_ref[plan.pb], &weights)
+                    reproduce(pa, pb, &weights)
                 };
+                let mut mutated = false;
                 if let Some(seed) = plan.mutation_seed {
                     let mut crng = StdRng::seed_from_u64(seed);
                     let sim = ctx.simulate_in(&child, scratch);
                     if let Some(lac) = random_lac(&child, sim, cfg.max_switch_candidates, &mut crng)
                     {
                         lac.apply(&mut child).expect("legal LAC");
+                        mutated = true;
+                    }
+                }
+                if !mutated {
+                    if let Some(parent) = [pa, pb].into_iter().find(|p| p.netlist == child) {
+                        return ctx.evaluate_reusing(child, parent);
                     }
                 }
                 ctx.evaluate_in(child, scratch)
@@ -368,6 +378,32 @@ mod tests {
             "cpd {cpd} vs accurate {}",
             ctx.cpd_ori()
         );
+    }
+
+    /// Every VaACS candidate, reused from an equal parent or not,
+    /// carries exactly the scores of a full evaluation of its netlist.
+    #[test]
+    fn every_candidate_equals_a_full_evaluation() {
+        let ctx = ctx();
+        let outcome = genetic_depth_session(
+            &ctx,
+            0.03,
+            &GeneticConfig {
+                mutation_rate: 0.3,
+                ..quick_cfg()
+            },
+            &Budget::unlimited(),
+            &mut NopObserver,
+        );
+        let bits = |c: &Candidate| {
+            let mut v = vec![c.cpd, c.area, c.error, c.fd, c.fa, c.fitness];
+            v.extend(&c.po_arrivals);
+            v.extend(&c.po_errors);
+            (c.depth, v.into_iter().map(f64::to_bits).collect::<Vec<_>>())
+        };
+        for cand in outcome.population.iter().chain([&outcome.best]) {
+            assert_eq!(bits(cand), bits(&ctx.evaluate(cand.netlist.clone())));
+        }
     }
 
     #[test]

@@ -233,7 +233,6 @@ fn measure(
     let patterns = Patterns::random(netlist.input_count(), vectors, seed);
     let ctx = EvalContext::new(&netlist, patterns, metric, TimingConfig::default(), 0.8);
     let base = ctx.delta_eval(netlist.clone());
-    let report = base.report();
 
     // Draft the candidate set once from the optimizer's own hot-path
     // distribution; both pipelines rank the same LACs.
@@ -250,7 +249,8 @@ fn measure(
             bench.name(),
             lacs.len(),
         );
-        if let Some(lac) = propose_lac_with(base.netlist(), &report, base.sim(), &cfg, &mut rng) {
+        let lac = propose_lac_with(base.netlist(), &*base.sta(), base.sim(), &cfg, &mut rng);
+        if let Some(lac) = lac {
             lacs.push(lac);
         }
     }

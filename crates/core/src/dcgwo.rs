@@ -20,17 +20,24 @@
 //! proposes and scores every child over the worker pool, each worker in
 //! its own recycled scoring base, so a search child's draws and score
 //! are the same on any worker and at any thread count.
+//!
+//! A score depends only on the netlist, so no distinct netlist is paid
+//! for twice. A reproduced child equal to one of its parents takes that
+//! parent's measurements ([`EvalContext::evaluate_reusing`]), and the
+//! search children of equal netlists share one scoring base, built
+//! once, each proposing from its own stream. Every child still counts
+//! as one evaluation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdals_netlist::Netlist;
+use tdals_netlist::{Netlist, SignalRef};
 use tdals_sim::DeltaSim;
 
 use crate::api::{
     Budget, BudgetTracker, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason,
 };
 use crate::fitness::{Candidate, DeltaEval, EvalContext, EvalScratch, LacScore};
-use crate::lac::{Lac, SearchScratch};
+use crate::lac::{random_lac_in, Lac, SearchScratch};
 use crate::par;
 use crate::pareto::{select, Objectives};
 use crate::reproduce::{reproduce, LevelWeights};
@@ -318,17 +325,17 @@ pub fn optimize_session(
     let mut best = accurate.clone();
     population.push(accurate.clone());
     // Seed the rest of the population over the worker pool. Each member
-    // owns a DeltaSim scratch clone of the shared base and an RNG
-    // stream split off the run seed by member index, so its LAC chain —
-    // whose switch selection reads the member's own evolving simulation
-    // state — draws the same switches whether it is built inline or on
-    // any worker. The admission loop below runs serially in member
-    // order: the deterministic budget caps stop admission at the same
-    // member for every thread count (the seeding phase must not pay
-    // population-many evaluations past a tiny evaluation budget), while
-    // cancellation and the deadline abort the fan-out between batches.
-    // The accurate anchor is already in, so stopping early is always
-    // safe.
+    // is built in its worker's recycled DeltaSim, reset to the shared
+    // base's words, with an RNG stream split off the run seed by member
+    // index, so its LAC chain — whose switch selection reads the
+    // member's own evolving simulation state — draws the same switches
+    // whether it is built inline or on any worker. The admission loop
+    // below runs serially in member order: the deterministic budget caps
+    // stop admission at the same member for every thread count (the
+    // seeding phase must not pay population-many evaluations past a tiny
+    // evaluation budget), while cancellation and the deadline abort the
+    // fan-out between batches. The accurate anchor is already in, so
+    // stopping early is always safe.
     // Deterministic pre-truncation: never fan out work a deterministic
     // cap will refuse to admit. A pre-stopped budget (iteration cap 0,
     // exhausted evaluations, pre-raised flag) seeds nothing; an
@@ -344,17 +351,25 @@ pub fn optimize_session(
         .map(|i| par::split_seed(cfg.seed, i as u64))
         .take(seed_budget)
         .collect();
-    let seeded = par::par_map_batched(
+    let seeded = par::par_map_batched_with(
         threads,
+        &mut Vec::<SeedScratch>::new(),
         member_seeds,
-        |member_seed| {
+        |worker, member_seed| {
             let mut rng = StdRng::seed_from_u64(member_seed);
-            let mut member = base_delta.clone();
+            let member = match &mut worker.member {
+                Some(member) => {
+                    member.clone_from(&base_delta);
+                    member
+                }
+                slot @ None => slot.insert(base_delta.clone()),
+            };
             for _ in 0..cfg.initial_lacs.max(1) {
-                if let Some(lac) = crate::lac::random_lac(
+                if let Some(lac) = random_lac_in(
                     member.netlist(),
-                    &member,
+                    &*member,
                     cfg.search.max_switch_candidates,
+                    &mut worker.search,
                     &mut rng,
                 ) {
                     member
@@ -362,11 +377,12 @@ pub fn optimize_session(
                         .expect("legal LAC");
                 }
             }
-            ctx.evaluate_delta(&member)
+            ctx.evaluate_delta(member)
         },
         || tracker.interrupted().is_none(),
     );
-    // The seeding base's words are not needed past this point.
+    // The seeding base's words (and the workers' member copies, dropped
+    // with the pass) are not needed past this point.
     drop(base_delta);
     for cand in seeded.results {
         if tracker.stop_before_iteration(0).is_some() {
@@ -400,14 +416,15 @@ pub fn optimize_session(
         let stream: u64 = rng.gen();
         let mut chase = Chase {
             population: &population,
+            weights: &weights,
             cfg,
             rng: &mut rng,
             stream,
             searches: 0,
         };
         let offspring = match cfg.chase {
-            ChaseStrategy::DoubleChase => chase.double(a, &weights),
-            ChaseStrategy::SingleChase => chase.single(a, &weights),
+            ChaseStrategy::DoubleChase => chase.double(a),
+            ChaseStrategy::SingleChase => chase.single(a),
         };
 
         // Build, propose and score the offspring over the worker pool,
@@ -514,12 +531,22 @@ pub fn optimize_session(
 /// whichever worker serves a child.
 #[derive(Default)]
 struct WorkerScratch {
-    /// The base in which a search child is built, proposed and scored,
-    /// rebuilt in place for each one.
+    /// The base in which search children are built, proposed and
+    /// scored, rebuilt in place for each distinct netlist.
     base: Option<DeltaEval>,
-    /// The buffer full evaluations simulate into.
+    /// The buffer full evaluations simulate into, which also holds the
+    /// cone previews' overlay rows while a search child is scored.
     eval: EvalScratch,
     /// Switch-selection marks for proposals.
+    search: SearchScratch,
+}
+
+/// Buffers one seeding worker keeps across members: the engine each
+/// member is built in, reset to the shared base's words, and the
+/// switch-selection marks of its LAC chain.
+#[derive(Default)]
+struct SeedScratch {
+    member: Option<DeltaSim>,
     search: SearchScratch,
 }
 
@@ -528,13 +555,29 @@ struct WorkerScratch {
 /// Search children are proposed and ranked by re-evaluating only the
 /// proposed substitution's affected cone; reproduced children (whole
 /// fan-in rows copied between parents) have no single-cone provenance
-/// and are scored with a full evaluation.
-enum Offspring {
+/// and are scored with a full evaluation, unless they equal a parent.
+enum Offspring<'p> {
     /// Score with a full evaluation.
     Full(Netlist),
+    /// A reproduced child equal to `parent`: reuse its measurements.
+    Copy {
+        netlist: Netlist,
+        parent: &'p Candidate,
+    },
     /// Propose a LAC on `netlist`, drawing from the proposal stream
     /// `seed`, and score the result.
     Search { netlist: Netlist, seed: u64 },
+}
+
+/// One unit of the offspring pass: a full or reused evaluation, or
+/// every search child of one netlist, which share one scoring base.
+/// Each child keeps its index in offspring order.
+enum Work<'p> {
+    Single(usize, Offspring<'p>),
+    Search {
+        netlist: Netlist,
+        children: Vec<(usize, u64)>,
+    },
 }
 
 /// A scored member of the survivor-selection pool. Lazy entries defer
@@ -611,39 +654,112 @@ impl PoolEntry {
 /// Scores offspring into pool entries over the worker pool, polling the
 /// tracker's bounded-latency interrupts between batches. A child's
 /// entry depends only on the child, never on which worker's buffers
-/// served it, and the output order matches the input order, so parallel
-/// and serial runs are bit-identical; an aborted run returns the
-/// completed prefix with `completed == false`.
+/// served it or which children shared its base, and the output order
+/// matches the input order, so parallel and serial runs are
+/// bit-identical; an aborted run returns the completed prefix with
+/// `completed == false`.
 fn evaluate_offspring(
     ctx: &EvalContext,
     search: &SearchConfig,
-    offspring: Vec<Offspring>,
+    offspring: Vec<Offspring<'_>>,
     threads: usize,
     workers: &mut Vec<WorkerScratch>,
     tracker: &BudgetTracker,
 ) -> par::BatchedMap<PoolEntry> {
-    par::par_map_batched_with(
+    let count = offspring.len();
+    let scored = par::par_map_batched_with(
         threads,
         workers,
-        offspring,
-        |worker, off| worker.score(ctx, search, off),
+        group_searches(offspring),
+        |worker, work| worker.score(ctx, search, work),
         || tracker.interrupted().is_none(),
-    )
+    );
+    let mut entries: Vec<Option<PoolEntry>> = (0..count).map(|_| None).collect();
+    for (k, entry) in scored.results.into_iter().flatten() {
+        entries[k] = Some(entry);
+    }
+    let results: Vec<PoolEntry> = entries.into_iter().map_while(|entry| entry).collect();
+    par::BatchedMap {
+        completed: results.len() == count,
+        results,
+    }
+}
+
+/// The offspring as work units, in order of their first child: search
+/// children of equal netlists are gathered into one unit, found by a
+/// fingerprint and confirmed by comparing the netlists.
+fn group_searches(offspring: Vec<Offspring<'_>>) -> Vec<Work<'_>> {
+    let mut work: Vec<Work<'_>> = Vec::with_capacity(offspring.len());
+    // (fingerprint, unit index) of every search unit so far.
+    let mut searches: Vec<(u64, usize)> = Vec::new();
+    for (k, off) in offspring.into_iter().enumerate() {
+        let Offspring::Search { netlist, seed } = off else {
+            work.push(Work::Single(k, off));
+            continue;
+        };
+        let print = fingerprint(&netlist);
+        let same = searches.iter().find(|&&(p, unit)| {
+            p == print && matches!(&work[unit], Work::Search { netlist: n, .. } if *n == netlist)
+        });
+        match same.map(|&(_, unit)| &mut work[unit]) {
+            Some(Work::Search { children, .. }) => children.push((k, seed)),
+            _ => {
+                searches.push((print, work.len()));
+                work.push(Work::Search {
+                    netlist,
+                    children: vec![(k, seed)],
+                });
+            }
+        }
+    }
+    work
+}
+
+/// A hash of `netlist`'s fan-in rows and primary-output drivers: equal
+/// netlists share it, so only netlists with equal fingerprints need a
+/// full comparison.
+fn fingerprint(netlist: &Netlist) -> u64 {
+    let code = |signal: SignalRef| match signal {
+        SignalRef::Const0 => 0,
+        SignalRef::Const1 => 1,
+        SignalRef::Gate(g) => g.index() as u64 + 2,
+    };
+    let mut hash = 0u64;
+    let pins = netlist
+        .iter()
+        .flat_map(|(_, gate)| gate.fanins().iter().copied());
+    for signal in pins.chain(netlist.output_drivers()) {
+        hash = (hash.rotate_left(5) ^ code(signal)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    hash
 }
 
 impl WorkerScratch {
-    /// Scores one chase product. A search child is built in this
-    /// worker's recycled base, proposed from the child's own stream (the
+    /// Scores one work unit, each entry with its offspring index. A
+    /// search unit's netlist is built once in this worker's recycled
+    /// base; each of its children proposes from its own stream (the
     /// base's words feed similarity-based switch selection and its
-    /// timing feeds critical-path target collection) and scored there;
-    /// a full evaluation, or a search child with nothing to propose,
-    /// simulates into the worker's buffer.
-    fn score(&mut self, ctx: &EvalContext, search: &SearchConfig, off: Offspring) -> PoolEntry {
-        let (netlist, seed) = match off {
-            Offspring::Full(netlist) => {
-                return PoolEntry::Ready(ctx.evaluate_in(netlist, &mut self.eval))
+    /// timing engine critical-path target collection) and is scored
+    /// there. A full evaluation, or a search child with nothing to
+    /// propose, simulates into the worker's buffer.
+    fn score(
+        &mut self,
+        ctx: &EvalContext,
+        search: &SearchConfig,
+        work: Work<'_>,
+    ) -> Vec<(usize, PoolEntry)> {
+        let (netlist, children) = match work {
+            Work::Single(k, Offspring::Full(netlist)) => {
+                return vec![(
+                    k,
+                    PoolEntry::Ready(ctx.evaluate_in(netlist, &mut self.eval)),
+                )]
             }
-            Offspring::Search { netlist, seed } => (netlist, seed),
+            Work::Single(k, Offspring::Copy { netlist, parent }) => {
+                return vec![(k, PoolEntry::Ready(ctx.evaluate_reusing(netlist, parent)))]
+            }
+            Work::Single(k, Offspring::Search { netlist, seed }) => (netlist, vec![(k, seed)]),
+            Work::Search { netlist, children } => (netlist, children),
         };
         let base = match &mut self.base {
             Some(base) => {
@@ -652,23 +768,31 @@ impl WorkerScratch {
             }
             slot @ None => slot.insert(ctx.delta_eval(netlist)),
         };
-        let report = base.report();
-        let mut rng = StdRng::seed_from_u64(seed);
-        match propose_lac_in(
-            base.netlist(),
-            &report,
-            base.sim(),
-            search,
-            &mut self.search,
-            &mut rng,
-        ) {
-            Some(lac) => PoolEntry::Lazy {
-                netlist: base.netlist().clone(),
-                lac,
-                score: ctx.score_lac(base, lac),
-            },
-            None => PoolEntry::Ready(ctx.evaluate_in(base.netlist().clone(), &mut self.eval)),
-        }
+        children
+            .into_iter()
+            .map(|(k, seed)| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let lac = propose_lac_in(
+                    base.netlist(),
+                    &*base.sta(),
+                    base.sim(),
+                    search,
+                    &mut self.search,
+                    &mut rng,
+                );
+                let entry = match lac {
+                    Some(lac) => PoolEntry::Lazy {
+                        netlist: base.netlist().clone(),
+                        lac,
+                        score: ctx.score_lac_in(base, lac, &mut self.eval),
+                    },
+                    None => {
+                        PoolEntry::Ready(ctx.evaluate_in(base.netlist().clone(), &mut self.eval))
+                    }
+                };
+                (k, entry)
+            })
+            .collect()
     }
 }
 
@@ -711,27 +835,42 @@ fn decision_parameter<R: Rng>(guide_fitness: f64, own_fitness: f64, a: f64, rng:
 /// propose and score them on any worker with the same draws.
 struct Chase<'a, R: Rng> {
     population: &'a [Candidate],
+    weights: &'a LevelWeights,
     cfg: &'a OptimizerConfig,
     rng: &'a mut R,
     stream: u64,
     searches: u64,
 }
 
-impl<R: Rng> Chase<'_, R> {
+impl<'a, R: Rng> Chase<'a, R> {
     /// A circuit-searching child of `netlist`, on the next proposal
     /// stream.
-    fn search(&mut self, netlist: Netlist) -> Offspring {
+    fn search(&mut self, netlist: Netlist) -> Offspring<'a> {
         let seed = par::split_seed(self.stream, self.searches);
         self.searches += 1;
         Offspring::Search { netlist, seed }
     }
 
     /// A circuit-searching child of population member `idx`.
-    fn search_member(&mut self, idx: usize) -> Offspring {
+    fn search_member(&mut self, idx: usize) -> Offspring<'a> {
         self.search(self.population[idx].netlist.clone())
     }
 
-    fn double(&mut self, a: f64, weights: &LevelWeights) -> Vec<Offspring> {
+    /// The reproduced child of members `idx` and `partner`, marked as a
+    /// copy when it equals either parent.
+    fn reproduce(&self, idx: usize, partner: usize) -> Offspring<'a> {
+        let (ci, cp) = (&self.population[idx], &self.population[partner]);
+        let netlist = reproduce(ci, cp, self.weights);
+        match [ci, cp]
+            .into_iter()
+            .find(|parent| parent.netlist == netlist)
+        {
+            Some(parent) => Offspring::Copy { netlist, parent },
+            None => Offspring::Full(netlist),
+        }
+    }
+
+    fn double(&mut self, a: f64) -> Vec<Offspring<'a>> {
         let (population, cfg) = (self.population, self.cfg);
         let n = population.len();
         let mut offspring = Vec::new();
@@ -751,13 +890,12 @@ impl<R: Rng> Chase<'_, R> {
         };
 
         // Chase 1: the leader guides the elites.
-        for rank in 1..elite_end {
-            let ci = &population[rank];
+        for (rank, ci) in population.iter().enumerate().take(elite_end).skip(1) {
             let w = decision_parameter(leader.fitness, ci.fitness, a, self.rng);
             if w > cfg.elite_threshold && cfg.reproduction {
                 // Reproduce with a circuit of superior fitness.
-                let partner = &population[self.rng.gen_range(0..rank)];
-                offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
+                let partner = self.rng.gen_range(0..rank);
+                offspring.push(self.reproduce(rank, partner));
             } else {
                 offspring.push(self.search_member(rank));
             }
@@ -767,18 +905,18 @@ impl<R: Rng> Chase<'_, R> {
         for idx in elite_end..n {
             let ci = &population[idx];
             let w = decision_parameter(elite_mean, ci.fitness, a, self.rng);
-            let elite_partner = &population[self.rng.gen_range(0..elite_end)];
+            let elite_partner = self.rng.gen_range(0..elite_end);
             if !cfg.reproduction {
                 offspring.push(self.search_member(idx));
             } else if w > cfg.omega_threshold {
                 // Both actions compound on one circuit: reproduce with an
                 // elite, then search the child.
-                let child = reproduce(ci, elite_partner, weights);
+                let child = reproduce(ci, &population[elite_partner], self.weights);
                 offspring.push(self.search(child));
             } else if self.rng.gen_bool(0.5) {
                 offspring.push(self.search_member(idx));
             } else {
-                offspring.push(Offspring::Full(reproduce(ci, elite_partner, weights)));
+                offspring.push(self.reproduce(idx, elite_partner));
             }
         }
 
@@ -787,7 +925,7 @@ impl<R: Rng> Chase<'_, R> {
         offspring
     }
 
-    fn single(&mut self, a: f64, weights: &LevelWeights) -> Vec<Offspring> {
+    fn single(&mut self, a: f64) -> Vec<Offspring<'a>> {
         let (population, cfg) = (self.population, self.cfg);
         let n = population.len();
         let mut offspring = Vec::new();
@@ -798,12 +936,11 @@ impl<R: Rng> Chase<'_, R> {
         // threshold and no finer hierarchy.
         let leader_end = n.min(3);
         let alpha = &population[0];
-        for idx in leader_end..n {
-            let ci = &population[idx];
+        for (idx, ci) in population.iter().enumerate().skip(leader_end) {
             let w = decision_parameter(alpha.fitness, ci.fitness, a, self.rng);
             if w > cfg.elite_threshold && cfg.reproduction {
-                let partner = &population[self.rng.gen_range(0..leader_end)];
-                offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
+                let partner = self.rng.gen_range(0..leader_end);
+                offspring.push(self.reproduce(idx, partner));
             } else {
                 offspring.push(self.search_member(idx));
             }
@@ -818,8 +955,8 @@ impl<R: Rng> Chase<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitness::same_scores;
     use tdals_netlist::builder::Builder;
-    use tdals_netlist::SignalRef;
     use tdals_sim::{ErrorMetric, Patterns};
     use tdals_sta::TimingConfig;
 
@@ -999,6 +1136,134 @@ mod tests {
         assert_eq!(outcome.stop, StopReason::EvaluationLimit);
         assert_eq!(outcome.evaluations, 3, "anchor + two capped members");
         assert_eq!(outcome.population.len(), 3);
+    }
+
+    /// The population of a short run on Int2float: members materialized
+    /// from cone previews among them, most carrying a dead-cone area
+    /// that differs from a fresh sum.
+    fn int2float_population() -> (EvalContext, Vec<Candidate>) {
+        let accurate = tdals_circuits::Benchmark::Int2float.build();
+        let ctx = EvalContext::new(
+            &accurate,
+            Patterns::random(accurate.input_count(), 256, 3),
+            ErrorMetric::ErrorRate,
+            TimingConfig::default(),
+            0.8,
+        );
+        let cfg = OptimizerConfig::default()
+            .with_population(12)
+            .with_iterations(4)
+            .with_seed(0);
+        let population = optimize(&ctx, 0.05, &cfg).population;
+        (ctx, population)
+    }
+
+    /// Every reproduced child the chase marks as a copy of a parent
+    /// scores exactly as a full evaluation of it, including children of
+    /// parents whose dead-cone area differs from a fresh sum.
+    #[test]
+    fn reused_reproduction_scores_equal_full_evaluations() {
+        let (ctx, population) = int2float_population();
+        let cfg = OptimizerConfig::default();
+        let weights = LevelWeights::paper_defaults(ctx.cpd_ori(), cfg.level_we);
+        let mut rng = StdRng::seed_from_u64(0);
+        let chase = Chase {
+            population: &population,
+            weights: &weights,
+            cfg: &cfg,
+            rng: &mut rng,
+            stream: 0,
+            searches: 0,
+        };
+        let mut worker = WorkerScratch::default();
+        let (mut copies, mut stale_area) = (0, 0);
+        for i in 0..population.len() {
+            for j in 0..population.len() {
+                let Offspring::Copy { netlist, parent } = chase.reproduce(i, j) else {
+                    continue;
+                };
+                copies += 1;
+                let fresh = ctx.evaluate(netlist.clone());
+                if parent.area.to_bits() != fresh.area.to_bits() {
+                    stale_area += 1;
+                }
+                let scored = worker.score(
+                    &ctx,
+                    &cfg.search,
+                    Work::Single(0, Offspring::Copy { netlist, parent }),
+                );
+                let [(0, PoolEntry::Ready(reused))] = &scored[..] else {
+                    panic!("a copy scores as one ready entry");
+                };
+                assert!(same_scores(reused, &fresh), "children of {i} and {j}");
+            }
+        }
+        assert!(
+            copies > 0 && stale_area > 0,
+            "{copies} copies, {stale_area} stale areas"
+        );
+    }
+
+    /// Search children grouped on one base score as they do each in a
+    /// base of its own.
+    #[test]
+    fn grouped_search_children_score_as_separate_ones() {
+        let (ctx, population) = int2float_population();
+        let search = SearchConfig::default();
+        let mut offspring = Vec::new();
+        for (k, member) in population.iter().take(4).enumerate() {
+            for copy in 0..3 {
+                offspring.push(Offspring::Search {
+                    netlist: member.netlist.clone(),
+                    seed: (k * 10 + copy) as u64,
+                });
+            }
+        }
+        let singles: Vec<PoolEntry> = offspring
+            .iter()
+            .enumerate()
+            .map(|(k, off)| {
+                let Offspring::Search { netlist, seed } = off else {
+                    unreachable!()
+                };
+                let off = Offspring::Search {
+                    netlist: netlist.clone(),
+                    seed: *seed,
+                };
+                let mut scored =
+                    WorkerScratch::default().score(&ctx, &search, Work::Single(k, off));
+                scored.pop().expect("one entry").1
+            })
+            .collect();
+        let units = group_searches(offspring);
+        assert!(units.len() < 12, "equal netlists share a unit");
+        let grouped = evaluate_offspring(
+            &ctx,
+            &search,
+            units
+                .into_iter()
+                .flat_map(|unit| match unit {
+                    Work::Search { netlist, children } => children
+                        .into_iter()
+                        .map(|(_, seed)| Offspring::Search {
+                            netlist: netlist.clone(),
+                            seed,
+                        })
+                        .collect::<Vec<_>>(),
+                    Work::Single(_, off) => vec![off],
+                })
+                .collect(),
+            1,
+            &mut Vec::new(),
+            &Budget::unlimited().start_tracking(),
+        );
+        assert!(grouped.completed);
+        for (k, (a, b)) in grouped.results.into_iter().zip(singles).enumerate() {
+            assert!(
+                same_scores(&a.into_candidate(), &b.into_candidate()),
+                "child {k}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@ use std::collections::HashMap;
 
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use tdals_sim::{
-    simulate_reusing, DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, SimResult, SimWords,
+    simulate_reusing, DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, PreviewScratch, SimResult,
+    SimWords,
 };
 use tdals_sta::{analyze, IncrementalSta, TimingConfig, TimingReport};
 
@@ -201,10 +202,17 @@ impl DeltaEval {
         &self.sim
     }
 
-    /// Snapshot of the base timing as a [`TimingReport`] (feeds
-    /// critical-path target collection).
+    /// Snapshot of the base timing as a [`TimingReport`] (an O(gates)
+    /// copy; [`DeltaEval::sta`] reads the same arrivals in place).
     pub fn report(&self) -> TimingReport {
         self.sta.borrow().to_report(self.sim.netlist())
+    }
+
+    /// The base timing engine, borrowed: its arrivals feed critical-path
+    /// target collection ([`tdals_sta::Arrivals`]). The borrow must end
+    /// before the next [`EvalContext::score_lac`] on this base.
+    pub fn sta(&self) -> std::cell::Ref<'_, IncrementalSta> {
+        self.sta.borrow()
     }
 
     /// `Area_app` of the base netlist in µm².
@@ -360,14 +368,17 @@ impl DeltaEval {
     }
 }
 
-/// Reusable buffers for [`EvalContext::evaluate_in`] and
-/// [`EvalContext::simulate_in`]: the last simulation, whose word storage
-/// the next one writes into. A worker keeps one across evaluations, so
-/// full evaluations of same-sized netlists allocate their words once.
-/// Its contents never affect a result.
+/// Reusable buffers for [`EvalContext::evaluate_in`],
+/// [`EvalContext::simulate_in`] and [`EvalContext::score_lac_in`]: one
+/// word buffer, which holds the last full simulation and, while a cone
+/// preview is scored, that preview's overlay rows, plus the preview's
+/// per-gate marks. A worker keeps one across evaluations, so full
+/// evaluations and previews of same-sized netlists allocate their words
+/// once. Its contents never affect a result.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     sim: Option<SimResult>,
+    preview: PreviewScratch,
 }
 
 /// Shared evaluation context: the accurate circuit's reference numbers,
@@ -489,11 +500,10 @@ impl EvalContext {
         netlist: &Netlist,
         scratch: &'s mut EvalScratch,
     ) -> &'s SimResult {
-        let words = scratch
-            .sim
-            .take()
-            .map(SimResult::into_words)
-            .unwrap_or_default();
+        let words = match scratch.sim.take() {
+            Some(sim) => sim.into_words(),
+            None => scratch.preview.take_rows(),
+        };
         scratch
             .sim
             .insert(simulate_reusing(netlist, self.evaluator.patterns(), words))
@@ -524,6 +534,31 @@ impl EvalContext {
         self.evaluate_with(netlist, &report, sim)
     }
 
+    /// [`EvalContext::evaluate`] of a netlist equal to `parent`'s, from
+    /// `parent`'s measurements instead of a simulation and an STA pass.
+    ///
+    /// Depth, delay, error and the per-PO vectors are functions of the
+    /// netlist and are copied. The live area is summed afresh and the
+    /// fitness terms recomputed from it: a parent scored through
+    /// [`EvalContext::score_lac`] carries the dead-cone area, which can
+    /// differ from a fresh sum in the last bits. The result equals a
+    /// full evaluation bit for bit whatever way `parent` was scored.
+    pub fn evaluate_reusing(&self, netlist: Netlist, parent: &Candidate) -> Candidate {
+        debug_assert!(
+            netlist == parent.netlist,
+            "a reused score needs an equal netlist"
+        );
+        self.score_from(
+            parent.depth,
+            parent.cpd,
+            netlist.area_live(),
+            parent.error,
+            parent.po_arrivals.clone(),
+            parent.po_errors.clone(),
+        )
+        .into_candidate(netlist)
+    }
+
     /// Builds the incremental scoring state for `netlist`: one full
     /// simulation plus one full STA pass up front; every
     /// [`EvalContext::score_lac`] against it is then O(affected cone).
@@ -545,7 +580,20 @@ impl EvalContext {
     /// STA does. The area is the base's live area minus the dead cone's,
     /// which can differ from a fresh sum in the last bits.
     pub fn score_lac(&self, base: &DeltaEval, lac: Lac) -> LacScore {
-        let view = base.sim().preview(lac.target(), lac.switch());
+        self.score_lac_in(base, lac, &mut EvalScratch::default())
+    }
+
+    /// [`EvalContext::score_lac`] with the simulation preview's marks
+    /// and overlay rows in `scratch`; the overlay rows take the word
+    /// buffer of the scratch's last full simulation. The score is the
+    /// same.
+    pub fn score_lac_in(&self, base: &DeltaEval, lac: Lac, scratch: &mut EvalScratch) -> LacScore {
+        if let Some(sim) = scratch.sim.take() {
+            scratch.preview.lend_rows(sim.into_words());
+        }
+        let view = base
+            .sim()
+            .preview_in(lac.target(), lac.switch(), &mut scratch.preview);
         let error = self.evaluator.error_of_sim(&view);
         let po_errors = self.evaluator.po_errors_of_sim(&view);
         let timing = base.sta.borrow_mut().preview_substitute(
@@ -655,6 +703,19 @@ impl EvalContext {
             po_errors,
         }
     }
+}
+
+/// Whether two candidates carry the same netlist and the same scores,
+/// bit for bit.
+#[cfg(test)]
+pub(crate) fn same_scores(a: &Candidate, b: &Candidate) -> bool {
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    a.netlist == b.netlist
+        && a.depth == b.depth
+        && [a.cpd, a.area, a.error, a.fd, a.fa, a.fitness].map(f64::to_bits)
+            == [b.cpd, b.area, b.error, b.fd, b.fa, b.fitness].map(f64::to_bits)
+        && bits(&a.po_arrivals) == bits(&b.po_arrivals)
+        && bits(&a.po_errors) == bits(&b.po_errors)
 }
 
 #[cfg(test)]
@@ -781,6 +842,51 @@ mod tests {
             assert_eq!(a.error.to_bits(), b.error.to_bits());
             assert_eq!(a.po_errors, b.po_errors);
         }
+    }
+
+    /// A score reused from an equal parent equals a full evaluation bit
+    /// for bit, also when the parent was scored through a cone preview
+    /// and carries the dead-cone area, which here differs from a fresh
+    /// sum for some LACs.
+    #[test]
+    fn reused_scores_equal_a_full_evaluation() {
+        let accurate = tdals_circuits::Benchmark::C880.build();
+        let ctx = EvalContext::new(
+            &accurate,
+            Patterns::random(accurate.input_count(), 300, 2),
+            ErrorMetric::Nmed,
+            TimingConfig::default(),
+            0.8,
+        );
+        let base = ctx.delta_eval(accurate.clone());
+        let mut scratch = EvalScratch::default();
+        let mut moved_area = 0;
+        for (id, gate) in accurate.iter() {
+            if gate.is_input() {
+                continue;
+            }
+            let lac = Lac::new(id, SignalRef::Const0);
+            let mut netlist = accurate.clone();
+            lac.apply(&mut netlist).expect("constant switch");
+            let fresh = ctx.evaluate_in(netlist.clone(), &mut scratch);
+            let lazy = ctx
+                .score_lac_in(&base, lac, &mut scratch)
+                .into_candidate(netlist.clone());
+            if lazy.area.to_bits() != fresh.area.to_bits() {
+                moved_area += 1;
+            }
+            for parent in [&lazy, &fresh] {
+                let reused = ctx.evaluate_reusing(netlist.clone(), parent);
+                assert!(
+                    same_scores(&reused, &fresh),
+                    "{id}: {reused:?} vs {fresh:?}"
+                );
+            }
+        }
+        assert!(
+            moved_area > 0,
+            "some dead-cone area differs from a fresh sum"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use rand::Rng;
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use tdals_sim::SimWords;
-use tdals_sta::{worst_fanin, TimingReport};
+use tdals_sta::{worst_fanin, Arrivals};
 
 /// One local approximate change: substitute every use of the target
 /// gate's output with the switch signal.
@@ -67,7 +67,12 @@ impl Lac {
 /// worst path of each of the `path_count` latest primary outputs, plus —
 /// with probability 0.5 per sampled gate — their gate fan-ins.
 ///
-/// Primary inputs never enter the set (they cannot be approximated).
+/// `timing` is any arrival source for `netlist`: a
+/// [`TimingReport`](tdals_sta::TimingReport) or the live state of an
+/// [`IncrementalSta`](tdals_sta::IncrementalSta). A primary output
+/// arrives when its driver gate does, and a constant one at 0, as in
+/// the report. Primary inputs never enter the set (they cannot be
+/// approximated).
 ///
 /// # Equivalence to per-PO path extraction
 ///
@@ -82,15 +87,22 @@ impl Lac {
 /// the per-path filter would keep, and they are pushed in the same
 /// (reversed) order. Each gate is walked at most once, so the cost is
 /// O(gates + pins) rather than O(POs × depth).
-pub fn collect_targets<R: Rng>(
+pub fn collect_targets<R: Rng, A: Arrivals + ?Sized>(
     netlist: &Netlist,
-    report: &TimingReport,
+    timing: &A,
     path_count: usize,
     rng: &mut R,
 ) -> Vec<GateId> {
     // Rank POs by arrival time, worst first.
+    let po_arrival: Vec<f64> = netlist
+        .output_drivers()
+        .map(|driver| match driver {
+            SignalRef::Gate(g) => timing.arrival(g),
+            _ => 0.0,
+        })
+        .collect();
     let mut pos: Vec<usize> = (0..netlist.output_count()).collect();
-    pos.sort_by(|&a, &b| report.po_arrival(b).total_cmp(&report.po_arrival(a)));
+    pos.sort_by(|&a, &b| po_arrival[b].total_cmp(&po_arrival[a]));
     pos.truncate(path_count.max(1));
 
     let mut in_set = vec![false; netlist.gate_count()];
@@ -106,7 +118,7 @@ pub fn collect_targets<R: Rng>(
             }
             in_set[cursor.index()] = true;
             walk.push(cursor);
-            match worst_fanin(netlist, report, cursor) {
+            match worst_fanin(netlist, timing, cursor) {
                 Some(src) => cursor = src,
                 None => break,
             }
@@ -250,6 +262,24 @@ pub fn random_lac<R: Rng, V: SimWords>(
     max_candidates: usize,
     rng: &mut R,
 ) -> Option<Lac> {
+    random_lac_in(
+        netlist,
+        sim,
+        max_candidates,
+        &mut SearchScratch::default(),
+        rng,
+    )
+}
+
+/// [`random_lac`] with reusable switch-selection buffers: the same LAC
+/// from the same random draws.
+pub(crate) fn random_lac_in<R: Rng, V: SimWords>(
+    netlist: &Netlist,
+    sim: &V,
+    max_candidates: usize,
+    scratch: &mut SearchScratch,
+    rng: &mut R,
+) -> Option<Lac> {
     let logic_gates: Vec<GateId> = netlist
         .iter()
         .filter(|(_, g)| !g.is_input())
@@ -259,7 +289,7 @@ pub fn random_lac<R: Rng, V: SimWords>(
         return None;
     }
     let target = logic_gates[rng.gen_range(0..logic_gates.len())];
-    select_switch(netlist, sim, target, max_candidates, rng)
+    select_switch_in(netlist, sim, target, max_candidates, scratch, rng)
 }
 
 #[cfg(test)]
@@ -270,7 +300,7 @@ mod tests {
     use tdals_circuits::Benchmark;
     use tdals_netlist::builder::Builder;
     use tdals_sim::{simulate, Patterns};
-    use tdals_sta::{analyze, critical_path_to_po, TimingConfig};
+    use tdals_sta::{analyze, critical_path_to_po, TimingConfig, TimingReport};
 
     fn test_circuit() -> Netlist {
         let mut b = Builder::new("t");

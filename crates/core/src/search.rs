@@ -5,6 +5,7 @@
 use rand::Rng;
 use tdals_netlist::Netlist;
 use tdals_sim::{DeltaSim, SimWords};
+use tdals_sta::Arrivals;
 
 use crate::fitness::EvalContext;
 use crate::lac::{collect_targets, select_switch_in, Lac, SearchScratch};
@@ -52,19 +53,19 @@ pub fn propose_lac<R: Rng, V: SimWords>(
     propose_lac_with(netlist, &report, sim, cfg, rng)
 }
 
-/// [`propose_lac`] when a timing report of `netlist` is already
-/// available (e.g. snapshotted from an incremental engine), so no full
-/// STA pass is needed.
-pub fn propose_lac_with<R: Rng, V: SimWords>(
+/// [`propose_lac`] when the timing of `netlist` is already available —
+/// a [`TimingReport`](tdals_sta::TimingReport), or the live state of an
+/// incremental engine — so no full STA pass is needed.
+pub fn propose_lac_with<R: Rng, V: SimWords, A: Arrivals + ?Sized>(
     netlist: &Netlist,
-    report: &tdals_sta::TimingReport,
+    timing: &A,
     sim: &V,
     cfg: &SearchConfig,
     rng: &mut R,
 ) -> Option<Lac> {
     propose_lac_in(
         netlist,
-        report,
+        timing,
         sim,
         cfg,
         &mut SearchScratch::default(),
@@ -74,15 +75,15 @@ pub fn propose_lac_with<R: Rng, V: SimWords>(
 
 /// [`propose_lac_with`] with reusable switch-selection buffers: the same
 /// LAC from the same random draws.
-pub(crate) fn propose_lac_in<R: Rng, V: SimWords>(
+pub(crate) fn propose_lac_in<R: Rng, V: SimWords, A: Arrivals + ?Sized>(
     netlist: &Netlist,
-    report: &tdals_sta::TimingReport,
+    timing: &A,
     sim: &V,
     cfg: &SearchConfig,
     scratch: &mut SearchScratch,
     rng: &mut R,
 ) -> Option<Lac> {
-    let targets = collect_targets(netlist, report, cfg.path_count, rng);
+    let targets = collect_targets(netlist, timing, cfg.path_count, rng);
     if targets.is_empty() {
         return None;
     }

@@ -2,19 +2,18 @@
 //!
 //! Gate evaluation runs a whole row per gate (see the row kernel in
 //! `kernel.rs`), so no gate loop has a block width. What remains
-//! blockwise are the error-metric loops ([`error_rate`](crate::error_rate),
-//! [`nmed`](crate::nmed)) that gather the same word range of many
-//! primary outputs at once: they walk the rows in blocks of
-//! [`BLOCK_WORDS`] words, small stack arrays of straight-line bitwise
-//! ops that LLVM folds into vector registers.
+//! blockwise is the [`nmed`](crate::nmed) kernel, which carries a
+//! borrow across the same word range of every primary output: it walks
+//! the rows in blocks of [`BLOCK_WORDS`] words, small stack arrays of
+//! straight-line bitwise ops that LLVM folds into vector registers.
 //!
 //! [`SimdWidth`] describes that compile-time width for bench and host
 //! records. Its values are kept as they were when the width also
 //! shaped the gate kernels, because recorded host descriptions (the
 //! flowbench host record among them) carry them.
 
-/// Words per metric block: the inner-loop width of the blockwise
-/// metric loops.
+/// Words per metric block: the inner-loop width of the blockwise NMED
+/// kernel.
 pub(crate) const BLOCK_WORDS: usize = 8;
 
 /// Description of the compiled block width, for bench and host

@@ -60,15 +60,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::borrow::Cow;
+
 use tdals_netlist::{Fanouts, GateId, Netlist, NetlistError, SignalRef};
 
 use crate::engine::{simulate, simulate_reusing, SimResult};
 use crate::kernel::eval_gate_row;
 use crate::patterns::Patterns;
 use crate::view::{gate_row, SimWords};
-
-/// Sentinel for "gate not in the overlay".
-const NO_SLOT: u32 = u32::MAX;
 
 /// Counters describing how much work one cone re-evaluation did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,8 +90,9 @@ impl DeltaStats {
 ///
 /// [`DeltaSim::rebuild`] recycles the word buffer, so a long-lived
 /// engine re-targeted at one same-sized netlist after another allocates
-/// its words once.
-#[derive(Debug, Clone)]
+/// its words once; `clone_from` copies another engine's state into this
+/// one's buffers the same way.
+#[derive(Debug)]
 pub struct DeltaSim {
     netlist: Netlist,
     patterns: Patterns,
@@ -109,6 +109,88 @@ pub struct DeltaSim {
     fanouts: Fanouts,
     /// Lifetime counters across all commits.
     commit_stats: DeltaStats,
+    /// Cone marks and the one evaluation row of commits.
+    commit_scratch: PreviewScratch,
+}
+
+/// Reusable buffers for a cone re-evaluation: per-gate marks stamped
+/// with the walk's generation, so a new walk clears nothing and
+/// allocates nothing, and the overlay rows a preview writes.
+///
+/// A worker that scores many previews keeps one scratch and passes it
+/// to [`DeltaSim::preview_in`]; [`PreviewScratch::lend_rows`] lets it
+/// keep the overlay rows in a word buffer it already holds, such as a
+/// recycled full simulation's. Its contents never affect a result.
+#[derive(Debug, Clone, Default)]
+pub struct PreviewScratch {
+    generation: u32,
+    /// Per gate: the generation in which it became pending.
+    pending: Vec<u32>,
+    /// Per gate: the generation in which it got an overlay row, and
+    /// that row's index.
+    slot: Vec<(u32, u32)>,
+    /// Overlay rows, `word_count` words each; may hold more words than
+    /// the rows in use.
+    rows: Vec<u64>,
+}
+
+impl PreviewScratch {
+    /// Hands the scratch a word buffer to keep overlay rows in (for
+    /// example [`SimResult::into_words`]); the rows it held before are
+    /// dropped. Its contents are overwritten, never read.
+    pub fn lend_rows(&mut self, words: Vec<u64>) {
+        self.rows = words;
+    }
+
+    /// Takes the overlay row buffer back, leaving the scratch none.
+    pub fn take_rows(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.rows)
+    }
+
+    /// Starts a walk over `gates` gates: a fresh generation, with the
+    /// marks reset only when the gate count changed or the generations
+    /// ran out.
+    fn begin(&mut self, gates: usize) -> u32 {
+        if self.pending.len() != gates || self.generation == u32::MAX {
+            self.pending.clear();
+            self.pending.resize(gates, 0);
+            self.slot.clear();
+            self.slot.resize(gates, (0, 0));
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.generation
+    }
+}
+
+impl Clone for DeltaSim {
+    fn clone(&self) -> DeltaSim {
+        DeltaSim {
+            netlist: self.netlist.clone(),
+            patterns: self.patterns.clone(),
+            values: self.values.clone(),
+            word_count: self.word_count,
+            vector_count: self.vector_count,
+            tail_mask: self.tail_mask,
+            fanouts: self.fanouts.clone(),
+            commit_stats: self.commit_stats,
+            commit_scratch: PreviewScratch::default(),
+        }
+    }
+
+    /// Copies `source`'s state into this engine's buffers: no word
+    /// allocation once they have held an engine of this size. The
+    /// commit marks are kept; they never affect a result.
+    fn clone_from(&mut self, source: &DeltaSim) {
+        self.netlist.clone_from(&source.netlist);
+        self.patterns.clone_from(&source.patterns);
+        self.values.clone_from(&source.values);
+        self.word_count = source.word_count;
+        self.vector_count = source.vector_count;
+        self.tail_mask = source.tail_mask;
+        self.fanouts.clone_from(&source.fanouts);
+        self.commit_stats = source.commit_stats;
+    }
 }
 
 impl DeltaSim {
@@ -151,6 +233,7 @@ impl DeltaSim {
             patterns,
             fanouts,
             commit_stats: DeltaStats::default(),
+            commit_scratch: PreviewScratch::default(),
         }
     }
 
@@ -221,27 +304,92 @@ impl DeltaSim {
     /// from the target's transitive fan-in, so this cannot happen on
     /// their path).
     pub fn preview(&self, target: GateId, switch: SignalRef) -> DeltaView<'_> {
+        let mut scratch = PreviewScratch::default();
+        let stats = self.preview_cone(target, switch, &mut scratch);
+        DeltaView {
+            base: self,
+            target,
+            switch,
+            scratch: Cow::Owned(scratch),
+            stats,
+        }
+    }
+
+    /// [`DeltaSim::preview`] with the marks and overlay rows in
+    /// `scratch`, which the view borrows: the same view, without a
+    /// per-call allocation once the scratch has served a cone of this
+    /// size.
+    ///
+    /// # Panics
+    ///
+    /// As [`DeltaSim::preview`].
+    pub fn preview_in<'a>(
+        &'a self,
+        target: GateId,
+        switch: SignalRef,
+        scratch: &'a mut PreviewScratch,
+    ) -> DeltaView<'a> {
+        let stats = self.preview_cone(target, switch, scratch);
+        DeltaView {
+            base: self,
+            target,
+            switch,
+            scratch: Cow::Borrowed(scratch),
+            stats,
+        }
+    }
+
+    /// Re-evaluates the cone of `target := switch` into `scratch`'s
+    /// overlay rows: row `r` holds the `r`-th changed gate, and its slot
+    /// points there under the walk's generation.
+    fn preview_cone(
+        &self,
+        target: GateId,
+        switch: SignalRef,
+        scratch: &mut PreviewScratch,
+    ) -> DeltaStats {
         if let SignalRef::Gate(s) = switch {
             assert!(
                 s < target,
                 "switch {s} must precede target {target} in id order"
             );
         }
-        let mut slot = vec![NO_SLOT; self.netlist.gate_count()];
-        let mut words: Vec<u64> = Vec::new();
-        let mut stats = DeltaStats::default();
-        self.propagate(target, switch, &mut slot, &mut words, &mut stats);
+        let wc = self.word_count;
+        let generation = scratch.begin(self.netlist.gate_count());
+        let PreviewScratch {
+            pending,
+            slot,
+            rows,
+            ..
+        } = scratch;
+        let mut used = 0usize;
+        let stats = walk_cone(&self.fanouts, target, pending, generation, |id| {
+            if rows.len() < (used + 1) * wc {
+                rows.resize((used + 1) * wc, 0);
+            }
+            let (done, free) = rows.split_at_mut(used * wc);
+            let out = &mut free[..wc];
+            eval_gate_row(
+                self.netlist.gate(id).cell().func(),
+                fanins_after(&self.netlist, id, target, switch),
+                &self.patterns,
+                |g| overlay_row(&self.values, done, slot, generation, wc, g),
+                out,
+            );
+            if let Some(last) = out.last_mut() {
+                *last &= self.tail_mask;
+            }
+            let changed = *out != *gate_row(&self.values, wc, id);
+            if changed {
+                slot[id.index()] = (generation, u32::try_from(used).expect("overlay fits u32"));
+                used += 1;
+            }
+            changed
+        });
         let m = tdals_obs::metrics();
         m.delta_previews.incr();
         m.delta_cone_gates.record(stats.changed as u64);
-        DeltaView {
-            base: self,
-            target,
-            switch,
-            slot,
-            words,
-            stats,
-        }
+        stats
     }
 
     /// Commits the substitution `target := switch`: rewrites the
@@ -262,101 +410,86 @@ impl DeltaSim {
                 });
             }
         }
-        // Re-evaluate the cone into an overlay, then merge. (The overlay
-        // indirection keeps the propagation code shared with `preview`.)
-        let mut slot = vec![NO_SLOT; self.netlist.gate_count()];
-        let mut words: Vec<u64> = Vec::new();
-        let mut stats = DeltaStats::default();
-        self.propagate(target, switch, &mut slot, &mut words, &mut stats);
+        // The cone is re-evaluated in place: in ascending id order every
+        // fan-in row a gate reads is already final, changed or not. The
+        // fan-out rows still describe the netlist before the
+        // substitution, which is what the walk follows.
+        let rewritten = self.netlist.substitute(target, switch)?;
+        let wc = self.word_count;
+        let scratch = &mut self.commit_scratch;
+        let generation = scratch.begin(self.netlist.gate_count());
+        scratch.rows.resize(wc, 0);
+        let (values, row) = (&mut self.values, &mut scratch.rows[..wc]);
+        let stats = walk_cone(
+            &self.fanouts,
+            target,
+            &mut scratch.pending,
+            generation,
+            |id| {
+                eval_gate_row(
+                    self.netlist.gate(id).cell().func(),
+                    self.netlist.gate(id).fanins().iter().copied(),
+                    &self.patterns,
+                    |g| gate_row(values, wc, g),
+                    row,
+                );
+                if let Some(last) = row.last_mut() {
+                    *last &= self.tail_mask;
+                }
+                let stored = &mut values[id.index() * wc..(id.index() + 1) * wc];
+                let changed = *row != *stored;
+                if changed {
+                    stored.copy_from_slice(row);
+                }
+                changed
+            },
+        );
         self.commit_stats.changed += stats.changed;
         self.commit_stats.damped += stats.damped;
         let m = tdals_obs::metrics();
         m.delta_commits.incr();
         m.delta_cone_gates.record(stats.changed as u64);
-
-        let rewritten = self.netlist.substitute(target, switch)?;
-        for (g, &s) in slot.iter().enumerate() {
-            if s != NO_SLOT {
-                let src = s as usize * self.word_count;
-                let dst = g * self.word_count;
-                self.values[dst..dst + self.word_count]
-                    .copy_from_slice(&words[src..src + self.word_count]);
-            }
-        }
         // Every gate reader of `target` now reads `switch` instead. (PO
         // readers live in the netlist's output table.)
         self.netlist.fanouts_into(&mut self.fanouts);
         Ok(rewritten)
     }
+}
 
-    /// Event-driven cone re-evaluation shared by `preview` and
-    /// `substitute`: walks the fan-out of `target` in topological id
-    /// order, recomputing each reached gate under the pending
-    /// substitution; gates whose recomputed words equal their current
-    /// words do not propagate further. Each gate is one row-kernel call
-    /// into a scratch row, with its fan-ins read from the overlay where
-    /// the cone already changed them and from the base otherwise; the
-    /// tail mask then clips the scratch row's final word, and one row
-    /// comparison against the base decides whether the gate changed.
-    fn propagate(
-        &self,
-        target: GateId,
-        switch: SignalRef,
-        slot: &mut [u32],
-        words: &mut Vec<u64>,
-        stats: &mut DeltaStats,
-    ) {
-        let wc = self.word_count;
-        let n = self.netlist.gate_count();
-        // Pending-flag scan instead of a priority queue: fan-outs
-        // always have larger ids than their drivers, so one ascending
-        // pass over the id space evaluates every affected gate after
-        // all of its fan-ins have settled. Every pending gate lies in
-        // `lo..end`, so the pass stops at the wavefront's last reader
-        // instead of scanning to the end of the id space.
-        let mut pending = vec![false; n];
-        let (mut lo, mut end) = (n, 0);
-        for &reader in self.fanouts.readers(target) {
-            pending[reader.index()] = true;
-            lo = lo.min(reader.index());
-            end = end.max(reader.index() + 1);
-        }
-
-        let mut scratch = vec![0u64; wc];
-        for i in lo..n {
-            if i == end {
-                break;
-            }
-            if !pending[i] {
-                continue;
-            }
+/// Event-driven cone walk shared by previews and commits: visits the
+/// fan-out of `target` in topological id order and hands `eval` each
+/// reached gate. `eval` re-evaluates the gate and says whether its
+/// words changed; only changed gates wake their readers, so a gate
+/// whose words stay the same stops the wavefront. `pending` marks,
+/// under `generation`, the gates already woken.
+fn walk_cone(
+    fanouts: &Fanouts,
+    target: GateId,
+    pending: &mut [u32],
+    generation: u32,
+    mut eval: impl FnMut(GateId) -> bool,
+) -> DeltaStats {
+    // Pending-flag scan instead of a priority queue: fan-outs always
+    // have larger ids than their drivers, so one ascending pass over
+    // the id space evaluates every affected gate after all of its
+    // fan-ins have settled. Every pending gate lies in `lo..end`, so the
+    // pass stops at the wavefront's last reader instead of scanning to
+    // the end of the id space.
+    let mut stats = DeltaStats::default();
+    let (mut lo, mut end) = (pending.len(), 0);
+    for &reader in fanouts.readers(target) {
+        pending[reader.index()] = generation;
+        lo = lo.min(reader.index());
+        end = end.max(reader.index() + 1);
+    }
+    let mut i = lo;
+    while i < end {
+        if pending[i] == generation {
             let id = GateId::new(i);
-            let gate = self.netlist.gate(id);
-            // The pending substitution: readers of `target` see
-            // `switch` instead.
-            let fanins = gate.fanins().iter().map(|&fanin| {
-                if fanin == SignalRef::Gate(target) {
-                    switch
-                } else {
-                    fanin
-                }
-            });
-            eval_gate_row(
-                gate.cell().func(),
-                fanins,
-                &self.patterns,
-                |g| overlay_row(&self.values, words, slot, wc, g),
-                &mut scratch,
-            );
-            if let Some(last) = scratch.last_mut() {
-                *last &= self.tail_mask;
-            }
-            if scratch[..] != *gate_row(&self.values, wc, id) {
+            if eval(id) {
                 stats.changed += 1;
-                slot[i] = u32::try_from(words.len() / wc).expect("overlay fits u32");
-                words.extend_from_slice(&scratch);
-                for &reader in self.fanouts.readers(id) {
-                    pending[reader.index()] = true;
+                for &reader in fanouts.readers(id) {
+                    pending[reader.index()] = generation;
                     end = end.max(reader.index() + 1);
                 }
             } else {
@@ -365,23 +498,45 @@ impl DeltaSim {
                 stats.damped += 1;
             }
         }
+        i += 1;
     }
+    stats
+}
+
+/// Gate `id`'s fan-ins under the pending substitution `target :=
+/// switch`: readers of `target` see `switch` instead.
+fn fanins_after(
+    netlist: &Netlist,
+    id: GateId,
+    target: GateId,
+    switch: SignalRef,
+) -> impl Iterator<Item = SignalRef> + '_ {
+    netlist.gate(id).fanins().iter().map(move |&fanin| {
+        if fanin == SignalRef::Gate(target) {
+            switch
+        } else {
+            fanin
+        }
+    })
 }
 
 /// Row `g` of an overlay over gate-major `base` storage: overlay row
-/// `slot[g]` of `words` where the cone re-evaluation changed `g`, its
-/// base row otherwise.
+/// `r` of `rows` where `slot[g]` is `(generation, r)`, that is where
+/// this walk's cone re-evaluation changed `g`, its base row otherwise.
 #[inline]
 fn overlay_row<'a>(
     base: &'a [u64],
-    words: &'a [u64],
-    slot: &[u32],
+    rows: &'a [u64],
+    slot: &[(u32, u32)],
+    generation: u32,
     word_count: usize,
     g: GateId,
 ) -> &'a [u64] {
     match slot[g.index()] {
-        NO_SLOT => gate_row(base, word_count, g),
-        s => &words[s as usize * word_count..(s as usize + 1) * word_count],
+        (stamp, r) if stamp == generation => {
+            &rows[r as usize * word_count..(r as usize + 1) * word_count]
+        }
+        _ => gate_row(base, word_count, g),
     }
 }
 
@@ -422,10 +577,9 @@ pub struct DeltaView<'a> {
     base: &'a DeltaSim,
     target: GateId,
     switch: SignalRef,
-    /// Gate → overlay row (NO_SLOT when the gate kept its base words).
-    slot: Vec<u32>,
-    /// Overlay rows, `word_count` words each.
-    words: Vec<u64>,
+    /// Marks and overlay rows of the cone re-evaluation, owned or
+    /// borrowed from the caller's scratch.
+    scratch: Cow<'a, PreviewScratch>,
     stats: DeltaStats,
 }
 
@@ -464,8 +618,9 @@ impl SimWords for DeltaView<'_> {
     fn gate_row(&self, g: GateId) -> &[u64] {
         overlay_row(
             &self.base.values,
-            &self.words,
-            &self.slot,
+            &self.scratch.rows,
+            &self.scratch.slot,
+            self.scratch.generation,
             self.base.word_count,
             g,
         )
@@ -629,6 +784,49 @@ mod tests {
         assert_eq!(rebuilt.values, fresh.values);
         assert_eq!(rebuilt.fanouts, fresh.fanouts);
         assert_eq!(rebuilt.commit_stats(), fresh.commit_stats());
+    }
+
+    /// One preview scratch serving previews of two engines of different
+    /// sizes, across a generation wrap and with a lent buffer of stale
+    /// words, gives the rows of a fresh preview every time.
+    #[test]
+    fn reused_preview_scratch_equals_a_fresh_one() {
+        let (n, g1, g2) = chain();
+        let p = Patterns::random(3, 130, 4);
+        let small = DeltaSim::new(n.clone(), &p);
+        let mut wide = n;
+        let extra = wide
+            .add_gate("g4", x1(CellFunc::Xor2), vec![g1.into(), g2.into()])
+            .expect("gate");
+        wide.add_output("y4", extra.into());
+        let large = DeltaSim::new(wide, &p);
+        let mut scratch = PreviewScratch::default();
+        scratch.lend_rows(vec![u64::MAX; 5]);
+        for (round, engine) in [&small, &large, &small, &large].into_iter().enumerate() {
+            if round == 2 {
+                scratch.generation = u32::MAX - 1;
+            }
+            for (t, s) in [
+                (g1, SignalRef::Const0),
+                (g1, SignalRef::Const1),
+                (g2, SignalRef::Gate(g1)),
+                (g2, SignalRef::Const0),
+            ] {
+                let fresh = engine.preview(t, s);
+                let fresh_rows: Vec<Vec<u64>> = (0..engine.netlist().gate_count())
+                    .map(|g| fresh.gate_row(GateId::new(g)).to_vec())
+                    .collect();
+                let reused = engine.preview_in(t, s, &mut scratch);
+                assert_eq!(reused.stats(), fresh.stats(), "round {round}, {t} := {s:?}");
+                for (g, row) in fresh_rows.iter().enumerate() {
+                    assert_eq!(
+                        reused.gate_row(GateId::new(g)),
+                        &row[..],
+                        "round {round}, {t} := {s:?}, gate {g}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod patterns;
 mod view;
 
 pub use block::SimdWidth;
-pub use delta::{DeltaSim, DeltaStats, DeltaView};
+pub use delta::{DeltaSim, DeltaStats, DeltaView, PreviewScratch};
 pub use engine::{simulate, simulate_reference, simulate_reusing, SimResult};
 pub use metrics::{error_rate, nmed, po_flip_rates, ErrorEvaluator, ErrorMetric};
 pub use patterns::Patterns;

@@ -1,7 +1,7 @@
 //! Circuit error metrics: error rate (ER) and normalized mean error
 //! distance (NMED), per §II-A of the paper.
 
-use tdals_netlist::Netlist;
+use tdals_netlist::{Netlist, SignalRef};
 
 use crate::block::BLOCK_WORDS;
 use crate::engine::{simulate, SimResult};
@@ -100,31 +100,40 @@ fn check_compat<A: SimWords, B: SimWords>(ori: &A, app: &B) {
 /// ```
 pub fn error_rate<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
     check_compat(ori, app);
-    // Walk whole blocks through `SimWords::po_block`, one slice copy
-    // per PO and block instead of per-word calls. Popcount
-    // accumulation is per-word and order-preserving: the result is
-    // exactly the scalar loop's.
-    let words = ori.word_count();
-    let mut wrong = 0usize;
-    let mut w = 0;
-    while w < words {
-        let n = BLOCK_WORDS.min(words - w);
-        let mut any_diff = [0u64; BLOCK_WORDS];
-        let mut o = [0u64; BLOCK_WORDS];
-        let mut a = [0u64; BLOCK_WORDS];
-        for po in 0..ori.output_count() {
-            ori.po_block(po, w, &mut o[..n]);
-            app.po_block(po, w, &mut a[..n]);
-            for l in 0..n {
-                any_diff[l] |= o[l] ^ a[l];
+    // One row marks the vectors with any wrong output: each PO's XORed
+    // driver rows are ORed into it. Gate rows carry zeroed tail bits;
+    // the constant cases may set them, so the final word is clipped
+    // before the popcount. The count is an integer, as a per-word scan
+    // counts it.
+    let mut wrong = vec![0u64; ori.word_count()];
+    let or_into = |wrong: &mut [u64], row: &[u64], invert: bool| {
+        let flip = if invert { u64::MAX } else { 0 };
+        for (w, x) in wrong.iter_mut().zip(row) {
+            *w |= x ^ flip;
+        }
+    };
+    for po in 0..ori.output_count() {
+        match (PoRow::of(ori, po), PoRow::of(app, po)) {
+            (PoRow::Gate(a), PoRow::Gate(b)) => {
+                for ((w, x), y) in wrong.iter_mut().zip(a).zip(b) {
+                    *w |= x ^ y;
+                }
             }
+            (PoRow::Gate(g), PoRow::Zeros) | (PoRow::Zeros, PoRow::Gate(g)) => {
+                or_into(&mut wrong, g, false)
+            }
+            (PoRow::Gate(g), PoRow::Ones) | (PoRow::Ones, PoRow::Gate(g)) => {
+                or_into(&mut wrong, g, true)
+            }
+            (PoRow::Zeros, PoRow::Ones) | (PoRow::Ones, PoRow::Zeros) => wrong.fill(u64::MAX),
+            (PoRow::Zeros, PoRow::Zeros) | (PoRow::Ones, PoRow::Ones) => {}
         }
-        for &d in &any_diff[..n] {
-            wrong += d.count_ones() as usize;
-        }
-        w += n;
     }
-    wrong as f64 / ori.vector_count() as f64
+    if let Some(last) = wrong.last_mut() {
+        *last &= ori.tail_mask();
+    }
+    let count: usize = wrong.iter().map(|w| w.count_ones() as usize).sum();
+    count as f64 / ori.vector_count() as f64
 }
 
 /// Per-output flip probabilities: element `j` is the fraction of vectors
@@ -160,22 +169,16 @@ pub fn po_flip_rates<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
 ///
 /// Outputs are read as an unsigned binary number (PO 0 = LSB). The mean
 /// of `|V_ori − V_app|` over all vectors is normalized by `2^n − 1`.
-/// Computation is done in `f64`, which keeps full precision up to 53
-/// output bits and a faithful approximation beyond (the paper's widest
-/// circuit has 129 outputs; NMED is a ratio, so the relative error of the
-/// f64 path is negligible).
 ///
-/// # Summation order
-///
-/// The value is defined by one fixed order of `f64` operations: vectors
-/// ascending; per differing vector, a signed sum of the normalized
-/// weights `2^j / (2^n − 1)` of its differing POs, `j` ascending (`+`
-/// where the accurate bit is set, `−` where it is clear); then the
-/// absolute value of that sum is added to the total. With at most 64
-/// outputs each 64-vector word is bit-transposed, so one `u64` holds
-/// one vector's PO bits and the walk visits only the set diff bits of
-/// differing vectors — the same additions in the same order, hence the
-/// same bits, as the per-PO scan used for wider circuits.
+/// The distance sum is exact at any output width. The PO rows are
+/// subtracted bit-sliced, 64 vectors per word: a ripple borrow from PO
+/// 0 up gives each vector's difference in two's complement, the final
+/// borrow marks the vectors where the approximate value is larger, and
+/// those are negated. Bit `j` of `|V_ori − V_app|` is then one word
+/// per 64 vectors, so the sum is `Σ_j 2^j · (vectors with bit j set)`,
+/// an integer kept in 64-bit limbs. It is rounded to `f64` once and
+/// divided once by `(2^n − 1) · vectors`, so the result is the
+/// correctly rounded sum, divided, whatever the order of the vectors.
 ///
 /// # Panics
 ///
@@ -183,132 +186,126 @@ pub fn po_flip_rates<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
 pub fn nmed<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
     check_compat(ori, app);
     let n_out = ori.output_count();
-    // Normalized weight of each output bit: 2^j / (2^n - 1).
-    // Computed as exp2(j - n_bits) style scaling to avoid overflow.
-    let max_value = (2f64).powi(n_out as i32) - 1.0;
-    let weights: Vec<f64> = (0..n_out)
-        .map(|j| (2f64).powi(j as i32) / max_value)
+    let (words, tail) = (ori.word_count(), ori.tail_mask());
+    let rows: Vec<(PoRow<'_>, PoRow<'_>)> = (0..n_out)
+        .map(|po| (PoRow::of(ori, po), PoRow::of(app, po)))
         .collect();
-    let total = if n_out <= 64 {
-        nmed_sum_transposed(ori, app, &weights)
-    } else {
-        nmed_sum_per_po(ori, app, &weights)
+    // Per PO, one block of `V_ori − V_app` bits; per bit position, the
+    // vectors whose distance has that bit set.
+    let mut diff = vec![[0u64; BLOCK_WORDS]; n_out];
+    let mut set_bits = vec![0u64; n_out];
+    for w0 in (0..words).step_by(BLOCK_WORDS) {
+        let mut borrow = [0u64; BLOCK_WORDS];
+        let mut any = 0u64;
+        for (d, &(o, a)) in diff.iter_mut().zip(&rows) {
+            let (o, a) = (o.block(w0, words, tail), a.block(w0, words, tail));
+            for l in 0..BLOCK_WORDS {
+                let x = o[l] ^ a[l];
+                d[l] = x ^ borrow[l];
+                borrow[l] = (!o[l] & a[l]) | (!x & borrow[l]);
+                any |= x;
+            }
+        }
+        if any == 0 {
+            continue;
+        }
+        // Two's-complement negation of the negative lanes: flip every
+        // bit and add one.
+        let negative = borrow;
+        let mut carry = negative;
+        for (d, count) in diff.iter().zip(&mut set_bits) {
+            for l in 0..BLOCK_WORDS {
+                let x = d[l] ^ negative[l];
+                *count += u64::from((x ^ carry[l]).count_ones());
+                carry[l] &= x;
+            }
+        }
+    }
+    let total = weighted_sum_to_f64(&set_bits);
+    if total == 0.0 {
+        // Covers the output-less circuit, whose `2^n − 1` is zero.
+        return 0.0;
+    }
+    let max_value = (2f64).powi(n_out as i32) - 1.0;
+    total / (max_value * ori.vector_count() as f64)
+}
+
+/// One primary output's words as the metric kernels read them: its
+/// driver's gate row (tail bits zeroed), or a constant.
+#[derive(Clone, Copy)]
+enum PoRow<'a> {
+    Zeros,
+    Ones,
+    Gate(&'a [u64]),
+}
+
+impl<'a> PoRow<'a> {
+    fn of<V: SimWords>(v: &'a V, po: usize) -> PoRow<'a> {
+        match v.po_driver(po) {
+            SignalRef::Const0 => PoRow::Zeros,
+            SignalRef::Const1 => PoRow::Ones,
+            SignalRef::Gate(g) => PoRow::Gate(v.gate_row(g)),
+        }
+    }
+
+    /// Words `w0 .. w0 + BLOCK_WORDS` of a `words`-word row, zero past
+    /// its end; the all-ones row is clipped to `tail_mask` in its final
+    /// word, as gate rows are.
+    #[inline]
+    fn block(self, w0: usize, words: usize, tail_mask: u64) -> [u64; BLOCK_WORDS] {
+        let mut out = [0u64; BLOCK_WORDS];
+        let n = BLOCK_WORDS.min(words - w0);
+        match self {
+            PoRow::Zeros => {}
+            PoRow::Ones => {
+                out[..n].fill(u64::MAX);
+                if w0 + n == words {
+                    out[n - 1] &= tail_mask;
+                }
+            }
+            PoRow::Gate(row) => out[..n].copy_from_slice(&row[w0..w0 + n]),
+        }
+        out
+    }
+}
+
+/// `Σ_j counts[j] · 2^j`, computed exactly and rounded to the nearest
+/// `f64` (ties to even).
+fn weighted_sum_to_f64(counts: &[u64]) -> f64 {
+    // Column sums per 64-bit limb: each is below 64 · 2^64, so a u128
+    // holds it; carries are resolved once at the end.
+    let mut columns = vec![0u128; counts.len() / 64 + 2];
+    for (j, &c) in counts.iter().enumerate() {
+        let shifted = u128::from(c) << (j % 64);
+        columns[j / 64] += shifted & u128::from(u64::MAX);
+        columns[j / 64 + 1] += shifted >> 64;
+    }
+    let mut limbs = Vec::with_capacity(columns.len());
+    let mut carry = 0u128;
+    for column in columns {
+        let v = column + carry;
+        limbs.push(v as u64);
+        carry = v >> 64;
+    }
+    limbs_to_f64(&limbs)
+}
+
+/// The `f64` nearest to `Σ_k limbs[k] · 2^(64k)` (ties to even).
+fn limbs_to_f64(limbs: &[u64]) -> f64 {
+    let limb = |k: usize| u128::from(limbs.get(k).copied().unwrap_or(0));
+    let Some(top) = limbs.iter().rposition(|&l| l != 0) else {
+        return 0.0;
     };
-    total / ori.vector_count() as f64
-}
-
-/// The NMED total for at most 64 outputs: words are read a block at a
-/// time, and each word with any difference is transposed to one `u64`
-/// of PO bits per vector.
-fn nmed_sum_transposed<A: SimWords, B: SimWords>(ori: &A, app: &B, weights: &[f64]) -> f64 {
-    let n_out = weights.len();
-    let words = ori.word_count();
-    // Rows [po][lane]: PO-major blocks of accurate words and diff words.
-    let mut o = [[0u64; BLOCK_WORDS]; 64];
-    let mut d = [[0u64; BLOCK_WORDS]; 64];
-    let mut total = 0f64;
-    let mut w = 0;
-    while w < words {
-        let n = BLOCK_WORDS.min(words - w);
-        for po in 0..n_out {
-            ori.po_block(po, w, &mut o[po][..n]);
-            app.po_block(po, w, &mut d[po][..n]);
-            for l in 0..n {
-                d[po][l] ^= o[po][l];
-            }
-        }
-        for l in 0..n {
-            let mut diff = [0u64; 64];
-            let mut acc = [0u64; 64];
-            let mut any = 0u64;
-            for po in 0..n_out {
-                diff[po] = d[po][l];
-                acc[po] = o[po][l];
-                any |= diff[po];
-            }
-            if any == 0 {
-                continue;
-            }
-            transpose64(&mut diff);
-            transpose64(&mut acc);
-            let mut vectors = any;
-            while vectors != 0 {
-                let v = vectors.trailing_zeros() as usize;
-                vectors &= vectors - 1;
-                let mut bits = diff[v];
-                let mut signed = 0f64;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    // ori bit set -> app cleared it: +w_j; else -w_j.
-                    signed += signed_weight(weights[j], acc[v] >> j & 1 == 0);
-                }
-                total += signed.abs();
-            }
-        }
-        w += n;
+    if top < 2 {
+        return (limb(1) << 64 | limb(0)) as f64;
     }
-    total
-}
-
-/// The NMED total for any output count: per word, a scan over every
-/// PO for each differing vector.
-fn nmed_sum_per_po<A: SimWords, B: SimWords>(ori: &A, app: &B, weights: &[f64]) -> f64 {
-    let n_out = weights.len();
-    let mut diffs = vec![0u64; n_out];
-    let mut oris = vec![0u64; n_out];
-    let mut total = 0f64;
-    for w in 0..ori.word_count() {
-        let mut remaining = 0u64;
-        for po in 0..n_out {
-            oris[po] = ori.po_word(po, w);
-            diffs[po] = oris[po] ^ app.po_word(po, w);
-            remaining |= diffs[po];
-        }
-        while remaining != 0 {
-            let mask = 1u64 << remaining.trailing_zeros();
-            remaining &= remaining - 1;
-            let mut signed = 0f64;
-            for j in 0..n_out {
-                if diffs[j] & mask != 0 {
-                    // ori bit set -> app cleared it: +w_j; else -w_j.
-                    signed += signed_weight(weights[j], oris[j] & mask == 0);
-                }
-            }
-            total += signed.abs();
-        }
-    }
-    total
-}
-
-/// `-weight` when `negate`, else `weight`, by flipping the sign bit
-/// instead of branching on the data. Adding the result is exact:
-/// `a - w` and `a + (-w)` round identically, so the summation order and
-/// every bit of the total are those of the branching form.
-#[inline]
-fn signed_weight(weight: f64, negate: bool) -> f64 {
-    f64::from_bits(weight.to_bits() ^ (u64::from(negate) << 63))
-}
-
-/// In-place transpose of a 64×64 bit matrix: on return, bit `j` of
-/// `m[i]` is what bit `i` of `m[j]` was. Six rounds of block swaps
-/// (32×32 down to 1×1), as in *Hacker's Delight* §7-3.
-fn transpose64(m: &mut [u64; 64]) {
-    let mut width = 32;
-    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
-    while width != 0 {
-        let mut k = 0;
-        while k < 64 {
-            // Swap the high-bit block of row k with the low-bit block of
-            // row k + width.
-            let t = ((m[k] >> width) ^ m[k + width]) & mask;
-            m[k] ^= t << width;
-            m[k + width] ^= t;
-            k = (k + width + 1) & !width;
-        }
-        width >>= 1;
-        mask ^= mask << width;
-    }
+    // The top two limbs hold at least 65 significant bits: the 53 an
+    // `f64` keeps, its rounding bit, and more below. Folding every lower
+    // limb into one sticky bit at the bottom therefore rounds exactly as
+    // the whole number does, and the power-of-two scale is exact.
+    let sticky = u128::from(limbs[..top - 1].iter().any(|&l| l != 0));
+    let head = limb(top) << 64 | limb(top - 1) | sticky;
+    head as f64 * (2f64).powi(64 * (top as i32 - 1))
 }
 
 /// Cached golden-reference evaluator.
@@ -581,22 +578,68 @@ mod tests {
         assert_eq!(er, 1.0, "every vector differs");
     }
 
+    /// `limbs_to_f64` rounds like Rust's `u128 as f64` wherever that
+    /// applies, and past 128 bits like the same number shifted down by
+    /// whole limbs with its dropped bits folded to a sticky bit.
     #[test]
-    fn transpose64_matches_the_bitwise_definition() {
-        let mut m = [0u64; 64];
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        for row in &mut m {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *row = x;
+    fn exact_sums_round_to_nearest() {
+        let cases: [u128; 6] = [
+            0,
+            1,
+            (1 << 53) + 1,
+            (1 << 54) + 3,
+            u128::MAX,
+            (0xDEAD_BEEF << 70) | 0x1234_5678,
+        ];
+        for v in cases {
+            assert_eq!(
+                limbs_to_f64(&[v as u64, (v >> 64) as u64]).to_bits(),
+                (v as f64).to_bits(),
+                "{v:#x}"
+            );
         }
-        let original = m;
-        transpose64(&mut m);
-        for (i, row) in m.iter().enumerate() {
-            for (j, col) in original.iter().enumerate() {
-                assert_eq!(row >> j & 1, col >> i & 1, "bit ({i}, {j})");
-            }
+        // 2^128 + 2^75 + 1: a tie at 53 bits broken upward by the 1.
+        let tie_up = limbs_to_f64(&[1, 1 << 11, 1]);
+        assert_eq!(tie_up, (2f64).powi(128) + (2f64).powi(76));
+        // 2^128 + 2^75: an exact tie, rounded to even (down).
+        assert_eq!(limbs_to_f64(&[0, 1 << 11, 1]), (2f64).powi(128));
+        // Σ counts[j]·2^j with counts spread over three limbs.
+        let mut counts = vec![0u64; 130];
+        counts[0] = 5;
+        counts[64] = 3;
+        counts[129] = 1;
+        assert_eq!(
+            weighted_sum_to_f64(&counts),
+            5.0 + 3.0 * (2f64).powi(64) + (2f64).powi(129)
+        );
+    }
+
+    /// The bit-sliced NMED equals a per-vector sum of `|V_ori − V_app|`
+    /// on tiny rows: ragged tails, both constant drivers, and an
+    /// approximate value above and below the accurate one.
+    #[test]
+    fn nmed_kernel_matches_per_vector_distances() {
+        let n = adder2();
+        for (vectors, seed) in [(1, 1), (16, 2), (70, 3), (130, 4)] {
+            let p = Patterns::random(4, vectors, seed);
+            let golden = simulate(&n, &p);
+            let mut approx = n.clone();
+            let s1 = approx.find_gate("s1").expect("s1");
+            approx.substitute(s1, SignalRef::Const1).expect("lac");
+            let c1 = approx.find_gate("c1").expect("c1");
+            approx.substitute(c1, SignalRef::Const0).expect("lac");
+            let app = simulate(&approx, &p);
+            let value = |r: &SimResult, v: usize| -> u64 {
+                (0..3)
+                    .map(|po| (r.po_word(po, v / 64) >> (v % 64) & 1) << po)
+                    .sum()
+            };
+            let total: u64 = (0..vectors)
+                .map(|v| value(&golden, v).abs_diff(value(&app, v)))
+                .sum();
+            let want = total as f64 / (7.0 * vectors as f64);
+            assert_eq!(nmed(&golden, &app).to_bits(), want.to_bits(), "{vectors}");
+            assert_eq!(nmed(&app, &golden).to_bits(), want.to_bits(), "{vectors}");
         }
     }
 }

@@ -1,17 +1,20 @@
-//! Exactness of the fast similarity, flip-rate and NMED kernels.
+//! Exactness of the fast similarity, flip-rate, error-rate and NMED
+//! kernels.
 //!
-//! `diff_count` and `po_flip_rates` read gate rows directly and `nmed`
-//! walks transposed words; all must return exactly what the plain
-//! per-word scans return — the same count, and the same `f64` bits. The scans are kept
-//! here as oracles and compared on random netlists for every evaluator
-//! (`SimResult`, `DeltaSim`, `DeltaView`), every gate/constant pairing,
-//! and vector counts around the word boundaries.
+//! `diff_count`, `po_flip_rates` and `error_rate` read gate rows
+//! directly and must return exactly what the plain per-word scans
+//! return — the same count, and the same `f64` bits. `nmed` subtracts
+//! bit-sliced PO rows and must equal an independent oracle that sums
+//! `|V_ori − V_app|` one vector at a time in exact integers. The oracles
+//! are compared on random netlists for every evaluator (`SimResult`,
+//! `DeltaSim`, `DeltaView`), every gate/constant pairing, and vector
+//! counts around the word boundaries.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals_netlist::cell::{Cell, Drive, ALL_FUNCS};
 use tdals_netlist::{GateId, Netlist, SignalRef};
-use tdals_sim::{nmed, po_flip_rates, simulate, DeltaSim, Patterns, SimWords};
+use tdals_sim::{error_rate, nmed, po_flip_rates, simulate, DeltaSim, Patterns, SimWords};
 
 const VECTOR_COUNTS: [usize; 5] = [1, 63, 64, 65, 4095];
 
@@ -71,39 +74,103 @@ fn diff_count_per_word<V: SimWords>(v: &V, a: SignalRef, b: SignalRef) -> usize 
         .sum()
 }
 
-/// NMED by a scan over every PO for each differing vector of each
-/// word, in the defining summation order.
-fn nmed_per_word<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
-    let n_out = ori.output_count();
-    let max_value = (2f64).powi(n_out as i32) - 1.0;
-    let weights: Vec<f64> = (0..n_out)
-        .map(|j| (2f64).powi(j as i32) / max_value)
+/// The PO values of every vector as little-endian 64-bit limbs, read
+/// one masked word at a time.
+fn po_values<V: SimWords>(v: &V) -> Vec<Vec<u64>> {
+    let n_out = v.output_count();
+    let words: Vec<Vec<u64>> = (0..n_out)
+        .map(|po| (0..v.word_count()).map(|w| v.po_word(po, w)).collect())
         .collect();
-    let mut total = 0f64;
-    for w in 0..ori.word_count() {
-        let diffs: Vec<u64> = (0..n_out)
-            .map(|po| ori.po_word(po, w) ^ app.po_word(po, w))
-            .collect();
-        let oris: Vec<u64> = (0..n_out).map(|po| ori.po_word(po, w)).collect();
-        let mut remaining: u64 = diffs.iter().fold(0, |acc, d| acc | d);
-        while remaining != 0 {
-            let bit = remaining.trailing_zeros();
-            remaining &= remaining - 1;
-            let mask = 1u64 << bit;
-            let mut signed = 0f64;
-            for j in 0..n_out {
-                if diffs[j] & mask != 0 {
-                    if oris[j] & mask != 0 {
-                        signed += weights[j];
-                    } else {
-                        signed -= weights[j];
-                    }
-                }
+    (0..v.vector_count())
+        .map(|vector| {
+            let mut limbs = vec![0u64; n_out.div_ceil(64)];
+            for (po, row) in words.iter().enumerate() {
+                let bit = row[vector / 64] >> (vector % 64) & 1;
+                limbs[po / 64] |= bit << (po % 64);
             }
-            total += signed.abs();
+            limbs
+        })
+        .collect()
+}
+
+/// `Σ |V_ori − V_app|` over all vectors, as an exact integer in `u128`
+/// limbs: each vector's larger value minus its smaller one, limb by
+/// limb with a borrow, added to the total with a carry.
+fn distance_sum(ori: &[Vec<u64>], app: &[Vec<u64>]) -> Vec<u128> {
+    let limbs = ori.first().map_or(0, Vec::len);
+    let mut total = vec![0u128; limbs + 1];
+    for (o, a) in ori.iter().zip(app) {
+        let (hi, lo) = if o.iter().rev().cmp(a.iter().rev()).is_ge() {
+            (o, a)
+        } else {
+            (a, o)
+        };
+        let mut borrow = 0u128;
+        let mut carry = 0u128;
+        for (k, slot) in total.iter_mut().enumerate() {
+            let (h, l) = (
+                u128::from(hi.get(k).copied().unwrap_or(0)),
+                u128::from(lo.get(k).copied().unwrap_or(0)),
+            );
+            let digit = (h + (1 << 64) - l - borrow) & u128::from(u64::MAX);
+            borrow = u128::from(h < l + borrow);
+            let sum = *slot + digit + carry;
+            *slot = sum & u128::from(u64::MAX);
+            carry = sum >> 64;
         }
+        assert_eq!((borrow, carry), (0, 0), "the sum fits its limbs");
     }
-    total / ori.vector_count() as f64
+    total
+}
+
+/// The nearest `f64` to a limb integer (ties to even): Rust's `u128`
+/// conversion when the value fits one, else its top 64 bits with every
+/// lower bit folded into the lowest, scaled by a power of two.
+fn nearest_f64(limbs: &[u128]) -> f64 {
+    let bits: Vec<bool> = (0..limbs.len() * 64)
+        .map(|i| limbs[i / 64] >> (i % 64) & 1 == 1)
+        .collect();
+    let Some(top) = bits.iter().rposition(|&b| b) else {
+        return 0.0;
+    };
+    if top < 128 {
+        let value = limbs[0] | limbs.get(1).copied().unwrap_or(0) << 64;
+        return value as f64;
+    }
+    let shift = top + 1 - 64;
+    let mut head = (shift..=top)
+        .rev()
+        .fold(0u64, |acc, i| acc << 1 | u64::from(bits[i]));
+    if bits[..shift].iter().any(|&b| b) {
+        head |= 1;
+    }
+    head as f64 * (2f64).powi(shift as i32)
+}
+
+/// NMED from the exact per-vector distance sum: rounded once, divided
+/// once by `(2^n − 1) · vectors`.
+fn nmed_per_vector<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
+    let total = nearest_f64(&distance_sum(&po_values(ori), &po_values(app)));
+    if total == 0.0 {
+        return 0.0;
+    }
+    let max_value = (2f64).powi(ori.output_count() as i32) - 1.0;
+    total / (max_value * ori.vector_count() as f64)
+}
+
+/// The error rate by a masked per-word scan: vectors on which any PO
+/// word differs.
+fn error_rate_per_word<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
+    let wrong: usize = (0..ori.word_count())
+        .map(|w| {
+            (0..ori.output_count())
+                .fold(0u64, |any, po| {
+                    any | (ori.po_word(po, w) ^ app.po_word(po, w))
+                })
+                .count_ones() as usize
+        })
+        .sum();
+    wrong as f64 / ori.vector_count() as f64
 }
 
 /// Per-PO flip rates by a masked per-word XOR popcount.
@@ -167,47 +234,57 @@ fn diff_count_matches_the_per_word_scan() {
     }
 }
 
+/// NMED against the exact per-vector oracle, by `f64` bits, at output
+/// widths of one, a few, exactly one limb, just past it and over two
+/// limbs, on ragged tails, for a preview, a committed state and a full
+/// simulation. The random netlists drive some POs from constants and
+/// primary inputs.
 #[test]
-fn nmed_is_bit_identical_to_the_per_word_scan() {
+fn nmed_equals_the_exact_per_vector_distance_sum() {
     let mut rng = StdRng::seed_from_u64(13);
-    // 64 is the widest transposed case; 65 takes the per-PO path.
-    for outputs in [1, 25, 64, 65] {
+    for outputs in [1, 25, 64, 65, 130] {
         for (case, &vectors) in VECTOR_COUNTS.iter().enumerate() {
             let seed = (outputs * 10 + case) as u64;
-            let n = random_netlist(8, 120, outputs, seed);
+            let n = random_netlist(8, 160, outputs, seed);
             let p = Patterns::random(n.input_count(), vectors, seed + 1);
             let golden = simulate(&n, &p);
             let mut delta = DeltaSim::new(n.clone(), &p);
-            for step in 0..4 {
+            for step in 0..3 {
                 let (target, switch) = random_lac(delta.netlist(), &mut rng);
                 let label = format!("{outputs} POs, {vectors} vectors, step {step}");
                 let view = delta.preview(target, switch);
                 assert_eq!(
                     nmed(&golden, &view).to_bits(),
-                    nmed_per_word(&golden, &view).to_bits(),
+                    nmed_per_vector(&golden, &view).to_bits(),
                     "{label}: DeltaView"
                 );
                 delta.substitute(target, switch).expect("legal LAC");
                 let full = simulate(delta.netlist(), &p);
                 assert_eq!(
                     nmed(&golden, &full).to_bits(),
-                    nmed_per_word(&golden, &full).to_bits(),
+                    nmed_per_vector(&golden, &full).to_bits(),
                     "{label}: SimResult"
                 );
                 assert_eq!(
-                    nmed(&golden, &delta).to_bits(),
-                    nmed_per_word(&golden, &delta).to_bits(),
+                    nmed(&full, &delta).to_bits(),
+                    nmed_per_vector(&full, &delta).to_bits(),
                     "{label}: DeltaSim"
+                );
+                assert_eq!(
+                    nmed(&delta, &golden).to_bits(),
+                    nmed_per_vector(&delta, &golden).to_bits(),
+                    "{label}: DeltaSim as the reference"
                 );
             }
         }
     }
 }
 
-/// Every PO, constant and primary-input drivers included, against a
-/// preview, a committed state and a full simulation of it.
+/// Per-PO flip rates and the error rate, every PO, constant and
+/// primary-input drivers included, against a preview, a committed state
+/// and a full simulation of it.
 #[test]
-fn po_flip_rates_are_bit_identical_to_the_per_word_scan() {
+fn flip_rates_and_error_rate_are_bit_identical_to_the_per_word_scans() {
     let mut rng = StdRng::seed_from_u64(17);
     for (case, &vectors) in VECTOR_COUNTS.iter().enumerate() {
         let n = random_netlist(7, 80, 24, case as u64 + 40);
@@ -225,8 +302,27 @@ fn po_flip_rates_are_bit_identical_to_the_per_word_scan() {
                 bits(po_flip_rates_per_word(&golden, &view)),
                 "{label}: DeltaView"
             );
+            assert_eq!(
+                error_rate(&golden, &view).to_bits(),
+                error_rate_per_word(&golden, &view).to_bits(),
+                "{label}: DeltaView error rate"
+            );
             delta.substitute(target, switch).expect("legal LAC");
             let full = simulate(delta.netlist(), &p);
+            for (name, er, oracle) in [
+                (
+                    "SimResult",
+                    error_rate(&golden, &full),
+                    error_rate_per_word(&golden, &full),
+                ),
+                (
+                    "DeltaSim",
+                    error_rate(&delta, &golden),
+                    error_rate_per_word(&delta, &golden),
+                ),
+            ] {
+                assert_eq!(er.to_bits(), oracle.to_bits(), "{label}: {name} error rate");
+            }
             for (name, rates, oracle) in [
                 (
                     "SimResult",

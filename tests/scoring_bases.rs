@@ -1,18 +1,31 @@
 //! Scoring-base builds per DCGWO and GWO run, by thread count.
 //!
-//! Every search child is built, proposed and scored in one recycled
-//! `DeltaEval` on whichever worker claims it, and nothing else builds a
-//! base, so the `scoring_bases` counter must read exactly one build per
-//! search child at every width: a parallel path that builds bases ahead
-//! of the chase, or for members that end up reproducing, shows here as a
-//! higher count at two threads than at one. The two runs must also
-//! return the same result, with children crossing batch boundaries.
+//! The search children of one iteration that share a netlist are built,
+//! proposed and scored in one recycled `DeltaEval`, on whichever worker
+//! claims them, and nothing else builds a base. So the `scoring_bases`
+//! counter must read exactly one build per distinct search netlist per
+//! iteration, at every width: a parallel path that builds bases ahead of
+//! the chase, for members that end up reproducing, or once per child of
+//! a shared netlist shows here as a higher count. Without the
+//! reproduction action every member is searched once per iteration, so
+//! the expected count is the number of distinct member netlists summed
+//! over the iterations, read from runs stopped at each iteration. (Equal
+//! members come from reproduced children that copy a parent, so in
+//! these runs every search netlist is distinct; children sharing a base
+//! are pinned in the optimizer's unit tests.) With reproduction, the
+//! reproduced children build no base. The one- and two-thread runs must
+//! also build the same count and return the same result, with children
+//! crossing batch boundaries.
 //!
 //! The counter is process-wide, so this file holds a single test and
 //! runs its flows one after another.
 
 use tdals::circuits::Benchmark;
-use tdals::core::{optimize, ChaseStrategy, EvalContext, OptimizerConfig, OptimizerResult};
+use tdals::core::api::{Budget, NopObserver};
+use tdals::core::{
+    optimize, optimize_session, ChaseStrategy, EvalContext, OptimizerConfig, OptimizerResult,
+};
+use tdals::netlist::Netlist;
 use tdals::obs::metrics;
 use tdals::sim::{ErrorMetric, Patterns};
 use tdals::sta::TimingConfig;
@@ -28,8 +41,32 @@ fn bases(ctx: &EvalContext, cfg: &OptimizerConfig) -> (u64, OptimizerResult) {
     (metrics().scoring_bases.get() - before, result)
 }
 
+/// Distinct netlists of the population at the start of each iteration,
+/// summed. A run stopped before iteration `k` returns the population
+/// iteration `k` starts from: by an iteration cap for `k > 0`, and for
+/// the seeded population by an evaluation cap of one per member (an
+/// iteration cap of 0 would stop before seeding).
+fn distinct_members(ctx: &EvalContext, cfg: &OptimizerConfig) -> u64 {
+    (0..ITERATIONS)
+        .map(|k| {
+            let budget = match k {
+                0 => Budget::unlimited().with_max_evaluations(POPULATION as u64),
+                k => Budget::unlimited().with_max_iterations(k),
+            };
+            let outcome = optimize_session(ctx, 0.02, cfg, &budget, &mut NopObserver);
+            let mut distinct: Vec<&Netlist> = Vec::new();
+            for cand in &outcome.population {
+                if !distinct.contains(&&cand.netlist) {
+                    distinct.push(&cand.netlist);
+                }
+            }
+            distinct.len() as u64
+        })
+        .sum()
+}
+
 #[test]
-fn every_width_builds_one_base_per_search_child() {
+fn every_width_builds_one_base_per_distinct_search_netlist() {
     let accurate = Benchmark::Int2float.build();
     let ctx = EvalContext::new(
         &accurate,
@@ -46,6 +83,7 @@ fn every_width_builds_one_base_per_search_child() {
                 .with_chase(chase)
                 .with_reproduction(reproduction)
                 .with_seed(3);
+            let expected = (!reproduction).then(|| distinct_members(&ctx, &cfg));
             // Two workers split each iteration's children across batches
             // of eight, so the workers' bases serve interleaved children.
             let [(one, serial), (two, parallel)] =
@@ -56,16 +94,19 @@ fn every_width_builds_one_base_per_search_child() {
                 one, two,
                 "{chase:?}, reproduction {reproduction}: {one} bases at one thread, {two} at two"
             );
-            // Every chase yields one child per member; without the
-            // reproduction action each of them is a search child.
+            // Every chase yields one child per member.
             let children = (POPULATION * ITERATIONS) as u64;
-            if reproduction {
-                assert!(
+            match expected {
+                Some(distinct) => {
+                    assert_eq!(
+                        one, distinct,
+                        "{chase:?}: one base per distinct search netlist"
+                    );
+                }
+                None => assert!(
                     0 < one && one < children,
                     "{chase:?}: {one} bases for {children} children, some of them reproduced"
-                );
-            } else {
-                assert_eq!(one, children, "{chase:?}: one base per search child");
+                ),
             }
         }
     }

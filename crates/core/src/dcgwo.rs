@@ -19,7 +19,9 @@
 //! [`par::split_seed`]`(stream, k)`. The offspring pass then builds,
 //! proposes and scores every child over the worker pool, each worker in
 //! its own recycled scoring base, so a search child's draws and score
-//! are the same on any worker and at any thread count.
+//! are the same on any worker and at any thread count. The same base
+//! builds the worker's seeded members and scores its reproduced
+//! children: one scoring object per worker for the whole run.
 //!
 //! A score depends only on the netlist, so no distinct netlist is paid
 //! for twice. A reproduced child equal to one of its parents takes that
@@ -31,12 +33,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals_netlist::{Netlist, SignalRef};
-use tdals_sim::DeltaSim;
 
 use crate::api::{
     Budget, BudgetTracker, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason,
 };
-use crate::fitness::{Candidate, DeltaEval, EvalContext, EvalScratch, LacScore};
+use crate::fitness::{Candidate, DeltaEval, EvalContext, LacScore};
 use crate::lac::{random_lac_in, Lac, SearchScratch};
 use crate::par;
 use crate::pareto::{select, Objectives};
@@ -91,9 +92,12 @@ pub struct OptimizerConfig {
     /// scoring the offspring (the paper exploits "the inherent
     /// parallelism of GWO"); `1` evaluates inline, `0` means one worker
     /// per available core. Each worker holds one recycled scoring base,
-    /// and every search child is built exactly once whatever the width.
-    /// Results are bit-identical for any thread count (see
-    /// [`crate::par`]).
+    /// a [`DeltaEval`] with the words of one full simulation, for the
+    /// whole run: it builds the worker's seeded members and every child
+    /// the worker claims. So memory grows by about one simulation's
+    /// words per worker, and every distinct search netlist is built
+    /// exactly once whatever the width. Results are bit-identical for
+    /// any thread count (see [`crate::par`]).
     pub threads: usize,
     /// Enables the circuit-reproduction action (ablation knob; with it
     /// off, every action is circuit searching).
@@ -309,33 +313,29 @@ pub fn optimize_session(
 
     // Initial population: LACs on randomly selected target gates of the
     // accurate circuit; member 0 stays accurate as a feasible anchor.
-    // The context's golden simulation already covers the accurate
-    // circuit on the shared stimulus, so the DeltaSim base wraps it
-    // instead of re-simulating; each member's LAC chain then
-    // re-evaluates only the mutated cones.
-    let base_delta = DeltaSim::from_result(
-        ctx.accurate().clone(),
-        ctx.evaluator().patterns().clone(),
-        ctx.evaluator().golden().clone(),
-    );
-    let accurate = ctx.evaluate_delta(&base_delta);
+    // Every worker keeps one scoring base for the whole run. A seeded
+    // member starts in it as the accurate circuit on the context's
+    // golden words (no simulation) and runs its LAC chain there, each
+    // commit re-evaluating only the mutated cone; the accurate anchor is
+    // the first worker's base read as it starts.
+    let mut workers: Vec<WorkerScratch> = vec![WorkerScratch::default()];
+    let accurate = ctx.evaluate_base(ctx.reset_in(&mut workers[0].base));
     tracker.record_evaluations(1);
     let threads = par::resolve_threads(cfg.threads);
     let mut population: Vec<Candidate> = Vec::with_capacity(cfg.population);
     let mut best = accurate.clone();
     population.push(accurate.clone());
-    // Seed the rest of the population over the worker pool. Each member
-    // is built in its worker's recycled DeltaSim, reset to the shared
-    // base's words, with an RNG stream split off the run seed by member
-    // index, so its LAC chain — whose switch selection reads the
-    // member's own evolving simulation state — draws the same switches
-    // whether it is built inline or on any worker. The admission loop
-    // below runs serially in member order: the deterministic budget caps
-    // stop admission at the same member for every thread count (the
-    // seeding phase must not pay population-many evaluations past a tiny
-    // evaluation budget), while cancellation and the deadline abort the
-    // fan-out between batches. The accurate anchor is already in, so
-    // stopping early is always safe.
+    // Seed the rest of the population over the worker pool, each member
+    // with an RNG stream split off the run seed by member index, so its
+    // LAC chain — whose switch selection reads the member's own evolving
+    // simulation state — draws the same switches whether it is built
+    // inline or on any worker. The admission loop below runs serially
+    // in member order: the deterministic budget caps stop admission at
+    // the same member for every thread count (the seeding phase must not
+    // pay population-many evaluations past a tiny evaluation budget),
+    // while cancellation and the deadline abort the fan-out between
+    // batches. The accurate anchor is already in, so stopping early is
+    // always safe.
     // Deterministic pre-truncation: never fan out work a deterministic
     // cap will refuse to admit. A pre-stopped budget (iteration cap 0,
     // exhausted evaluations, pre-raised flag) seeds nothing; an
@@ -353,37 +353,11 @@ pub fn optimize_session(
         .collect();
     let seeded = par::par_map_batched_with(
         threads,
-        &mut Vec::<SeedScratch>::new(),
+        &mut workers,
         member_seeds,
-        |worker, member_seed| {
-            let mut rng = StdRng::seed_from_u64(member_seed);
-            let member = match &mut worker.member {
-                Some(member) => {
-                    member.clone_from(&base_delta);
-                    member
-                }
-                slot @ None => slot.insert(base_delta.clone()),
-            };
-            for _ in 0..cfg.initial_lacs.max(1) {
-                if let Some(lac) = random_lac_in(
-                    member.netlist(),
-                    &*member,
-                    cfg.search.max_switch_candidates,
-                    &mut worker.search,
-                    &mut rng,
-                ) {
-                    member
-                        .substitute(lac.target(), lac.switch())
-                        .expect("legal LAC");
-                }
-            }
-            ctx.evaluate_delta(member)
-        },
+        |worker, member_seed| worker.seed(ctx, cfg, member_seed),
         || tracker.interrupted().is_none(),
     );
-    // The seeding base's words (and the workers' member copies, dropped
-    // with the pass) are not needed past this point.
-    drop(base_delta);
     for cand in seeded.results {
         if tracker.stop_before_iteration(0).is_some() {
             break;
@@ -397,7 +371,6 @@ pub fn optimize_session(
 
     let mut stop = StopReason::Completed;
     let mut history = Vec::with_capacity(cfg.iterations);
-    let mut workers: Vec<WorkerScratch> = Vec::new();
     for iter in 0..cfg.iterations {
         if let Some(reason) = tracker.stop_before_iteration(iter) {
             stop = reason;
@@ -524,29 +497,20 @@ pub fn optimize_session(
     }
 }
 
-/// Buffers one offspring worker keeps across iterations, so that
-/// scoring reuses storage instead of allocating per child. Every use
-/// overwrites what it reads: nothing here carries information from one
-/// candidate to the next, and results equal those with fresh buffers,
-/// whichever worker serves a child.
+/// What one worker keeps for the whole run, so that seeding and
+/// scoring reuse storage instead of allocating per member or child.
+/// Every use overwrites what it reads: nothing here carries information
+/// from one candidate to the next, and results equal those with fresh
+/// buffers, whichever worker serves a member or child.
 #[derive(Default)]
 struct WorkerScratch {
-    /// The base in which search children are built, proposed and
-    /// scored, rebuilt in place for each distinct netlist.
+    /// The worker's one scoring object. Seeded members are built in it
+    /// by commits from the accurate circuit; search children are built,
+    /// proposed and scored in it, rebuilt once per distinct netlist;
+    /// reproduced children are rebuilt in it and read off it. It holds
+    /// the cone previews' overlay rows too.
     base: Option<DeltaEval>,
-    /// The buffer full evaluations simulate into, which also holds the
-    /// cone previews' overlay rows while a search child is scored.
-    eval: EvalScratch,
-    /// Switch-selection marks for proposals.
-    search: SearchScratch,
-}
-
-/// Buffers one seeding worker keeps across members: the engine each
-/// member is built in, reset to the shared base's words, and the
-/// switch-selection marks of its LAC chain.
-#[derive(Default)]
-struct SeedScratch {
-    member: Option<DeltaSim>,
+    /// Switch-selection marks for proposals and seeding LACs.
     search: SearchScratch,
 }
 
@@ -555,9 +519,10 @@ struct SeedScratch {
 /// Search children are proposed and ranked by re-evaluating only the
 /// proposed substitution's affected cone; reproduced children (whole
 /// fan-in rows copied between parents) have no single-cone provenance
-/// and are scored with a full evaluation, unless they equal a parent.
+/// and are scored by rebuilding the worker's base at them, unless they
+/// equal a parent.
 enum Offspring<'p> {
-    /// Score with a full evaluation.
+    /// Score by a full rebuild of the worker's base.
     Full(Netlist),
     /// A reproduced child equal to `parent`: reuse its measurements.
     Copy {
@@ -735,13 +700,38 @@ fn fingerprint(netlist: &Netlist) -> u64 {
 }
 
 impl WorkerScratch {
+    /// Builds the seeded member of stream `member_seed` in this worker's
+    /// base: the accurate circuit on the golden words, then
+    /// `initial_lacs` random LACs committed in turn, each drawn from the
+    /// member's current words. The candidate is read off the base.
+    fn seed(&mut self, ctx: &EvalContext, cfg: &OptimizerConfig, member_seed: u64) -> Candidate {
+        let mut rng = StdRng::seed_from_u64(member_seed);
+        let base = ctx.reset_in(&mut self.base);
+        for _ in 0..cfg.initial_lacs.max(1) {
+            if let Some(lac) = random_lac_in(
+                base.netlist(),
+                base.sim(),
+                cfg.search.max_switch_candidates,
+                &mut self.search,
+                &mut rng,
+            ) {
+                base.commit(lac.target(), lac.switch()).expect("legal LAC");
+            }
+        }
+        // The commits cascaded the live area; the candidate's is a
+        // fresh sum.
+        base.recount();
+        ctx.evaluate_base(base)
+    }
+
     /// Scores one work unit, each entry with its offspring index. A
     /// search unit's netlist is built once in this worker's recycled
     /// base; each of its children proposes from its own stream (the
     /// base's words feed similarity-based switch selection and its
     /// timing engine critical-path target collection) and is scored
-    /// there. A full evaluation, or a search child with nothing to
-    /// propose, simulates into the worker's buffer.
+    /// there. A reproduced child is the base rebuilt at it, and a
+    /// search child with nothing to propose the base as built, both
+    /// read off the base.
     fn score(
         &mut self,
         ctx: &EvalContext,
@@ -750,10 +740,8 @@ impl WorkerScratch {
     ) -> Vec<(usize, PoolEntry)> {
         let (netlist, children) = match work {
             Work::Single(k, Offspring::Full(netlist)) => {
-                return vec![(
-                    k,
-                    PoolEntry::Ready(ctx.evaluate_in(netlist, &mut self.eval)),
-                )]
+                let base = ctx.rebuild_in(&mut self.base, netlist);
+                return vec![(k, PoolEntry::Ready(ctx.evaluate_base(base)))];
             }
             Work::Single(k, Offspring::Copy { netlist, parent }) => {
                 return vec![(k, PoolEntry::Ready(ctx.evaluate_reusing(netlist, parent)))]
@@ -761,13 +749,7 @@ impl WorkerScratch {
             Work::Single(k, Offspring::Search { netlist, seed }) => (netlist, vec![(k, seed)]),
             Work::Search { netlist, children } => (netlist, children),
         };
-        let base = match &mut self.base {
-            Some(base) => {
-                base.rebuild(netlist);
-                base
-            }
-            slot @ None => slot.insert(ctx.delta_eval(netlist)),
-        };
+        let base = ctx.rebuild_in(&mut self.base, netlist);
         children
             .into_iter()
             .map(|(k, seed)| {
@@ -784,11 +766,9 @@ impl WorkerScratch {
                     Some(lac) => PoolEntry::Lazy {
                         netlist: base.netlist().clone(),
                         lac,
-                        score: ctx.score_lac_in(base, lac, &mut self.eval),
+                        score: ctx.score_lac(base, lac),
                     },
-                    None => {
-                        PoolEntry::Ready(ctx.evaluate_in(base.netlist().clone(), &mut self.eval))
-                    }
+                    None => PoolEntry::Ready(ctx.evaluate_base(base)),
                 };
                 (k, entry)
             })
@@ -1264,6 +1244,93 @@ mod tests {
                 "child {k}"
             );
         }
+    }
+
+    fn c880_ctx() -> EvalContext {
+        let accurate = tdals_circuits::Benchmark::C880.build();
+        EvalContext::new(
+            &accurate,
+            Patterns::random(accurate.input_count(), 300, 2),
+            ErrorMetric::Nmed,
+            TimingConfig::default(),
+            0.8,
+        )
+    }
+
+    /// A seeded member, built by commits in a recycled base from the
+    /// golden words and read off it, equals a full evaluation of its
+    /// netlist, though the commits leave a cascaded live area that
+    /// differs from a fresh sum for some members.
+    #[test]
+    fn seeded_members_equal_full_evaluations() {
+        let ctx = c880_ctx();
+        let cfg = OptimizerConfig::default().with_initial_lacs(6);
+        let mut worker = WorkerScratch::default();
+        let mut cascaded_differs = 0;
+        for member in 0..24 {
+            let seeded = worker.seed(&ctx, &cfg, par::split_seed(11, member));
+            assert_ne!(&seeded.netlist, ctx.accurate(), "member {member}");
+            let fresh = ctx.evaluate(seeded.netlist.clone());
+            assert!(same_scores(&seeded, &fresh), "member {member}");
+            // The same chain on the same base, without the recount.
+            let replay = ctx.reset_in(&mut worker.base);
+            let mut rng = StdRng::seed_from_u64(par::split_seed(11, member));
+            for _ in 0..cfg.initial_lacs {
+                if let Some(lac) = random_lac_in(
+                    replay.netlist(),
+                    replay.sim(),
+                    cfg.search.max_switch_candidates,
+                    &mut worker.search,
+                    &mut rng,
+                ) {
+                    replay
+                        .commit(lac.target(), lac.switch())
+                        .expect("legal LAC");
+                }
+            }
+            assert_eq!(replay.netlist(), &seeded.netlist, "member {member}");
+            if replay.area_live().to_bits() != fresh.area.to_bits() {
+                cascaded_differs += 1;
+            }
+        }
+        assert!(
+            cascaded_differs > 0,
+            "some cascaded area differs from a fresh sum"
+        );
+    }
+
+    /// A search child with nothing to propose is its base read as
+    /// built, equal to a full evaluation.
+    #[test]
+    fn childless_search_equals_a_full_evaluation() {
+        let ctx = c880_ctx();
+        let mut netlist = ctx.accurate().clone();
+        let drivers: Vec<SignalRef> = netlist.output_drivers().collect();
+        for driver in drivers {
+            if let SignalRef::Gate(g) = driver {
+                Lac::new(g, SignalRef::Const0)
+                    .apply(&mut netlist)
+                    .expect("constant switch");
+            }
+        }
+        let mut worker = WorkerScratch::default();
+        // The worker's base last served another netlist.
+        drop(worker.seed(&ctx, &OptimizerConfig::default(), 1));
+        let scored = worker.score(
+            &ctx,
+            &SearchConfig::default(),
+            Work::Single(
+                0,
+                Offspring::Search {
+                    netlist: netlist.clone(),
+                    seed: 3,
+                },
+            ),
+        );
+        let [(0, PoolEntry::Ready(read))] = &scored[..] else {
+            panic!("a childless search scores as one ready entry");
+        };
+        assert!(same_scores(read, &ctx.evaluate(netlist)));
     }
 
     #[test]

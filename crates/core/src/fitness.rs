@@ -18,7 +18,8 @@ use crate::lac::Lac;
 /// timing/error vectors feeding the reproduction `Level` function.
 ///
 /// Construction goes through [`EvalContext::evaluate`], which runs STA
-/// and Monte-Carlo simulation once per candidate.
+/// and Monte-Carlo simulation once per candidate, or
+/// [`EvalContext::evaluate_base`], which reads both off a scoring base.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// The approximate netlist.
@@ -96,8 +97,10 @@ impl LacScore {
 /// Built with one full simulation and one full STA pass; every
 /// [`EvalContext::score_lac`] against it then costs only the
 /// substitution's affected cone. This is what makes candidate scoring
-/// O(cone) instead of O(gates × words). [`DeltaEval::rebuild`] re-targets
-/// a base at another netlist inside its existing buffers.
+/// O(cone) instead of O(gates × words). [`DeltaEval::rebuild`] and
+/// [`DeltaEval::reset`] re-target a base at another netlist inside its
+/// existing buffers, and [`EvalContext::evaluate_base`] reads the base
+/// netlist's candidate off it.
 #[derive(Debug, Clone)]
 pub struct DeltaEval {
     sim: DeltaSim,
@@ -105,6 +108,9 @@ pub struct DeltaEval {
     /// preview re-times its cone in place and restores it, so scoring
     /// through a shared reference borrows it mutably for that long.
     sta: RefCell<IncrementalSta>,
+    /// Marks and overlay rows of the simulation previews, borrowed the
+    /// same way; its contents never affect a result.
+    preview: RefCell<PreviewScratch>,
     /// Liveness of each gate in the base netlist.
     live: Vec<bool>,
     /// Per gate: live reader pins + PO driver references (0 for dead
@@ -158,6 +164,7 @@ impl DeltaEval {
         let mut base = DeltaEval {
             sim,
             sta: RefCell::new(sta),
+            preview: RefCell::default(),
             live: Vec::new(),
             live_refs: Vec::new(),
             area_live: 0.0,
@@ -168,8 +175,11 @@ impl DeltaEval {
     }
 
     /// Rebuilds the liveness state from scratch off the current netlist,
-    /// in the base's existing buffers.
-    fn recount(&mut self) {
+    /// in the base's existing buffers. The live area is then a fresh
+    /// sum, equal to [`Netlist::area_live`] bit for bit; after a
+    /// [`DeltaEval::commit`] it is the cascaded one, which can differ in
+    /// the last bits.
+    pub fn recount(&mut self) {
         self.area_live = count_live(self.sim.netlist(), &mut self.live, &mut self.live_refs);
     }
 
@@ -187,6 +197,22 @@ impl DeltaEval {
     /// stimulus width.
     pub fn rebuild(&mut self, netlist: Netlist) {
         self.sim.rebuild(netlist);
+        self.sta.get_mut().rebuild(self.sim.netlist());
+        self.recount();
+        tdals_obs::metrics().scoring_bases.incr();
+    }
+
+    /// Re-targets the scoring state at `netlist`, whose simulation on
+    /// the base's stimulus is `sim` (such as the accurate circuit's
+    /// golden simulation): like [`DeltaEval::rebuild`], but the words
+    /// are copied from `sim` instead of simulated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sim`'s word geometry does not match `netlist` and the
+    /// base's stimulus.
+    pub fn reset(&mut self, netlist: &Netlist, sim: &SimResult) {
+        self.sim.reset(netlist, sim);
         self.sta.get_mut().rebuild(self.sim.netlist());
         self.recount();
         tdals_obs::metrics().scoring_bases.incr();
@@ -368,17 +394,14 @@ impl DeltaEval {
     }
 }
 
-/// Reusable buffers for [`EvalContext::evaluate_in`],
-/// [`EvalContext::simulate_in`] and [`EvalContext::score_lac_in`]: one
-/// word buffer, which holds the last full simulation and, while a cone
-/// preview is scored, that preview's overlay rows, plus the preview's
-/// per-gate marks. A worker keeps one across evaluations, so full
-/// evaluations and previews of same-sized netlists allocate their words
-/// once. Its contents never affect a result.
+/// The reusable word buffer of [`EvalContext::evaluate_in`] and
+/// [`EvalContext::simulate_in`]: it holds the last full simulation. A
+/// worker keeps one across evaluations, so full evaluations of
+/// same-sized netlists allocate their words once. Its contents never
+/// affect a result.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     sim: Option<SimResult>,
-    preview: PreviewScratch,
 }
 
 /// Shared evaluation context: the accurate circuit's reference numbers,
@@ -500,10 +523,11 @@ impl EvalContext {
         netlist: &Netlist,
         scratch: &'s mut EvalScratch,
     ) -> &'s SimResult {
-        let words = match scratch.sim.take() {
-            Some(sim) => sim.into_words(),
-            None => scratch.preview.take_rows(),
-        };
+        let words = scratch
+            .sim
+            .take()
+            .map(SimResult::into_words)
+            .unwrap_or_default();
         scratch
             .sim
             .insert(simulate_reusing(netlist, self.evaluator.patterns(), words))
@@ -580,20 +604,10 @@ impl EvalContext {
     /// STA does. The area is the base's live area minus the dead cone's,
     /// which can differ from a fresh sum in the last bits.
     pub fn score_lac(&self, base: &DeltaEval, lac: Lac) -> LacScore {
-        self.score_lac_in(base, lac, &mut EvalScratch::default())
-    }
-
-    /// [`EvalContext::score_lac`] with the simulation preview's marks
-    /// and overlay rows in `scratch`; the overlay rows take the word
-    /// buffer of the scratch's last full simulation. The score is the
-    /// same.
-    pub fn score_lac_in(&self, base: &DeltaEval, lac: Lac, scratch: &mut EvalScratch) -> LacScore {
-        if let Some(sim) = scratch.sim.take() {
-            scratch.preview.lend_rows(sim.into_words());
-        }
+        let mut preview = base.preview.borrow_mut();
         let view = base
             .sim()
-            .preview_in(lac.target(), lac.switch(), &mut scratch.preview);
+            .preview_in(lac.target(), lac.switch(), &mut preview);
         let error = self.evaluator.error_of_sim(&view);
         let po_errors = self.evaluator.po_errors_of_sim(&view);
         let timing = base.sta.borrow_mut().preview_substitute(
@@ -613,31 +627,84 @@ impl EvalContext {
         )
     }
 
-    /// [`EvalContext::score_lac`] plus materialization of the mutated
-    /// netlist into a full [`Candidate`].
-    pub fn evaluate_lac(&self, base: &DeltaEval, lac: Lac) -> Candidate {
-        let score = self.score_lac(base, lac);
-        let mut netlist = base.netlist().clone();
-        lac.apply(&mut netlist)
-            .expect("a scored LAC respects the id invariant");
-        #[cfg(debug_assertions)]
-        {
-            let report = tdals_lint::lint_netlist(&netlist);
-            debug_assert!(
-                report.has_no_errors(),
-                "materialized LAC produced a structurally invalid netlist:\n{report}"
-            );
-        }
-        score.into_candidate(netlist)
+    /// The candidate of `base`'s netlist, read straight off the base:
+    /// depth, delay and PO arrivals from its timing engine, error and
+    /// per-PO errors from its words, and its live area. Nothing is
+    /// simulated or timed, and the candidate equals
+    /// [`EvalContext::evaluate`] of the netlist bit for bit, because the
+    /// base's words and timing are those of a full simulation and STA.
+    ///
+    /// The base's live area must be a fresh sum, as it is right after
+    /// [`DeltaEval::rebuild`] or [`DeltaEval::reset`]. After
+    /// [`DeltaEval::commit`]s it is cascaded, so
+    /// [`DeltaEval::recount`] it first.
+    pub fn evaluate_base(&self, base: &DeltaEval) -> Candidate {
+        let netlist = base.netlist();
+        debug_assert_eq!(
+            base.area_live().to_bits(),
+            netlist.area_live().to_bits(),
+            "a base read needs a recounted live area"
+        );
+        let sta = base.sta.borrow();
+        let mut depth = 0;
+        let po_arrivals: Vec<f64> = netlist
+            .output_drivers()
+            .map(|driver| match driver {
+                SignalRef::Gate(g) => {
+                    depth = depth.max(sta.depth(g));
+                    sta.arrival(g)
+                }
+                _ => 0.0,
+            })
+            .collect();
+        let cpd = po_arrivals.iter().copied().fold(0.0, f64::max);
+        self.score_from(
+            depth,
+            cpd,
+            base.area_live(),
+            self.evaluator.error_of_sim(base.sim()),
+            po_arrivals,
+            self.evaluator.po_errors_of_sim(base.sim()),
+        )
+        .into_candidate(netlist.clone())
     }
 
-    /// Evaluates the incremental engine's current netlist into a
-    /// [`Candidate`] without any re-simulation (the engine's words are
-    /// already current).
-    pub fn evaluate_delta(&self, delta: &DeltaSim) -> Candidate {
-        let netlist = delta.netlist().clone();
-        let report = analyze(&netlist, &self.timing);
-        self.evaluate_with(netlist, &report, delta)
+    /// `slot`'s base re-targeted at `netlist` by
+    /// [`DeltaEval::rebuild`], or built there on first use.
+    pub(crate) fn rebuild_in<'b>(
+        &self,
+        slot: &'b mut Option<DeltaEval>,
+        netlist: Netlist,
+    ) -> &'b mut DeltaEval {
+        match slot {
+            Some(base) => {
+                base.rebuild(netlist);
+                base
+            }
+            empty @ None => empty.insert(self.delta_eval(netlist)),
+        }
+    }
+
+    /// `slot`'s base re-targeted at the accurate circuit, or built there
+    /// on first use: either way from the golden simulation's words, so
+    /// nothing is simulated.
+    pub(crate) fn reset_in<'b>(&self, slot: &'b mut Option<DeltaEval>) -> &'b mut DeltaEval {
+        let golden = self.evaluator.golden();
+        match slot {
+            Some(base) => {
+                base.reset(&self.accurate, golden);
+                base
+            }
+            empty @ None => {
+                let sim = DeltaSim::from_result(
+                    self.accurate.clone(),
+                    self.evaluator.patterns().clone(),
+                    golden.clone(),
+                );
+                let sta = IncrementalSta::new(sim.netlist(), self.timing);
+                empty.insert(DeltaEval::new(sim, sta))
+            }
+        }
     }
 
     /// Evaluates a netlist when STA and simulation results are already
@@ -826,6 +893,7 @@ mod tests {
             assert_eq!(a.po_arrivals, b.po_arrivals, "{id}");
         }
 
+        // A simulation buffer last used on another stimulus and netlist.
         let mut scratch = EvalScratch::default();
         let other = EvalContext::new(
             &small_adder(),
@@ -836,12 +904,51 @@ mod tests {
         );
         drop(other.evaluate_in(small_adder(), &mut scratch));
         for netlist in [approx, n] {
-            let a = ctx.evaluate_in(netlist.clone(), &mut scratch);
-            let b = ctx.evaluate(netlist);
-            assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
-            assert_eq!(a.error.to_bits(), b.error.to_bits());
-            assert_eq!(a.po_errors, b.po_errors);
+            let recycled = ctx.evaluate_in(netlist.clone(), &mut scratch);
+            let fresh = ctx.evaluate(netlist);
+            assert!(same_scores(&recycled, &fresh), "{recycled:?} vs {fresh:?}");
         }
+    }
+
+    /// A candidate read off a base equals a full evaluation bit for bit:
+    /// after rebuilds at netlists of one, two and three LACs, in one
+    /// recycled base, and after a reset to the accurate circuit.
+    #[test]
+    fn base_reads_equal_full_evaluations() {
+        let accurate = tdals_circuits::Benchmark::C880.build();
+        let ctx = EvalContext::new(
+            &accurate,
+            Patterns::random(accurate.input_count(), 300, 2),
+            ErrorMetric::Nmed,
+            TimingConfig::default(),
+            0.8,
+        );
+        let gates: Vec<GateId> = accurate
+            .iter()
+            .filter(|(_, gate)| !gate.is_input())
+            .map(|(id, _)| id)
+            .collect();
+        let mut base = ctx.delta_eval(accurate.clone());
+        for (k, &target) in gates.iter().enumerate().step_by(7) {
+            let mut netlist = accurate.clone();
+            for &t in [target, gates[k / 2], gates[k / 3]].iter().take(1 + k % 3) {
+                Lac::new(t, SignalRef::Const1)
+                    .apply(&mut netlist)
+                    .expect("constant switch");
+            }
+            base.rebuild(netlist.clone());
+            let read = ctx.evaluate_base(&base);
+            let fresh = ctx.evaluate(netlist);
+            assert!(
+                same_scores(&read, &fresh),
+                "{target}: {read:?} vs {fresh:?}"
+            );
+        }
+        base.reset(&accurate, ctx.evaluator().golden());
+        assert!(same_scores(
+            &ctx.evaluate_base(&base),
+            &ctx.evaluate(accurate.clone())
+        ));
     }
 
     /// A score reused from an equal parent equals a full evaluation bit
@@ -869,9 +976,7 @@ mod tests {
             let mut netlist = accurate.clone();
             lac.apply(&mut netlist).expect("constant switch");
             let fresh = ctx.evaluate_in(netlist.clone(), &mut scratch);
-            let lazy = ctx
-                .score_lac_in(&base, lac, &mut scratch)
-                .into_candidate(netlist.clone());
+            let lazy = ctx.score_lac(&base, lac).into_candidate(netlist.clone());
             if lazy.area.to_bits() != fresh.area.to_bits() {
                 moved_area += 1;
             }

@@ -13,7 +13,7 @@
 //!    (provided by [`tdals_netlist`]);
 //! 2. **DCGWO** ([`optimize`]) — population-based exploration of
 //!    wire-by-wire / wire-by-constant LACs ([`Lac`]) with circuit
-//!    searching ([`search_step`]) and circuit reproduction
+//!    searching ([`propose_lac_with`]) and circuit reproduction
 //!    ([`reproduce`]) actions, fitness per Eq. 8 ([`EvalContext`]),
 //!    NSGA-II-style population update ([`pareto`]) and asymptotic error
 //!    constraint relaxation ([`ErrorSchedule`]);
@@ -70,4 +70,4 @@ pub use lac::{collect_targets, random_lac, select_switch, Lac};
 pub use postopt::{post_optimize, PostOptConfig, PostOptReport};
 pub use reproduce::{reproduce, LevelWeights};
 pub use schedule::ErrorSchedule;
-pub use search::{propose_lac, propose_lac_with, search_step, search_step_delta, SearchConfig};
+pub use search::{propose_lac_with, SearchConfig};

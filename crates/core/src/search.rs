@@ -4,10 +4,9 @@
 
 use rand::Rng;
 use tdals_netlist::Netlist;
-use tdals_sim::{DeltaSim, SimWords};
+use tdals_sim::SimWords;
 use tdals_sta::Arrivals;
 
-use crate::fitness::EvalContext;
 use crate::lac::{collect_targets, select_switch_in, Lac, SearchScratch};
 
 /// Tunables for circuit searching.
@@ -39,23 +38,11 @@ impl Default for SearchConfig {
 /// pick a target uniformly, and select the highest-similarity switch
 /// from its TFI or a constant.
 ///
-/// `sim` is any [`SimWords`] view of `netlist` — a full simulation or
-/// the incremental engine's current state. Returns `None` when the
-/// circuit offers no target (e.g. all outputs constant).
-pub fn propose_lac<R: Rng, V: SimWords>(
-    ctx: &EvalContext,
-    netlist: &Netlist,
-    sim: &V,
-    cfg: &SearchConfig,
-    rng: &mut R,
-) -> Option<Lac> {
-    let report = ctx.analyze(netlist);
-    propose_lac_with(netlist, &report, sim, cfg, rng)
-}
-
-/// [`propose_lac`] when the timing of `netlist` is already available —
-/// a [`TimingReport`](tdals_sta::TimingReport), or the live state of an
-/// incremental engine — so no full STA pass is needed.
+/// `timing` is the timing of `netlist` — a
+/// [`TimingReport`](tdals_sta::TimingReport), or the live state of an
+/// incremental engine — and `sim` any [`SimWords`] view of it: a full
+/// simulation or the incremental engine's current state. Returns `None`
+/// when the circuit offers no target (e.g. all outputs constant).
 pub fn propose_lac_with<R: Rng, V: SimWords, A: Arrivals + ?Sized>(
     netlist: &Netlist,
     timing: &A,
@@ -98,38 +85,18 @@ pub(crate) fn propose_lac_in<R: Rng, V: SimWords, A: Arrivals + ?Sized>(
     )
 }
 
-/// Applies one circuit-searching step to `netlist`, returning the LAC
-/// that was applied (or `None` when the circuit offers no target, e.g.
-/// all outputs constant).
-///
-/// This is the full-resimulation convenience wrapper around
-/// [`propose_lac`]; the optimizer's hot path goes through
-/// [`search_step_delta`] instead.
-pub fn search_step<R: Rng>(
-    ctx: &EvalContext,
+/// One circuit-searching step on a fresh simulation and STA of
+/// `netlist`: the proposed LAC is applied and returned.
+#[cfg(test)]
+pub(crate) fn search_step<R: Rng>(
+    ctx: &crate::fitness::EvalContext,
     netlist: &mut Netlist,
     cfg: &SearchConfig,
     rng: &mut R,
 ) -> Option<Lac> {
     let sim = ctx.simulate(netlist);
-    let lac = propose_lac(ctx, netlist, &sim, cfg, rng)?;
+    let lac = propose_lac_with(netlist, &ctx.analyze(netlist), &sim, cfg, rng)?;
     lac.apply(netlist)
-        .expect("TFI-drawn switches respect the id invariant");
-    Some(lac)
-}
-
-/// One circuit-searching step on an incremental simulation state: the
-/// LAC is proposed from the engine's current words (no full
-/// re-simulation) and committed through the engine's O(cone) update.
-pub fn search_step_delta<R: Rng>(
-    ctx: &EvalContext,
-    delta: &mut DeltaSim,
-    cfg: &SearchConfig,
-    rng: &mut R,
-) -> Option<Lac> {
-    let lac = propose_lac(ctx, delta.netlist(), delta, cfg, rng)?;
-    delta
-        .substitute(lac.target(), lac.switch())
         .expect("TFI-drawn switches respect the id invariant");
     Some(lac)
 }
@@ -137,6 +104,7 @@ pub fn search_step_delta<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitness::EvalContext;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tdals_netlist::builder::Builder;

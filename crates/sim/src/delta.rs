@@ -25,12 +25,12 @@
 //! The engine is a plain value: `Clone` gives an independent **scratch
 //! view** (own netlist, own words, own overlay), and the type is both
 //! `Send` and `Sync`, so the deterministic worker pool in
-//! `tdals-core::par` can
-//! hand every worker its own clone of a shared base — the DCGWO seeding
-//! phase mutates one scratch per population member — or share one base
-//! immutably for [`DeltaSim::preview`] scoring. Nothing in here uses
-//! interior mutability, which is what makes the parallel and sequential
-//! scoring paths bit-identical by construction.
+//! `tdals-core::par` can hand every worker an engine of its own — the
+//! DCGWO workers re-target theirs with [`DeltaSim::rebuild`] and
+//! [`DeltaSim::reset`] — or share one base immutably for
+//! [`DeltaSim::preview`] scoring. Nothing in here uses interior
+//! mutability, which is what makes the parallel and sequential scoring
+//! paths bit-identical by construction.
 //!
 //! # Examples
 //!
@@ -88,11 +88,10 @@ impl DeltaStats {
 /// Incremental simulation state: a netlist, its simulated words, and
 /// the fan-out rows needed to chase a mutation's transitive cone.
 ///
-/// [`DeltaSim::rebuild`] recycles the word buffer, so a long-lived
-/// engine re-targeted at one same-sized netlist after another allocates
-/// its words once; `clone_from` copies another engine's state into this
-/// one's buffers the same way.
-#[derive(Debug)]
+/// [`DeltaSim::rebuild`] and [`DeltaSim::reset`] recycle the word
+/// buffer, so a long-lived engine re-targeted at one same-sized netlist
+/// after another allocates its words once.
+#[derive(Debug, Clone)]
 pub struct DeltaSim {
     netlist: Netlist,
     patterns: Patterns,
@@ -118,9 +117,8 @@ pub struct DeltaSim {
 /// allocates nothing, and the overlay rows a preview writes.
 ///
 /// A worker that scores many previews keeps one scratch and passes it
-/// to [`DeltaSim::preview_in`]; [`PreviewScratch::lend_rows`] lets it
-/// keep the overlay rows in a word buffer it already holds, such as a
-/// recycled full simulation's. Its contents never affect a result.
+/// to [`DeltaSim::preview_in`]; its overlay rows grow to the largest
+/// cone it has served. Its contents never affect a result.
 #[derive(Debug, Clone, Default)]
 pub struct PreviewScratch {
     generation: u32,
@@ -135,18 +133,6 @@ pub struct PreviewScratch {
 }
 
 impl PreviewScratch {
-    /// Hands the scratch a word buffer to keep overlay rows in (for
-    /// example [`SimResult::into_words`]); the rows it held before are
-    /// dropped. Its contents are overwritten, never read.
-    pub fn lend_rows(&mut self, words: Vec<u64>) {
-        self.rows = words;
-    }
-
-    /// Takes the overlay row buffer back, leaving the scratch none.
-    pub fn take_rows(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.rows)
-    }
-
     /// Starts a walk over `gates` gates: a fresh generation, with the
     /// marks reset only when the gate count changed or the generations
     /// ran out.
@@ -160,36 +146,6 @@ impl PreviewScratch {
         }
         self.generation += 1;
         self.generation
-    }
-}
-
-impl Clone for DeltaSim {
-    fn clone(&self) -> DeltaSim {
-        DeltaSim {
-            netlist: self.netlist.clone(),
-            patterns: self.patterns.clone(),
-            values: self.values.clone(),
-            word_count: self.word_count,
-            vector_count: self.vector_count,
-            tail_mask: self.tail_mask,
-            fanouts: self.fanouts.clone(),
-            commit_stats: self.commit_stats,
-            commit_scratch: PreviewScratch::default(),
-        }
-    }
-
-    /// Copies `source`'s state into this engine's buffers: no word
-    /// allocation once they have held an engine of this size. The
-    /// commit marks are kept; they never affect a result.
-    fn clone_from(&mut self, source: &DeltaSim) {
-        self.netlist.clone_from(&source.netlist);
-        self.patterns.clone_from(&source.patterns);
-        self.values.clone_from(&source.values);
-        self.word_count = source.word_count;
-        self.vector_count = source.vector_count;
-        self.tail_mask = source.tail_mask;
-        self.fanouts.clone_from(&source.fanouts);
-        self.commit_stats = source.commit_stats;
     }
 }
 
@@ -252,6 +208,34 @@ impl DeltaSim {
         self.values = simulate_reusing(&netlist, &self.patterns, words).into_words();
         netlist.fanouts_into(&mut self.fanouts);
         self.netlist = netlist;
+        self.commit_stats = DeltaStats::default();
+    }
+
+    /// Re-targets the engine at `netlist`, whose simulation on this
+    /// engine's stimulus is `sim` (such as the accurate circuit's golden
+    /// simulation): the netlist and words are copied into the existing
+    /// buffers and the fan-out rows rebuilt into theirs, so nothing is
+    /// simulated, and a netlist of the previous one's gate count
+    /// allocates no words. The state afterwards equals
+    /// `DeltaSim::from_result(netlist.clone(), patterns, sim.clone())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result's word geometry does not match the netlist
+    /// and this engine's stimulus.
+    pub fn reset(&mut self, netlist: &Netlist, sim: &SimResult) {
+        assert_eq!(
+            sim.values.len(),
+            netlist.gate_count() * self.word_count,
+            "simulation result must cover every gate of the netlist"
+        );
+        assert_eq!(
+            sim.vector_count, self.vector_count,
+            "simulation result must cover the stimulus"
+        );
+        self.netlist.clone_from(netlist);
+        self.values.clone_from(&sim.values);
+        self.netlist.fanouts_into(&mut self.fanouts);
         self.commit_stats = DeltaStats::default();
     }
 
@@ -786,8 +770,26 @@ mod tests {
         assert_eq!(rebuilt.commit_stats(), fresh.commit_stats());
     }
 
+    #[test]
+    fn reset_equals_an_engine_wrapping_the_result() {
+        let (n, g1, g2) = chain();
+        let p = Patterns::random(3, 100, 9);
+        let golden = simulate(&n, &p);
+        let fresh = DeltaSim::from_result(n.clone(), p.clone(), golden.clone());
+        // A committed engine of another netlist, reset to `n`.
+        let mut other = n.clone();
+        other.substitute(g2, SignalRef::Gate(g1)).expect("legal");
+        let mut reset = DeltaSim::new(other, &p);
+        reset.substitute(g1, SignalRef::Const1).expect("legal");
+        reset.reset(&n, &golden);
+        assert_eq!(reset.netlist(), fresh.netlist());
+        assert_eq!(reset.values, fresh.values);
+        assert_eq!(reset.fanouts, fresh.fanouts);
+        assert_eq!(reset.commit_stats(), fresh.commit_stats());
+    }
+
     /// One preview scratch serving previews of two engines of different
-    /// sizes, across a generation wrap and with a lent buffer of stale
+    /// sizes, across a generation wrap and with overlay rows of stale
     /// words, gives the rows of a fresh preview every time.
     #[test]
     fn reused_preview_scratch_equals_a_fresh_one() {
@@ -800,8 +802,10 @@ mod tests {
             .expect("gate");
         wide.add_output("y4", extra.into());
         let large = DeltaSim::new(wide, &p);
-        let mut scratch = PreviewScratch::default();
-        scratch.lend_rows(vec![u64::MAX; 5]);
+        let mut scratch = PreviewScratch {
+            rows: vec![u64::MAX; 5],
+            ..PreviewScratch::default()
+        };
         for (round, engine) in [&small, &large, &small, &large].into_iter().enumerate() {
             if round == 2 {
                 scratch.generation = u32::MAX - 1;

@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 /// assert_eq!(p.vector_count(), 1000);
 /// assert_eq!(p.word_count(), 16); // ceil(1000 / 64)
 /// ```
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Patterns {
     input_count: usize,
     vector_count: usize,
@@ -34,26 +34,6 @@ pub struct Patterns {
     /// Input-major storage: `words[i * word_count + w]`, followed by
     /// the constant rows (see [`Patterns::const_rows`]).
     words: Vec<u64>,
-}
-
-impl Clone for Patterns {
-    fn clone(&self) -> Patterns {
-        Patterns {
-            input_count: self.input_count,
-            vector_count: self.vector_count,
-            word_count: self.word_count,
-            words: self.words.clone(),
-        }
-    }
-
-    /// Copies `source` into this value's word buffer: no allocation once
-    /// it has held a stimulus of this size.
-    fn clone_from(&mut self, source: &Patterns) {
-        self.input_count = source.input_count;
-        self.vector_count = source.vector_count;
-        self.word_count = source.word_count;
-        self.words.clone_from(&source.words);
-    }
 }
 
 impl Patterns {

@@ -11,10 +11,9 @@
 //! [`MAX_SIZE_DRIFT`], so per-gate allocation cannot creep back in.
 //!
 //! A second pin counts the allocations as large as one simulation's
-//! word storage in a whole one-thread DCGWO run: the optimizer keeps its
-//! simulation buffers and scoring bases across members and iterations,
-//! so that count must not grow with the population or the iteration
-//! count.
+//! word storage in a whole one-thread DCGWO run: the optimizer keeps one
+//! scoring base per worker across members and iterations, so that count
+//! must not grow with the population or the iteration count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -160,12 +159,12 @@ fn one_thread_dcgwo_allocates_word_storage_a_fixed_number_of_times() {
         0.8,
     );
     let population = 10;
-    // Word-storage-sized allocations a one-thread run makes: the seeding
-    // base (a copy of the golden simulation), and the one worker's
-    // recycled seeding member, search-child base and full-evaluation
-    // buffer, whatever the population. (The cone previews keep their
-    // overlay rows in the full-evaluation buffer.)
-    let budget = 4;
+    // Word-storage-sized allocations a one-thread run makes: the one
+    // worker's scoring base (a copy of the golden simulation), which
+    // builds every seeded member and scores every child, whatever the
+    // population. (The cone previews' overlay rows in it hold only the
+    // changed gates of one cone.)
+    let budget = 1;
     let run = |iterations: usize| {
         let cfg = OptimizerConfig::default()
             .with_population(population)

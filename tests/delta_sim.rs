@@ -175,7 +175,9 @@ proptest! {
             let (target, switch) = random_substitution(&n, &mut rng);
             let lac = Lac::new(target, switch);
             let score = ctx.score_lac(&base, lac);
-            let full = ctx.evaluate_lac(&base, lac);
+            let mut materialized = base.netlist().clone();
+            lac.apply(&mut materialized).expect("legal LAC");
+            let full = score.clone().into_candidate(materialized);
             let mut mutant = n.clone();
             mutant.substitute(target, switch).expect("legal LAC");
             let reference = ctx.evaluate(mutant);

@@ -1,21 +1,26 @@
 //! Scoring-base builds per DCGWO and GWO run, by thread count.
 //!
-//! The search children of one iteration that share a netlist are built,
-//! proposed and scored in one recycled `DeltaEval`, on whichever worker
-//! claims them, and nothing else builds a base. So the `scoring_bases`
-//! counter must read exactly one build per distinct search netlist per
-//! iteration, at every width: a parallel path that builds bases ahead of
-//! the chase, for members that end up reproducing, or once per child of
-//! a shared netlist shows here as a higher count. Without the
-//! reproduction action every member is searched once per iteration, so
-//! the expected count is the number of distinct member netlists summed
-//! over the iterations, read from runs stopped at each iteration. (Equal
-//! members come from reproduced children that copy a parent, so in
-//! these runs every search netlist is distinct; children sharing a base
-//! are pinned in the optimizer's unit tests.) With reproduction, the
-//! reproduced children build no base. The one- and two-thread runs must
-//! also build the same count and return the same result, with children
-//! crossing batch boundaries.
+//! Each worker keeps one recycled `DeltaEval` for the whole run, and
+//! every build of it counts once in the `scoring_bases` counter: each
+//! seeded member is one reset to the accurate circuit's golden words,
+//! the search children of one iteration that share a netlist are built,
+//! proposed and scored in one rebuild, on whichever worker claims them,
+//! and a reproduced child that equals neither parent is one rebuild. So
+//! without the reproduction action the counter must read exactly the
+//! population (the seeding) plus one build per distinct search netlist
+//! per iteration, at every width: a parallel path that builds bases
+//! ahead of the chase, for members that end up reproducing, or once per
+//! child of a shared netlist shows here as a higher count. Every member
+//! is then searched once per iteration, so the search count is the
+//! number of distinct member netlists summed over the iterations, read
+//! from runs stopped at each iteration. (Equal members come from
+//! reproduced children that copy a parent, so in these runs every
+//! search netlist is distinct; children sharing a base are pinned in
+//! the optimizer's unit tests.) With reproduction, the reproduced
+//! children that copy a parent build no base, so the builds after
+//! seeding stay below the child count. The one- and two-thread runs
+//! must also build the same count and return the same result, with
+//! children crossing batch boundaries.
 //!
 //! The counter is process-wide, so this file holds a single test and
 //! runs its flows one after another.
@@ -94,18 +99,22 @@ fn every_width_builds_one_base_per_distinct_search_netlist() {
                 one, two,
                 "{chase:?}, reproduction {reproduction}: {one} bases at one thread, {two} at two"
             );
-            // Every chase yields one child per member.
+            // Every chase yields one child per member, and the seeding
+            // builds one base per member.
             let children = (POPULATION * ITERATIONS) as u64;
+            let seeding = POPULATION as u64;
             match expected {
                 Some(distinct) => {
                     assert_eq!(
-                        one, distinct,
-                        "{chase:?}: one base per distinct search netlist"
+                        one,
+                        seeding + distinct,
+                        "{chase:?}: one base per seeded member and distinct search netlist"
                     );
                 }
                 None => assert!(
-                    0 < one && one < children,
-                    "{chase:?}: {one} bases for {children} children, some of them reproduced"
+                    seeding < one && one - seeding < children,
+                    "{chase:?}: {one} bases for {seeding} members and {children} children, \
+                     some of them copies"
                 ),
             }
         }

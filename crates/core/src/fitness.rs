@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use tdals_sim::{
     simulate_reusing, DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, PreviewScratch, SimResult,
-    SimWords,
 };
 use tdals_sta::{analyze, IncrementalSta, TimingConfig, TimingReport};
 
@@ -533,13 +532,6 @@ impl EvalContext {
             .insert(simulate_reusing(netlist, self.evaluator.patterns(), words))
     }
 
-    /// Builds an incremental simulation state for `netlist` on the
-    /// shared stimulus: one full simulation up front, O(affected cone)
-    /// per scored or committed substitution afterwards.
-    pub fn delta_sim(&self, netlist: Netlist) -> DeltaSim {
-        DeltaSim::new(netlist, self.evaluator.patterns())
-    }
-
     /// Runs STA on a netlist with the shared configuration.
     pub fn analyze(&self, netlist: &Netlist) -> TimingReport {
         analyze(netlist, &self.timing)
@@ -555,7 +547,15 @@ impl EvalContext {
     pub fn evaluate_in(&self, netlist: Netlist, scratch: &mut EvalScratch) -> Candidate {
         let report = analyze(&netlist, &self.timing);
         let sim = self.simulate_in(&netlist, scratch);
-        self.evaluate_with(netlist, &report, sim)
+        self.score_from(
+            report.max_depth(),
+            report.critical_path_delay(),
+            netlist.area_live(),
+            self.evaluator.error_of_sim(sim),
+            report.po_arrivals().to_vec(),
+            self.evaluator.po_errors_of_sim(sim),
+        )
+        .into_candidate(netlist)
     }
 
     /// [`EvalContext::evaluate`] of a netlist equal to `parent`'s, from
@@ -587,7 +587,7 @@ impl EvalContext {
     /// simulation plus one full STA pass up front; every
     /// [`EvalContext::score_lac`] against it is then O(affected cone).
     pub fn delta_eval(&self, netlist: Netlist) -> DeltaEval {
-        let sim = self.delta_sim(netlist);
+        let sim = DeltaSim::new(netlist, self.evaluator.patterns());
         let sta = IncrementalSta::new(sim.netlist(), self.timing);
         DeltaEval::new(sim, sta)
     }
@@ -607,7 +607,7 @@ impl EvalContext {
         let mut preview = base.preview.borrow_mut();
         let view = base
             .sim()
-            .preview_in(lac.target(), lac.switch(), &mut preview);
+            .preview_outputs_in(lac.target(), lac.switch(), &mut preview);
         let error = self.evaluator.error_of_sim(&view);
         let po_errors = self.evaluator.po_errors_of_sim(&view);
         let timing = base.sta.borrow_mut().preview_substitute(
@@ -705,29 +705,6 @@ impl EvalContext {
                 empty.insert(DeltaEval::new(sim, sta))
             }
         }
-    }
-
-    /// Evaluates a netlist when STA and simulation results are already
-    /// available (exposed so optimizers can reuse intermediate work; see
-    /// C-INTERMEDIATE). `sim` may be any [`SimWords`] view — a full
-    /// [`SimResult`] or the incremental engine's state.
-    pub fn evaluate_with<V: SimWords>(
-        &self,
-        netlist: Netlist,
-        report: &TimingReport,
-        sim: &V,
-    ) -> Candidate {
-        let error = self.evaluator.error_of_sim(sim);
-        let po_errors = self.evaluator.po_errors_of_sim(sim);
-        self.score_from(
-            report.max_depth(),
-            report.critical_path_delay(),
-            netlist.area_live(),
-            error,
-            report.po_arrivals().to_vec(),
-            po_errors,
-        )
-        .into_candidate(netlist)
     }
 
     /// Depth and area objectives `(f_d, f_a)` for measured quantities.

@@ -117,20 +117,41 @@ pub struct DeltaSim {
 /// allocates nothing, and the overlay rows a preview writes.
 ///
 /// A worker that scores many previews keeps one scratch and passes it
-/// to [`DeltaSim::preview_in`]; its overlay rows grow to the largest
-/// cone it has served. Its contents never affect a result.
+/// to [`DeltaSim::preview_outputs_in`]; its overlay rows grow to the
+/// largest set of rows one of them held at once. Its contents never
+/// affect a result.
 #[derive(Debug, Clone, Default)]
 pub struct PreviewScratch {
     generation: u32,
     /// Per gate: the generation in which it became pending.
     pending: Vec<u32>,
     /// Per gate: the generation in which it got an overlay row, and
-    /// that row's index.
+    /// that row's index ([`RECYCLED`] once the row went to another
+    /// gate).
     slot: Vec<(u32, u32)>,
+    /// Per gate: the generation in which it was marked as driving a
+    /// primary output, in a walk that recycles rows.
+    outputs: Vec<u32>,
     /// Overlay rows, `word_count` words each; may hold more words than
     /// the rows in use.
     rows: Vec<u64>,
+    /// The row a gate is evaluated into when it cannot be evaluated in
+    /// place: before it takes a recycled overlay row, and in commits.
+    row: Vec<u64>,
+    /// Overlay rows free for reuse in this walk.
+    free: Vec<u32>,
 }
+
+/// The row index of a gate whose overlay row was recycled.
+const RECYCLED: u32 = u32::MAX;
+
+/// Overlay words (16 MB) from which an output preview recycles rows.
+/// Smaller overlays keep every row: giving rows back costs a check per
+/// re-evaluated fan-in, which at 4,096 vectors slowed `pop-c5315-t2` by
+/// about 6%, while Sqrt's largest cone there holds 7 MB. At 10^5
+/// vectors that cone would hold 163 MB, close to a full simulation's
+/// words, and recycling keeps it near this bound.
+const RECYCLE_FROM_WORDS: usize = 1 << 21;
 
 impl PreviewScratch {
     /// Starts a walk over `gates` gates: a fresh generation, with the
@@ -142,8 +163,11 @@ impl PreviewScratch {
             self.pending.resize(gates, 0);
             self.slot.clear();
             self.slot.resize(gates, (0, 0));
+            self.outputs.clear();
+            self.outputs.resize(gates, 0);
             self.generation = 0;
         }
+        self.free.clear();
         self.generation += 1;
         self.generation
     }
@@ -289,7 +313,7 @@ impl DeltaSim {
     /// their path).
     pub fn preview(&self, target: GateId, switch: SignalRef) -> DeltaView<'_> {
         let mut scratch = PreviewScratch::default();
-        let stats = self.preview_cone(target, switch, &mut scratch);
+        let stats = self.preview_cone(target, switch, &mut scratch, usize::MAX);
         DeltaView {
             base: self,
             target,
@@ -299,21 +323,41 @@ impl DeltaSim {
         }
     }
 
-    /// [`DeltaSim::preview`] with the marks and overlay rows in
-    /// `scratch`, which the view borrows: the same view, without a
-    /// per-call allocation once the scratch has served a cone of this
-    /// size.
+    /// [`DeltaSim::preview`] for scoring the outputs: the marks and
+    /// overlay rows live in `scratch`, which the view borrows, and once
+    /// the overlay has grown to 16 MB a changed gate that drives no
+    /// primary output gives its row back for reuse when its last reader
+    /// has been re-evaluated. So the overlay stays near 16 MB plus the
+    /// cone's wavefront, where `preview` holds every changed gate (on
+    /// Sqrt at 10^5 vectors, up to 13,688 rows or 163 MB), and a
+    /// scratch that has served a cone of this size allocates nothing.
+    ///
+    /// The view's output queries, and the rows of the gates whose rows
+    /// it kept, equal [`DeltaSim::preview`]'s.
     ///
     /// # Panics
     ///
-    /// As [`DeltaSim::preview`].
-    pub fn preview_in<'a>(
+    /// As [`DeltaSim::preview`]. Reading the row of a gate whose row
+    /// was given back panics.
+    pub fn preview_outputs_in<'a>(
         &'a self,
         target: GateId,
         switch: SignalRef,
         scratch: &'a mut PreviewScratch,
     ) -> DeltaView<'a> {
-        let stats = self.preview_cone(target, switch, scratch);
+        self.preview_recycling(target, switch, scratch, RECYCLE_FROM_WORDS)
+    }
+
+    /// [`DeltaSim::preview_outputs_in`] recycling rows from an overlay of
+    /// `recycle_from` words on.
+    fn preview_recycling<'a>(
+        &'a self,
+        target: GateId,
+        switch: SignalRef,
+        scratch: &'a mut PreviewScratch,
+        recycle_from: usize,
+    ) -> DeltaView<'a> {
+        let stats = self.preview_cone(target, switch, scratch, recycle_from);
         DeltaView {
             base: self,
             target,
@@ -324,13 +368,17 @@ impl DeltaSim {
     }
 
     /// Re-evaluates the cone of `target := switch` into `scratch`'s
-    /// overlay rows: row `r` holds the `r`-th changed gate, and its slot
-    /// points there under the walk's generation.
+    /// overlay rows: each changed gate's slot points to its row under
+    /// the walk's generation. Once the overlay holds `recycle_from`
+    /// words, a changed gate that drives no primary output gives its row
+    /// back when its last reader has been re-evaluated: no later gate of
+    /// the walk reads it.
     fn preview_cone(
         &self,
         target: GateId,
         switch: SignalRef,
         scratch: &mut PreviewScratch,
+        recycle_from: usize,
     ) -> DeltaStats {
         if let SignalRef::Gate(s) = switch {
             assert!(
@@ -343,30 +391,81 @@ impl DeltaSim {
         let PreviewScratch {
             pending,
             slot,
+            outputs,
             rows,
+            row,
+            free,
             ..
         } = scratch;
-        let mut used = 0usize;
+        row.resize(wc, 0);
+        let mut used = 0u32;
+        let mut recycling = false;
         let stats = walk_cone(&self.fanouts, target, pending, generation, |id| {
-            if rows.len() < (used + 1) * wc {
-                rows.resize((used + 1) * wc, 0);
+            // A gate is evaluated into the next new overlay row, or into
+            // `row` while recycled rows are free, and copied into one
+            // of them if it changed.
+            let fresh = free.is_empty();
+            let at = used as usize * wc;
+            if fresh && rows.len() < at + wc {
+                rows.resize(at + wc, 0);
             }
-            let (done, free) = rows.split_at_mut(used * wc);
-            let out = &mut free[..wc];
+            let (read, out): (&[u64], &mut [u64]) = if fresh {
+                let (done, rest) = rows.split_at_mut(at);
+                (done, &mut rest[..wc])
+            } else {
+                (rows, row)
+            };
             eval_gate_row(
                 self.netlist.gate(id).cell().func(),
                 fanins_after(&self.netlist, id, target, switch),
                 &self.patterns,
-                |g| overlay_row(&self.values, done, slot, generation, wc, g),
+                |g| overlay_row(&self.values, read, slot, generation, wc, g),
                 out,
             );
             if let Some(last) = out.last_mut() {
                 *last &= self.tail_mask;
             }
             let changed = *out != *gate_row(&self.values, wc, id);
+            if !recycling && at >= recycle_from {
+                recycling = true;
+                for driver in self.netlist.output_drivers() {
+                    if let SignalRef::Gate(g) = driver {
+                        outputs[g.index()] = generation;
+                    }
+                }
+            }
+            // Every reader of a changed gate is re-evaluated, so a
+            // changed fan-in whose last reader is `id` is read no more,
+            // unless it drives an output.
+            let fanins = if recycling {
+                self.netlist.gate(id).fanins()
+            } else {
+                &[]
+            };
+            for &fanin in fanins {
+                let SignalRef::Gate(g) = fanin else {
+                    continue;
+                };
+                let (stamp, r) = slot[g.index()];
+                if stamp == generation
+                    && r != RECYCLED
+                    && outputs[g.index()] != generation
+                    && self.fanouts.readers(g).last() == Some(&id)
+                {
+                    free.push(r);
+                    slot[g.index()].1 = RECYCLED;
+                }
+            }
             if changed {
-                slot[id.index()] = (generation, u32::try_from(used).expect("overlay fits u32"));
-                used += 1;
+                let r = if fresh {
+                    used = used.checked_add(1).expect("overlay fits u32");
+                    used - 1
+                } else {
+                    let r = free.pop().expect("a recycled row is free");
+                    rows[r as usize * wc..(r as usize + 1) * wc].copy_from_slice(row);
+                    r
+                };
+                slot[id.index()] = (generation, r);
             }
             changed
         });
@@ -402,8 +501,8 @@ impl DeltaSim {
         let wc = self.word_count;
         let scratch = &mut self.commit_scratch;
         let generation = scratch.begin(self.netlist.gate_count());
-        scratch.rows.resize(wc, 0);
-        let (values, row) = (&mut self.values, &mut scratch.rows[..wc]);
+        scratch.row.resize(wc, 0);
+        let (values, row) = (&mut self.values, &mut scratch.row[..]);
         let stats = walk_cone(
             &self.fanouts,
             target,
@@ -555,7 +654,8 @@ impl SimWords for DeltaSim {
 ///
 /// Answers every [`SimWords`] query exactly as a full simulation of the
 /// mutated netlist would, including primary outputs whose driver was
-/// the substituted gate.
+/// the substituted gate. A view from [`DeltaSim::preview_outputs_in`]
+/// answers the output queries so, but not the rows it gave back.
 #[derive(Debug)]
 pub struct DeltaView<'a> {
     base: &'a DeltaSim,
@@ -568,11 +668,6 @@ pub struct DeltaView<'a> {
 }
 
 impl DeltaView<'_> {
-    /// The substitution this view scores.
-    pub fn lac(&self) -> (GateId, SignalRef) {
-        (self.target, self.switch)
-    }
-
     /// Work counters for this cone re-evaluation.
     pub fn stats(&self) -> DeltaStats {
         self.stats
@@ -600,6 +695,11 @@ impl SimWords for DeltaView<'_> {
     /// base row otherwise. Overlay rows are tail-masked like the base
     /// storage.
     fn gate_row(&self, g: GateId) -> &[u64] {
+        assert_ne!(
+            self.scratch.slot[g.index()],
+            (self.scratch.generation, RECYCLED),
+            "the overlay row of {g} was recycled"
+        );
         overlay_row(
             &self.base.values,
             &self.scratch.rows,
@@ -788,9 +888,9 @@ mod tests {
         assert_eq!(reset.commit_stats(), fresh.commit_stats());
     }
 
-    /// One preview scratch serving previews of two engines of different
-    /// sizes, across a generation wrap and with overlay rows of stale
-    /// words, gives the rows of a fresh preview every time.
+    /// One preview scratch serving recycling previews of two engines of
+    /// different sizes, across a generation wrap and with overlay rows of
+    /// stale words, gives the rows of a fresh preview every time.
     #[test]
     fn reused_preview_scratch_equals_a_fresh_one() {
         let (n, g1, g2) = chain();
@@ -820,9 +920,12 @@ mod tests {
                 let fresh_rows: Vec<Vec<u64>> = (0..engine.netlist().gate_count())
                     .map(|g| fresh.gate_row(GateId::new(g)).to_vec())
                     .collect();
-                let reused = engine.preview_in(t, s, &mut scratch);
+                let reused = engine.preview_recycling(t, s, &mut scratch, 0);
                 assert_eq!(reused.stats(), fresh.stats(), "round {round}, {t} := {s:?}");
                 for (g, row) in fresh_rows.iter().enumerate() {
+                    if reused.scratch.slot[g] == (reused.scratch.generation, RECYCLED) {
+                        continue;
+                    }
                     assert_eq!(
                         reused.gate_row(GateId::new(g)),
                         &row[..],
@@ -831,6 +934,136 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `a, b → h0 = a ^ b → h1 = h0 ^ a → … → h19`, with outputs `h19`
+    /// and `h9`: every gate changes when `h0` does, and each is read only
+    /// by the next.
+    fn xor_ladder() -> (Netlist, GateId) {
+        let mut n = Netlist::new("ladder");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let h0 = n
+            .add_gate("h0", x1(CellFunc::Xor2), vec![a.into(), b.into()])
+            .expect("gate");
+        let mut prev = h0;
+        for i in 1..20 {
+            prev = n
+                .add_gate(
+                    format!("h{i}"),
+                    x1(CellFunc::Xor2),
+                    vec![prev.into(), a.into()],
+                )
+                .expect("gate");
+            if i == 9 {
+                n.add_output("y9", prev.into());
+            }
+        }
+        n.add_output("y19", prev.into());
+        (n, h0)
+    }
+
+    /// A preview recycling rows from the first one on holds a few rows
+    /// at a time of a cone of nineteen changed gates, not nineteen, and
+    /// its outputs equal a full simulation of the mutant.
+    #[test]
+    fn output_preview_recycles_rows_the_outputs_do_not_read() {
+        let (n, h0) = xor_ladder();
+        let p = Patterns::random(2, 1000, 8);
+        let delta = DeltaSim::new(n.clone(), &p);
+        let mut mutated = n.clone();
+        mutated.substitute(h0, SignalRef::Const1).expect("legal");
+        let full = simulate(&mutated, &p);
+        let mut scratch = PreviewScratch::default();
+        let view = delta.preview_recycling(h0, SignalRef::Const1, &mut scratch, 0);
+        assert_eq!(view.stats().changed, 19);
+        for po in 0..n.output_count() {
+            for w in 0..full.word_count() {
+                assert_eq!(view.po_word(po, w), SimWords::po_word(&full, po, w));
+            }
+        }
+        let wc = full.word_count();
+        assert!(
+            view.scratch.rows.len() <= 4 * wc,
+            "{} rows held",
+            view.scratch.rows.len() / wc
+        );
+        assert_eq!(
+            delta.preview(h0, SignalRef::Const1).scratch.rows.len(),
+            19 * wc
+        );
+    }
+
+    /// Recycling previews of random substitutions on random netlists,
+    /// in one scratch, keep every output word of a full simulation of
+    /// the mutant.
+    #[test]
+    fn recycling_previews_keep_every_output_word() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let funcs = [
+            CellFunc::Inv,
+            CellFunc::And2,
+            CellFunc::Or2,
+            CellFunc::Xor2,
+            CellFunc::Nand2,
+        ];
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut n = Netlist::new("random");
+            let mut pool: Vec<SignalRef> = (0..5)
+                .map(|i| n.add_input(format!("x{i}")).into())
+                .collect();
+            for k in 0..60 {
+                let func = funcs[rng.gen_range(0..funcs.len())];
+                let fanins: Vec<SignalRef> = (0..func.arity())
+                    .map(|_| pool[rng.gen_range(pool.len() - 5..pool.len())])
+                    .collect();
+                pool.push(
+                    n.add_gate(format!("g{k}"), x1(func), fanins)
+                        .expect("gate")
+                        .into(),
+                );
+            }
+            for o in 0..6 {
+                n.add_output(format!("y{o}"), pool[pool.len() - 1 - 7 * o]);
+            }
+            let p = Patterns::random(5, 200, seed);
+            let delta = DeltaSim::new(n.clone(), &p);
+            let mut scratch = PreviewScratch::default();
+            for _ in 0..8 {
+                let target = GateId::new(rng.gen_range(5..n.gate_count()));
+                let switch = match rng.gen_range(0..3) {
+                    0 => SignalRef::Const0,
+                    1 => SignalRef::Const1,
+                    _ => SignalRef::Gate(GateId::new(rng.gen_range(0..target.index()))),
+                };
+                let mut mutated = n.clone();
+                mutated.substitute(target, switch).expect("legal");
+                let full = simulate(&mutated, &p);
+                let view = delta.preview_recycling(target, switch, &mut scratch, 0);
+                for po in 0..n.output_count() {
+                    for w in 0..full.word_count() {
+                        assert_eq!(
+                            view.po_word(po, w),
+                            SimWords::po_word(&full, po, w),
+                            "seed {seed}, {target} := {switch:?}, po {po}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "was recycled")]
+    fn a_recycled_row_is_not_read() {
+        let (n, h0) = xor_ladder();
+        let delta = DeltaSim::new(n.clone(), &Patterns::exhaustive(2));
+        let mut scratch = PreviewScratch::default();
+        let view = delta.preview_recycling(h0, SignalRef::Const1, &mut scratch, 0);
+        let h1 = n.find_gate("h1").expect("h1");
+        let _ = view.gate_row(h1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use tdals::circuits::random_logic::{grow, RandomLogicSpec};
 use tdals::core::{optimize, EvalContext, Lac, OptimizerConfig};
 use tdals::netlist::builder::Builder;
 use tdals::netlist::{GateId, Netlist, SignalRef};
-use tdals::sim::{simulate, DeltaSim, ErrorMetric, Patterns, SimWords};
+use tdals::sim::{simulate, DeltaSim, ErrorMetric, Patterns, PreviewScratch, SimWords};
 use tdals::sta::TimingConfig;
 
 /// Deterministic random netlist from a seed.
@@ -131,6 +131,7 @@ proptest! {
                 lacs.push((driver, SignalRef::Const1));
             }
         }
+        let mut scratch = PreviewScratch::default();
         for (target, switch) in lacs {
             let view = delta.preview(target, switch);
             let mut mutated = n.clone();
@@ -138,6 +139,15 @@ proptest! {
             let full = simulate(&mutated, &p);
             assert_words_match(&view, &full, n.gate_count(),
                 &format!("seed {seed}, {target} := {switch}"));
+            // The output preview, in one scratch across the LACs, recycles
+            // rows but keeps every output word.
+            let outputs = delta.preview_outputs_in(target, switch, &mut scratch);
+            for po in 0..full.output_count() {
+                for w in 0..full.word_count() {
+                    prop_assert_eq!(outputs.po_word(po, w), full.po_word(po, w),
+                        "seed {}, {} := {}, po {} word {}", seed, target, switch, po, w);
+                }
+            }
         }
     }
 

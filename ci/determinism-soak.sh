@@ -42,7 +42,7 @@ cat > soak_manifest.json <<'EOF'
      "max_evaluations": 60},
     {"circuit": "bench:Int2float", "name": "i2f-greedy", "metric": "er",
      "bound": 0.05, "method": "greedy", "iterations": 1,
-     "vectors": 512, "seed": 3, "max_iterations": 4},
+     "vectors": 512, "seed": 3, "max_iterations": 4, "threads": 2},
     {"circuit": "bench:Max16", "name": "max-gwo", "metric": "nmed",
      "bound": 0.0244, "method": "gwo", "population": 6,
      "iterations": 2, "vectors": 512, "seed": 9}

@@ -9,14 +9,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdals_core::api::{Budget, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason};
+use tdals_core::api::{Budget, FlowEvent, Observer, OptimizeOutcome, Optimizer, StopReason};
 use tdals_core::{
     par, random_lac, reproduce, Candidate, EvalContext, EvalScratch, IterationStats, Lac,
     LevelWeights,
 };
-use tdals_netlist::Netlist;
 
-/// Tunables for [`genetic_depth`].
+/// Tunables for [`Genetic`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneticConfig {
     /// Population size.
@@ -66,119 +65,256 @@ fn ga_fitness(ctx: &EvalContext, cand: &Candidate, error_bound: f64) -> f64 {
     ctx.cpd_ori() / cand.cpd.max(1e-9)
 }
 
-/// Runs the genetic loop and returns the best feasible netlist.
-pub fn genetic_depth(ctx: &EvalContext, error_bound: f64, cfg: &GeneticConfig) -> Netlist {
-    genetic_depth_session(
-        ctx,
-        error_bound,
-        cfg,
-        &Budget::unlimited(),
-        &mut NopObserver,
-    )
-    .best
-    .netlist
+/// VaACS-style genetic ALS behind the [`Optimizer`] trait: returns the
+/// best feasible netlist of the run, honors a [`Budget`] at every
+/// generation boundary and streams progress to the observer.
+#[derive(Debug, Clone, Default)]
+pub struct Genetic {
+    cfg: GeneticConfig,
 }
 
-/// [`genetic_depth`] with a [`Budget`] honored at every generation
-/// boundary and progress streamed to `obs`. Under
-/// [`Budget::unlimited`] the final netlist is identical to
-/// [`genetic_depth`]'s.
-pub fn genetic_depth_session(
-    ctx: &EvalContext,
-    error_bound: f64,
-    cfg: &GeneticConfig,
-    budget: &Budget,
-    obs: &mut dyn Observer,
-) -> OptimizeOutcome {
-    let mut tracker = budget.start_tracking();
-    let mut stop = StopReason::Completed;
-    let mut history = Vec::new();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let threads = par::resolve_threads(cfg.threads);
-    let weights = LevelWeights::paper_defaults(ctx.cpd_ori(), cfg.level_we);
+impl Genetic {
+    /// Wraps an explicit configuration.
+    pub fn new(cfg: GeneticConfig) -> Genetic {
+        Genetic { cfg }
+    }
+}
 
-    let accurate = ctx.evaluate(ctx.accurate().clone());
-    tracker.record_evaluations(1);
-    let mut best = accurate.clone();
-    let mut best_fit = ga_fitness(ctx, &best, error_bound);
-
-    let mut population: Vec<Candidate> = vec![accurate.clone()];
-    // Per-worker simulation buffers, reused by every evaluation of the
-    // run.
-    let mut eval: Vec<EvalScratch> = Vec::new();
-    // Deterministic pre-truncation: never fan out work a deterministic
-    // cap will refuse to admit — a pre-stopped budget seeds nothing, an
-    // evaluation cap bounds the member count, and both depend only on
-    // counts, so the truncation is identical for every thread width.
-    let seed_budget = match tracker.stop_before_iteration(0) {
-        Some(_) => 0,
-        None => tracker
-            .remaining_evaluations()
-            .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
-    };
-    let seed_want = (cfg.population.max(2) - 1).min(seed_budget);
-    if seed_want > 0 {
-        // Serial draft phase: every seed member mutates the *same*
-        // accurate netlist, so one simulation serves all draws and the
-        // shared RNG stream is consumed in member order, independent of
-        // thread count.
-        let accurate_sim = ctx.simulate(&accurate.netlist);
-        let seed_drafts: Vec<Option<Lac>> = (0..seed_want)
-            .map(|_| {
-                random_lac(
-                    &accurate.netlist,
-                    &accurate_sim,
-                    cfg.max_switch_candidates,
-                    &mut rng,
-                )
-            })
-            .collect();
-        // Parallel evaluation, then serial admission in member order:
-        // the budget is honored during seeding as well — deterministic
-        // caps stop admission at the same member for every thread
-        // count, and the accurate anchor is already in, so stopping
-        // early is always safe.
-        let seeded = par::par_map_batched_with(
-            threads,
-            &mut eval,
-            seed_drafts,
-            |scratch, lac| {
-                let mut netlist = accurate.netlist.clone();
-                if let Some(lac) = lac {
-                    lac.apply(&mut netlist).expect("legal LAC");
-                }
-                ctx.evaluate_in(netlist, scratch)
-            },
-            || tracker.interrupted().is_none(),
-        );
-        for cand in seeded.results {
-            if tracker.stop_before_iteration(0).is_some() {
-                break;
-            }
-            population.push(cand);
-            tracker.record_evaluations(1);
-        }
+impl Optimizer for Genetic {
+    fn set_threads(&mut self, threads: usize) {
+        self.cfg.threads = threads;
     }
 
-    for generation in 0..cfg.generations {
-        if let Some(reason) = tracker.stop_before_iteration(generation) {
-            stop = reason;
-            break;
+    fn name(&self) -> &str {
+        "VaACS"
+    }
+
+    fn optimize(
+        &mut self,
+        ctx: &EvalContext,
+        error_bound: f64,
+        budget: &Budget,
+        obs: &mut dyn Observer,
+    ) -> OptimizeOutcome {
+        let cfg = &self.cfg;
+        let mut tracker = budget.start_tracking();
+        let mut stop = StopReason::Completed;
+        let mut history = Vec::new();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let threads = par::resolve_threads(cfg.threads);
+        let weights = LevelWeights::paper_defaults(ctx.cpd_ori(), cfg.level_we);
+
+        let accurate = ctx.evaluate(ctx.accurate().clone());
+        tracker.record_evaluations(1);
+        let mut best = accurate.clone();
+        let mut best_fit = ga_fitness(ctx, &best, error_bound);
+
+        let mut population: Vec<Candidate> = vec![accurate.clone()];
+        // Per-worker simulation buffers, reused by every evaluation of the
+        // run.
+        let mut eval: Vec<EvalScratch> = Vec::new();
+        // Deterministic pre-truncation: never fan out work a deterministic
+        // cap will refuse to admit — a pre-stopped budget seeds nothing, an
+        // evaluation cap bounds the member count, and both depend only on
+        // counts, so the truncation is identical for every thread width.
+        let seed_budget = match tracker.stop_before_iteration(0) {
+            Some(_) => 0,
+            None => tracker
+                .remaining_evaluations()
+                .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
+        };
+        let seed_want = (cfg.population.max(2) - 1).min(seed_budget);
+        if seed_want > 0 {
+            // Serial draft phase: every seed member mutates the *same*
+            // accurate netlist, so one simulation serves all draws and the
+            // shared RNG stream is consumed in member order, independent of
+            // thread count.
+            let accurate_sim = ctx.simulate(&accurate.netlist);
+            let seed_drafts: Vec<Option<Lac>> = (0..seed_want)
+                .map(|_| {
+                    random_lac(
+                        &accurate.netlist,
+                        &accurate_sim,
+                        cfg.max_switch_candidates,
+                        &mut rng,
+                    )
+                })
+                .collect();
+            // Parallel evaluation, then serial admission in member order:
+            // the budget is honored during seeding as well — deterministic
+            // caps stop admission at the same member for every thread
+            // count, and the accurate anchor is already in, so stopping
+            // early is always safe.
+            let seeded = par::par_map_batched_with(
+                threads,
+                &mut eval,
+                seed_drafts,
+                |scratch, lac| {
+                    let mut netlist = accurate.netlist.clone();
+                    if let Some(lac) = lac {
+                        lac.apply(&mut netlist).expect("legal LAC");
+                    }
+                    ctx.evaluate_in(netlist, scratch)
+                },
+                || tracker.interrupted().is_none(),
+            );
+            for cand in seeded.results {
+                if tracker.stop_before_iteration(0).is_some() {
+                    break;
+                }
+                population.push(cand);
+                tracker.record_evaluations(1);
+            }
         }
-        obs.on_event(&FlowEvent::IterationStarted {
-            iteration: generation,
-            constraint: error_bound,
-        });
-        let fits: Vec<f64> = population
-            .iter()
-            .map(|c| ga_fitness(ctx, c, error_bound))
-            .collect();
-        for (cand, &fit) in population.iter().zip(&fits) {
+
+        for generation in 0..cfg.generations {
+            if let Some(reason) = tracker.stop_before_iteration(generation) {
+                stop = reason;
+                break;
+            }
+            obs.on_event(&FlowEvent::IterationStarted {
+                iteration: generation,
+                constraint: error_bound,
+            });
+            let fits: Vec<f64> = population
+                .iter()
+                .map(|c| ga_fitness(ctx, c, error_bound))
+                .collect();
+            for (cand, &fit) in population.iter().zip(&fits) {
+                if fit > best_fit {
+                    best_fit = fit;
+                    best = cand.clone();
+                    obs.on_event(&FlowEvent::BestImproved {
+                        iteration: generation,
+                        fitness: best.fitness,
+                        error: best.error,
+                        depth: best.depth,
+                        area: best.area,
+                    });
+                }
+            }
+
+            let tournament_pick = |rng: &mut StdRng| -> usize {
+                let mut winner = rng.gen_range(0..population.len());
+                for _ in 1..cfg.tournament.max(1) {
+                    let challenger = rng.gen_range(0..population.len());
+                    if fits[challenger] > fits[winner] {
+                        winner = challenger;
+                    }
+                }
+                winner
+            };
+
+            // Elites survive unchanged.
+            let mut order: Vec<usize> = (0..population.len()).collect();
+            order.sort_by(|&a, &b| fits[b].total_cmp(&fits[a]));
+            let mut next: Vec<Candidate> = order
+                .iter()
+                .take(cfg.elitism.min(population.len()))
+                .map(|&i| population[i].clone())
+                .collect();
+
+            // Serial plan phase: tournament picks and mutation coins come
+            // off the shared stream in child order. A mutating child gets a
+            // private stream split off the shared one, because its LAC draw
+            // reads the child's own simulation — which only exists inside
+            // the worker that builds it.
+            struct ChildPlan {
+                pa: usize,
+                pb: usize,
+                mutation_seed: Option<u64>,
+            }
+            let want = cfg.population.max(2).saturating_sub(next.len());
+            let plans: Vec<ChildPlan> = (0..want)
+                .map(|_| {
+                    let pa = tournament_pick(&mut rng);
+                    let pb = tournament_pick(&mut rng);
+                    let mutation_seed =
+                        (rng.gen::<f64>() < cfg.mutation_rate).then(|| rng.gen::<u64>());
+                    ChildPlan {
+                        pa,
+                        pb,
+                        mutation_seed,
+                    }
+                })
+                .collect();
+            // Parallel build-and-evaluate phase (crossover, optional
+            // mutation, full evaluation), reduced in child order. Every
+            // candidate comes from a full evaluation, so an unmutated child
+            // equal to a parent takes that parent's scores, bit for bit.
+            let population_ref = &population;
+            let children = par::par_map_batched_with(
+                threads,
+                &mut eval,
+                plans,
+                |scratch, plan| {
+                    let (pa, pb) = (&population_ref[plan.pa], &population_ref[plan.pb]);
+                    let mut child = if plan.pa == plan.pb {
+                        pa.netlist.clone()
+                    } else {
+                        reproduce(pa, pb, &weights)
+                    };
+                    let mut mutated = false;
+                    if let Some(seed) = plan.mutation_seed {
+                        let mut crng = StdRng::seed_from_u64(seed);
+                        let sim = ctx.simulate_in(&child, scratch);
+                        if let Some(lac) =
+                            random_lac(&child, sim, cfg.max_switch_candidates, &mut crng)
+                        {
+                            lac.apply(&mut child).expect("legal LAC");
+                            mutated = true;
+                        }
+                    }
+                    if !mutated {
+                        if let Some(parent) = [pa, pb].into_iter().find(|p| p.netlist == child) {
+                            return ctx.evaluate_reusing(child, parent);
+                        }
+                    }
+                    ctx.evaluate_in(child, scratch)
+                },
+                || tracker.interrupted().is_none(),
+            );
+            tracker.record_evaluations(children.results.len() as u64);
+            if !children.completed {
+                // The previous generation survives; the partial next
+                // generation is discarded (its evaluations are recorded).
+                stop = tracker
+                    .interrupted()
+                    .expect("aborted batches imply a sticky interrupt");
+                break;
+            }
+            next.extend(children.results);
+            population = next;
+
+            let feasible = population.iter().filter(|c| c.error <= error_bound).count();
+            let best_now = population
+                .iter()
+                .max_by(|a, b| a.fitness.total_cmp(&b.fitness))
+                .expect("population is never empty");
+            let stats = IterationStats {
+                iteration: generation,
+                constraint: error_bound,
+                best_fitness: best_now.fitness,
+                best_depth: best_now.depth,
+                best_area: best_now.area,
+                feasible,
+            };
+            history.push(stats);
+            obs.on_event(&FlowEvent::IterationFinished { stats });
+        }
+
+        // Final sweep over the last generation: the per-generation scan at
+        // the loop top only covers the *previous* generation's population,
+        // so improvements born in the last one are found (and reported)
+        // here.
+        let final_generation = history.last().map_or(0, |s| s.iteration);
+        for cand in &population {
+            let fit = ga_fitness(ctx, cand, error_bound);
             if fit > best_fit {
                 best_fit = fit;
                 best = cand.clone();
                 obs.on_event(&FlowEvent::BestImproved {
-                    iteration: generation,
+                    iteration: final_generation,
                     fitness: best.fitness,
                     error: best.error,
                     depth: best.depth,
@@ -186,171 +322,24 @@ pub fn genetic_depth_session(
                 });
             }
         }
-
-        let tournament_pick = |rng: &mut StdRng| -> usize {
-            let mut winner = rng.gen_range(0..population.len());
-            for _ in 1..cfg.tournament.max(1) {
-                let challenger = rng.gen_range(0..population.len());
-                if fits[challenger] > fits[winner] {
-                    winner = challenger;
-                }
-            }
-            winner
-        };
-
-        // Elites survive unchanged.
-        let mut order: Vec<usize> = (0..population.len()).collect();
-        order.sort_by(|&a, &b| fits[b].total_cmp(&fits[a]));
-        let mut next: Vec<Candidate> = order
-            .iter()
-            .take(cfg.elitism.min(population.len()))
-            .map(|&i| population[i].clone())
-            .collect();
-
-        // Serial plan phase: tournament picks and mutation coins come
-        // off the shared stream in child order. A mutating child gets a
-        // private stream split off the shared one, because its LAC draw
-        // reads the child's own simulation — which only exists inside
-        // the worker that builds it.
-        struct ChildPlan {
-            pa: usize,
-            pb: usize,
-            mutation_seed: Option<u64>,
+        obs.on_event(&FlowEvent::OptimizeFinished {
+            stop,
+            evaluations: tracker.evaluations(),
+        });
+        OptimizeOutcome {
+            best,
+            population,
+            history,
+            evaluations: tracker.evaluations(),
+            stop,
         }
-        let want = cfg.population.max(2).saturating_sub(next.len());
-        let plans: Vec<ChildPlan> = (0..want)
-            .map(|_| {
-                let pa = tournament_pick(&mut rng);
-                let pb = tournament_pick(&mut rng);
-                let mutation_seed =
-                    (rng.gen::<f64>() < cfg.mutation_rate).then(|| rng.gen::<u64>());
-                ChildPlan {
-                    pa,
-                    pb,
-                    mutation_seed,
-                }
-            })
-            .collect();
-        // Parallel build-and-evaluate phase (crossover, optional
-        // mutation, full evaluation), reduced in child order. Every
-        // candidate comes from a full evaluation, so an unmutated child
-        // equal to a parent takes that parent's scores, bit for bit.
-        let population_ref = &population;
-        let children = par::par_map_batched_with(
-            threads,
-            &mut eval,
-            plans,
-            |scratch, plan| {
-                let (pa, pb) = (&population_ref[plan.pa], &population_ref[plan.pb]);
-                let mut child = if plan.pa == plan.pb {
-                    pa.netlist.clone()
-                } else {
-                    reproduce(pa, pb, &weights)
-                };
-                let mut mutated = false;
-                if let Some(seed) = plan.mutation_seed {
-                    let mut crng = StdRng::seed_from_u64(seed);
-                    let sim = ctx.simulate_in(&child, scratch);
-                    if let Some(lac) = random_lac(&child, sim, cfg.max_switch_candidates, &mut crng)
-                    {
-                        lac.apply(&mut child).expect("legal LAC");
-                        mutated = true;
-                    }
-                }
-                if !mutated {
-                    if let Some(parent) = [pa, pb].into_iter().find(|p| p.netlist == child) {
-                        return ctx.evaluate_reusing(child, parent);
-                    }
-                }
-                ctx.evaluate_in(child, scratch)
-            },
-            || tracker.interrupted().is_none(),
-        );
-        tracker.record_evaluations(children.results.len() as u64);
-        if !children.completed {
-            // The previous generation survives; the partial next
-            // generation is discarded (its evaluations are recorded).
-            stop = tracker
-                .interrupted()
-                .expect("aborted batches imply a sticky interrupt");
-            break;
-        }
-        next.extend(children.results);
-        population = next;
-
-        let feasible = population.iter().filter(|c| c.error <= error_bound).count();
-        let best_now = population
-            .iter()
-            .max_by(|a, b| a.fitness.total_cmp(&b.fitness))
-            .expect("population is never empty");
-        let stats = IterationStats {
-            iteration: generation,
-            constraint: error_bound,
-            best_fitness: best_now.fitness,
-            best_depth: best_now.depth,
-            best_area: best_now.area,
-            feasible,
-        };
-        history.push(stats);
-        obs.on_event(&FlowEvent::IterationFinished { stats });
-    }
-
-    // Final sweep over the last generation: the per-generation scan at
-    // the loop top only covers the *previous* generation's population,
-    // so improvements born in the last one are found (and reported)
-    // here.
-    let final_generation = history.last().map_or(0, |s| s.iteration);
-    for cand in &population {
-        let fit = ga_fitness(ctx, cand, error_bound);
-        if fit > best_fit {
-            best_fit = fit;
-            best = cand.clone();
-            obs.on_event(&FlowEvent::BestImproved {
-                iteration: final_generation,
-                fitness: best.fitness,
-                error: best.error,
-                depth: best.depth,
-                area: best.area,
-            });
-        }
-    }
-    obs.on_event(&FlowEvent::OptimizeFinished {
-        stop,
-        evaluations: tracker.evaluations(),
-    });
-    OptimizeOutcome {
-        best,
-        population,
-        history,
-        evaluations: tracker.evaluations(),
-        stop,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdals_netlist::builder::Builder;
-    use tdals_netlist::SignalRef;
-    use tdals_sim::{ErrorMetric, Patterns};
-    use tdals_sta::TimingConfig;
-
-    fn ctx() -> EvalContext {
-        let mut b = Builder::new("add6");
-        let a = b.inputs("a", 6);
-        let x = b.inputs("b", 6);
-        let (s, c) = b.ripple_add(&a, &x, SignalRef::Const0);
-        b.outputs("s", &s);
-        b.output("c", c);
-        let n = b.finish();
-        EvalContext::new(
-            &n,
-            Patterns::exhaustive(12),
-            ErrorMetric::Nmed,
-            TimingConfig::default(),
-            0.8,
-        )
-    }
+    use crate::testing::{adder_ctx, optimize, optimize_within};
 
     fn quick_cfg() -> GeneticConfig {
         GeneticConfig {
@@ -362,16 +351,16 @@ mod tests {
 
     #[test]
     fn genetic_respects_error_bound() {
-        let ctx = ctx();
-        let approx = genetic_depth(&ctx, 0.03, &quick_cfg());
+        let ctx = adder_ctx();
+        let approx = optimize(&ctx, 0.03, Genetic::new(quick_cfg())).best.netlist;
         approx.check_invariants().expect("valid");
         assert!(ctx.evaluator().error_of(&approx) <= 0.03 + 1e-12);
     }
 
     #[test]
     fn genetic_improves_delay_given_budget() {
-        let ctx = ctx();
-        let approx = genetic_depth(&ctx, 0.05, &quick_cfg());
+        let ctx = adder_ctx();
+        let approx = optimize(&ctx, 0.05, Genetic::new(quick_cfg())).best.netlist;
         let cpd = ctx.analyze(&approx).critical_path_delay();
         assert!(
             cpd <= ctx.cpd_ori() + 1e-9,
@@ -384,16 +373,14 @@ mod tests {
     /// carries exactly the scores of a full evaluation of its netlist.
     #[test]
     fn every_candidate_equals_a_full_evaluation() {
-        let ctx = ctx();
-        let outcome = genetic_depth_session(
+        let ctx = adder_ctx();
+        let outcome = optimize(
             &ctx,
             0.03,
-            &GeneticConfig {
+            Genetic::new(GeneticConfig {
                 mutation_rate: 0.3,
                 ..quick_cfg()
-            },
-            &Budget::unlimited(),
-            &mut NopObserver,
+            }),
         );
         let bits = |c: &Candidate| {
             let mut v = vec![c.cpd, c.area, c.error, c.fd, c.fa, c.fitness];
@@ -408,9 +395,9 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let ctx = ctx();
-        let a = genetic_depth(&ctx, 0.03, &quick_cfg());
-        let b = genetic_depth(&ctx, 0.03, &quick_cfg());
+        let ctx = adder_ctx();
+        let a = optimize(&ctx, 0.03, Genetic::new(quick_cfg())).best.netlist;
+        let b = optimize(&ctx, 0.03, Genetic::new(quick_cfg())).best.netlist;
         assert_eq!(a, b);
     }
 
@@ -419,25 +406,22 @@ mod tests {
         // Seeding truncates to the budget before fanning out: an
         // exhausted budget evaluates only the accurate anchor, a tiny
         // evaluation cap exactly as many members as it admits.
-        use tdals_core::api::{Budget, NopObserver, StopReason};
-        let ctx = ctx();
-        let outcome = genetic_depth_session(
+        let ctx = adder_ctx();
+        let outcome = optimize_within(
             &ctx,
             0.03,
-            &quick_cfg(),
-            &Budget::unlimited().with_max_iterations(0),
-            &mut NopObserver,
+            Budget::unlimited().with_max_iterations(0),
+            Genetic::new(quick_cfg()),
         );
         assert_eq!(outcome.stop, StopReason::IterationLimit);
         assert_eq!(outcome.evaluations, 1, "accurate anchor only");
         assert_eq!(outcome.population.len(), 1);
 
-        let outcome = genetic_depth_session(
+        let outcome = optimize_within(
             &ctx,
             0.03,
-            &quick_cfg(),
-            &Budget::unlimited().with_max_evaluations(3),
-            &mut NopObserver,
+            Budget::unlimited().with_max_evaluations(3),
+            Genetic::new(quick_cfg()),
         );
         assert_eq!(outcome.stop, StopReason::EvaluationLimit);
         assert_eq!(outcome.evaluations, 3, "anchor + two capped members");

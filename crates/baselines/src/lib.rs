@@ -5,12 +5,9 @@
 //! flow so that TABLEs II/III and Figs. 7/8 can be regenerated
 //! method-for-method:
 //!
-//! * [`greedy_area`] / [`Greedy`] — VECBEE-SASIMI-style greedy
-//!   area-driven selection;
-//! * [`genetic_depth`] / [`Genetic`] — VaACS-style genetic
-//!   optimization;
-//! * [`depth_driven`] / [`Hedals`] — HEDALS-style critical-path depth
-//!   reduction;
+//! * [`Greedy`] — VECBEE-SASIMI-style greedy area-driven selection;
+//! * [`Genetic`] — VaACS-style genetic optimization;
+//! * [`Hedals`] — HEDALS-style critical-path depth reduction;
 //! * the single-chase GWO baseline lives in
 //!   [`tdals_core::ChaseStrategy::SingleChase`]
 //!   (see [`tdals_core::api::Dcgwo::single_chase`]).
@@ -59,16 +56,14 @@
 mod genetic;
 mod greedy;
 mod hedals;
-mod optimizers;
 
-pub use genetic::{genetic_depth, genetic_depth_session, GeneticConfig};
-pub use greedy::{greedy_area, greedy_area_session, GreedyConfig};
-pub use hedals::{depth_driven, depth_driven_session, HedalsConfig};
-pub use optimizers::{Genetic, Greedy, Hedals};
+pub use genetic::{Genetic, GeneticConfig};
+pub use greedy::{Greedy, GreedyConfig};
+pub use hedals::{Hedals, HedalsConfig};
 
 use tdals_core::api::{Dcgwo, Optimizer};
-use tdals_core::{ChaseStrategy, EvalContext, IterationStats, OptimizerConfig};
-use tdals_netlist::Netlist;
+use tdals_core::{ChaseStrategy, EvalContext, IterationStats, Lac, OptimizerConfig};
+use tdals_sim::{DeltaSim, ErrorEvaluator, PreviewScratch};
 
 /// The five flows compared in TABLEs II and III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,7 +129,6 @@ impl Method {
                 max_rounds: cfg.iterations * 10,
                 seed: cfg.seed,
                 threads: cfg.threads,
-                ..GreedyConfig::default()
             })),
             Method::Vaacs => Box::new(Genetic::new(GeneticConfig {
                 population: cfg.population,
@@ -148,7 +142,6 @@ impl Method {
                 max_rounds: cfg.iterations * 10,
                 seed: cfg.seed,
                 threads: cfg.threads,
-                ..HedalsConfig::default()
             })),
             Method::SingleChaseGwo | Method::Dcgwo => Box::new(Dcgwo::new(
                 OptimizerConfig::default()
@@ -238,19 +231,17 @@ impl MethodConfig {
     }
 }
 
-/// Per-round statistics for the accept-one-LAC-per-round methods when
-/// the round's depth is already known (HEDALS keeps it from the
-/// scoring STA): the working netlist is the round's best, scored with
-/// the shared Eq. 8 fitness terms. No timing analysis is run.
-pub(crate) fn stats_from_depth(
+/// Per-round statistics for the accept-one-LAC-per-round methods: the
+/// working netlist is the round's best, scored with the shared Eq. 8
+/// fitness terms from its depth and fresh live area.
+fn round_stats(
     ctx: &EvalContext,
-    netlist: &Netlist,
     iteration: usize,
     constraint: f64,
     feasible: usize,
     depth: u32,
+    area: f64,
 ) -> IterationStats {
-    let area = netlist.area_live();
     IterationStats {
         iteration,
         constraint,
@@ -261,32 +252,30 @@ pub(crate) fn stats_from_depth(
     }
 }
 
-/// [`stats_from_depth`] for loops that carry no timing state (the
-/// area-driven greedy method): one STA pass per committed round. That
-/// is noise next to the round's candidate evaluations — each candidate
-/// pays a full Monte-Carlo simulation, O(gates × words), while STA is
-/// O(gates) — but it is the only timing the greedy loop performs.
-pub(crate) fn round_stats(
-    ctx: &EvalContext,
-    netlist: &Netlist,
-    iteration: usize,
-    constraint: f64,
-    feasible: usize,
-) -> IterationStats {
-    let depth = ctx.analyze(netlist).max_depth();
-    stats_from_depth(ctx, netlist, iteration, constraint, feasible, depth)
+/// `evaluator`'s error of `sim`'s netlist after `lac`, by a cone preview
+/// of the outputs in `scratch`: equal to [`ErrorEvaluator::error_of`]
+/// of the substituted netlist bit for bit.
+fn preview_error(
+    evaluator: &ErrorEvaluator,
+    sim: &DeltaSim,
+    lac: Lac,
+    scratch: &mut PreviewScratch,
+) -> f64 {
+    evaluator.error_of_sim(&sim.preview_outputs_in(lac.target(), lac.switch(), scratch))
 }
 
+/// Fixtures shared by the crate's unit tests.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use tdals_core::api::Flow;
+mod testing {
+    use tdals_core::api::{Budget, Flow, OptimizeOutcome, Optimizer};
+    use tdals_core::EvalContext;
     use tdals_netlist::builder::Builder;
     use tdals_netlist::SignalRef;
     use tdals_sim::{ErrorMetric, Patterns};
     use tdals_sta::TimingConfig;
 
-    fn ctx() -> EvalContext {
+    /// A 6-bit ripple-carry adder on its exhaustive stimulus, NMED.
+    pub(crate) fn adder_ctx() -> EvalContext {
         let mut b = Builder::new("add6");
         let a = b.inputs("a", 6);
         let x = b.inputs("b", 6);
@@ -301,6 +290,137 @@ mod tests {
             TimingConfig::default(),
             0.8,
         )
+    }
+
+    /// `optimizer`'s outcome in a [`Flow`] on `ctx` under `bound`.
+    pub(crate) fn optimize(
+        ctx: &EvalContext,
+        bound: f64,
+        optimizer: impl Optimizer,
+    ) -> OptimizeOutcome {
+        optimize_within(ctx, bound, Budget::unlimited(), optimizer)
+    }
+
+    /// [`optimize`] under `budget`.
+    pub(crate) fn optimize_within(
+        ctx: &EvalContext,
+        bound: f64,
+        budget: Budget,
+        optimizer: impl Optimizer,
+    ) -> OptimizeOutcome {
+        Flow::for_context(ctx)
+            .error_bound(bound)
+            .budget(budget)
+            .optimizer(optimizer)
+            .run()
+            .expect("valid session")
+            .optimize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::adder_ctx as ctx;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use tdals_circuits::Benchmark;
+    use tdals_core::api::Flow;
+    use tdals_core::{collect_targets, select_switch};
+    use tdals_netlist::GateId;
+    use tdals_sim::{ErrorMetric, Patterns};
+    use tdals_sta::TimingConfig;
+
+    /// Every number VECBEE-S and HEDALS read off the engine equals what
+    /// the clone-and-evaluate path (`Netlist::clone`, `Lac::apply`, a
+    /// full `error_of`, `analyze` and `area_live`) computes, by
+    /// `to_bits`: after a short committed chain of LACs, for random
+    /// drafts anywhere in the circuit, live or dangling.
+    #[test]
+    fn engine_scores_equal_the_clone_and_evaluate_path() {
+        const COMMITS: usize = 6;
+        let mut cascaded_differs = false;
+        for bench in [Benchmark::C880, Benchmark::Adder16] {
+            let accurate = bench.build();
+            let ctx = EvalContext::new(
+                &accurate,
+                Patterns::random(accurate.input_count(), 1024, 3),
+                ErrorMetric::Nmed,
+                TimingConfig::default(),
+                0.8,
+            );
+            let probe = hedals::probe_evaluator(&ctx, 7);
+            let mut base = ctx.delta_eval(accurate.clone());
+            let mut probe_sim = hedals::probe_engine(&ctx, &probe);
+            let (mut exact_rows, mut probe_rows) = Default::default();
+            let mut reference = accurate.clone();
+            let logic: Vec<GateId> = accurate
+                .iter()
+                .filter(|(_, g)| !g.is_input())
+                .map(|(id, _)| id)
+                .collect();
+            let mut rng = StdRng::seed_from_u64(11);
+            for step in 0..COMMITS + 40 {
+                let target = logic[rng.gen_range(0..logic.len())];
+                let Some(lac) =
+                    select_switch(base.netlist(), base.sim(), target, usize::MAX, &mut rng)
+                else {
+                    continue;
+                };
+                let mut trial = reference.clone();
+                lac.apply(&mut trial).expect("legal LAC");
+                let report = ctx.analyze(&trial);
+                let at = format!("{bench:?} step {step} {lac:?}");
+                let error = preview_error(ctx.evaluator(), base.sim(), lac, &mut exact_rows);
+                let probe_error = preview_error(&probe, &probe_sim, lac, &mut probe_rows);
+                let fresh = base.fresh_area_after(lac.target(), lac.switch());
+                let timing = base.preview_timing(lac.target(), lac.switch());
+                assert_eq!(
+                    error.to_bits(),
+                    ctx.evaluator().error_of(&trial).to_bits(),
+                    "{at}: error"
+                );
+                assert_eq!(
+                    probe_error.to_bits(),
+                    probe.error_of(&trial).to_bits(),
+                    "{at}: probe error"
+                );
+                assert_eq!(fresh.to_bits(), trial.area_live().to_bits(), "{at}: area");
+                assert_eq!(timing.max_depth(), report.max_depth(), "{at}: depth");
+                assert_eq!(
+                    timing.critical_path_delay().to_bits(),
+                    report.critical_path_delay().to_bits(),
+                    "{at}: CPD"
+                );
+                cascaded_differs |=
+                    base.area_after(lac.target(), lac.switch()).to_bits() != fresh.to_bits();
+                if step < COMMITS {
+                    base.commit(lac.target(), lac.switch()).expect("legal LAC");
+                    probe_sim
+                        .substitute(lac.target(), lac.switch())
+                        .expect("legal LAC");
+                    reference = trial;
+                }
+            }
+            // The round-start reads: VECBEE-S's targets, HEDALS's
+            // timing and its critical-path targets.
+            assert_eq!(base.live(), reference.live_mask(), "{bench:?}: liveness");
+            let report = ctx.analyze(&reference);
+            let sta = base.sta();
+            assert_eq!(sta.max_depth(base.netlist()), report.max_depth());
+            assert_eq!(
+                sta.critical_path_delay(base.netlist()).to_bits(),
+                report.critical_path_delay().to_bits()
+            );
+            assert_eq!(
+                collect_targets(base.netlist(), &*sta, 3, &mut StdRng::seed_from_u64(5)),
+                collect_targets(&reference, &report, 3, &mut StdRng::seed_from_u64(5))
+            );
+        }
+        assert!(
+            cascaded_differs,
+            "no cascaded area differs from a fresh sum, so the area check tells them apart nowhere"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use tdals_sim::{
     simulate_reusing, DeltaSim, ErrorEvaluator, ErrorMetric, Patterns, PreviewScratch, SimResult,
 };
-use tdals_sta::{analyze, IncrementalSta, TimingConfig, TimingReport};
+use tdals_sta::{analyze, IncrementalSta, TimingConfig, TimingDelta, TimingReport};
 
 use crate::lac::Lac;
 
@@ -352,20 +352,52 @@ impl DeltaEval {
     /// Live area of the circuit after substituting `target := switch`,
     /// computed by cascading reference-count deaths through the
     /// target's dead cone (no netlist clone, no full reachability
-    /// pass).
+    /// pass): the base's live area minus the dead cone's, which can
+    /// differ from a fresh sum in the last bits
+    /// ([`DeltaEval::fresh_area_after`] is the fresh sum).
+    pub fn area_after(&self, target: GateId, switch: SignalRef) -> f64 {
+        let netlist = self.sim.netlist();
+        let mut dead_area = 0.0;
+        self.dead_cone(target, switch, |g| {
+            dead_area += netlist.gate(g).cell().area();
+        });
+        self.area_live - dead_area
+    }
+
+    /// [`Netlist::area_live`] of the circuit after substituting
+    /// `target := switch`, bit for bit: the base's live gates less the
+    /// dead cone, summed in ascending id order as a fresh sum is. This
+    /// costs O(gates) where [`DeltaEval::area_after`] costs O(dead
+    /// cone), but near-tied areas compare exactly as full evaluations
+    /// of the substituted netlists would.
+    pub fn fresh_area_after(&self, target: GateId, switch: SignalRef) -> f64 {
+        let mut dead = Vec::new();
+        self.dead_cone(target, switch, |g| dead.push(g));
+        dead.sort_unstable();
+        let mut dead = dead.into_iter().peekable();
+        self.sim
+            .netlist()
+            .iter()
+            .filter(|&(id, _)| self.live[id.index()] && dead.next_if_eq(&id).is_none())
+            .map(|(_, g)| g.cell().area())
+            .sum()
+    }
+
+    /// Visits every live gate that dies when `target := switch` is
+    /// applied: the target first, then the rest of its dead cone in
+    /// discovery order. A dangling target kills nothing: substituting
+    /// it rewires only dangling readers.
     ///
     /// The switch gate (when the target is live) necessarily lies in
     /// the target's transitive fan-in and inherits the target's live
     /// readers, so it survives; liveness can only shrink through the
     /// target's cone.
-    pub fn area_after(&self, target: GateId, switch: SignalRef) -> f64 {
+    fn dead_cone(&self, target: GateId, switch: SignalRef, mut dead: impl FnMut(GateId)) {
         if !self.live[target.index()] {
-            // Substituting a dangling gate rewires only dangling
-            // readers: reachability from the POs is unchanged.
-            return self.area_live;
+            return;
         }
         let netlist = self.sim.netlist();
-        let mut dead_area = netlist.gate(target).cell().area();
+        dead(target);
         let mut dec: HashMap<GateId, u32> = HashMap::new();
         let mut stack = vec![target];
         while let Some(g) = stack.pop() {
@@ -385,11 +417,22 @@ impl DeltaEval {
                 *d += 1;
                 if *d == self.live_refs[src.index()] {
                     stack.push(src);
-                    dead_area += netlist.gate(src).cell().area();
+                    dead(src);
                 }
             }
         }
-        self.area_live - dead_area
+    }
+
+    /// Timing of the circuit after substituting `target := switch`,
+    /// previewed on the base's timing engine and restored: equal to
+    /// [`analyze`] of the substituted netlist by `to_bits`.
+    pub fn preview_timing(&self, target: GateId, switch: SignalRef) -> TimingDelta {
+        self.sta.borrow_mut().preview_substitute(
+            self.sim.netlist(),
+            self.sim.fanouts(),
+            target,
+            switch,
+        )
     }
 }
 
@@ -610,12 +653,7 @@ impl EvalContext {
             .preview_outputs_in(lac.target(), lac.switch(), &mut preview);
         let error = self.evaluator.error_of_sim(&view);
         let po_errors = self.evaluator.po_errors_of_sim(&view);
-        let timing = base.sta.borrow_mut().preview_substitute(
-            base.netlist(),
-            base.sim().fanouts(),
-            lac.target(),
-            lac.switch(),
-        );
+        let timing = base.preview_timing(lac.target(), lac.switch());
         let area = base.area_after(lac.target(), lac.switch());
         self.score_from(
             timing.max_depth(),

@@ -649,6 +649,19 @@ impl IncrementalSta {
         self.po_arrivals(netlist).fold(0.0, f64::max)
     }
 
+    /// Maximum logic depth over the netlist's primary outputs (0 for a
+    /// constant output), as [`TimingReport::max_depth`](crate::TimingReport::max_depth).
+    pub fn max_depth(&self, netlist: &Netlist) -> u32 {
+        netlist
+            .output_drivers()
+            .map(|driver| match driver {
+                SignalRef::Gate(src) => self.depth[src.index()],
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Gates on the global critical path, as
     /// [`critical_path`](crate::critical_path) extracts it from a
     /// [`TimingReport`](crate::TimingReport) of the same netlist.

@@ -13,12 +13,17 @@
 //! A second pin counts the allocations as large as one simulation's
 //! word storage in a whole one-thread DCGWO run: the optimizer keeps one
 //! scoring base per worker across members and iterations, so that count
-//! must not grow with the population or the iteration count.
+//! must not grow with the population or the iteration count. A third
+//! pins the same for the VECBEE-S and HEDALS loops, which score every
+//! candidate by cone previews on one base of the current netlist: their
+//! count must not grow with the round count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use tdals::baselines::{Greedy, GreedyConfig, Hedals, HedalsConfig};
 use tdals::circuits::Benchmark;
+use tdals::core::api::{Budget, NopObserver, Optimizer};
 use tdals::core::{optimize, EvalContext, OptimizerConfig};
 use tdals::netlist::Netlist;
 use tdals::sim::{ErrorMetric, Patterns};
@@ -185,4 +190,60 @@ fn one_thread_dcgwo_allocates_word_storage_a_fixed_number_of_times() {
         "word-storage allocations grow with iterations ({short} at 2, {long} at 6): \
          a per-child base or simulation buffer is back"
     );
+}
+
+#[test]
+fn one_thread_baselines_allocate_word_storage_a_fixed_number_of_times() {
+    let accurate = Benchmark::C880.build();
+    let patterns = Patterns::random(accurate.input_count(), 1024, 11);
+    let words = accurate.gate_count() * patterns.word_count() * 8;
+    let ctx = EvalContext::new(
+        &accurate,
+        patterns,
+        ErrorMetric::Nmed,
+        TimingConfig::default(),
+        0.8,
+    );
+    // Word-storage-sized allocations a one-thread run makes: the
+    // full-vector scoring base of the current netlist, which every
+    // round's candidates preview and every winner is committed into.
+    // (HEDALS's probe engine holds an eighth of the vectors, and the
+    // preview overlays only the changed gates of one cone.)
+    let budget = 1;
+    let run = |method: &str, rounds: usize| {
+        let mut optimizer: Box<dyn Optimizer> = match method {
+            "VECBEE-S" => Box::new(Greedy::new(GreedyConfig {
+                max_rounds: rounds,
+                seed: 5,
+                threads: 1,
+                ..GreedyConfig::default()
+            })),
+            _ => Box::new(Hedals::new(HedalsConfig {
+                max_rounds: rounds,
+                seed: 5,
+                threads: 1,
+            })),
+        };
+        let (count, outcome) = large_allocations(words, || {
+            optimizer.optimize(&ctx, 0.02, &Budget::unlimited(), &mut NopObserver)
+        });
+        assert_eq!(
+            outcome.history.len(),
+            rounds,
+            "{method} commits every round"
+        );
+        count
+    };
+    for method in ["VECBEE-S", "HEDALS"] {
+        let (short, long) = (run(method, 2), run(method, 6));
+        assert!(
+            short <= budget,
+            "{method}: {short} word-storage allocations in 2 rounds, budget {budget}"
+        );
+        assert_eq!(
+            short, long,
+            "{method}: word-storage allocations grow with rounds ({short} at 2, {long} at 6): \
+             a per-candidate simulation buffer is back"
+        );
+    }
 }

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use tdals_core::api::{Budget, FlowEvent, Observer, OptimizeOutcome, Optimizer, StopReason};
 use tdals_core::{
     par, random_lac, reproduce, Candidate, EvalContext, EvalScratch, IterationStats, Lac,
-    LevelWeights,
+    LevelWeights, SearchScratch,
 };
 
 /// Tunables for [`Genetic`].
@@ -110,9 +110,9 @@ impl Optimizer for Genetic {
         let mut best_fit = ga_fitness(ctx, &best, error_bound);
 
         let mut population: Vec<Candidate> = vec![accurate.clone()];
-        // Per-worker simulation buffers, reused by every evaluation of the
-        // run.
-        let mut eval: Vec<EvalScratch> = Vec::new();
+        // Per-worker simulation buffers and switch-selection marks,
+        // reused by every evaluation and mutation of the run.
+        let mut workers: Vec<(EvalScratch, SearchScratch)> = Vec::new();
         // Deterministic pre-truncation: never fan out work a deterministic
         // cap will refuse to admit — a pre-stopped budget seeds nothing, an
         // evaluation cap bounds the member count, and both depend only on
@@ -130,12 +130,14 @@ impl Optimizer for Genetic {
             // shared RNG stream is consumed in member order, independent of
             // thread count.
             let accurate_sim = ctx.simulate(&accurate.netlist);
+            let mut search = SearchScratch::default();
             let seed_drafts: Vec<Option<Lac>> = (0..seed_want)
                 .map(|_| {
                     random_lac(
                         &accurate.netlist,
                         &accurate_sim,
                         cfg.max_switch_candidates,
+                        &mut search,
                         &mut rng,
                     )
                 })
@@ -147,9 +149,9 @@ impl Optimizer for Genetic {
             // early is always safe.
             let seeded = par::par_map_batched_with(
                 threads,
-                &mut eval,
+                &mut workers,
                 seed_drafts,
-                |scratch, lac| {
+                |(scratch, _), lac| {
                     let mut netlist = accurate.netlist.clone();
                     if let Some(lac) = lac {
                         lac.apply(&mut netlist).expect("legal LAC");
@@ -245,9 +247,9 @@ impl Optimizer for Genetic {
             let population_ref = &population;
             let children = par::par_map_batched_with(
                 threads,
-                &mut eval,
+                &mut workers,
                 plans,
-                |scratch, plan| {
+                |(scratch, search), plan| {
                     let (pa, pb) = (&population_ref[plan.pa], &population_ref[plan.pb]);
                     let mut child = if plan.pa == plan.pb {
                         pa.netlist.clone()
@@ -259,7 +261,7 @@ impl Optimizer for Genetic {
                         let mut crng = StdRng::seed_from_u64(seed);
                         let sim = ctx.simulate_in(&child, scratch);
                         if let Some(lac) =
-                            random_lac(&child, sim, cfg.max_switch_candidates, &mut crng)
+                            random_lac(&child, sim, cfg.max_switch_candidates, search, &mut crng)
                         {
                             lac.apply(&mut child).expect("legal LAC");
                             mutated = true;

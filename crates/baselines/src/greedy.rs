@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals_core::api::{Budget, FlowEvent, Observer, OptimizeOutcome, Optimizer, StopReason};
-use tdals_core::{par, select_switch, EvalContext, Lac};
+use tdals_core::{par, select_switch, EvalContext, Lac, SearchScratch};
 use tdals_netlist::GateId;
 use tdals_sim::PreviewScratch;
 
@@ -96,8 +96,10 @@ impl Optimizer for Greedy {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let threads = par::resolve_threads(cfg.threads);
         let mut base = ctx.delta_eval(ctx.accurate().clone());
-        // Per-worker overlay rows of the cone previews.
+        // Per-worker overlay rows of the cone previews, and the marks of
+        // the serial switch selection.
         let mut previews: Vec<PreviewScratch> = Vec::new();
+        let mut search = SearchScratch::default();
         let mut current_error = 0.0f64;
         let mut current_area = base.area_live();
 
@@ -132,6 +134,7 @@ impl Optimizer for Greedy {
                     base.sim(),
                     target,
                     usize::MAX,
+                    &mut search,
                     &mut rng,
                 ));
             }

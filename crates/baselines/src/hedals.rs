@@ -33,7 +33,7 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdals_core::api::{Budget, FlowEvent, Observer, OptimizeOutcome, Optimizer, StopReason};
-use tdals_core::{collect_targets, par, select_switch, EvalContext, Lac};
+use tdals_core::{collect_targets, par, select_switch, EvalContext, Lac, SearchScratch};
 use tdals_sim::{DeltaSim, ErrorEvaluator, Patterns, PreviewScratch};
 
 use crate::{preview_error, round_stats};
@@ -75,14 +75,10 @@ pub(crate) fn probe_evaluator(ctx: &EvalContext, seed: u64) -> ErrorEvaluator {
     )
 }
 
-/// The probe engine of the accurate circuit, wrapping `probe`'s golden
-/// simulation (nothing is simulated again).
+/// The probe engine of the accurate circuit: one full simulation on
+/// `probe`'s stimulus.
 pub(crate) fn probe_engine(ctx: &EvalContext, probe: &ErrorEvaluator) -> DeltaSim {
-    DeltaSim::from_result(
-        ctx.accurate().clone(),
-        probe.patterns().clone(),
-        probe.golden().clone(),
-    )
+    DeltaSim::new(ctx.accurate().clone(), probe.patterns())
 }
 
 /// HEDALS-style depth-driven ALS behind the [`Optimizer`] trait.
@@ -131,10 +127,12 @@ impl Optimizer for Hedals {
         let probe = probe_evaluator(ctx, cfg.seed);
         let mut base = ctx.delta_eval(ctx.accurate().clone());
         let mut probe_sim = probe_engine(ctx, &probe);
-        // Per-worker overlay rows of the probe previews, and those of
-        // the serial validation previews.
+        // Per-worker overlay rows of the probe previews, those of the
+        // serial validation previews, and the marks of the serial switch
+        // selection.
         let mut previews: Vec<PreviewScratch> = Vec::new();
         let mut validation = PreviewScratch::default();
+        let mut search = SearchScratch::default();
 
         for round in 0..cfg.max_rounds {
             if let Some(reason) = tracker.stop_before_iteration(round) {
@@ -162,9 +160,14 @@ impl Optimizer for Hedals {
             // on a candidate's evaluation).
             let mut drafts: Vec<Lac> = Vec::new();
             for target in targets {
-                let Some(lac) =
-                    select_switch(base.netlist(), base.sim(), target, usize::MAX, &mut rng)
-                else {
+                let Some(lac) = select_switch(
+                    base.netlist(),
+                    base.sim(),
+                    target,
+                    usize::MAX,
+                    &mut search,
+                    &mut rng,
+                ) else {
                     continue;
                 };
                 if !blacklist.contains(&lac) {

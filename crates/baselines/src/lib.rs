@@ -326,7 +326,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use tdals_circuits::Benchmark;
     use tdals_core::api::Flow;
-    use tdals_core::{collect_targets, select_switch};
+    use tdals_core::{collect_targets, select_switch, SearchScratch};
     use tdals_netlist::GateId;
     use tdals_sim::{ErrorMetric, Patterns};
     use tdals_sta::TimingConfig;
@@ -360,11 +360,17 @@ mod tests {
                 .map(|(id, _)| id)
                 .collect();
             let mut rng = StdRng::seed_from_u64(11);
+            let mut search = SearchScratch::default();
             for step in 0..COMMITS + 40 {
                 let target = logic[rng.gen_range(0..logic.len())];
-                let Some(lac) =
-                    select_switch(base.netlist(), base.sim(), target, usize::MAX, &mut rng)
-                else {
+                let Some(lac) = select_switch(
+                    base.netlist(),
+                    base.sim(),
+                    target,
+                    usize::MAX,
+                    &mut search,
+                    &mut rng,
+                ) else {
                     continue;
                 };
                 let mut trial = reference.clone();

@@ -9,7 +9,7 @@
 //! ```
 
 use tdals_circuits::Benchmark;
-use tdals_core::{random_lac, EvalContext};
+use tdals_core::{random_lac, EvalContext, SearchScratch};
 use tdals_sim::{simulate, ErrorMetric, Patterns};
 use tdals_sta::TimingConfig;
 
@@ -39,9 +39,10 @@ fn main() {
         );
         let mut approx = accurate.clone();
         let mut rng = StdRng::seed_from_u64(99);
+        let mut search = SearchScratch::default();
         for _ in 0..3 {
             let sim = ctx.simulate(&approx);
-            if let Some(lac) = random_lac(&approx, &sim, 64, &mut rng) {
+            if let Some(lac) = random_lac(&approx, &sim, 64, &mut search, &mut rng) {
                 lac.apply(&mut approx).expect("legal LAC");
             }
         }

@@ -831,7 +831,7 @@ impl<'a> Flow<'a> {
     }
 
     /// Starts a session on a prebuilt [`EvalContext`], reusing its
-    /// stimulus, golden simulation, and timing configuration. The
+    /// stimulus, golden output rows, and timing configuration. The
     /// session's own `metric`/`vectors`/`pattern_seed`/`depth_weight`/
     /// `timing` knobs are ignored.
     pub fn for_context(ctx: &'a EvalContext) -> Flow<'a> {

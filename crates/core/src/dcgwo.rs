@@ -38,7 +38,7 @@ use crate::api::{
     Budget, BudgetTracker, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason,
 };
 use crate::fitness::{Candidate, DeltaEval, EvalContext, LacScore};
-use crate::lac::{random_lac_in, Lac, SearchScratch};
+use crate::lac::{random_lac, Lac, SearchScratch};
 use crate::par;
 use crate::pareto::{select, Objectives};
 use crate::reproduce::{reproduce, LevelWeights};
@@ -314,12 +314,12 @@ pub fn optimize_session(
     // Initial population: LACs on randomly selected target gates of the
     // accurate circuit; member 0 stays accurate as a feasible anchor.
     // Every worker keeps one scoring base for the whole run. A seeded
-    // member starts in it as the accurate circuit on the context's
-    // golden words (no simulation) and runs its LAC chain there, each
-    // commit re-evaluating only the mutated cone; the accurate anchor is
-    // the first worker's base read as it starts.
+    // member starts in it as the accurate circuit, rebuilt by one full
+    // simulation into the base's words, and runs its LAC chain there,
+    // each commit re-evaluating only the mutated cone; the accurate
+    // anchor is the first worker's base read as it starts.
     let mut workers: Vec<WorkerScratch> = vec![WorkerScratch::default()];
-    let accurate = ctx.evaluate_base(ctx.reset_in(&mut workers[0].base));
+    let accurate = ctx.evaluate_base(ctx.rebuild_in(&mut workers[0].base, ctx.accurate().clone()));
     tracker.record_evaluations(1);
     let threads = par::resolve_threads(cfg.threads);
     let mut population: Vec<Candidate> = Vec::with_capacity(cfg.population);
@@ -701,14 +701,14 @@ fn fingerprint(netlist: &Netlist) -> u64 {
 
 impl WorkerScratch {
     /// Builds the seeded member of stream `member_seed` in this worker's
-    /// base: the accurate circuit on the golden words, then
+    /// base: the accurate circuit, rebuilt in it, then
     /// `initial_lacs` random LACs committed in turn, each drawn from the
     /// member's current words. The candidate is read off the base.
     fn seed(&mut self, ctx: &EvalContext, cfg: &OptimizerConfig, member_seed: u64) -> Candidate {
         let mut rng = StdRng::seed_from_u64(member_seed);
-        let base = ctx.reset_in(&mut self.base);
+        let base = ctx.rebuild_in(&mut self.base, ctx.accurate().clone());
         for _ in 0..cfg.initial_lacs.max(1) {
-            if let Some(lac) = random_lac_in(
+            if let Some(lac) = random_lac(
                 base.netlist(),
                 base.sim(),
                 cfg.search.max_switch_candidates,
@@ -1257,8 +1257,8 @@ mod tests {
         )
     }
 
-    /// A seeded member, built by commits in a recycled base from the
-    /// golden words and read off it, equals a full evaluation of its
+    /// A seeded member, built by commits in a recycled base rebuilt at
+    /// the accurate circuit and read off it, equals a full evaluation of its
     /// netlist, though the commits leave a cascaded live area that
     /// differs from a fresh sum for some members.
     #[test]
@@ -1273,10 +1273,10 @@ mod tests {
             let fresh = ctx.evaluate(seeded.netlist.clone());
             assert!(same_scores(&seeded, &fresh), "member {member}");
             // The same chain on the same base, without the recount.
-            let replay = ctx.reset_in(&mut worker.base);
+            let replay = ctx.rebuild_in(&mut worker.base, ctx.accurate().clone());
             let mut rng = StdRng::seed_from_u64(par::split_seed(11, member));
             for _ in 0..cfg.initial_lacs {
-                if let Some(lac) = random_lac_in(
+                if let Some(lac) = random_lac(
                     replay.netlist(),
                     replay.sim(),
                     cfg.search.max_switch_candidates,

@@ -96,10 +96,10 @@ impl LacScore {
 /// Built with one full simulation and one full STA pass; every
 /// [`EvalContext::score_lac`] against it then costs only the
 /// substitution's affected cone. This is what makes candidate scoring
-/// O(cone) instead of O(gates × words). [`DeltaEval::rebuild`] and
-/// [`DeltaEval::reset`] re-target a base at another netlist inside its
-/// existing buffers, and [`EvalContext::evaluate_base`] reads the base
-/// netlist's candidate off it.
+/// O(cone) instead of O(gates × words). [`DeltaEval::rebuild`]
+/// re-targets a base at another netlist inside its existing buffers,
+/// and [`EvalContext::evaluate_base`] reads the base netlist's candidate
+/// off it.
 #[derive(Debug, Clone)]
 pub struct DeltaEval {
     sim: DeltaSim,
@@ -196,22 +196,6 @@ impl DeltaEval {
     /// stimulus width.
     pub fn rebuild(&mut self, netlist: Netlist) {
         self.sim.rebuild(netlist);
-        self.sta.get_mut().rebuild(self.sim.netlist());
-        self.recount();
-        tdals_obs::metrics().scoring_bases.incr();
-    }
-
-    /// Re-targets the scoring state at `netlist`, whose simulation on
-    /// the base's stimulus is `sim` (such as the accurate circuit's
-    /// golden simulation): like [`DeltaEval::rebuild`], but the words
-    /// are copied from `sim` instead of simulated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim`'s word geometry does not match `netlist` and the
-    /// base's stimulus.
-    pub fn reset(&mut self, netlist: &Netlist, sim: &SimResult) {
-        self.sim.reset(netlist, sim);
         self.sta.get_mut().rebuild(self.sim.netlist());
         self.recount();
         tdals_obs::metrics().scoring_bases.incr();
@@ -547,7 +531,8 @@ impl EvalContext {
         &self.timing
     }
 
-    /// The underlying Monte-Carlo evaluator (golden simulation included).
+    /// The underlying Monte-Carlo evaluator (the accurate circuit's
+    /// output rows included).
     pub fn evaluator(&self) -> &ErrorEvaluator {
         &self.evaluator
     }
@@ -673,7 +658,7 @@ impl EvalContext {
     /// base's words and timing are those of a full simulation and STA.
     ///
     /// The base's live area must be a fresh sum, as it is right after
-    /// [`DeltaEval::rebuild`] or [`DeltaEval::reset`]. After
+    /// [`EvalContext::delta_eval`] or [`DeltaEval::rebuild`]. After
     /// [`DeltaEval::commit`]s it is cascaded, so
     /// [`DeltaEval::recount`] it first.
     pub fn evaluate_base(&self, base: &DeltaEval) -> Candidate {
@@ -720,28 +705,6 @@ impl EvalContext {
                 base
             }
             empty @ None => empty.insert(self.delta_eval(netlist)),
-        }
-    }
-
-    /// `slot`'s base re-targeted at the accurate circuit, or built there
-    /// on first use: either way from the golden simulation's words, so
-    /// nothing is simulated.
-    pub(crate) fn reset_in<'b>(&self, slot: &'b mut Option<DeltaEval>) -> &'b mut DeltaEval {
-        let golden = self.evaluator.golden();
-        match slot {
-            Some(base) => {
-                base.reset(&self.accurate, golden);
-                base
-            }
-            empty @ None => {
-                let sim = DeltaSim::from_result(
-                    self.accurate.clone(),
-                    self.evaluator.patterns().clone(),
-                    golden.clone(),
-                );
-                let sta = IncrementalSta::new(sim.netlist(), self.timing);
-                empty.insert(DeltaEval::new(sim, sta))
-            }
         }
     }
 
@@ -927,7 +890,7 @@ mod tests {
 
     /// A candidate read off a base equals a full evaluation bit for bit:
     /// after rebuilds at netlists of one, two and three LACs, in one
-    /// recycled base, and after a reset to the accurate circuit.
+    /// recycled base, and after a rebuild at the accurate circuit.
     #[test]
     fn base_reads_equal_full_evaluations() {
         let accurate = tdals_circuits::Benchmark::C880.build();
@@ -959,7 +922,7 @@ mod tests {
                 "{target}: {read:?} vs {fresh:?}"
             );
         }
-        base.reset(&accurate, ctx.evaluator().golden());
+        base.rebuild(accurate.clone());
         assert!(same_scores(
             &ctx.evaluate_base(&base),
             &ctx.evaluate(accurate.clone())

@@ -142,13 +142,14 @@ pub fn collect_targets<R: Rng, A: Arrivals + ?Sized>(
     targets
 }
 
-/// Reusable buffers for [`select_switch_in`]: generation-stamped visit
-/// marks, so finding a target's transitive fan-in clears nothing and
-/// allocates nothing per call, plus the candidate pool. One scratch
-/// serves any sequence of netlists; its contents never affect a
-/// decision.
+/// Reusable buffers for [`select_switch`] and [`random_lac`]:
+/// generation-stamped visit marks, so finding a target's transitive
+/// fan-in clears nothing and allocates nothing per call, plus the
+/// candidate pool. A loop that selects many switches keeps one scratch
+/// (a parallel one, one per worker); it serves any sequence of
+/// netlists, and its contents never affect a decision.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SearchScratch {
+pub struct SearchScratch {
     /// Per gate: the generation that last visited it.
     stamp: Vec<u32>,
     generation: u32,
@@ -192,23 +193,14 @@ impl SearchScratch {
 /// [`SimResult`](tdals_sim::SimResult) or the incremental engine's
 /// state ([`DeltaSim`](tdals_sim::DeltaSim)).
 ///
+/// The fan-in marks and the pool live in `scratch`, so a call
+/// allocates nothing once the scratch has served a netlist of this
+/// size.
+///
 /// Returns `None` when the target has an empty fan-in cone and neither
 /// constant improves on it (cannot happen in practice: constants are
 /// always candidates).
 pub fn select_switch<R: Rng, V: SimWords>(
-    netlist: &Netlist,
-    sim: &V,
-    target: GateId,
-    max_candidates: usize,
-    rng: &mut R,
-) -> Option<Lac> {
-    let mut scratch = SearchScratch::default();
-    select_switch_in(netlist, sim, target, max_candidates, &mut scratch, rng)
-}
-
-/// [`select_switch`] with reusable buffers: the same decision and the
-/// same random draws, without a per-call O(gates) fan-in mask.
-pub(crate) fn select_switch_in<R: Rng, V: SimWords>(
     netlist: &Netlist,
     sim: &V,
     target: GateId,
@@ -255,25 +247,9 @@ pub(crate) fn select_switch_in<R: Rng, V: SimWords>(
 
 /// Draws a random LAC anywhere in the circuit (used for initial
 /// population seeding: "performing LACs on randomly selected target
-/// gates of the accurate circuit").
+/// gates of the accurate circuit"): a uniform target, then
+/// [`select_switch`] with `scratch`.
 pub fn random_lac<R: Rng, V: SimWords>(
-    netlist: &Netlist,
-    sim: &V,
-    max_candidates: usize,
-    rng: &mut R,
-) -> Option<Lac> {
-    random_lac_in(
-        netlist,
-        sim,
-        max_candidates,
-        &mut SearchScratch::default(),
-        rng,
-    )
-}
-
-/// [`random_lac`] with reusable switch-selection buffers: the same LAC
-/// from the same random draws.
-pub(crate) fn random_lac_in<R: Rng, V: SimWords>(
     netlist: &Netlist,
     sim: &V,
     max_candidates: usize,
@@ -289,7 +265,7 @@ pub(crate) fn random_lac_in<R: Rng, V: SimWords>(
         return None;
     }
     let target = logic_gates[rng.gen_range(0..logic_gates.len())];
-    select_switch_in(netlist, sim, target, max_candidates, scratch, rng)
+    select_switch(netlist, sim, target, max_candidates, scratch, rng)
 }
 
 #[cfg(test)]
@@ -334,11 +310,12 @@ mod tests {
         let p = Patterns::exhaustive(8);
         let sim = simulate(&n, &p);
         let mut rng = StdRng::seed_from_u64(2);
+        let mut scratch = SearchScratch::default();
         for (id, gate) in n.iter() {
             if gate.is_input() {
                 continue;
             }
-            let lac = select_switch(&n, &sim, id, 16, &mut rng).expect("switch");
+            let lac = select_switch(&n, &sim, id, 16, &mut scratch, &mut rng).expect("switch");
             assert_eq!(lac.target(), id);
             // Constant switches are always legal; gate switches must
             // come from the target's TFI.
@@ -368,12 +345,19 @@ mod tests {
                 }
                 let mut fresh_rng = StdRng::seed_from_u64(id.index() as u64);
                 let mut reused_rng = fresh_rng.clone();
-                let fresh = select_switch(n, &sim, id, 5, &mut fresh_rng);
-                let reused = select_switch_in(n, &sim, id, 5, &mut scratch, &mut reused_rng);
+                let fresh = select_switch(
+                    n,
+                    &sim,
+                    id,
+                    5,
+                    &mut SearchScratch::default(),
+                    &mut fresh_rng,
+                );
+                let reused = select_switch(n, &sim, id, 5, &mut scratch, &mut reused_rng);
                 assert_eq!(fresh, reused, "round {round}, target {id}");
 
                 let mut rng = StdRng::seed_from_u64(0);
-                select_switch_in(n, &sim, id, usize::MAX, &mut scratch, &mut rng);
+                select_switch(n, &sim, id, usize::MAX, &mut scratch, &mut rng);
                 let mut want: Vec<SignalRef> = n
                     .tfi_mask(id)
                     .iter()
@@ -392,10 +376,11 @@ mod tests {
         let n = test_circuit();
         let p = Patterns::exhaustive(8);
         let mut rng = StdRng::seed_from_u64(3);
+        let mut scratch = SearchScratch::default();
         for trial in 0..50 {
             let mut approx = n.clone();
             let sim = simulate(&approx, &p);
-            if let Some(lac) = random_lac(&approx, &sim, 16, &mut rng) {
+            if let Some(lac) = random_lac(&approx, &sim, 16, &mut scratch, &mut rng) {
                 lac.apply(&mut approx).expect("TFI switch is always legal");
                 approx
                     .check_invariants()
@@ -420,7 +405,15 @@ mod tests {
         let sim = simulate(&n, &p);
         let mut rng = StdRng::seed_from_u64(4);
         let dup_gate = dup.gate().expect("gate");
-        let lac = select_switch(&n, &sim, dup_gate, 16, &mut rng).expect("switch");
+        let lac = select_switch(
+            &n,
+            &sim,
+            dup_gate,
+            16,
+            &mut SearchScratch::default(),
+            &mut rng,
+        )
+        .expect("switch");
         assert_eq!(lac.switch(), orig, "perfect-similarity switch chosen");
     }
 
@@ -471,6 +464,7 @@ mod tests {
     #[test]
     fn collect_targets_matches_per_path_extraction() {
         let mut rng = StdRng::seed_from_u64(17);
+        let mut scratch = SearchScratch::default();
         for bench in [Benchmark::C880, Benchmark::C1908, Benchmark::Max16] {
             let accurate = bench.build();
             let p = Patterns::random(accurate.input_count(), 128, 5);
@@ -494,7 +488,7 @@ mod tests {
                 // Approximate further, sometimes re-pointing a PO at a
                 // primary input or a constant.
                 let sim = simulate(&n, &p);
-                if let Some(lac) = random_lac(&n, &sim, 16, &mut rng) {
+                if let Some(lac) = random_lac(&n, &sim, 16, &mut scratch, &mut rng) {
                     lac.apply(&mut n).expect("TFI switch");
                 }
                 if step % 4 == 3 {

@@ -66,7 +66,7 @@ pub use dcgwo::{
     optimize, optimize_session, ChaseStrategy, IterationStats, OptimizerConfig, OptimizerResult,
 };
 pub use fitness::{Candidate, DeltaEval, EvalContext, EvalScratch, LacScore};
-pub use lac::{collect_targets, random_lac, select_switch, Lac};
+pub use lac::{collect_targets, random_lac, select_switch, Lac, SearchScratch};
 pub use postopt::{post_optimize, PostOptConfig, PostOptReport};
 pub use reproduce::{reproduce, LevelWeights};
 pub use schedule::ErrorSchedule;

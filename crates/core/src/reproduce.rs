@@ -190,7 +190,7 @@ fn propagate_min_rank(netlist: &Netlist, ranks: &mut [usize]) {
 mod tests {
     use super::*;
     use crate::fitness::EvalContext;
-    use crate::lac::random_lac;
+    use crate::lac::{random_lac, SearchScratch};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tdals_circuits::Benchmark;
@@ -333,9 +333,10 @@ mod tests {
     /// POs re-pointed at a primary input or a constant.
     fn random_sibling(ctx: &EvalContext, accurate: &Netlist, rng: &mut StdRng) -> Netlist {
         let mut n = accurate.clone();
+        let mut scratch = SearchScratch::default();
         for _ in 0..rng.gen_range(0..8) {
             let sim = ctx.simulate(&n);
-            if let Some(lac) = random_lac(&n, &sim, 16, rng) {
+            if let Some(lac) = random_lac(&n, &sim, 16, &mut scratch, rng) {
                 lac.apply(&mut n).expect("TFI switch");
             }
         }

@@ -7,7 +7,7 @@ use tdals_netlist::Netlist;
 use tdals_sim::SimWords;
 use tdals_sta::Arrivals;
 
-use crate::lac::{collect_targets, select_switch_in, Lac, SearchScratch};
+use crate::lac::{collect_targets, select_switch, Lac, SearchScratch};
 
 /// Tunables for circuit searching.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +75,7 @@ pub(crate) fn propose_lac_in<R: Rng, V: SimWords, A: Arrivals + ?Sized>(
         return None;
     }
     let target = targets[rng.gen_range(0..targets.len())];
-    select_switch_in(
+    select_switch(
         netlist,
         sim,
         target,

@@ -743,21 +743,19 @@ impl Netlist {
     /// post-optimization.
     pub fn live_mask(&self) -> Vec<bool> {
         let mut live = vec![false; self.cells.len()];
-        let mut stack: Vec<GateId> = Vec::new();
         for out in &self.outputs {
             if let SignalRef::Gate(src) = out.driver {
-                if !live[src.index()] {
-                    live[src.index()] = true;
-                    stack.push(src);
-                }
+                live[src.index()] = true;
             }
         }
-        while let Some(id) = stack.pop() {
-            for fanin in self.row(id.index()) {
-                if let SignalRef::Gate(src) = fanin {
-                    if !live[src.index()] {
+        // Fan-ins have smaller ids than their readers, so one descending
+        // pass reaches a gate only after every reader that could make it
+        // live.
+        for i in (0..self.cells.len()).rev() {
+            if live[i] {
+                for fanin in self.row(i) {
+                    if let SignalRef::Gate(src) = fanin {
                         live[src.index()] = true;
-                        stack.push(*src);
                     }
                 }
             }

@@ -26,8 +26,8 @@
 //! view** (own netlist, own words, own overlay), and the type is both
 //! `Send` and `Sync`, so the deterministic worker pool in
 //! `tdals-core::par` can hand every worker an engine of its own — the
-//! DCGWO workers re-target theirs with [`DeltaSim::rebuild`] and
-//! [`DeltaSim::reset`] — or share one base immutably for
+//! DCGWO workers re-target theirs with [`DeltaSim::rebuild`] — or share
+//! one base immutably for
 //! [`DeltaSim::preview`] scoring. Nothing in here uses interior
 //! mutability, which is what makes the parallel and sequential scoring
 //! paths bit-identical by construction.
@@ -88,9 +88,9 @@ impl DeltaStats {
 /// Incremental simulation state: a netlist, its simulated words, and
 /// the fan-out rows needed to chase a mutation's transitive cone.
 ///
-/// [`DeltaSim::rebuild`] and [`DeltaSim::reset`] recycle the word
-/// buffer, so a long-lived engine re-targeted at one same-sized netlist
-/// after another allocates its words once.
+/// [`DeltaSim::rebuild`] recycles the word buffer, so a long-lived
+/// engine re-targeted at one same-sized netlist after another allocates
+/// its words once.
 #[derive(Debug, Clone)]
 pub struct DeltaSim {
     netlist: Netlist,
@@ -182,27 +182,6 @@ impl DeltaSim {
     /// primary input count.
     pub fn new(netlist: Netlist, patterns: &Patterns) -> DeltaSim {
         let sim = simulate(&netlist, patterns);
-        DeltaSim::from_result(netlist, patterns.clone(), sim)
-    }
-
-    /// Wraps an existing simulation result (which must describe
-    /// `netlist` on `patterns`) without re-simulating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result's word geometry does not match the netlist
-    /// and patterns.
-    pub fn from_result(netlist: Netlist, patterns: Patterns, sim: SimResult) -> DeltaSim {
-        assert_eq!(
-            sim.values.len(),
-            netlist.gate_count() * sim.word_count,
-            "simulation result must cover every gate of the netlist"
-        );
-        assert_eq!(
-            sim.vector_count,
-            patterns.vector_count(),
-            "simulation result must cover the stimulus"
-        );
         let fanouts = netlist.fanouts();
         DeltaSim {
             word_count: sim.word_count,
@@ -210,7 +189,7 @@ impl DeltaSim {
             tail_mask: sim.tail_mask,
             values: sim.values,
             netlist,
-            patterns,
+            patterns: patterns.clone(),
             fanouts,
             commit_stats: DeltaStats::default(),
             commit_scratch: PreviewScratch::default(),
@@ -232,34 +211,6 @@ impl DeltaSim {
         self.values = simulate_reusing(&netlist, &self.patterns, words).into_words();
         netlist.fanouts_into(&mut self.fanouts);
         self.netlist = netlist;
-        self.commit_stats = DeltaStats::default();
-    }
-
-    /// Re-targets the engine at `netlist`, whose simulation on this
-    /// engine's stimulus is `sim` (such as the accurate circuit's golden
-    /// simulation): the netlist and words are copied into the existing
-    /// buffers and the fan-out rows rebuilt into theirs, so nothing is
-    /// simulated, and a netlist of the previous one's gate count
-    /// allocates no words. The state afterwards equals
-    /// `DeltaSim::from_result(netlist.clone(), patterns, sim.clone())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result's word geometry does not match the netlist
-    /// and this engine's stimulus.
-    pub fn reset(&mut self, netlist: &Netlist, sim: &SimResult) {
-        assert_eq!(
-            sim.values.len(),
-            netlist.gate_count() * self.word_count,
-            "simulation result must cover every gate of the netlist"
-        );
-        assert_eq!(
-            sim.vector_count, self.vector_count,
-            "simulation result must cover the stimulus"
-        );
-        self.netlist.clone_from(netlist);
-        self.values.clone_from(&sim.values);
-        self.netlist.fanouts_into(&mut self.fanouts);
         self.commit_stats = DeltaStats::default();
     }
 
@@ -868,24 +819,6 @@ mod tests {
         assert_eq!(rebuilt.values, fresh.values);
         assert_eq!(rebuilt.fanouts, fresh.fanouts);
         assert_eq!(rebuilt.commit_stats(), fresh.commit_stats());
-    }
-
-    #[test]
-    fn reset_equals_an_engine_wrapping_the_result() {
-        let (n, g1, g2) = chain();
-        let p = Patterns::random(3, 100, 9);
-        let golden = simulate(&n, &p);
-        let fresh = DeltaSim::from_result(n.clone(), p.clone(), golden.clone());
-        // A committed engine of another netlist, reset to `n`.
-        let mut other = n.clone();
-        other.substitute(g2, SignalRef::Gate(g1)).expect("legal");
-        let mut reset = DeltaSim::new(other, &p);
-        reset.substitute(g1, SignalRef::Const1).expect("legal");
-        reset.reset(&n, &golden);
-        assert_eq!(reset.netlist(), fresh.netlist());
-        assert_eq!(reset.values, fresh.values);
-        assert_eq!(reset.fanouts, fresh.fanouts);
-        assert_eq!(reset.commit_stats(), fresh.commit_stats());
     }
 
     /// One preview scratch serving recycling previews of two engines of

@@ -1,11 +1,13 @@
 //! Bit-parallel netlist evaluation.
 
+use std::cell::RefCell;
+
 use tdals_netlist::cell::CellFunc;
 use tdals_netlist::{GateId, Netlist, SignalRef};
 
 use crate::kernel::eval_gate_row;
 use crate::patterns::Patterns;
-use crate::view::{gate_row, raw_signal_word, zero_tail_words, SimWords};
+use crate::view::{gate_row, raw_signal_word, zero_tail_words, SignalRow, SimWords};
 
 /// Simulated values of every gate output for one stimulus batch.
 ///
@@ -251,6 +253,270 @@ fn simulate_with(
         values,
         po_drivers: netlist.output_drivers().collect(),
         tail_mask: tail,
+    }
+}
+
+/// The primary-output rows of one simulation, and nothing else: what
+/// the error metrics read of the accurate circuit. It keeps one row per
+/// distinct gate driving an output and is read by output index
+/// ([`OutputRows::po_row`]), so no gate id can mis-index it.
+#[derive(Debug, Clone)]
+pub(crate) struct OutputRows {
+    vector_count: usize,
+    word_count: usize,
+    tail_mask: u64,
+    /// Per primary output: the constant driving it, or its row.
+    outputs: Vec<OutputRow>,
+    /// `word_count` words per row, the final word's tail bits zeroed.
+    rows: Vec<u64>,
+}
+
+/// Where one primary output's words are in an [`OutputRows`].
+#[derive(Debug, Clone, Copy)]
+enum OutputRow {
+    Const0,
+    Const1,
+    Row(usize),
+}
+
+impl OutputRows {
+    /// Number of vectors simulated.
+    pub(crate) fn vector_count(&self) -> usize {
+        self.vector_count
+    }
+
+    /// Number of words per row.
+    pub(crate) fn word_count(&self) -> usize {
+        self.word_count
+    }
+
+    /// Number of primary outputs.
+    pub(crate) fn output_count(&self) -> usize {
+        self.outputs.len()
+    }
+
+    /// Mask of valid bits in the final word.
+    pub(crate) fn tail_mask(&self) -> u64 {
+        self.tail_mask
+    }
+
+    /// Primary output `po`'s words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `po` is out of range.
+    pub(crate) fn po_row(&self, po: usize) -> SignalRow<'_> {
+        match self.outputs[po] {
+            OutputRow::Const0 => SignalRow::Zeros,
+            OutputRow::Const1 => SignalRow::Ones,
+            OutputRow::Row(r) => {
+                SignalRow::Gate(&self.rows[r * self.word_count..(r + 1) * self.word_count])
+            }
+        }
+    }
+}
+
+/// The row of a gate that has none yet in a [`simulate_outputs`] run.
+const NO_ROW: u32 = u32::MAX;
+
+thread_local! {
+    /// The word storage of the last [`simulate_outputs`] pool on this
+    /// thread, reused by the next.
+    static POOL_WORDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Simulates `netlist` on `patterns` and keeps only its primary-output
+/// rows, which equal [`simulate`]'s bit for bit.
+///
+/// Gates are evaluated in id order into a pool of rows. Rows `0..k`
+/// belong to the `k` distinct gates driving outputs and are kept. Every
+/// other gate, primary inputs included (their rows are copied from the
+/// stimulus first), takes a free row of the rest and gives it back once
+/// its last reader has been evaluated (at once if no gate reads it), so
+/// a gate is written straight into a row none of its fan-ins holds. A
+/// plan made before any word work finds every gate's last reader and
+/// the peak number of rows live at once, which sizes the pool once.
+///
+/// The pool's words stay with the thread and serve its next call: every
+/// row is written before it is read, so they never affect a result, and
+/// a thread that builds one evaluator after another takes no fresh pages
+/// from the system for them. Only the kept rows are copied out.
+///
+/// # Panics
+///
+/// Panics if `patterns.input_count()` differs from the netlist's primary
+/// input count.
+pub(crate) fn simulate_outputs(netlist: &Netlist, patterns: &Patterns) -> OutputRows {
+    assert_eq!(
+        patterns.input_count(),
+        netlist.input_count(),
+        "stimulus width must match primary input count"
+    );
+    let RowPlan {
+        mut slot,
+        outputs,
+        kept,
+        mut last,
+        rows,
+    } = plan_rows(netlist);
+    let wc = patterns.word_count();
+    let mut pool = POOL_WORDS.with_borrow_mut(std::mem::take);
+    if pool.len() < rows * wc {
+        pool = vec![0; rows * wc];
+    }
+    let mut free: Vec<u32> = Vec::new();
+    let mut next = kept as u32;
+    let mut take_row = |slot: &mut u32, free: &mut Vec<u32>| {
+        if *slot == NO_ROW {
+            *slot = free.pop().unwrap_or_else(|| {
+                next += 1;
+                next - 1
+            });
+        }
+        *slot as usize
+    };
+    for (k, &pi) in netlist.inputs().iter().enumerate() {
+        let r = take_row(&mut slot[pi.index()], &mut free);
+        pool[r * wc..(r + 1) * wc].copy_from_slice(patterns.input_words(k));
+        if last[pi.index()] == 0 && r >= kept {
+            free.push(r as u32);
+        }
+    }
+    for (id, gate) in netlist.iter() {
+        if gate.is_input() {
+            continue;
+        }
+        let i = id.index();
+        let r = take_row(&mut slot[i], &mut free);
+        let (before, rest) = pool.split_at_mut(r * wc);
+        let (out, after) = rest.split_at_mut(wc);
+        eval_gate_row(
+            gate.cell().func(),
+            gate.fanins().iter().copied(),
+            patterns,
+            |g| {
+                let s = slot[g.index()] as usize;
+                // A row read by its last reader goes back to the pool,
+                // once: its entry is cleared for a second pin.
+                if s >= kept && last[g.index()] as usize == i {
+                    free.push(s as u32);
+                    last[g.index()] = 0;
+                }
+                if s < r {
+                    &before[s * wc..(s + 1) * wc]
+                } else {
+                    &after[(s - r - 1) * wc..(s - r) * wc]
+                }
+            },
+            out,
+        );
+        if last[i] == 0 && r >= kept {
+            free.push(r as u32);
+        }
+    }
+    debug_assert!(next as usize <= rows, "the pool outgrew its plan");
+    let mut kept_rows = pool[..kept * wc].to_vec();
+    POOL_WORDS.with_borrow_mut(|words| *words = pool);
+    zero_tail_words(&mut kept_rows, wc, patterns.tail_mask());
+    OutputRows {
+        vector_count: patterns.vector_count(),
+        word_count: wc,
+        tail_mask: patterns.tail_mask(),
+        outputs,
+        rows: kept_rows,
+    }
+}
+
+/// What [`simulate_outputs`] knows of `netlist` before any word work.
+struct RowPlan {
+    /// Per gate: its kept row if it drives an output, else [`NO_ROW`].
+    slot: Vec<u32>,
+    /// Per primary output: the constant driving it, or its kept row.
+    outputs: Vec<OutputRow>,
+    /// Number of kept rows, the first of the pool.
+    kept: usize,
+    /// Per gate: its last reader, 0 for none (a reader's id is never 0).
+    last: Vec<u32>,
+    /// The pool's size: the kept rows, and the peak number of the other
+    /// rows live at once.
+    rows: usize,
+}
+
+/// The number of rows a [`simulate_outputs`] run of `netlist` holds.
+#[cfg(test)]
+pub(crate) fn planned_rows(netlist: &Netlist) -> usize {
+    plan_rows(netlist).rows
+}
+
+/// Plans a [`simulate_outputs`] run of `netlist`: the kept rows, each
+/// gate's last reader (an ascending pass in which every reader
+/// overwrites its fan-ins' entries), and the pool's size. A gate that
+/// drives no output holds a row from its evaluation (the start, for a
+/// primary input) to its last reader, and takes it before its fan-ins
+/// give theirs back, so past the kept rows the pool needs at most as
+/// many rows as the most such spans that cover one gate: a prefix sum
+/// over where spans start and end. (Inputs no gate reads are counted
+/// together at the start, though each gives its row back at once.)
+fn plan_rows(netlist: &Netlist) -> RowPlan {
+    let n = netlist.gate_count();
+    let mut slot = vec![NO_ROW; n];
+    let mut kept = 0;
+    let outputs: Vec<OutputRow> = netlist
+        .output_drivers()
+        .map(|driver| match driver {
+            SignalRef::Const0 => OutputRow::Const0,
+            SignalRef::Const1 => OutputRow::Const1,
+            SignalRef::Gate(g) => {
+                if slot[g.index()] == NO_ROW {
+                    slot[g.index()] = kept as u32;
+                    kept += 1;
+                }
+                OutputRow::Row(slot[g.index()] as usize)
+            }
+        })
+        .collect();
+
+    let mut last = vec![0u32; n];
+    for (id, gate) in netlist.iter() {
+        for &fanin in gate.fanins() {
+            if let SignalRef::Gate(g) = fanin {
+                last[g.index()] = id.index() as u32;
+            }
+        }
+    }
+    // Per gate: the spans that start there, minus those that ended just
+    // before. Primary inputs take their rows before any gate.
+    let mut spans = vec![0i32; n + 1];
+    let mut span = |i: usize, start: usize| {
+        if slot[i] == NO_ROW {
+            let end = if last[i] == 0 {
+                start
+            } else {
+                last[i] as usize
+            };
+            spans[start] += 1;
+            spans[end + 1] -= 1;
+        }
+    };
+    for &pi in netlist.inputs() {
+        span(pi.index(), 0);
+    }
+    for (id, gate) in netlist.iter() {
+        if !gate.is_input() {
+            span(id.index(), id.index());
+        }
+    }
+    let (mut live, mut peak) = (0, 0);
+    for delta in spans {
+        live += delta;
+        peak = peak.max(live);
+    }
+    RowPlan {
+        slot,
+        outputs,
+        kept,
+        last,
+        rows: kept + peak as usize,
     }
 }
 

@@ -9,8 +9,9 @@
 //! loop into whatever vector registers the target offers, with no
 //! per-block gather, dispatch or remainder loop.
 //!
-//! The full engine ([`simulate`](crate::simulate)) and the incremental
-//! one ([`DeltaSim`](crate::DeltaSim)) both evaluate through
+//! The full engine ([`simulate`](crate::simulate)), the output-row
+//! engine behind [`ErrorEvaluator`](crate::ErrorEvaluator) and the
+//! incremental one ([`DeltaSim`](crate::DeltaSim)) all evaluate through
 //! [`eval_gate_row`]; only where a fan-in row comes from differs. The
 //! ops are pure bitwise functions of the same words, so the kernel
 //! stores exactly what the one-word reference kernel
@@ -26,14 +27,15 @@ use crate::patterns::Patterns;
 /// Evaluates one gate of function `func` over its whole word row into
 /// `out`. Each fan-in resolves once: `Const0` and `Const1` to the
 /// stimulus' shared constant rows ([`Patterns::const_rows`]), gate `g`
-/// to `row(g)`, which must be `out.len()` words long. The final word is
-/// left raw: callers apply the tail mask.
+/// to `row(g)`, which must be `out.len()` words long and is asked once
+/// per pin, in pin order. The final word is left raw: callers apply the
+/// tail mask.
 #[inline]
 pub(crate) fn eval_gate_row<'a>(
     func: CellFunc,
     fanins: impl IntoIterator<Item = SignalRef>,
     patterns: &'a Patterns,
-    row: impl Fn(GateId) -> &'a [u64],
+    mut row: impl FnMut(GateId) -> &'a [u64],
     out: &mut [u64],
 ) {
     let (zeros, ones) = patterns.const_rows();

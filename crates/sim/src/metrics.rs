@@ -1,12 +1,12 @@
 //! Circuit error metrics: error rate (ER) and normalized mean error
 //! distance (NMED), per §II-A of the paper.
 
-use tdals_netlist::{Netlist, SignalRef};
+use tdals_netlist::Netlist;
 
 use crate::block::BLOCK_WORDS;
-use crate::engine::{simulate, SimResult};
+use crate::engine::{simulate, simulate_outputs, OutputRows, SimResult};
 use crate::patterns::Patterns;
-use crate::view::{diff_count_rows, SimWords};
+use crate::view::{SignalRow, SimWords};
 
 /// Which error metric constrains the optimization.
 ///
@@ -31,9 +31,13 @@ impl ErrorMetric {
     ///
     /// Panics if the results cover different vector or output counts.
     pub fn compute<A: SimWords, B: SimWords>(self, ori: &A, app: &B) -> f64 {
+        self.compute_outputs(ori, app)
+    }
+
+    fn compute_outputs<A: Outputs, B: Outputs>(self, ori: &A, app: &B) -> f64 {
         match self {
-            ErrorMetric::ErrorRate => error_rate(ori, app),
-            ErrorMetric::Nmed => nmed(ori, app),
+            ErrorMetric::ErrorRate => error_rate_of(ori, app),
+            ErrorMetric::Nmed => nmed_of(ori, app),
         }
     }
 
@@ -56,15 +60,72 @@ impl ErrorMetric {
     }
 }
 
-fn check_compat<A: SimWords, B: SimWords>(ori: &A, app: &B) {
+/// The primary outputs of one result, as the metric kernels read them:
+/// any [`SimWords`] implementor, or the accurate circuit's
+/// [`OutputRows`] that an [`ErrorEvaluator`] keeps.
+trait Outputs {
+    fn vectors(&self) -> usize;
+    fn words(&self) -> usize;
+    fn outputs(&self) -> usize;
+    fn tail(&self) -> u64;
+    /// Primary output `po`'s driver row, tail bits zeroed, or its
+    /// constant.
+    fn po_row(&self, po: usize) -> SignalRow<'_>;
+}
+
+impl<V: SimWords> Outputs for V {
+    fn vectors(&self) -> usize {
+        self.vector_count()
+    }
+
+    fn words(&self) -> usize {
+        self.word_count()
+    }
+
+    fn outputs(&self) -> usize {
+        self.output_count()
+    }
+
+    fn tail(&self) -> u64 {
+        self.tail_mask()
+    }
+
+    fn po_row(&self, po: usize) -> SignalRow<'_> {
+        SignalRow::of(self.po_driver(po), |g| self.gate_row(g))
+    }
+}
+
+impl Outputs for OutputRows {
+    fn vectors(&self) -> usize {
+        self.vector_count()
+    }
+
+    fn words(&self) -> usize {
+        self.word_count()
+    }
+
+    fn outputs(&self) -> usize {
+        self.output_count()
+    }
+
+    fn tail(&self) -> u64 {
+        self.tail_mask()
+    }
+
+    fn po_row(&self, po: usize) -> SignalRow<'_> {
+        OutputRows::po_row(self, po)
+    }
+}
+
+fn check_compat<A: Outputs, B: Outputs>(ori: &A, app: &B) {
     assert_eq!(
-        ori.vector_count(),
-        app.vector_count(),
+        ori.vectors(),
+        app.vectors(),
         "results must cover the same vectors"
     );
     assert_eq!(
-        ori.output_count(),
-        app.output_count(),
+        ori.outputs(),
+        app.outputs(),
         "results must cover the same outputs"
     );
 }
@@ -99,41 +160,47 @@ fn check_compat<A: SimWords, B: SimWords>(ori: &A, app: &B) {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn error_rate<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
+    error_rate_of(ori, app)
+}
+
+fn error_rate_of<A: Outputs, B: Outputs>(ori: &A, app: &B) -> f64 {
     check_compat(ori, app);
     // One row marks the vectors with any wrong output: each PO's XORed
     // driver rows are ORed into it. Gate rows carry zeroed tail bits;
     // the constant cases may set them, so the final word is clipped
     // before the popcount. The count is an integer, as a per-word scan
     // counts it.
-    let mut wrong = vec![0u64; ori.word_count()];
+    let mut wrong = vec![0u64; ori.words()];
     let or_into = |wrong: &mut [u64], row: &[u64], invert: bool| {
         let flip = if invert { u64::MAX } else { 0 };
         for (w, x) in wrong.iter_mut().zip(row) {
             *w |= x ^ flip;
         }
     };
-    for po in 0..ori.output_count() {
-        match (PoRow::of(ori, po), PoRow::of(app, po)) {
-            (PoRow::Gate(a), PoRow::Gate(b)) => {
+    for po in 0..ori.outputs() {
+        match (ori.po_row(po), app.po_row(po)) {
+            (SignalRow::Gate(a), SignalRow::Gate(b)) => {
                 for ((w, x), y) in wrong.iter_mut().zip(a).zip(b) {
                     *w |= x ^ y;
                 }
             }
-            (PoRow::Gate(g), PoRow::Zeros) | (PoRow::Zeros, PoRow::Gate(g)) => {
+            (SignalRow::Gate(g), SignalRow::Zeros) | (SignalRow::Zeros, SignalRow::Gate(g)) => {
                 or_into(&mut wrong, g, false)
             }
-            (PoRow::Gate(g), PoRow::Ones) | (PoRow::Ones, PoRow::Gate(g)) => {
+            (SignalRow::Gate(g), SignalRow::Ones) | (SignalRow::Ones, SignalRow::Gate(g)) => {
                 or_into(&mut wrong, g, true)
             }
-            (PoRow::Zeros, PoRow::Ones) | (PoRow::Ones, PoRow::Zeros) => wrong.fill(u64::MAX),
-            (PoRow::Zeros, PoRow::Zeros) | (PoRow::Ones, PoRow::Ones) => {}
+            (SignalRow::Zeros, SignalRow::Ones) | (SignalRow::Ones, SignalRow::Zeros) => {
+                wrong.fill(u64::MAX)
+            }
+            (SignalRow::Zeros, SignalRow::Zeros) | (SignalRow::Ones, SignalRow::Ones) => {}
         }
     }
     if let Some(last) = wrong.last_mut() {
-        *last &= ori.tail_mask();
+        *last &= ori.tail();
     }
     let count: usize = wrong.iter().map(|w| w.count_ones() as usize).sum();
-    count as f64 / ori.vector_count() as f64
+    count as f64 / ori.vectors() as f64
 }
 
 /// Per-output flip probabilities: element `j` is the fraction of vectors
@@ -146,22 +213,17 @@ pub fn error_rate<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
 ///
 /// Panics if the results cover different vector or output counts.
 pub fn po_flip_rates<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
+    po_flip_rates_of(ori, app)
+}
+
+fn po_flip_rates_of<A: Outputs, B: Outputs>(ori: &A, app: &B) -> Vec<f64> {
     check_compat(ori, app);
     // Each PO's flip count is one XOR popcount of its two driver rows
-    // (or the constant rule of `diff_count_rows`): an integer, so the
-    // rates are exactly those of a per-word scan.
-    let vectors = ori.vector_count();
-    (0..ori.output_count())
-        .map(|po| {
-            let diff = diff_count_rows(
-                vectors,
-                ori.po_driver(po),
-                |g| ori.gate_row(g),
-                app.po_driver(po),
-                |g| app.gate_row(g),
-            );
-            diff as f64 / vectors as f64
-        })
+    // (or the constant rule of `SignalRow::diff_count`): an integer, so
+    // the rates are exactly those of a per-word scan.
+    let vectors = ori.vectors();
+    (0..ori.outputs())
+        .map(|po| ori.po_row(po).diff_count(app.po_row(po), vectors) as f64 / vectors as f64)
         .collect()
 }
 
@@ -184,11 +246,15 @@ pub fn po_flip_rates<A: SimWords, B: SimWords>(ori: &A, app: &B) -> Vec<f64> {
 ///
 /// Panics if the results cover different vector or output counts.
 pub fn nmed<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
+    nmed_of(ori, app)
+}
+
+fn nmed_of<A: Outputs, B: Outputs>(ori: &A, app: &B) -> f64 {
     check_compat(ori, app);
-    let n_out = ori.output_count();
-    let (words, tail) = (ori.word_count(), ori.tail_mask());
-    let rows: Vec<(PoRow<'_>, PoRow<'_>)> = (0..n_out)
-        .map(|po| (PoRow::of(ori, po), PoRow::of(app, po)))
+    let n_out = ori.outputs();
+    let (words, tail) = (ori.words(), ori.tail());
+    let rows: Vec<(SignalRow<'_>, SignalRow<'_>)> = (0..n_out)
+        .map(|po| (ori.po_row(po), app.po_row(po)))
         .collect();
     // Per PO, one block of `V_ori − V_app` bits; per bit position, the
     // vectors whose distance has that bit set.
@@ -227,27 +293,10 @@ pub fn nmed<A: SimWords, B: SimWords>(ori: &A, app: &B) -> f64 {
         return 0.0;
     }
     let max_value = (2f64).powi(n_out as i32) - 1.0;
-    total / (max_value * ori.vector_count() as f64)
+    total / (max_value * ori.vectors() as f64)
 }
 
-/// One primary output's words as the metric kernels read them: its
-/// driver's gate row (tail bits zeroed), or a constant.
-#[derive(Clone, Copy)]
-enum PoRow<'a> {
-    Zeros,
-    Ones,
-    Gate(&'a [u64]),
-}
-
-impl<'a> PoRow<'a> {
-    fn of<V: SimWords>(v: &'a V, po: usize) -> PoRow<'a> {
-        match v.po_driver(po) {
-            SignalRef::Const0 => PoRow::Zeros,
-            SignalRef::Const1 => PoRow::Ones,
-            SignalRef::Gate(g) => PoRow::Gate(v.gate_row(g)),
-        }
-    }
-
+impl SignalRow<'_> {
     /// Words `w0 .. w0 + BLOCK_WORDS` of a `words`-word row, zero past
     /// its end; the all-ones row is clipped to `tail_mask` in its final
     /// word, as gate rows are.
@@ -256,14 +305,14 @@ impl<'a> PoRow<'a> {
         let mut out = [0u64; BLOCK_WORDS];
         let n = BLOCK_WORDS.min(words - w0);
         match self {
-            PoRow::Zeros => {}
-            PoRow::Ones => {
+            SignalRow::Zeros => {}
+            SignalRow::Ones => {
                 out[..n].fill(u64::MAX);
                 if w0 + n == words {
                     out[n - 1] &= tail_mask;
                 }
             }
-            PoRow::Gate(row) => out[..n].copy_from_slice(&row[w0..w0 + n]),
+            SignalRow::Gate(row) => out[..n].copy_from_slice(&row[w0..w0 + n]),
         }
         out
     }
@@ -314,6 +363,18 @@ fn limbs_to_f64(limbs: &[u64]) -> f64 {
 /// against it; this is what every optimizer in the workspace uses in its
 /// inner loop.
 ///
+/// The metrics read only the primary outputs, so the evaluator keeps
+/// only the accurate circuit's output rows: one row per distinct gate
+/// driving an output, equal to [`simulate`]'s rows bit for bit, and none
+/// of the other gates' rows. They are read by output index (as
+/// [`ErrorEvaluator::golden_po_word`] does), never by gate id. They are
+/// computed by a simulation that recycles rows: a gate's row goes back
+/// to a small pool once its last reader has been evaluated, unless the
+/// gate drives an output. On the suite's largest circuit (Sqrt, 14,871
+/// gates, 64 outputs) at most 261 rows are live at once, so building the
+/// evaluator never holds a full simulation's words, and it keeps 64
+/// rows.
+///
 /// # Examples
 ///
 /// ```
@@ -339,15 +400,21 @@ fn limbs_to_f64(limbs: &[u64]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct ErrorEvaluator {
     patterns: Patterns,
-    golden: SimResult,
+    /// The accurate circuit's primary-output rows.
+    golden: OutputRows,
     metric: ErrorMetric,
 }
 
 impl ErrorEvaluator {
-    /// Simulates `accurate` once and prepares to score variants with the
-    /// given metric.
+    /// Simulates `accurate` once, keeping its primary-output rows, and
+    /// prepares to score variants with the given metric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `patterns.input_count()` differs from the netlist's
+    /// primary input count.
     pub fn new(accurate: &Netlist, patterns: Patterns, metric: ErrorMetric) -> ErrorEvaluator {
-        let golden = simulate(accurate, &patterns);
+        let golden = simulate_outputs(accurate, &patterns);
         ErrorEvaluator {
             patterns,
             golden,
@@ -365,9 +432,18 @@ impl ErrorEvaluator {
         &self.patterns
     }
 
-    /// Golden (accurate-circuit) simulation result.
-    pub fn golden(&self) -> &SimResult {
-        &self.golden
+    /// Word `w` of the accurate circuit's primary output `po`,
+    /// tail-masked: [`SimWords::po_word`] of its full simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `po` or `w` is out of range.
+    pub fn golden_po_word(&self, po: usize, w: usize) -> u64 {
+        let words = self.golden.word_count();
+        assert!(w < words, "word {w} out of range");
+        self.golden
+            .po_row(po)
+            .block(w, words, self.golden.tail_mask())[0]
     }
 
     /// Simulates an approximate variant on the shared stimulus.
@@ -377,20 +453,20 @@ impl ErrorEvaluator {
 
     /// Metric value of an approximate variant.
     pub fn error_of(&self, approx: &Netlist) -> f64 {
-        self.metric.compute(&self.golden, &self.simulate(approx))
+        self.error_of_sim(&self.simulate(approx))
     }
 
     /// Metric value given an already-computed simulation of the variant
     /// (a full [`SimResult`], a [`DeltaSim`](crate::DeltaSim) state, or
     /// an uncommitted [`DeltaView`](crate::DeltaView)).
     pub fn error_of_sim<V: SimWords>(&self, app: &V) -> f64 {
-        self.metric.compute(&self.golden, app)
+        self.metric.compute_outputs(&self.golden, app)
     }
 
     /// Per-PO error contributions of a variant (flip rates under ER;
     /// weighted flip rates under NMED), given its simulation.
     pub fn po_errors_of_sim<V: SimWords>(&self, app: &V) -> Vec<f64> {
-        let flips = po_flip_rates(&self.golden, app);
+        let flips = po_flip_rates_of(&self.golden, app);
         match self.metric {
             ErrorMetric::ErrorRate => flips,
             ErrorMetric::Nmed => {
@@ -641,5 +717,95 @@ mod tests {
             assert_eq!(nmed(&golden, &app).to_bits(), want.to_bits(), "{vectors}");
             assert_eq!(nmed(&app, &golden).to_bits(), want.to_bits(), "{vectors}");
         }
+    }
+
+    /// A netlist whose outputs exercise every case of the recycling
+    /// simulation: outputs driven by a primary input, by both constants
+    /// and by a gate that drives two outputs; a gate read twice by one
+    /// reader; a dangling gate; and a row (`g1`'s) read again after its
+    /// first reader, once later gates have taken rows.
+    fn recycling_netlist() -> Netlist {
+        let mut n = Netlist::new("recycling");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let mut gate = |name: &str, func, fanins: Vec<SignalRef>| {
+            n.add_gate(name, x1(func), fanins).expect("gate")
+        };
+        let g1 = gate("g1", CellFunc::Xor2, vec![a.into(), b.into()]);
+        let g2 = gate("g2", CellFunc::And2, vec![g1.into(), c.into()]);
+        let g3 = gate("g3", CellFunc::Or2, vec![g2.into(), a.into()]);
+        let g4 = gate("g4", CellFunc::Nand2, vec![g3.into(), g3.into()]);
+        gate("dead", CellFunc::Inv, vec![g4.into()]);
+        let g5 = gate("g5", CellFunc::Xor2, vec![g1.into(), g4.into()]);
+        let g6 = gate("g6", CellFunc::Maj3, vec![g5.into(), g2.into(), c.into()]);
+        n.add_output("y0", g6.into());
+        n.add_output("y1", a.into());
+        n.add_output("y2", SignalRef::Const1);
+        n.add_output("y3", g5.into());
+        n.add_output("y4", g6.into());
+        n.add_output("y5", SignalRef::Const0);
+        n
+    }
+
+    /// The evaluator's output rows, from the recycling simulation, equal
+    /// a full simulation's output words by bits at word-aligned and
+    /// ragged vector counts, and every metric read against them equals
+    /// the metric against the full simulation. Kept small for Miri.
+    #[test]
+    fn golden_output_rows_equal_a_full_simulation() {
+        let n = recycling_netlist();
+        let mut approx = n.clone();
+        let g1 = approx.find_gate("g1").expect("g1");
+        approx.substitute(g1, SignalRef::Const1).expect("lac");
+        for vectors in [64, 70, 512, 513] {
+            let p = Patterns::random(3, vectors, 0x601D);
+            let full = simulate(&n, &p);
+            let app = simulate(&approx, &p);
+            for metric in [ErrorMetric::ErrorRate, ErrorMetric::Nmed] {
+                let eval = ErrorEvaluator::new(&n, p.clone(), metric);
+                for po in 0..n.output_count() {
+                    for w in 0..p.word_count() {
+                        assert_eq!(
+                            eval.golden_po_word(po, w),
+                            full.po_word(po, w),
+                            "{vectors} vectors, po {po}, word {w}"
+                        );
+                    }
+                }
+                assert_eq!(eval.error_of(&n), 0.0);
+                assert_eq!(
+                    eval.error_of_sim(&app).to_bits(),
+                    metric.compute(&full, &app).to_bits()
+                );
+                let flips = po_flip_rates(&full, &app);
+                let po_errors = eval.po_errors_of_sim(&app);
+                assert!(flips.iter().any(|&f| f > 0.0));
+                if metric == ErrorMetric::ErrorRate {
+                    assert_eq!(po_errors, flips);
+                }
+            }
+        }
+    }
+
+    /// An inverter chain of any length needs three rows: the output's,
+    /// and two that the chain's gates take in turn.
+    #[test]
+    fn golden_rows_are_recycled_along_a_chain() {
+        let mut n = Netlist::new("chain");
+        let mut prev: SignalRef = n.add_input("a").into();
+        for i in 0..100 {
+            prev = n
+                .add_gate(format!("g{i}"), x1(CellFunc::Inv), vec![prev])
+                .expect("gate")
+                .into();
+        }
+        n.add_output("y", prev);
+        let eval = ErrorEvaluator::new(&n, Patterns::random(1, 130, 3), ErrorMetric::ErrorRate);
+        let full = simulate(&n, eval.patterns());
+        for w in 0..3 {
+            assert_eq!(eval.golden_po_word(0, w), full.po_word(0, w));
+        }
+        assert_eq!(crate::engine::planned_rows(&n), 3);
     }
 }

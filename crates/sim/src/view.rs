@@ -59,39 +59,54 @@ pub(crate) fn zero_tail_words(values: &mut [u64], word_count: usize, tail_mask: 
     }
 }
 
-/// Number of vectors on which signal `a` of one evaluator and signal
-/// `b` of another (or the same) differ, read straight from gate rows:
-/// `row_a(g)` and `row_b(g)` are gate `g`'s full `word_count`-word rows,
-/// with the invalid tail bits of their final word zeroed (the storage
-/// rule of every evaluator in the crate).
-///
-/// Two gates popcount their XORed rows. Against a constant, a gate's
-/// difference count is its row popcount (`Const0`) or `vector_count`
-/// minus it (`Const1`): the zeroed tail bits are exactly the ones the
-/// masked per-word reads would clip. Two constants differ on every
-/// vector or on none. The result equals the masked per-word XOR
-/// popcount, with no per-word dispatch and no block copies.
-pub(crate) fn diff_count_rows<'a, 'b>(
-    vector_count: usize,
-    a: SignalRef,
-    row_a: impl Fn(GateId) -> &'a [u64],
-    b: SignalRef,
-    row_b: impl Fn(GateId) -> &'b [u64],
-) -> usize {
-    let popcount = |row: &[u64]| -> usize { row.iter().map(|w| w.count_ones() as usize).sum() };
-    match (a, b) {
-        (SignalRef::Gate(x), SignalRef::Gate(y)) => row_a(x)
-            .iter()
-            .zip(row_b(y))
-            .map(|(p, q)| (p ^ q).count_ones() as usize)
-            .sum(),
-        (SignalRef::Gate(g), SignalRef::Const0) => popcount(row_a(g)),
-        (SignalRef::Const0, SignalRef::Gate(g)) => popcount(row_b(g)),
-        (SignalRef::Gate(g), SignalRef::Const1) => vector_count - popcount(row_a(g)),
-        (SignalRef::Const1, SignalRef::Gate(g)) => vector_count - popcount(row_b(g)),
-        (SignalRef::Const0, SignalRef::Const0) | (SignalRef::Const1, SignalRef::Const1) => 0,
-        (SignalRef::Const0, SignalRef::Const1) | (SignalRef::Const1, SignalRef::Const0) => {
-            vector_count
+/// A signal's words resolved once: a gate's full `word_count`-word row,
+/// with the invalid tail bits of its final word zeroed (the storage
+/// rule of every evaluator in the crate), or a constant.
+#[derive(Clone, Copy)]
+pub(crate) enum SignalRow<'a> {
+    Zeros,
+    Ones,
+    Gate(&'a [u64]),
+}
+
+impl<'a> SignalRow<'a> {
+    /// `signal` resolved through `row`, which gives a gate's row.
+    #[inline]
+    pub(crate) fn of(signal: SignalRef, row: impl FnOnce(GateId) -> &'a [u64]) -> SignalRow<'a> {
+        match signal {
+            SignalRef::Const0 => SignalRow::Zeros,
+            SignalRef::Const1 => SignalRow::Ones,
+            SignalRef::Gate(g) => SignalRow::Gate(row(g)),
+        }
+    }
+
+    /// Number of the `vector_count` vectors on which the two rows
+    /// differ.
+    ///
+    /// Two gates popcount their XORed rows. Against a constant, a gate's
+    /// difference count is its row popcount (`Zeros`) or `vector_count`
+    /// minus it (`Ones`): the zeroed tail bits are exactly the ones the
+    /// masked per-word reads would clip. Two constants differ on every
+    /// vector or on none. The result equals the masked per-word XOR
+    /// popcount, with no per-word dispatch and no block copies.
+    pub(crate) fn diff_count(self, other: SignalRow<'_>, vector_count: usize) -> usize {
+        let popcount = |row: &[u64]| -> usize { row.iter().map(|w| w.count_ones() as usize).sum() };
+        match (self, other) {
+            (SignalRow::Gate(x), SignalRow::Gate(y)) => x
+                .iter()
+                .zip(y)
+                .map(|(p, q)| (p ^ q).count_ones() as usize)
+                .sum(),
+            (SignalRow::Gate(g), SignalRow::Zeros) | (SignalRow::Zeros, SignalRow::Gate(g)) => {
+                popcount(g)
+            }
+            (SignalRow::Gate(g), SignalRow::Ones) | (SignalRow::Ones, SignalRow::Gate(g)) => {
+                vector_count - popcount(g)
+            }
+            (SignalRow::Zeros, SignalRow::Zeros) | (SignalRow::Ones, SignalRow::Ones) => 0,
+            (SignalRow::Zeros, SignalRow::Ones) | (SignalRow::Ones, SignalRow::Zeros) => {
+                vector_count
+            }
         }
     }
 }
@@ -177,7 +192,7 @@ pub trait SimWords {
     /// over [`SimWords::gate_row`] rows.
     fn diff_count(&self, a: SignalRef, b: SignalRef) -> usize {
         let row = |g| self.gate_row(g);
-        diff_count_rows(self.vector_count(), a, row, b, row)
+        SignalRow::of(a, row).diff_count(SignalRow::of(b, row), self.vector_count())
     }
 
     /// Fraction of vectors on which the two signals agree — the paper's

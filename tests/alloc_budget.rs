@@ -16,7 +16,10 @@
 //! must not grow with the population or the iteration count. A third
 //! pins the same for the VECBEE-S and HEDALS loops, which score every
 //! candidate by cone previews on one base of the current netlist: their
-//! count must not grow with the round count.
+//! count must not grow with the round count. A fourth pins that building
+//! an `EvalContext` makes no allocation of that size: the context keeps
+//! only the accurate circuit's output rows, from a simulation that
+//! recycles rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,6 +155,30 @@ fn large_allocations<T>(bytes: usize, f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 #[test]
+fn eval_context_allocates_no_full_simulation() {
+    for bench in [Benchmark::C880, Benchmark::Sqrt] {
+        let accurate = bench.build();
+        let patterns = Patterns::random(accurate.input_count(), 1024, 11);
+        let words = accurate.gate_count() * patterns.word_count() * 8;
+        let (count, ctx) = large_allocations(words, || {
+            EvalContext::new(
+                &accurate,
+                patterns,
+                ErrorMetric::Nmed,
+                TimingConfig::default(),
+                0.8,
+            )
+        });
+        assert_eq!(
+            count, 0,
+            "{bench}: EvalContext::new made {count} word-storage allocations; \
+             it keeps a full simulation again"
+        );
+        assert_eq!(ctx.evaluate(accurate.clone()).error, 0.0);
+    }
+}
+
+#[test]
 fn one_thread_dcgwo_allocates_word_storage_a_fixed_number_of_times() {
     let accurate = Benchmark::C880.build();
     let patterns = Patterns::random(accurate.input_count(), 1024, 11);
@@ -165,9 +192,9 @@ fn one_thread_dcgwo_allocates_word_storage_a_fixed_number_of_times() {
     );
     let population = 10;
     // Word-storage-sized allocations a one-thread run makes: the one
-    // worker's scoring base (a copy of the golden simulation), which
-    // builds every seeded member and scores every child, whatever the
-    // population. (The cone previews' overlay rows in it hold only the
+    // worker's scoring base (one full simulation), which is rebuilt at
+    // the accurate circuit for every seeded member and scores every
+    // child, whatever the population. (The cone previews' overlay rows in it hold only the
     // changed gates of one cone.)
     let budget = 1;
     let run = |iterations: usize| {

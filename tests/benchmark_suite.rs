@@ -3,7 +3,8 @@
 //! simulation, and timing plausibility via STA.
 
 use tdals::circuits::{Benchmark, CircuitClass, ALL_BENCHMARKS};
-use tdals::sim::{simulate, Patterns};
+use tdals::netlist::SignalRef;
+use tdals::sim::{simulate, ErrorEvaluator, ErrorMetric, Patterns};
 use tdals::sta::{analyze, TimingConfig};
 
 #[test]
@@ -22,6 +23,42 @@ fn every_benchmark_builds_validates_and_times() {
             n.live_mask().iter().all(|&l| l),
             "{bench} has dangling gates at birth"
         );
+    }
+}
+
+/// The output rows an `ErrorEvaluator` keeps, from its recycling
+/// simulation, equal a full simulation's output words by bits on every
+/// suite circuit, at a word-aligned and a ragged vector count; also
+/// with outputs re-pointed at a primary input, at each constant and at
+/// a gate that then drives several outputs, which leaves the gates only
+/// the old drivers read dangling.
+#[test]
+fn golden_output_rows_equal_a_full_simulation() {
+    for bench in ALL_BENCHMARKS {
+        let accurate = bench.build();
+        let mut rewired = accurate.clone();
+        let outputs = rewired.output_count();
+        rewired.set_output_driver(0, rewired.inputs()[0].into());
+        rewired.set_output_driver(1 % outputs, SignalRef::Const1);
+        rewired.set_output_driver(2 % outputs, SignalRef::Const0);
+        let shared = rewired.output_driver(outputs - 1);
+        rewired.set_output_driver(3 % outputs, shared);
+        for netlist in [&accurate, &rewired] {
+            for vectors in [256, 301] {
+                let p = Patterns::random(netlist.input_count(), vectors, 41);
+                let full = simulate(netlist, &p);
+                let eval = ErrorEvaluator::new(netlist, p.clone(), ErrorMetric::Nmed);
+                for po in 0..netlist.output_count() {
+                    for w in 0..p.word_count() {
+                        assert_eq!(
+                            eval.golden_po_word(po, w),
+                            full.po_word(po, w),
+                            "{bench}, {vectors} vectors, po {po}, word {w}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdals::circuits::random_logic::{grow, RandomLogicSpec};
 use tdals::core::pareto::{crowding_distance, non_dominated_sort, select, Objectives};
-use tdals::core::{random_lac, EvalContext};
+use tdals::core::{random_lac, EvalContext, SearchScratch};
 use tdals::netlist::builder::Builder;
 use tdals::netlist::{verilog, Netlist, SignalRef};
 use tdals::sim::{error_rate, nmed, simulate, ErrorMetric, Patterns};
@@ -62,7 +62,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..lacs {
             let sim = simulate(&n, &p);
-            if let Some(lac) = random_lac(&n, &sim, 16, &mut rng) {
+            if let Some(lac) = random_lac(&n, &sim, 16, &mut SearchScratch::default(), &mut rng) {
                 lac.apply(&mut n).expect("legal LAC");
             }
         }
@@ -77,7 +77,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..3 {
             let sim = simulate(&n, &p);
-            if let Some(lac) = random_lac(&n, &sim, 16, &mut rng) {
+            if let Some(lac) = random_lac(&n, &sim, 16, &mut SearchScratch::default(), &mut rng) {
                 lac.apply(&mut n).expect("legal LAC");
             }
         }
@@ -105,7 +105,7 @@ proptest! {
 
         let mut approx = n.clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
-        if let Some(lac) = random_lac(&approx, &golden, 16, &mut rng) {
+        if let Some(lac) = random_lac(&approx, &golden, 16, &mut SearchScratch::default(), &mut rng) {
             lac.apply(&mut approx).expect("legal LAC");
         }
         let app = simulate(&approx, &p);
@@ -194,7 +194,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x11);
         for _ in 0..lacs {
             let sim = simulate(&n, &p);
-            if let Some(lac) = random_lac(&n, &sim, 16, &mut rng) {
+            if let Some(lac) = random_lac(&n, &sim, 16, &mut SearchScratch::default(), &mut rng) {
                 engine
                     .substitute(&mut n, &mut rows, lac.target(), lac.switch())
                     .expect("legal LAC");
@@ -253,7 +253,7 @@ proptest! {
             assert_fresh(&engine, &n);
 
             let sim = simulate(&n, &p);
-            let lac = random_lac(&n, &sim, 16, &mut rng);
+            let lac = random_lac(&n, &sim, 16, &mut SearchScratch::default(), &mut rng);
             if let Some(lac) = lac {
                 let mut mutated = n.clone();
                 lac.apply(&mut mutated).expect("legal LAC");
@@ -286,7 +286,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x33);
         for _ in 0..2 {
             let sim = simulate(&approx, &p);
-            if let Some(lac) = random_lac(&approx, &sim, 16, &mut rng) {
+            if let Some(lac) = random_lac(&approx, &sim, 16, &mut SearchScratch::default(), &mut rng) {
                 lac.apply(&mut approx).expect("legal LAC");
             }
         }
@@ -314,7 +314,7 @@ proptest! {
         let mut base = ctx.delta_eval(n);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x99);
         for _ in 0..lacs {
-            let Some(lac) = random_lac(base.netlist(), base.sim(), 16, &mut rng) else {
+            let Some(lac) = random_lac(base.netlist(), base.sim(), 16, &mut SearchScratch::default(), &mut rng) else {
                 break;
             };
             let (target, switch) = (lac.target(), lac.switch());
@@ -366,7 +366,7 @@ proptest! {
         let mut approx = n.clone();
         let sim = ctx.simulate(&approx);
         let mut rng = StdRng::seed_from_u64(seed);
-        if let Some(lac) = random_lac(&approx, &sim, 16, &mut rng) {
+        if let Some(lac) = random_lac(&approx, &sim, 16, &mut SearchScratch::default(), &mut rng) {
             lac.apply(&mut approx).expect("legal LAC");
         }
         let cand = ctx.evaluate(approx.clone());

@@ -315,11 +315,13 @@ fn cancelled_queued_session_does_not_wait_for_a_slot() {
     // behind a long-running co-tenant: it abandons the line promptly
     // and winds down, reporting Cancelled while the blocker still runs.
     let scheduler = Scheduler::new(SchedulerConfig::new(1)).expect("valid config");
+    // Far more iterations than any host runs before the queued session
+    // returns; the blocker is cancelled and drained below.
     let blocker = scheduler
         .submit(
             FlowJob::benchmark(Benchmark::Int2float)
                 .with_bound(0.05)
-                .with_scale(4, 500)
+                .with_scale(4, 100_000)
                 .with_vectors(256)
                 .with_seed(1),
         )

@@ -15,6 +15,18 @@ use tdals_core::{
     LevelWeights, SearchScratch,
 };
 
+/// Per-child mutation probability.
+const MUTATION_RATE: f64 = 0.6;
+
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+
+/// Elite individuals copied unchanged each generation.
+const ELITISM: usize = 2;
+
+/// Cap on TFI switch candidates per mutation.
+const MAX_SWITCH_CANDIDATES: usize = 48;
+
 /// Tunables for [`Genetic`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneticConfig {
@@ -22,14 +34,6 @@ pub struct GeneticConfig {
     pub population: usize,
     /// Generations.
     pub generations: usize,
-    /// Per-individual mutation probability.
-    pub mutation_rate: f64,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Elite individuals copied unchanged each generation.
-    pub elitism: usize,
-    /// Cap on TFI switch candidates per mutation.
-    pub max_switch_candidates: usize,
     /// `we` of the reproduction level function.
     pub level_we: f64,
     /// RNG seed.
@@ -45,10 +49,6 @@ impl Default for GeneticConfig {
         GeneticConfig {
             population: 30,
             generations: 20,
-            mutation_rate: 0.6,
-            tournament: 3,
-            elitism: 2,
-            max_switch_candidates: 48,
             level_we: 0.1,
             seed: 0x6A6A,
             threads: 1,
@@ -113,17 +113,7 @@ impl Optimizer for Genetic {
         // Per-worker simulation buffers and switch-selection marks,
         // reused by every evaluation and mutation of the run.
         let mut workers: Vec<(EvalScratch, SearchScratch)> = Vec::new();
-        // Deterministic pre-truncation: never fan out work a deterministic
-        // cap will refuse to admit — a pre-stopped budget seeds nothing, an
-        // evaluation cap bounds the member count, and both depend only on
-        // counts, so the truncation is identical for every thread width.
-        let seed_budget = match tracker.stop_before_iteration(0) {
-            Some(_) => 0,
-            None => tracker
-                .remaining_evaluations()
-                .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
-        };
-        let seed_want = (cfg.population.max(2) - 1).min(seed_budget);
+        let seed_want = (cfg.population.max(2) - 1).min(tracker.seed_budget());
         if seed_want > 0 {
             // Serial draft phase: every seed member mutates the *same*
             // accurate netlist, so one simulation serves all draws and the
@@ -136,7 +126,7 @@ impl Optimizer for Genetic {
                     random_lac(
                         &accurate.netlist,
                         &accurate_sim,
-                        cfg.max_switch_candidates,
+                        MAX_SWITCH_CANDIDATES,
                         &mut search,
                         &mut rng,
                     )
@@ -198,7 +188,7 @@ impl Optimizer for Genetic {
 
             let tournament_pick = |rng: &mut StdRng| -> usize {
                 let mut winner = rng.gen_range(0..population.len());
-                for _ in 1..cfg.tournament.max(1) {
+                for _ in 1..TOURNAMENT {
                     let challenger = rng.gen_range(0..population.len());
                     if fits[challenger] > fits[winner] {
                         winner = challenger;
@@ -212,7 +202,7 @@ impl Optimizer for Genetic {
             order.sort_by(|&a, &b| fits[b].total_cmp(&fits[a]));
             let mut next: Vec<Candidate> = order
                 .iter()
-                .take(cfg.elitism.min(population.len()))
+                .take(ELITISM.min(population.len()))
                 .map(|&i| population[i].clone())
                 .collect();
 
@@ -232,7 +222,7 @@ impl Optimizer for Genetic {
                     let pa = tournament_pick(&mut rng);
                     let pb = tournament_pick(&mut rng);
                     let mutation_seed =
-                        (rng.gen::<f64>() < cfg.mutation_rate).then(|| rng.gen::<u64>());
+                        (rng.gen::<f64>() < MUTATION_RATE).then(|| rng.gen::<u64>());
                     ChildPlan {
                         pa,
                         pb,
@@ -261,7 +251,7 @@ impl Optimizer for Genetic {
                         let mut crng = StdRng::seed_from_u64(seed);
                         let sim = ctx.simulate_in(&child, scratch);
                         if let Some(lac) =
-                            random_lac(&child, sim, cfg.max_switch_candidates, search, &mut crng)
+                            random_lac(&child, sim, MAX_SWITCH_CANDIDATES, search, &mut crng)
                         {
                             lac.apply(&mut child).expect("legal LAC");
                             mutated = true;
@@ -324,10 +314,6 @@ impl Optimizer for Genetic {
                 });
             }
         }
-        obs.on_event(&FlowEvent::OptimizeFinished {
-            stop,
-            evaluations: tracker.evaluations(),
-        });
         OptimizeOutcome {
             best,
             population,
@@ -376,14 +362,7 @@ mod tests {
     #[test]
     fn every_candidate_equals_a_full_evaluation() {
         let ctx = adder_ctx();
-        let outcome = optimize(
-            &ctx,
-            0.03,
-            Genetic::new(GeneticConfig {
-                mutation_rate: 0.3,
-                ..quick_cfg()
-            }),
-        );
+        let outcome = optimize(&ctx, 0.03, Genetic::new(quick_cfg()));
         let bits = |c: &Candidate| {
             let mut v = vec![c.cpd, c.area, c.error, c.fd, c.fa, c.fitness];
             v.extend(&c.po_arrivals);

@@ -203,10 +203,6 @@ impl Optimizer for Greedy {
         base.recount();
         let best = ctx.evaluate_base(&base);
         tracker.record_evaluations(1);
-        obs.on_event(&FlowEvent::OptimizeFinished {
-            stop,
-            evaluations: tracker.evaluations(),
-        });
         OptimizeOutcome {
             population: vec![best.clone()],
             best,

@@ -263,10 +263,6 @@ impl Optimizer for Hedals {
         base.recount();
         let best = ctx.evaluate_base(&base);
         tracker.record_evaluations(1);
-        obs.on_event(&FlowEvent::OptimizeFinished {
-            stop,
-            evaluations: tracker.evaluations(),
-        });
         OptimizeOutcome {
             population: vec![best.clone()],
             best,

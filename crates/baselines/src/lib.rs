@@ -136,7 +136,6 @@ impl Method {
                 level_we: cfg.level_we,
                 seed: cfg.seed,
                 threads: cfg.threads,
-                ..GeneticConfig::default()
             })),
             Method::Hedals => Box::new(Hedals::new(HedalsConfig {
                 max_rounds: cfg.iterations * 10,

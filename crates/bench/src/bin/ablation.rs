@@ -1,6 +1,8 @@
-//! Ablation study of the design choices DESIGN.md calls out: the
-//! double-chase hierarchy, circuit reproduction, and asymptotic error
-//! relaxation, each toggled independently on representative circuits.
+//! Ablation study of DCGWO's mechanisms: the double-chase hierarchy,
+//! the ω group's reproduce-then-search action, circuit reproduction and
+//! asymptotic error relaxation. Each variant switches off one of them
+//! in the full configuration; every variant runs the same seed on
+//! representative circuits, and the last row averages each column.
 //!
 //! ```sh
 //! TDALS_EFFORT=quick cargo run --release -p tdals-bench --bin ablation
@@ -8,7 +10,29 @@
 
 use tdals_bench::{context_for, level_we, Effort};
 use tdals_circuits::Benchmark;
-use tdals_core::{optimize, post_optimize, ChaseStrategy, OptimizerConfig, PostOptConfig};
+use tdals_core::api::{Dcgwo, Flow};
+use tdals_core::{ChaseStrategy, OptimizerConfig};
+
+/// One ablation variant: its column name and how it changes the full
+/// configuration.
+type Variant = (&'static str, fn(OptimizerConfig) -> OptimizerConfig);
+
+const VARIANTS: [Variant; 5] = [
+    ("full DCGWO", |cfg| cfg),
+    ("single-chase", |cfg| {
+        cfg.with_chase(ChaseStrategy::SingleChase)
+    }),
+    // ω never exceeds an infinite threshold -> never does both.
+    ("no both-action ω", |cfg| {
+        cfg.with_omega_threshold(f64::INFINITY)
+    }),
+    // Full error budget from iteration 0.
+    ("no relaxation", |cfg| {
+        cfg.with_initial_constraint_fraction(1.0)
+    }),
+    // Every action is circuit searching.
+    ("no reproduction", |cfg| cfg.with_reproduction(false)),
+];
 
 fn main() {
     let effort = Effort::from_env();
@@ -19,75 +43,40 @@ fn main() {
         Benchmark::Max16,
     ]);
 
-    struct Variant {
-        name: &'static str,
-        chase: ChaseStrategy,
-        omega_threshold: f64,
-        initial_fraction: f64,
-    }
-    let variants = [
-        Variant {
-            name: "full DCGWO",
-            chase: ChaseStrategy::DoubleChase,
-            omega_threshold: 0.3,
-            initial_fraction: 0.25,
-        },
-        Variant {
-            name: "single-chase",
-            chase: ChaseStrategy::SingleChase,
-            omega_threshold: 0.3,
-            initial_fraction: 0.25,
-        },
-        Variant {
-            name: "no both-action ω",
-            chase: ChaseStrategy::DoubleChase,
-            // ω never exceeds an infinite threshold -> never does both.
-            omega_threshold: f64::INFINITY,
-            initial_fraction: 0.25,
-        },
-        Variant {
-            name: "no relaxation",
-            chase: ChaseStrategy::DoubleChase,
-            omega_threshold: 0.3,
-            // Full error budget from iteration 0.
-            initial_fraction: 1.0,
-        },
-    ];
-
     println!("Ablation — Ratio_cpd per variant (effort {effort:?})");
     print!("{:<12}", "circuit");
-    for v in &variants {
-        print!(" {:>16}", v.name);
+    for (name, _) in &VARIANTS {
+        print!(" {name:>16}");
     }
     println!();
 
+    let mut sums = [0.0; VARIANTS.len()];
     for bench in &benches {
         let (ctx, metric) = context_for(*bench, effort);
         let bound = match metric {
             tdals_sim::ErrorMetric::ErrorRate => 0.05,
             tdals_sim::ErrorMetric::Nmed => 0.0244,
         };
+        let full = OptimizerConfig::default()
+            .with_population(effort.population())
+            .with_iterations(effort.iterations())
+            .with_level_we(level_we(metric))
+            .with_seed(0xAB1A);
         print!("{:<12}", bench.name());
-        for v in &variants {
-            let cfg = OptimizerConfig::default()
-                .with_population(effort.population())
-                .with_iterations(effort.iterations())
-                .with_level_we(level_we(metric))
-                .with_chase(v.chase)
-                .with_omega_threshold(v.omega_threshold)
-                .with_initial_constraint_fraction(v.initial_fraction)
-                .with_seed(0xAB1A);
-            let result = optimize(&ctx, bound, &cfg);
-            let mut netlist = result.best.netlist.clone();
-            let post = post_optimize(
-                &mut netlist,
-                ctx.timing(),
-                &PostOptConfig::new(ctx.area_ori()),
-            );
-            print!(" {:>16.4}", post.cpd_final / ctx.cpd_ori());
+        for ((_, ablate), sum) in VARIANTS.iter().zip(&mut sums) {
+            let outcome = Flow::for_context(&ctx)
+                .error_bound(bound)
+                .optimizer(Dcgwo::new(ablate(full.clone())))
+                .run()
+                .expect("valid session");
+            *sum += outcome.ratio_cpd;
+            print!(" {:>16.4}", outcome.ratio_cpd);
         }
         println!();
     }
-    println!("\nexpected: 'full DCGWO' lowest (ties possible on easy circuits);");
-    println!("each removed mechanism costs Ratio_cpd on average");
+    print!("{:<12}", "Average");
+    for sum in sums {
+        print!(" {:>16.4}", sum / benches.len() as f64);
+    }
+    println!();
 }

@@ -57,7 +57,8 @@ use tdals_netlist::{verilog, Netlist, ParseVerilogError};
 use tdals_sim::{ErrorMetric, Patterns};
 use tdals_sta::TimingConfig;
 
-use crate::dcgwo::{optimize_session, ChaseStrategy, IterationStats, OptimizerConfig};
+pub use crate::dcgwo::Dcgwo;
+use crate::dcgwo::IterationStats;
 use crate::fitness::{Candidate, EvalContext};
 use crate::postopt::{post_optimize, PostOptConfig, PostOptReport};
 
@@ -318,14 +319,21 @@ impl BudgetTracker {
         self.evaluations
     }
 
-    /// Evaluations left before the [`Budget::with_max_evaluations`] cap
-    /// trips; `None` means uncapped. Parallel phases consult this
-    /// *before* fanning out, so a tiny budget bounds the work actually
-    /// performed — not just the results admitted — and the bound is a
-    /// pure function of counts, identical for every thread width.
-    pub fn remaining_evaluations(&self) -> Option<u64> {
-        self.max_evaluations
-            .map(|cap| cap.saturating_sub(self.evaluations))
+    /// How many members a population method may seed before its first
+    /// iteration: none when the budget already stops iteration 0 (an
+    /// iteration cap of 0, exhausted evaluations, a raised flag), at
+    /// most the evaluations left under a cap, and otherwise no limit.
+    /// Seeding truncates its member list to this *before* fanning out,
+    /// so a tiny budget bounds the work actually performed, not just the
+    /// results admitted. The count depends only on counts, so the
+    /// truncation is identical for every thread width.
+    pub fn seed_budget(&self) -> usize {
+        if self.stop_before_iteration(0).is_some() {
+            return 0;
+        }
+        self.max_evaluations.map_or(usize::MAX, |cap| {
+            usize::try_from(cap.saturating_sub(self.evaluations)).unwrap_or(usize::MAX)
+        })
     }
 
     /// Bounded-latency interrupt check: cancellation and the wall-clock
@@ -376,10 +384,10 @@ impl BudgetTracker {
 /// One progress event from a running flow.
 ///
 /// Events are emitted in order; the `iteration` fields are
-/// non-decreasing over a run, and exactly one
-/// [`FlowEvent::OptimizeFinished`] terminates the optimizer phase
-/// (followed by the post-opt pair and [`FlowEvent::FlowFinished`] when
-/// running through [`Flow`]).
+/// non-decreasing over a run. The optimizer emits the iteration,
+/// best-fitness and LAC events; [`Flow::run`] emits the rest, with
+/// exactly one [`FlowEvent::OptimizeFinished`] ending the optimizer
+/// phase, followed by the post-opt pair and [`FlowEvent::FlowFinished`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FlowEvent {
@@ -434,8 +442,8 @@ pub enum FlowEvent {
         /// Per-iteration statistics.
         stats: IterationStats,
     },
-    /// The optimizer phase ended. Terminal for [`Optimizer::optimize`]:
-    /// emitted exactly once per run, whatever the stop reason.
+    /// The optimizer phase ended. Emitted exactly once per [`Flow::run`],
+    /// whatever the stop reason, from the returned [`OptimizeOutcome`].
     OptimizeFinished {
         /// Why the optimizer stopped.
         stop: StopReason,
@@ -585,7 +593,8 @@ pub struct OptimizeOutcome {
 /// `Greedy`, `Genetic`, `Hedals`, and [`Dcgwo::single_chase`])
 /// implement this trait, so they compose with the same [`Flow`]
 /// session, honor the same [`Budget`], and stream the same
-/// [`FlowEvent`]s.
+/// [`FlowEvent`]s. It is each method's one entry point: run it through
+/// [`Flow`], which owns everything around the search.
 pub trait Optimizer {
     /// Short human-readable method name (used in reports and events).
     fn name(&self) -> &str;
@@ -602,6 +611,11 @@ pub trait Optimizer {
     /// Runs the search on the accurate circuit held by `ctx` under
     /// `error_bound`, honoring `budget` (checked at least once per
     /// iteration) and streaming progress to `obs`.
+    ///
+    /// An implementation emits only the events of its own loop
+    /// (iterations, best-fitness updates, accepted LACs).
+    /// [`FlowEvent::OptimizeFinished`] belongs to [`Flow::run`], which
+    /// emits it from the returned outcome's `stop` and `evaluations`.
     ///
     /// The returned best circuit always satisfies the bound; if no LAC
     /// is ever feasible it is the accurate circuit itself.
@@ -631,83 +645,6 @@ impl<T: Optimizer + ?Sized> Optimizer for Box<T> {
         obs: &mut dyn Observer,
     ) -> OptimizeOutcome {
         (**self).optimize(ctx, error_bound, budget, obs)
-    }
-}
-
-/// The paper's double-chase grey wolf optimizer (and its single-chase
-/// ablation) behind the [`Optimizer`] trait.
-#[derive(Debug, Clone)]
-pub struct Dcgwo {
-    cfg: OptimizerConfig,
-}
-
-impl Dcgwo {
-    /// The paper's §IV-A configuration (population 30, 20 iterations,
-    /// `we` = 0.1 — the ER setting; see [`Dcgwo::paper_for`]).
-    pub fn paper() -> Dcgwo {
-        Dcgwo {
-            cfg: OptimizerConfig::default(),
-        }
-    }
-
-    /// The paper's configuration with the error weight `we` matched to
-    /// the metric (0.1 under ER, 0.2 under NMED).
-    pub fn paper_for(metric: ErrorMetric) -> Dcgwo {
-        Dcgwo {
-            cfg: OptimizerConfig::default().with_level_we(OptimizerConfig::paper_level_we(metric)),
-        }
-    }
-
-    /// The traditional single-chase GWO baseline.
-    pub fn single_chase() -> Dcgwo {
-        Dcgwo {
-            cfg: OptimizerConfig::default().with_chase(ChaseStrategy::SingleChase),
-        }
-    }
-
-    /// Wraps an explicit configuration.
-    pub fn new(cfg: OptimizerConfig) -> Dcgwo {
-        Dcgwo { cfg }
-    }
-
-    /// Shrinks population/iterations for demos and tests.
-    pub fn quick(mut self, population: usize, iterations: usize) -> Dcgwo {
-        self.cfg.population = population;
-        self.cfg.iterations = iterations;
-        self
-    }
-
-    /// The wrapped configuration.
-    pub fn config(&self) -> &OptimizerConfig {
-        &self.cfg
-    }
-
-    /// Mutable access to the wrapped configuration.
-    pub fn config_mut(&mut self) -> &mut OptimizerConfig {
-        &mut self.cfg
-    }
-}
-
-impl Optimizer for Dcgwo {
-    fn name(&self) -> &str {
-        match self.cfg.chase {
-            ChaseStrategy::DoubleChase => "DCGWO",
-            ChaseStrategy::SingleChase => "GWO",
-        }
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads;
-    }
-
-    fn optimize(
-        &mut self,
-        ctx: &EvalContext,
-        error_bound: f64,
-        budget: &Budget,
-        obs: &mut dyn Observer,
-    ) -> OptimizeOutcome {
-        optimize_session(ctx, error_bound, &self.cfg, budget, obs)
     }
 }
 
@@ -994,6 +931,12 @@ impl<'a> Flow<'a> {
         let optimize_span = trace::span(trace::cat::PHASE, "optimize")
             .arg("gates", ctx.accurate().logic_gate_count() as u64);
         let outcome = optimizer.optimize(ctx, bound, &budget, obs);
+        // Inside the optimize phase, so the instrumented observer closes
+        // an iteration span the optimizer left open there.
+        obs.on_event(&FlowEvent::OptimizeFinished {
+            stop: outcome.stop,
+            evaluations: outcome.evaluations,
+        });
         drop(optimize_span);
 
         let mut netlist = outcome.best.netlist.clone();

@@ -33,9 +33,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals_netlist::{Netlist, SignalRef};
+use tdals_sim::ErrorMetric;
 
 use crate::api::{
-    Budget, BudgetTracker, FlowEvent, NopObserver, Observer, OptimizeOutcome, StopReason,
+    Budget, BudgetTracker, FlowEvent, Observer, OptimizeOutcome, Optimizer, StopReason,
 };
 use crate::fitness::{Candidate, DeltaEval, EvalContext, LacScore};
 use crate::lac::{random_lac, Lac, SearchScratch};
@@ -55,11 +56,25 @@ pub enum ChaseStrategy {
     SingleChase,
 }
 
+/// Decision threshold `S_e` for elite circuits (and, under single
+/// chase, for the whole pack).
+const ELITE_THRESHOLD: f64 = 0.5;
+
+/// Fraction of `Imax` at which the relaxation schedule reaches the full
+/// error budget (the paper's "empirical parameter b" expressed as a
+/// horizon); the remaining iterations exploit the full budget.
+const RELAX_HORIZON: f64 = 0.6;
+
+/// LACs applied to the accurate circuit per initial member.
+const INITIAL_LACS: usize = 2;
+
 /// Tunable parameters of the optimizer.
 ///
 /// Defaults follow §IV-A of the paper: population 30, 20 iterations,
 /// `wd = 0.8`, `wt = 0.9 × CPD_ori` (via [`LevelWeights`]), `we` of
-/// 0.1 (ER) / 0.2 (NMED) supplied per run.
+/// 0.1 (ER) / 0.2 (NMED) supplied per run. Circuit searching always
+/// runs with [`SearchConfig::default`], the paper's whole-fan-in scan
+/// over every PO's critical path.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct OptimizerConfig {
@@ -69,21 +84,11 @@ pub struct OptimizerConfig {
     pub iterations: usize,
     /// Error weight `we` of the reproduction `Level` function.
     pub level_we: f64,
-    /// Decision threshold `S_e` for elite circuits.
-    pub elite_threshold: f64,
     /// Decision threshold `S_ω` for ω circuits.
     pub omega_threshold: f64,
     /// Starting fraction of the error budget for the asymptotic
     /// relaxation schedule.
     pub initial_constraint_fraction: f64,
-    /// Fraction of `Imax` at which the schedule reaches the full error
-    /// budget (the paper's "empirical parameter b" expressed as a
-    /// horizon); the remaining iterations exploit the full budget.
-    pub relax_horizon: f64,
-    /// LACs applied to the accurate circuit per initial member.
-    pub initial_lacs: usize,
-    /// Circuit-searching tunables.
-    pub search: SearchConfig,
     /// Double- or single-chase guidance.
     pub chase: ChaseStrategy,
     /// RNG seed (runs are deterministic given the seed).
@@ -110,12 +115,8 @@ impl Default for OptimizerConfig {
             population: 30,
             iterations: 20,
             level_we: 0.1,
-            elite_threshold: 0.5,
             omega_threshold: 0.3,
             initial_constraint_fraction: 0.25,
-            relax_horizon: 0.6,
-            initial_lacs: 2,
-            search: SearchConfig::default(),
             chase: ChaseStrategy::DoubleChase,
             seed: 0xDC6E0,
             threads: 1,
@@ -129,10 +130,10 @@ impl OptimizerConfig {
     /// function for a metric: 0.1 under ER, 0.2 under NMED (§IV-A).
     /// The single source of truth for every entry point that mimics
     /// the paper's protocol.
-    pub fn paper_level_we(metric: tdals_sim::ErrorMetric) -> f64 {
+    pub fn paper_level_we(metric: ErrorMetric) -> f64 {
         match metric {
-            tdals_sim::ErrorMetric::ErrorRate => 0.1,
-            tdals_sim::ErrorMetric::Nmed => 0.2,
+            ErrorMetric::ErrorRate => 0.1,
+            ErrorMetric::Nmed => 0.2,
         }
     }
 
@@ -154,12 +155,6 @@ impl OptimizerConfig {
         self
     }
 
-    /// Sets the elite decision threshold `S_e`.
-    pub fn with_elite_threshold(mut self, elite_threshold: f64) -> OptimizerConfig {
-        self.elite_threshold = elite_threshold;
-        self
-    }
-
     /// Sets the ω decision threshold `S_ω`.
     pub fn with_omega_threshold(mut self, omega_threshold: f64) -> OptimizerConfig {
         self.omega_threshold = omega_threshold;
@@ -170,25 +165,6 @@ impl OptimizerConfig {
     /// asymptotic relaxation schedule.
     pub fn with_initial_constraint_fraction(mut self, fraction: f64) -> OptimizerConfig {
         self.initial_constraint_fraction = fraction;
-        self
-    }
-
-    /// Sets the fraction of `Imax` at which the relaxation schedule
-    /// reaches the full error budget.
-    pub fn with_relax_horizon(mut self, relax_horizon: f64) -> OptimizerConfig {
-        self.relax_horizon = relax_horizon;
-        self
-    }
-
-    /// Sets the LAC count applied per initial population member.
-    pub fn with_initial_lacs(mut self, initial_lacs: usize) -> OptimizerConfig {
-        self.initial_lacs = initial_lacs;
-        self
-    }
-
-    /// Sets the circuit-searching tunables.
-    pub fn with_search(mut self, search: SearchConfig) -> OptimizerConfig {
-        self.search = search;
         self
     }
 
@@ -234,266 +210,252 @@ pub struct IterationStats {
     pub feasible: usize,
 }
 
-/// Outcome of an optimizer run.
+/// The paper's double-chase grey wolf optimizer (and its single-chase
+/// ablation) behind the [`Optimizer`] trait.
 #[derive(Debug, Clone)]
-pub struct OptimizerResult {
-    /// Highest-fitness circuit observed with error within the *full*
-    /// user budget (the paper's "optimal approximate netlist").
-    pub best: Candidate,
-    /// Final population.
-    pub population: Vec<Candidate>,
-    /// Per-iteration statistics for convergence analysis.
-    pub history: Vec<IterationStats>,
+pub struct Dcgwo {
+    cfg: OptimizerConfig,
 }
 
-impl OptimizerResult {
-    /// Indices of the final population's rank-0 Pareto set over
-    /// `(f_d, f_a)` — the depth/area trade-off frontier the run
-    /// discovered.
-    pub fn pareto_front(&self) -> Vec<usize> {
-        let points: Vec<Objectives> = self
-            .population
-            .iter()
-            .map(|c| Objectives::new(c.fd, c.fa))
-            .collect();
-        crate::pareto::non_dominated_sort(&points)
-            .into_iter()
-            .next()
-            .unwrap_or_default()
+impl Dcgwo {
+    /// The paper's §IV-A configuration (population 30, 20 iterations,
+    /// `we` = 0.1 — the ER setting; see [`Dcgwo::paper_for`]).
+    pub fn paper() -> Dcgwo {
+        Dcgwo::new(OptimizerConfig::default())
+    }
+
+    /// The paper's configuration with the error weight `we` matched to
+    /// the metric (0.1 under ER, 0.2 under NMED).
+    pub fn paper_for(metric: ErrorMetric) -> Dcgwo {
+        Dcgwo::new(
+            OptimizerConfig::default().with_level_we(OptimizerConfig::paper_level_we(metric)),
+        )
+    }
+
+    /// The traditional single-chase GWO baseline.
+    pub fn single_chase() -> Dcgwo {
+        Dcgwo::new(OptimizerConfig::default().with_chase(ChaseStrategy::SingleChase))
+    }
+
+    /// Wraps an explicit configuration.
+    pub fn new(cfg: OptimizerConfig) -> Dcgwo {
+        Dcgwo { cfg }
+    }
+
+    /// Shrinks population/iterations for demos and tests.
+    pub fn quick(mut self, population: usize, iterations: usize) -> Dcgwo {
+        self.cfg.population = population;
+        self.cfg.iterations = iterations;
+        self
     }
 }
 
-/// Runs the optimizer on the accurate circuit held by `ctx`.
-///
-/// `error_bound` is the user's ER or NMED budget (the metric comes from
-/// the context). The returned best circuit always satisfies the bound;
-/// if no LAC is ever feasible it is the accurate circuit itself.
-///
-/// This is the unbudgeted, unobserved entry point; the session API
-/// ([`crate::api::Dcgwo`]) runs the same loop through
-/// [`optimize_session`] with identical results under an unlimited
-/// budget.
-pub fn optimize(ctx: &EvalContext, error_bound: f64, cfg: &OptimizerConfig) -> OptimizerResult {
-    let outcome = optimize_session(
-        ctx,
-        error_bound,
-        cfg,
-        &Budget::unlimited(),
-        &mut NopObserver,
-    );
-    OptimizerResult {
-        best: outcome.best,
-        population: outcome.population,
-        history: outcome.history,
-    }
-}
-
-/// [`optimize`] with a [`Budget`] honored at every iteration boundary
-/// and progress streamed to `obs`. Under [`Budget::unlimited`] the
-/// results are bit-identical to [`optimize`]: budget checks and event
-/// emission never touch the RNG stream.
-pub fn optimize_session(
-    ctx: &EvalContext,
-    error_bound: f64,
-    cfg: &OptimizerConfig,
-    budget: &Budget,
-    obs: &mut dyn Observer,
-) -> OptimizeOutcome {
-    let mut tracker = budget.start_tracking();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let horizon = ((cfg.iterations as f64 * cfg.relax_horizon).round() as usize)
-        .clamp(1, cfg.iterations.max(1));
-    let schedule =
-        ErrorSchedule::with_horizon(error_bound, cfg.initial_constraint_fraction, horizon);
-    // Per-PO errors below a tenth of the budget count as "clean" in the
-    // reproduction Level, letting its timing term pick the faster of
-    // two acceptable cones.
-    let weights = LevelWeights::paper_defaults(ctx.cpd_ori(), cfg.level_we)
-        .with_error_floor(0.1 * error_bound);
-
-    // Initial population: LACs on randomly selected target gates of the
-    // accurate circuit; member 0 stays accurate as a feasible anchor.
-    // Every worker keeps one scoring base for the whole run. A seeded
-    // member starts in it as the accurate circuit, rebuilt by one full
-    // simulation into the base's words, and runs its LAC chain there,
-    // each commit re-evaluating only the mutated cone; the accurate
-    // anchor is the first worker's base read as it starts.
-    let mut workers: Vec<WorkerScratch> = vec![WorkerScratch::default()];
-    let accurate = ctx.evaluate_base(ctx.rebuild_in(&mut workers[0].base, ctx.accurate().clone()));
-    tracker.record_evaluations(1);
-    let threads = par::resolve_threads(cfg.threads);
-    let mut population: Vec<Candidate> = Vec::with_capacity(cfg.population);
-    let mut best = accurate.clone();
-    population.push(accurate.clone());
-    // Seed the rest of the population over the worker pool, each member
-    // with an RNG stream split off the run seed by member index, so its
-    // LAC chain — whose switch selection reads the member's own evolving
-    // simulation state — draws the same switches whether it is built
-    // inline or on any worker. The admission loop below runs serially
-    // in member order: the deterministic budget caps stop admission at
-    // the same member for every thread count (the seeding phase must not
-    // pay population-many evaluations past a tiny evaluation budget),
-    // while cancellation and the deadline abort the fan-out between
-    // batches. The accurate anchor is already in, so stopping early is
-    // always safe.
-    // Deterministic pre-truncation: never fan out work a deterministic
-    // cap will refuse to admit. A pre-stopped budget (iteration cap 0,
-    // exhausted evaluations, pre-raised flag) seeds nothing; an
-    // evaluation cap bounds the member count. Both depend only on
-    // counts, so the truncation is identical for every thread width.
-    let seed_budget = match tracker.stop_before_iteration(0) {
-        Some(_) => 0,
-        None => tracker
-            .remaining_evaluations()
-            .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
-    };
-    let member_seeds: Vec<u64> = (1..cfg.population)
-        .map(|i| par::split_seed(cfg.seed, i as u64))
-        .take(seed_budget)
-        .collect();
-    let seeded = par::par_map_batched_with(
-        threads,
-        &mut workers,
-        member_seeds,
-        |worker, member_seed| worker.seed(ctx, cfg, member_seed),
-        || tracker.interrupted().is_none(),
-    );
-    for cand in seeded.results {
-        if tracker.stop_before_iteration(0).is_some() {
-            break;
+impl Optimizer for Dcgwo {
+    fn name(&self) -> &str {
+        match self.cfg.chase {
+            ChaseStrategy::DoubleChase => "DCGWO",
+            ChaseStrategy::SingleChase => "GWO",
         }
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        self.cfg.threads = threads;
+    }
+
+    /// Budget checks and event emission never touch the RNG stream, so
+    /// a run under any budget follows the unlimited run's draws up to
+    /// the iteration where it stops.
+    fn optimize(
+        &mut self,
+        ctx: &EvalContext,
+        error_bound: f64,
+        budget: &Budget,
+        obs: &mut dyn Observer,
+    ) -> OptimizeOutcome {
+        let cfg = &self.cfg;
+        let mut tracker = budget.start_tracking();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let horizon = ((cfg.iterations as f64 * RELAX_HORIZON).round() as usize)
+            .clamp(1, cfg.iterations.max(1));
+        let schedule =
+            ErrorSchedule::with_horizon(error_bound, cfg.initial_constraint_fraction, horizon);
+        // Per-PO errors below a tenth of the budget count as "clean" in
+        // the reproduction Level, letting its timing term pick the
+        // faster of two acceptable cones.
+        let weights = LevelWeights::paper_defaults(ctx.cpd_ori(), cfg.level_we)
+            .with_error_floor(0.1 * error_bound);
+
+        // Initial population: LACs on randomly selected target gates of
+        // the accurate circuit; member 0 stays accurate as a feasible
+        // anchor. Every worker keeps one scoring base for the whole run.
+        // A seeded member starts in it as the accurate circuit, rebuilt
+        // by one full simulation into the base's words, and runs its LAC
+        // chain there, each commit re-evaluating only the mutated cone;
+        // the accurate anchor is the first worker's base read as it
+        // starts.
+        let mut workers: Vec<WorkerScratch> = vec![WorkerScratch::default()];
+        let accurate =
+            ctx.evaluate_base(ctx.rebuild_in(&mut workers[0].base, ctx.accurate().clone()));
         tracker.record_evaluations(1);
-        if track_best(&mut best, &cand, error_bound) {
-            obs.on_event(&best_improved_event(0, &best));
+        let threads = par::resolve_threads(cfg.threads);
+        let mut population: Vec<Candidate> = Vec::with_capacity(cfg.population);
+        let mut best = accurate.clone();
+        population.push(accurate.clone());
+        // Seed the rest of the population over the worker pool, each
+        // member with an RNG stream split off the run seed by member
+        // index, so its LAC chain — whose switch selection reads the
+        // member's own evolving simulation state — draws the same
+        // switches whether it is built inline or on any worker. The
+        // admission loop below runs serially in member order: the
+        // deterministic budget caps stop admission at the same member
+        // for every thread count, while cancellation and the deadline
+        // abort the fan-out between batches. The accurate anchor is
+        // already in, so stopping early is always safe.
+        let member_seeds: Vec<u64> = (1..cfg.population)
+            .map(|i| par::split_seed(cfg.seed, i as u64))
+            .take(tracker.seed_budget())
+            .collect();
+        let seeded = par::par_map_batched_with(
+            threads,
+            &mut workers,
+            member_seeds,
+            |worker, member_seed| worker.seed(ctx, INITIAL_LACS, member_seed),
+            || tracker.interrupted().is_none(),
+        );
+        for cand in seeded.results {
+            if tracker.stop_before_iteration(0).is_some() {
+                break;
+            }
+            tracker.record_evaluations(1);
+            if track_best(&mut best, &cand, error_bound) {
+                obs.on_event(&best_improved_event(0, &best));
+            }
+            population.push(cand);
         }
-        population.push(cand);
-    }
 
-    let mut stop = StopReason::Completed;
-    let mut history = Vec::with_capacity(cfg.iterations);
-    for iter in 0..cfg.iterations {
-        if let Some(reason) = tracker.stop_before_iteration(iter) {
-            stop = reason;
-            break;
+        let mut stop = StopReason::Completed;
+        let mut history = Vec::with_capacity(cfg.iterations);
+        for iter in 0..cfg.iterations {
+            if let Some(reason) = tracker.stop_before_iteration(iter) {
+                stop = reason;
+                break;
+            }
+            let constraint = schedule.bound_at(iter);
+            obs.on_event(&FlowEvent::IterationStarted {
+                iteration: iter,
+                constraint,
+            });
+            let a = 2.0 - 2.0 * iter as f64 / cfg.iterations.max(1) as f64;
+            sort_by_fitness(&mut population);
+
+            // The serial chase decides every action; the search
+            // children's proposal streams split off one draw of the
+            // chase RNG.
+            let stream: u64 = rng.gen();
+            let mut chase = Chase {
+                population: &population,
+                weights: &weights,
+                cfg,
+                rng: &mut rng,
+                stream,
+                searches: 0,
+            };
+            let offspring = match cfg.chase {
+                ChaseStrategy::DoubleChase => chase.double(a),
+                ChaseStrategy::SingleChase => chase.single(a),
+            };
+
+            // Build, propose and score the offspring over the worker
+            // pool, polling for cancellation/deadline between batches so
+            // a raised flag stops the run within one batch even
+            // mid-iteration. Best-so-far tracking and event emission
+            // stay on this thread, in candidate-index order.
+            let scored = evaluate_offspring(ctx, offspring, threads, &mut workers, &tracker);
+            tracker.record_evaluations(scored.results.len() as u64);
+            let mut new_entries: Vec<PoolEntry> = Vec::with_capacity(scored.results.len());
+            for entry in scored.results {
+                if entry.error() <= error_bound && entry.fitness() > best.fitness {
+                    best = entry.to_candidate();
+                    obs.on_event(&best_improved_event(iter, &best));
+                }
+                new_entries.push(entry);
+            }
+            if !scored.completed {
+                // The interrupt is sticky (the flag stays raised, the
+                // deadline stays expired), so re-reading it here names
+                // the abort reason. The previous population survives
+                // untouched; whatever the completed batches found
+                // already fed the best-so-far above.
+                stop = tracker
+                    .interrupted()
+                    .expect("aborted batches imply a sticky interrupt");
+                break;
+            }
+
+            // Candidates group: circuits before and after the chase.
+            // New offspring stay un-materialized (scores only) until
+            // they survive selection.
+            let mut candidates: Vec<PoolEntry> =
+                population.into_iter().map(PoolEntry::Ready).collect();
+            candidates.extend(new_entries);
+
+            // Error filter at the current (relaxed) constraint, with a
+            // lowest-error fallback so the population never dies out.
+            let mut feasible: Vec<PoolEntry> = Vec::with_capacity(candidates.len());
+            let mut infeasible: Vec<PoolEntry> = Vec::new();
+            for cand in candidates {
+                if cand.error() <= constraint {
+                    feasible.push(cand);
+                } else {
+                    infeasible.push(cand);
+                }
+            }
+            let feasible_count = feasible.len();
+            if feasible.len() < cfg.population {
+                infeasible.sort_by(|x, y| x.error().total_cmp(&y.error()));
+                feasible.extend(infeasible.into_iter().take(cfg.population - feasible.len()));
+            }
+
+            // Non-dominated sorting + crowding selection down to N; only
+            // the survivors pay the netlist materialization.
+            let points: Vec<Objectives> = feasible.iter().map(PoolEntry::objectives).collect();
+            let keep = select(&points, cfg.population);
+            let mut next: Vec<Candidate> = Vec::with_capacity(keep.len());
+            let mut taken: Vec<Option<PoolEntry>> = feasible.into_iter().map(Some).collect();
+            for idx in keep {
+                next.push(
+                    taken[idx]
+                        .take()
+                        .expect("selection indices are unique")
+                        .into_candidate(),
+                );
+            }
+            population = next;
+
+            let best_now = population
+                .iter()
+                .max_by(|x, y| x.fitness.total_cmp(&y.fitness))
+                .expect("population is never empty");
+            let stats = IterationStats {
+                iteration: iter,
+                constraint,
+                best_fitness: best_now.fitness,
+                best_depth: best_now.depth,
+                best_area: best_now.area,
+                feasible: feasible_count,
+            };
+            history.push(stats);
+            obs.on_event(&FlowEvent::IterationFinished { stats });
         }
-        let constraint = schedule.bound_at(iter);
-        obs.on_event(&FlowEvent::IterationStarted {
-            iteration: iter,
-            constraint,
-        });
-        let a = 2.0 - 2.0 * iter as f64 / cfg.iterations.max(1) as f64;
+
         sort_by_fitness(&mut population);
-
-        // The serial chase decides every action; the search children's
-        // proposal streams split off one draw of the chase RNG.
-        let stream: u64 = rng.gen();
-        let mut chase = Chase {
-            population: &population,
-            weights: &weights,
-            cfg,
-            rng: &mut rng,
-            stream,
-            searches: 0,
-        };
-        let offspring = match cfg.chase {
-            ChaseStrategy::DoubleChase => chase.double(a),
-            ChaseStrategy::SingleChase => chase.single(a),
-        };
-
-        // Build, propose and score the offspring over the worker pool,
-        // polling for cancellation/deadline between batches so a raised
-        // flag stops the run within one batch even mid-iteration.
-        // Best-so-far tracking and event emission stay on this thread,
-        // in candidate-index order.
-        let scored =
-            evaluate_offspring(ctx, &cfg.search, offspring, threads, &mut workers, &tracker);
-        tracker.record_evaluations(scored.results.len() as u64);
-        let mut new_entries: Vec<PoolEntry> = Vec::with_capacity(scored.results.len());
-        for entry in scored.results {
-            if entry.error() <= error_bound && entry.fitness() > best.fitness {
-                best = entry.to_candidate();
-                obs.on_event(&best_improved_event(iter, &best));
-            }
-            new_entries.push(entry);
+        OptimizeOutcome {
+            best,
+            population,
+            history,
+            evaluations: tracker.evaluations(),
+            stop,
         }
-        if !scored.completed {
-            // The interrupt is sticky (the flag stays raised, the
-            // deadline stays expired), so re-reading it here names the
-            // abort reason. The previous population survives untouched;
-            // whatever the completed batches found already fed the
-            // best-so-far above.
-            stop = tracker
-                .interrupted()
-                .expect("aborted batches imply a sticky interrupt");
-            break;
-        }
-
-        // Candidates group: circuits before and after the chase. New
-        // offspring stay un-materialized (scores only) until they
-        // survive selection.
-        let mut candidates: Vec<PoolEntry> = population.into_iter().map(PoolEntry::Ready).collect();
-        candidates.extend(new_entries);
-
-        // Error filter at the current (relaxed) constraint, with a
-        // lowest-error fallback so the population never dies out.
-        let mut feasible: Vec<PoolEntry> = Vec::with_capacity(candidates.len());
-        let mut infeasible: Vec<PoolEntry> = Vec::new();
-        for cand in candidates {
-            if cand.error() <= constraint {
-                feasible.push(cand);
-            } else {
-                infeasible.push(cand);
-            }
-        }
-        let feasible_count = feasible.len();
-        if feasible.len() < cfg.population {
-            infeasible.sort_by(|x, y| x.error().total_cmp(&y.error()));
-            feasible.extend(infeasible.into_iter().take(cfg.population - feasible.len()));
-        }
-
-        // Non-dominated sorting + crowding selection down to N; only
-        // the survivors pay the netlist materialization.
-        let points: Vec<Objectives> = feasible.iter().map(PoolEntry::objectives).collect();
-        let keep = select(&points, cfg.population);
-        let mut next: Vec<Candidate> = Vec::with_capacity(keep.len());
-        let mut taken: Vec<Option<PoolEntry>> = feasible.into_iter().map(Some).collect();
-        for idx in keep {
-            next.push(
-                taken[idx]
-                    .take()
-                    .expect("selection indices are unique")
-                    .into_candidate(),
-            );
-        }
-        population = next;
-
-        let best_now = population
-            .iter()
-            .max_by(|x, y| x.fitness.total_cmp(&y.fitness))
-            .expect("population is never empty");
-        let stats = IterationStats {
-            iteration: iter,
-            constraint,
-            best_fitness: best_now.fitness,
-            best_depth: best_now.depth,
-            best_area: best_now.area,
-            feasible: feasible_count,
-        };
-        history.push(stats);
-        obs.on_event(&FlowEvent::IterationFinished { stats });
-    }
-
-    sort_by_fitness(&mut population);
-    obs.on_event(&FlowEvent::OptimizeFinished {
-        stop,
-        evaluations: tracker.evaluations(),
-    });
-    OptimizeOutcome {
-        best,
-        population,
-        history,
-        evaluations: tracker.evaluations(),
-        stop,
     }
 }
 
@@ -625,7 +587,6 @@ impl PoolEntry {
 /// `completed == false`.
 fn evaluate_offspring(
     ctx: &EvalContext,
-    search: &SearchConfig,
     offspring: Vec<Offspring<'_>>,
     threads: usize,
     workers: &mut Vec<WorkerScratch>,
@@ -636,7 +597,7 @@ fn evaluate_offspring(
         threads,
         workers,
         group_searches(offspring),
-        |worker, work| worker.score(ctx, search, work),
+        |worker, work| worker.score(ctx, work),
         || tracker.interrupted().is_none(),
     );
     let mut entries: Vec<Option<PoolEntry>> = (0..count).map(|_| None).collect();
@@ -701,17 +662,18 @@ fn fingerprint(netlist: &Netlist) -> u64 {
 
 impl WorkerScratch {
     /// Builds the seeded member of stream `member_seed` in this worker's
-    /// base: the accurate circuit, rebuilt in it, then
-    /// `initial_lacs` random LACs committed in turn, each drawn from the
-    /// member's current words. The candidate is read off the base.
-    fn seed(&mut self, ctx: &EvalContext, cfg: &OptimizerConfig, member_seed: u64) -> Candidate {
+    /// base: the accurate circuit, rebuilt in it, then `lacs` random
+    /// LACs committed in turn, each drawn from the member's current
+    /// words over the switch's whole fan-in. The candidate is read off
+    /// the base.
+    fn seed(&mut self, ctx: &EvalContext, lacs: usize, member_seed: u64) -> Candidate {
         let mut rng = StdRng::seed_from_u64(member_seed);
         let base = ctx.rebuild_in(&mut self.base, ctx.accurate().clone());
-        for _ in 0..cfg.initial_lacs.max(1) {
+        for _ in 0..lacs {
             if let Some(lac) = random_lac(
                 base.netlist(),
                 base.sim(),
-                cfg.search.max_switch_candidates,
+                usize::MAX,
                 &mut self.search,
                 &mut rng,
             ) {
@@ -732,12 +694,7 @@ impl WorkerScratch {
     /// there. A reproduced child is the base rebuilt at it, and a
     /// search child with nothing to propose the base as built, both
     /// read off the base.
-    fn score(
-        &mut self,
-        ctx: &EvalContext,
-        search: &SearchConfig,
-        work: Work<'_>,
-    ) -> Vec<(usize, PoolEntry)> {
+    fn score(&mut self, ctx: &EvalContext, work: Work<'_>) -> Vec<(usize, PoolEntry)> {
         let (netlist, children) = match work {
             Work::Single(k, Offspring::Full(netlist)) => {
                 let base = ctx.rebuild_in(&mut self.base, netlist);
@@ -758,7 +715,7 @@ impl WorkerScratch {
                     base.netlist(),
                     &*base.sta(),
                     base.sim(),
-                    search,
+                    &SearchConfig::default(),
                     &mut self.search,
                     &mut rng,
                 );
@@ -872,7 +829,7 @@ impl<'a, R: Rng> Chase<'a, R> {
         // Chase 1: the leader guides the elites.
         for (rank, ci) in population.iter().enumerate().take(elite_end).skip(1) {
             let w = decision_parameter(leader.fitness, ci.fitness, a, self.rng);
-            if w > cfg.elite_threshold && cfg.reproduction {
+            if w > ELITE_THRESHOLD && cfg.reproduction {
                 // Reproduce with a circuit of superior fitness.
                 let partner = self.rng.gen_range(0..rank);
                 offspring.push(self.reproduce(rank, partner));
@@ -918,7 +875,7 @@ impl<'a, R: Rng> Chase<'a, R> {
         let alpha = &population[0];
         for (idx, ci) in population.iter().enumerate().skip(leader_end) {
             let w = decision_parameter(alpha.fitness, ci.fitness, a, self.rng);
-            if w > cfg.elite_threshold && cfg.reproduction {
+            if w > ELITE_THRESHOLD && cfg.reproduction {
                 let partner = self.rng.gen_range(0..leader_end);
                 offspring.push(self.reproduce(idx, partner));
             } else {
@@ -935,7 +892,9 @@ impl<'a, R: Rng> Chase<'a, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::NopObserver;
     use crate::fitness::same_scores;
+    use crate::pareto::non_dominated_sort;
     use tdals_netlist::builder::Builder;
     use tdals_sim::{ErrorMetric, Patterns};
     use tdals_sta::TimingConfig;
@@ -957,6 +916,22 @@ mod tests {
         )
     }
 
+    /// `cfg`'s outcome on `ctx` under `bound` and `budget`, through the
+    /// [`Optimizer`] trait.
+    fn run_within(
+        ctx: &EvalContext,
+        bound: f64,
+        cfg: &OptimizerConfig,
+        budget: &Budget,
+    ) -> OptimizeOutcome {
+        Dcgwo::new(cfg.clone()).optimize(ctx, bound, budget, &mut NopObserver)
+    }
+
+    /// [`run_within`] under an unlimited budget.
+    fn run(ctx: &EvalContext, bound: f64, cfg: &OptimizerConfig) -> OptimizeOutcome {
+        run_within(ctx, bound, cfg, &Budget::unlimited())
+    }
+
     fn small_cfg(chase: ChaseStrategy, seed: u64) -> OptimizerConfig {
         OptimizerConfig {
             population: 10,
@@ -971,7 +946,7 @@ mod tests {
     fn best_respects_error_bound() {
         let ctx = adder_ctx();
         let bound = 0.05;
-        let result = optimize(&ctx, bound, &small_cfg(ChaseStrategy::DoubleChase, 1));
+        let result = run(&ctx, bound, &small_cfg(ChaseStrategy::DoubleChase, 1));
         assert!(result.best.error <= bound + 1e-12);
         result.best.netlist.check_invariants().expect("valid best");
     }
@@ -994,7 +969,7 @@ mod tests {
             TimingConfig::default(),
             0.8,
         );
-        let result = optimize(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 2));
+        let result = run(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 2));
         assert!(
             result.best.fitness > 1.0,
             "found improvement: fitness {}",
@@ -1006,8 +981,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic_per_seed() {
         let ctx = adder_ctx();
-        let r1 = optimize(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 7));
-        let r2 = optimize(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 7));
+        let r1 = run(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 7));
+        let r2 = run(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 7));
         assert_eq!(r1.best.netlist, r2.best.netlist);
         assert_eq!(r1.history.len(), r2.history.len());
         for (a, b) in r1.history.iter().zip(&r2.history) {
@@ -1018,7 +993,7 @@ mod tests {
     #[test]
     fn single_chase_also_works() {
         let ctx = adder_ctx();
-        let result = optimize(&ctx, 0.10, &small_cfg(ChaseStrategy::SingleChase, 3));
+        let result = run(&ctx, 0.10, &small_cfg(ChaseStrategy::SingleChase, 3));
         assert!(result.best.error <= 0.10 + 1e-12);
         assert!(result.best.fitness >= 1.0);
     }
@@ -1026,7 +1001,7 @@ mod tests {
     #[test]
     fn history_tracks_constraint_relaxation() {
         let ctx = adder_ctx();
-        let result = optimize(&ctx, 0.08, &small_cfg(ChaseStrategy::DoubleChase, 4));
+        let result = run(&ctx, 0.08, &small_cfg(ChaseStrategy::DoubleChase, 4));
         assert_eq!(result.history.len(), 8);
         let constraints: Vec<f64> = result.history.iter().map(|h| h.constraint).collect();
         for pair in constraints.windows(2) {
@@ -1038,7 +1013,7 @@ mod tests {
     #[test]
     fn population_is_maintained_at_n() {
         let ctx = adder_ctx();
-        let result = optimize(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 5));
+        let result = run(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 5));
         assert_eq!(result.population.len(), 10);
         for cand in &result.population {
             cand.netlist.check_invariants().expect("valid member");
@@ -1050,7 +1025,7 @@ mod tests {
         let ctx = adder_ctx();
         let mut cfg = small_cfg(ChaseStrategy::DoubleChase, 15);
         cfg.reproduction = false;
-        let result = optimize(&ctx, 0.05, &cfg);
+        let result = run(&ctx, 0.05, &cfg);
         assert!(result.best.error <= 0.05 + 1e-12);
         result.best.netlist.check_invariants().expect("valid");
     }
@@ -1058,8 +1033,13 @@ mod tests {
     #[test]
     fn pareto_front_is_nonempty_and_mutually_nondominating() {
         let ctx = adder_ctx();
-        let result = optimize(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 12));
-        let front = result.pareto_front();
+        let result = run(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 12));
+        let points: Vec<Objectives> = result
+            .population
+            .iter()
+            .map(|c| Objectives::new(c.fd, c.fa))
+            .collect();
+        let front = non_dominated_sort(&points).swap_remove(0);
         assert!(!front.is_empty());
         for (k, &i) in front.iter().enumerate() {
             for &j in &front[k + 1..] {
@@ -1073,10 +1053,10 @@ mod tests {
     #[test]
     fn parallel_evaluation_is_bit_identical() {
         let ctx = adder_ctx();
-        let serial = optimize(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 9));
+        let serial = run(&ctx, 0.05, &small_cfg(ChaseStrategy::DoubleChase, 9));
         let mut cfg = small_cfg(ChaseStrategy::DoubleChase, 9);
         cfg.threads = 4;
-        let parallel = optimize(&ctx, 0.05, &cfg);
+        let parallel = run(&ctx, 0.05, &cfg);
         assert_eq!(serial.best.netlist, parallel.best.netlist);
         for (a, b) in serial.history.iter().zip(&parallel.history) {
             assert_eq!(a.best_fitness, b.best_fitness);
@@ -1091,12 +1071,11 @@ mod tests {
         // seeding phase truncates its member list up front, so only the
         // accurate anchor is ever evaluated.
         let ctx = adder_ctx();
-        let outcome = optimize_session(
+        let outcome = run_within(
             &ctx,
             0.05,
             &small_cfg(ChaseStrategy::DoubleChase, 8),
             &Budget::unlimited().with_max_iterations(0),
-            &mut NopObserver,
         );
         assert_eq!(outcome.stop, StopReason::IterationLimit);
         assert_eq!(outcome.evaluations, 1, "accurate anchor only");
@@ -1106,12 +1085,11 @@ mod tests {
     #[test]
     fn evaluation_cap_bounds_seeding_to_the_cap() {
         let ctx = adder_ctx();
-        let outcome = optimize_session(
+        let outcome = run_within(
             &ctx,
             0.05,
             &small_cfg(ChaseStrategy::DoubleChase, 8),
             &Budget::unlimited().with_max_evaluations(3),
-            &mut NopObserver,
         );
         assert_eq!(outcome.stop, StopReason::EvaluationLimit);
         assert_eq!(outcome.evaluations, 3, "anchor + two capped members");
@@ -1134,7 +1112,7 @@ mod tests {
             .with_population(12)
             .with_iterations(4)
             .with_seed(0);
-        let population = optimize(&ctx, 0.05, &cfg).population;
+        let population = run(&ctx, 0.05, &cfg).population;
         (ctx, population)
     }
 
@@ -1167,11 +1145,8 @@ mod tests {
                 if parent.area.to_bits() != fresh.area.to_bits() {
                     stale_area += 1;
                 }
-                let scored = worker.score(
-                    &ctx,
-                    &cfg.search,
-                    Work::Single(0, Offspring::Copy { netlist, parent }),
-                );
+                let scored =
+                    worker.score(&ctx, Work::Single(0, Offspring::Copy { netlist, parent }));
                 let [(0, PoolEntry::Ready(reused))] = &scored[..] else {
                     panic!("a copy scores as one ready entry");
                 };
@@ -1189,7 +1164,6 @@ mod tests {
     #[test]
     fn grouped_search_children_score_as_separate_ones() {
         let (ctx, population) = int2float_population();
-        let search = SearchConfig::default();
         let mut offspring = Vec::new();
         for (k, member) in population.iter().take(4).enumerate() {
             for copy in 0..3 {
@@ -1210,8 +1184,7 @@ mod tests {
                     netlist: netlist.clone(),
                     seed: *seed,
                 };
-                let mut scored =
-                    WorkerScratch::default().score(&ctx, &search, Work::Single(k, off));
+                let mut scored = WorkerScratch::default().score(&ctx, Work::Single(k, off));
                 scored.pop().expect("one entry").1
             })
             .collect();
@@ -1219,7 +1192,6 @@ mod tests {
         assert!(units.len() < 12, "equal netlists share a unit");
         let grouped = evaluate_offspring(
             &ctx,
-            &search,
             units
                 .into_iter()
                 .flat_map(|unit| match unit {
@@ -1264,22 +1236,22 @@ mod tests {
     #[test]
     fn seeded_members_equal_full_evaluations() {
         let ctx = c880_ctx();
-        let cfg = OptimizerConfig::default().with_initial_lacs(6);
+        const LACS: usize = 6;
         let mut worker = WorkerScratch::default();
         let mut cascaded_differs = 0;
         for member in 0..24 {
-            let seeded = worker.seed(&ctx, &cfg, par::split_seed(11, member));
+            let seeded = worker.seed(&ctx, LACS, par::split_seed(11, member));
             assert_ne!(&seeded.netlist, ctx.accurate(), "member {member}");
             let fresh = ctx.evaluate(seeded.netlist.clone());
             assert!(same_scores(&seeded, &fresh), "member {member}");
             // The same chain on the same base, without the recount.
             let replay = ctx.rebuild_in(&mut worker.base, ctx.accurate().clone());
             let mut rng = StdRng::seed_from_u64(par::split_seed(11, member));
-            for _ in 0..cfg.initial_lacs {
+            for _ in 0..LACS {
                 if let Some(lac) = random_lac(
                     replay.netlist(),
                     replay.sim(),
-                    cfg.search.max_switch_candidates,
+                    usize::MAX,
                     &mut worker.search,
                     &mut rng,
                 ) {
@@ -1315,10 +1287,9 @@ mod tests {
         }
         let mut worker = WorkerScratch::default();
         // The worker's base last served another netlist.
-        drop(worker.seed(&ctx, &OptimizerConfig::default(), 1));
+        drop(worker.seed(&ctx, INITIAL_LACS, 1));
         let scored = worker.score(
             &ctx,
-            &SearchConfig::default(),
             Work::Single(
                 0,
                 Offspring::Search {
@@ -1336,7 +1307,7 @@ mod tests {
     #[test]
     fn zero_error_budget_returns_accurate_equivalent() {
         let ctx = adder_ctx();
-        let result = optimize(&ctx, 0.0, &small_cfg(ChaseStrategy::DoubleChase, 6));
+        let result = run(&ctx, 0.0, &small_cfg(ChaseStrategy::DoubleChase, 6));
         assert_eq!(result.best.error, 0.0);
         // Fitness can exceed 1.0 only through error-free restructuring,
         // which LACs of this kind cannot achieve on an adder — expect

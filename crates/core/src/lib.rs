@@ -11,7 +11,7 @@
 //!
 //! 1. **Circuit representation** — gate fan-in adjacency netlists
 //!    (provided by [`tdals_netlist`]);
-//! 2. **DCGWO** ([`optimize`]) — population-based exploration of
+//! 2. **DCGWO** ([`Dcgwo`]) — population-based exploration of
 //!    wire-by-wire / wire-by-constant LACs ([`Lac`]) with circuit
 //!    searching ([`propose_lac_with`]) and circuit reproduction
 //!    ([`reproduce`]) actions, fitness per Eq. 8 ([`EvalContext`]),
@@ -62,9 +62,7 @@ pub use api::{
     Budget, BudgetTracker, CancelFlag, Dcgwo, Flow, FlowError, FlowEvent, FlowOutcome, FnObserver,
     NopObserver, Observer, OptimizeOutcome, Optimizer, StopReason,
 };
-pub use dcgwo::{
-    optimize, optimize_session, ChaseStrategy, IterationStats, OptimizerConfig, OptimizerResult,
-};
+pub use dcgwo::{ChaseStrategy, IterationStats, OptimizerConfig};
 pub use fitness::{Candidate, DeltaEval, EvalContext, EvalScratch, LacScore};
 pub use lac::{collect_targets, random_lac, select_switch, Lac, SearchScratch};
 pub use postopt::{post_optimize, PostOptConfig, PostOptReport};

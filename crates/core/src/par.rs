@@ -10,8 +10,8 @@
 //!
 //! # Determinism contract
 //!
-//! For a pure per-item function `f`, [`par_map`] returns exactly
-//! `items.map(f)` — same values, same order — for **every** thread
+//! For a pure per-item function `f`, [`par_map_batched_with`] returns
+//! exactly `items.map(f)` — same values, same order — for **every** thread
 //! count, including 1. Workers claim items from an atomic cursor, so
 //! *which worker* computes an item is scheduling-dependent, but each
 //! result lands in the slot of its input index and the caller's
@@ -23,11 +23,11 @@
 //! Callers that own an RNG keep it out of the pool entirely: random
 //! decisions are drawn in a serial phase (or from per-item streams split
 //! off the run seed with [`split_seed`]), and only the deterministic
-//! evaluation work goes behind [`par_map`].
+//! evaluation work goes behind the pool.
 //!
 //! # Cancellation
 //!
-//! [`par_map_batched`] processes the items in bounded batches and
+//! [`par_map_batched_with`] processes the items in bounded batches and
 //! consults a `poll` callback between batches, so a raised
 //! [`CancelFlag`](crate::api::CancelFlag) or an expired deadline stops
 //! the fan-out within one batch instead of after the whole item set —
@@ -65,28 +65,19 @@ pub fn poll_batch(threads: usize) -> usize {
 }
 
 /// Maps `items` through `f` over `threads` workers, returning the
-/// results in input order.
+/// results in input order, with per-worker scratch lent from a
+/// caller-owned `Vec`: each worker has exclusive use of one element for
+/// every item it processes, and the inline path uses the first.
+/// `scratch` grows to the worker count with `S::default()` and never
+/// shrinks, so a caller that keeps it across calls reuses whatever
+/// buffers its elements hold. Which worker, and so which element,
+/// serves an item depends on scheduling: `f`'s result must not depend
+/// on the scratch's contents.
 ///
 /// With `threads <= 1` (or fewer than two items) the map runs inline on
 /// the calling thread; the results are identical either way — see the
 /// module-level determinism contract.
-pub fn par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map_with(threads, &mut Vec::new(), items, |(), item| f(item))
-}
-
-/// [`par_map`] with per-worker scratch lent from a caller-owned `Vec`:
-/// each worker has exclusive use of one element for every item it
-/// processes, and the inline path uses the first. `scratch` grows to
-/// the worker count with `S::default()` and never shrinks, so a caller
-/// that keeps it across calls reuses whatever buffers its elements
-/// hold. Which worker, and so which element, serves an item depends on
-/// scheduling: `f`'s result must not depend on the scratch's contents.
-pub fn par_map_with<S, T, R, F>(threads: usize, scratch: &mut Vec<S>, items: Vec<T>, f: F) -> Vec<R>
+fn par_map_with<S, T, R, F>(threads: usize, scratch: &mut Vec<S>, items: Vec<T>, f: F) -> Vec<R>
 where
     S: Default + Send,
     T: Send,
@@ -145,7 +136,7 @@ where
         .collect()
 }
 
-/// Result of a [`par_map_batched`] run: the completed prefix of the
+/// Result of a [`par_map_batched_with`] run: the completed prefix of the
 /// map, in input order, and whether the whole item set was processed.
 #[derive(Debug)]
 pub struct BatchedMap<R> {
@@ -155,8 +146,14 @@ pub struct BatchedMap<R> {
     pub completed: bool,
 }
 
-/// [`par_map`] in bounded batches with a cancellation poll between
-/// them.
+/// Maps `items` through `f` over `threads` workers in bounded batches,
+/// with a cancellation poll between them, returning the results in
+/// input order. Each worker borrows one element of `scratch` for every
+/// item it processes; `scratch` grows to the worker count with
+/// `S::default()` and never shrinks, so a caller that keeps it across
+/// calls reuses its buffers. Which worker, and so which element, serves
+/// an item depends on scheduling: `f`'s result must not depend on the
+/// scratch's contents.
 ///
 /// `poll` is consulted before each batch (including the first); when it
 /// returns `false` the remaining items are dropped and the completed
@@ -166,18 +163,6 @@ pub struct BatchedMap<R> {
 /// non-deterministic interrupts (cancellation, wall-clock deadline) and
 /// enforce deterministic caps in the serial reduction, per item, in
 /// input order.
-pub fn par_map_batched<T, R, F, P>(threads: usize, items: Vec<T>, f: F, poll: P) -> BatchedMap<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-    P: FnMut() -> bool,
-{
-    par_map_batched_with(threads, &mut Vec::new(), items, |(), item| f(item), poll)
-}
-
-/// [`par_map_batched`] with per-worker scratch lent from `scratch`, as
-/// in [`par_map_with`].
 pub fn par_map_batched_with<S, T, R, F, P>(
     threads: usize,
     scratch: &mut Vec<S>,
@@ -547,20 +532,41 @@ impl Drop for SlotLease {
 mod tests {
     use super::*;
 
+    /// A map with no scratch, through [`par_map_with`].
+    fn map<T: Send, R: Send>(threads: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        par_map_with(threads, &mut Vec::<()>::new(), items, |(), item| f(item))
+    }
+
+    /// A batched map with no scratch, through [`par_map_batched_with`].
+    fn map_batched<T: Send, R: Send>(
+        threads: usize,
+        items: Vec<T>,
+        f: impl Fn(T) -> R + Sync,
+        poll: impl FnMut() -> bool,
+    ) -> BatchedMap<R> {
+        par_map_batched_with(
+            threads,
+            &mut Vec::<()>::new(),
+            items,
+            |(), item| f(item),
+            poll,
+        )
+    }
+
     #[test]
     fn par_map_matches_serial_for_every_width() {
         let items: Vec<u64> = (0..57).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for threads in [0, 1, 2, 3, 8, 64] {
-            let got = par_map(threads, items.clone(), |x| x * x + 1);
+            let got = map(threads, items.clone(), |x| x * x + 1);
             assert_eq!(got, serial, "threads {threads}");
         }
     }
 
     #[test]
     fn par_map_handles_empty_and_single() {
-        assert_eq!(par_map(4, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(par_map(4, vec![7u32], |x| x + 1), vec![8]);
+        assert_eq!(map(4, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
+        assert_eq!(map(4, vec![7u32], |x| x + 1), vec![8]);
     }
 
     #[test]
@@ -589,7 +595,7 @@ mod tests {
     #[test]
     fn batched_map_completes_when_poll_allows() {
         let items: Vec<usize> = (0..100).collect();
-        let out = par_map_batched(3, items.clone(), |x| x * 2, || true);
+        let out = map_batched(3, items.clone(), |x| x * 2, || true);
         assert!(out.completed);
         assert_eq!(out.results, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
@@ -597,7 +603,7 @@ mod tests {
     #[test]
     fn batched_map_stops_at_a_batch_boundary() {
         let mut polls = 0;
-        let out = par_map_batched(
+        let out = map_batched(
             2,
             (0..100usize).collect(),
             |x| x,
@@ -614,7 +620,7 @@ mod tests {
 
     #[test]
     fn batched_map_can_stop_before_any_work() {
-        let out = par_map_batched(4, vec![1, 2, 3], |x| x, || false);
+        let out = map_batched(4, vec![1, 2, 3], |x| x, || false);
         assert!(!out.completed);
         assert!(out.results.is_empty());
     }

@@ -26,8 +26,8 @@ use std::cell::Cell;
 
 use tdals::baselines::{Greedy, GreedyConfig, Hedals, HedalsConfig};
 use tdals::circuits::Benchmark;
-use tdals::core::api::{Budget, NopObserver, Optimizer};
-use tdals::core::{optimize, EvalContext, OptimizerConfig};
+use tdals::core::api::{Budget, Dcgwo, NopObserver, Optimizer};
+use tdals::core::{EvalContext, OptimizerConfig};
 use tdals::netlist::Netlist;
 use tdals::sim::{ErrorMetric, Patterns};
 use tdals::sta::TimingConfig;
@@ -198,12 +198,16 @@ fn one_thread_dcgwo_allocates_word_storage_a_fixed_number_of_times() {
     // changed gates of one cone.)
     let budget = 1;
     let run = |iterations: usize| {
-        let cfg = OptimizerConfig::default()
-            .with_population(population)
-            .with_iterations(iterations)
-            .with_seed(5)
-            .with_threads(1);
-        let (count, result) = large_allocations(words, || optimize(&ctx, 0.02, &cfg));
+        let mut dcgwo = Dcgwo::new(
+            OptimizerConfig::default()
+                .with_population(population)
+                .with_iterations(iterations)
+                .with_seed(5)
+                .with_threads(1),
+        );
+        let (count, result) = large_allocations(words, || {
+            dcgwo.optimize(&ctx, 0.02, &Budget::unlimited(), &mut NopObserver)
+        });
         assert_eq!(result.history.len(), iterations);
         count
     };

@@ -12,7 +12,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tdals::circuits::random_logic::{grow, RandomLogicSpec};
-use tdals::core::{optimize, EvalContext, Lac, OptimizerConfig};
+use tdals::core::api::{Budget, Dcgwo, NopObserver, Optimizer};
+use tdals::core::pareto::{non_dominated_sort, Objectives};
+use tdals::core::{Candidate, EvalContext, Lac, OptimizerConfig};
 use tdals::netlist::builder::Builder;
 use tdals::netlist::{GateId, Netlist, SignalRef};
 use tdals::sim::{simulate, DeltaSim, ErrorMetric, Patterns, PreviewScratch, SimWords};
@@ -231,15 +233,16 @@ fn dcgwo_pareto_front_is_thread_count_invariant() {
         TimingConfig::default(),
         0.8,
     );
-    let cfg = |threads: usize| {
-        OptimizerConfig::default()
+    let run = |threads: usize| {
+        let cfg = OptimizerConfig::default()
             .with_population(10)
             .with_iterations(6)
             .with_threads(threads)
-            .with_seed(21)
+            .with_seed(21);
+        Dcgwo::new(cfg).optimize(&ctx, 0.05, &Budget::unlimited(), &mut NopObserver)
     };
-    let serial = optimize(&ctx, 0.05, &cfg(1));
-    let parallel = optimize(&ctx, 0.05, &cfg(4));
+    let serial = run(1);
+    let parallel = run(4);
 
     assert_eq!(serial.best.netlist, parallel.best.netlist);
     assert_eq!(serial.best.fitness, parallel.best.fitness);
@@ -249,8 +252,16 @@ fn dcgwo_pareto_front_is_thread_count_invariant() {
         assert_eq!(a.fitness, b.fitness);
         assert_eq!(a.error, b.error);
     }
-    let front_a = serial.pareto_front();
-    let front_b = parallel.pareto_front();
+    // The rank-0 set over (f_d, f_a): the depth/area frontier.
+    let front = |population: &[Candidate]| {
+        let points: Vec<Objectives> = population
+            .iter()
+            .map(|c| Objectives::new(c.fd, c.fa))
+            .collect();
+        non_dominated_sort(&points).swap_remove(0)
+    };
+    let front_a = front(&serial.population);
+    let front_b = front(&parallel.population);
     assert_eq!(front_a, front_b, "identical Pareto fronts");
     for (x, y) in serial.history.iter().zip(&parallel.history) {
         assert_eq!(x.best_fitness, y.best_fitness);

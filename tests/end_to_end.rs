@@ -5,13 +5,21 @@
 use tdals::baselines::{Method, MethodConfig, ALL_METHODS};
 use tdals::circuits::Benchmark;
 use tdals::core::api::{Dcgwo, Flow, FlowOutcome};
-use tdals::core::EvalContext;
+use tdals::core::{EvalContext, OptimizerConfig};
 use tdals::netlist::{verilog, Netlist};
 use tdals::sim::{ErrorMetric, Patterns};
 use tdals::sta::{analyze, TimingConfig};
 
+/// The paper's configuration for `metric`, shrunk for tests.
+fn quick_config(metric: ErrorMetric) -> OptimizerConfig {
+    OptimizerConfig::default()
+        .with_level_we(OptimizerConfig::paper_level_we(metric))
+        .with_population(10)
+        .with_iterations(6)
+}
+
 fn quick_dcgwo(metric: ErrorMetric) -> Dcgwo {
-    Dcgwo::paper_for(metric).quick(10, 6)
+    Dcgwo::new(quick_config(metric))
 }
 
 fn quick_flow(accurate: &Netlist, metric: ErrorMetric, bound: f64, dcgwo: Dcgwo) -> FlowOutcome {
@@ -49,8 +57,12 @@ fn flow_on_arithmetic_benchmark() {
 #[test]
 fn flow_on_random_control_benchmark() {
     let accurate = Benchmark::C880.build();
-    let mut dcgwo = Dcgwo::paper_for(ErrorMetric::ErrorRate).quick(12, 10);
-    dcgwo.config_mut().seed = 2;
+    let dcgwo = Dcgwo::new(
+        quick_config(ErrorMetric::ErrorRate)
+            .with_population(12)
+            .with_iterations(10)
+            .with_seed(2),
+    );
     let result = quick_flow(&accurate, ErrorMetric::ErrorRate, 0.05, dcgwo);
 
     assert!(result.error <= 0.05 + 1e-12);
@@ -194,8 +206,7 @@ fn tighter_error_budget_never_helps_timing() {
     let seeds = 1u64..=76;
     let count = seeds.clone().count() as f64;
     for seed in seeds {
-        let mut dcgwo = quick_dcgwo(ErrorMetric::Nmed);
-        dcgwo.config_mut().seed = seed;
+        let dcgwo = Dcgwo::new(quick_config(ErrorMetric::Nmed).with_seed(seed));
         tight_sum += quick_flow(&accurate, ErrorMetric::Nmed, 0.0048, dcgwo.clone()).ratio_cpd;
         loose_sum += quick_flow(&accurate, ErrorMetric::Nmed, 0.0244, dcgwo).ratio_cpd;
     }
@@ -237,9 +248,9 @@ fn bigger_area_budget_never_hurts_timing() {
 #[test]
 fn optimizer_history_is_complete_and_monotone_in_constraint() {
     let accurate = Benchmark::Max16.build();
-    let dcgwo = quick_dcgwo(ErrorMetric::Nmed);
-    let iterations = dcgwo.config().iterations;
-    let result = quick_flow(&accurate, ErrorMetric::Nmed, 0.02, dcgwo);
+    let cfg = quick_config(ErrorMetric::Nmed);
+    let iterations = cfg.iterations;
+    let result = quick_flow(&accurate, ErrorMetric::Nmed, 0.02, Dcgwo::new(cfg));
     assert_eq!(result.history().len(), iterations);
     let mut prev = 0.0;
     for h in result.history() {

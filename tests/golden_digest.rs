@@ -18,10 +18,18 @@
 //! `ratio_cpd`, area, fitness and evaluation counts stayed the same.
 //! HEDALS and VaACS did not move at all, and neither did the
 //! `ErrorRate` row.
+//!
+//! A second set of constants fingerprints the whole [`FlowEvent`]
+//! stream of the same runs: every event's [`FlowEvent::kind`] and each
+//! of its fields as bits, in emission order. Only `runtime_s`, the one
+//! wall-clock field, is left out. Moving an event between the optimizer
+//! and the flow that runs it must not change a byte of the stream.
+
+use std::cell::RefCell;
 
 use tdals::baselines::{Method, MethodConfig, ALL_METHODS};
 use tdals::circuits::Benchmark;
-use tdals::core::api::{Flow, FlowOutcome};
+use tdals::core::api::{Flow, FlowEvent, FlowOutcome};
 use tdals::core::EvalContext;
 use tdals::netlist::verilog::to_verilog;
 use tdals::sim::{ErrorMetric, Patterns};
@@ -51,6 +59,31 @@ const GOLDEN: [(ErrorMetric, [u64; 5]); 2] = [
     ),
 ];
 
+/// Golden event-stream digests per `(metric, method)`, in
+/// [`ALL_METHODS`] order.
+const GOLDEN_EVENTS: [(ErrorMetric, [u64; 5]); 2] = [
+    (
+        ErrorMetric::ErrorRate,
+        [
+            0xe17d_1bd8_cec0_23a2,
+            0xf5c8_e9b6_3aa5_8a03,
+            0x5158_65ef_c6c7_6b8a,
+            0x0045_3a64_7535_3f85,
+            0x07da_de2a_3cf2_830b,
+        ],
+    ),
+    (
+        ErrorMetric::Nmed,
+        [
+            0x4e20_e20b_c46b_7407,
+            0xb24a_1a7f_c413_2fd8,
+            0x2d11_aeb8_e698_f20a,
+            0x2f1b_4954_03bc_2b20,
+            0x5804_e45e_abd4_9a90,
+        ],
+    ),
+];
+
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
 
@@ -63,6 +96,93 @@ impl Fnv {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn count(&mut self, n: usize) {
+        self.write(&(n as u64).to_le_bytes());
+    }
+
+    fn float(&mut self, x: f64) {
+        self.write(&x.to_bits().to_le_bytes());
+    }
+
+    /// One event: its kind, then every field but `runtime_s`.
+    fn event(&mut self, event: &FlowEvent) {
+        self.write(event.kind().as_bytes());
+        match event {
+            FlowEvent::FlowStarted {
+                optimizer,
+                gates,
+                cpd_ori,
+                area_ori,
+                metric,
+                error_bound,
+            } => {
+                self.write(optimizer.as_bytes());
+                self.count(*gates);
+                self.float(*cpd_ori);
+                self.float(*area_ori);
+                self.write(format!("{metric:?}").as_bytes());
+                self.float(*error_bound);
+            }
+            FlowEvent::IterationStarted {
+                iteration,
+                constraint,
+            } => {
+                self.count(*iteration);
+                self.float(*constraint);
+            }
+            FlowEvent::BestImproved {
+                iteration,
+                fitness,
+                error,
+                depth,
+                area,
+            } => {
+                self.count(*iteration);
+                self.float(*fitness);
+                self.float(*error);
+                self.count(*depth as usize);
+                self.float(*area);
+            }
+            FlowEvent::LacAccepted {
+                iteration,
+                error,
+                area,
+            } => {
+                self.count(*iteration);
+                self.float(*error);
+                self.float(*area);
+            }
+            FlowEvent::IterationFinished { stats } => {
+                self.count(stats.iteration);
+                self.float(stats.constraint);
+                self.float(stats.best_fitness);
+                self.count(stats.best_depth as usize);
+                self.float(stats.best_area);
+                self.count(stats.feasible);
+            }
+            FlowEvent::OptimizeFinished { stop, evaluations } => {
+                self.write(stop.wire_name().as_bytes());
+                self.write(&evaluations.to_le_bytes());
+            }
+            FlowEvent::PostOptStarted { area_con } => self.float(*area_con),
+            FlowEvent::PostOptFinished { report } => {
+                self.count(report.gates_removed);
+                self.float(report.cpd_before);
+                self.float(report.cpd_after_sweep);
+                self.float(report.cpd_final);
+                self.float(report.area_final);
+                self.count(report.sizing_moves);
+            }
+            FlowEvent::FlowFinished {
+                ratio_cpd, error, ..
+            } => {
+                self.float(*ratio_cpd);
+                self.float(*error);
+            }
+            other => panic!("no digest for event {other:?}"),
         }
     }
 }
@@ -84,7 +204,8 @@ fn digest(outcome: &FlowOutcome) -> u64 {
     hash.0
 }
 
-fn run(metric: ErrorMetric, method: Method) -> u64 {
+/// The outcome digest and the event-stream digest of one flow.
+fn run(metric: ErrorMetric, method: Method) -> (u64, u64) {
     let accurate = Benchmark::Max16.build();
     // 1000 vectors: a ragged final word (40 valid bits) on every signal.
     let ctx = EvalContext::new(
@@ -103,20 +224,22 @@ fn run(metric: ErrorMetric, method: Method) -> u64 {
         .with_iterations(5)
         .with_seed(5)
         .with_threads(1);
+    let events = RefCell::new(Fnv::new());
     let outcome = Flow::for_context(&ctx)
         .error_bound(bound)
         .optimizer(method.optimizer(&cfg))
+        .observe(|event: &FlowEvent| events.borrow_mut().event(event))
         .run()
         .expect("valid session");
-    digest(&outcome)
+    (digest(&outcome), events.into_inner().0)
 }
 
-#[test]
-fn flow_digests_match_the_golden_record() {
+/// Every `(metric, method)` digest that differs from `golden`'s.
+fn mismatches(golden: [(ErrorMetric, [u64; 5]); 2], pick: fn((u64, u64)) -> u64) -> Vec<String> {
     let mut mismatches = Vec::new();
-    for (metric, golden) in GOLDEN {
+    for (metric, golden) in golden {
         for (method, want) in ALL_METHODS.into_iter().zip(golden) {
-            let got = run(metric, method);
+            let got = pick(run(metric, method));
             if got != want {
                 mismatches.push(format!(
                     "{metric:?} {method:?}: got {got:#018x}, golden {want:#018x}"
@@ -124,5 +247,17 @@ fn flow_digests_match_the_golden_record() {
             }
         }
     }
+    mismatches
+}
+
+#[test]
+fn flow_digests_match_the_golden_record() {
+    let mismatches = mismatches(GOLDEN, |(outcome, _)| outcome);
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn event_stream_digests_match_the_golden_record() {
+    let mismatches = mismatches(GOLDEN_EVENTS, |(_, events)| events);
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

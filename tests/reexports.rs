@@ -124,9 +124,13 @@ fn par_surface_resolves() {
     assert_eq!(tdals::core::par::resolve_threads(0), {
         tdals::core::par::available_threads()
     });
-    let doubled = tdals::core::par::par_map(4, vec![1, 2, 3], |x: i32| x * 2);
-    assert_eq!(doubled, vec![2, 4, 6]);
-    let batched = tdals::core::par::par_map_batched(2, vec![1, 2, 3], |x: i32| x + 1, || true);
+    let batched = tdals::core::par::par_map_batched_with(
+        2,
+        &mut Vec::<()>::new(),
+        vec![1, 2, 3],
+        |(), x: i32| x + 1,
+        || true,
+    );
     assert!(batched.completed);
     assert_eq!(batched.results, vec![2, 3, 4]);
     // The thread knobs thread through every configuration layer.

@@ -2,7 +2,7 @@
 //!
 //! Each worker keeps one recycled `DeltaEval` for the whole run, and
 //! every build of it counts once in the `scoring_bases` counter: each
-//! seeded member is one reset to the accurate circuit's golden words,
+//! seeded member is one rebuild at the accurate circuit,
 //! the search children of one iteration that share a netlist are built,
 //! proposed and scored in one rebuild, on whichever worker claims them,
 //! and a reproduced child that equals neither parent is one rebuild. So
@@ -26,10 +26,8 @@
 //! runs its flows one after another.
 
 use tdals::circuits::Benchmark;
-use tdals::core::api::{Budget, NopObserver};
-use tdals::core::{
-    optimize, optimize_session, ChaseStrategy, EvalContext, OptimizerConfig, OptimizerResult,
-};
+use tdals::core::api::{Budget, Dcgwo, NopObserver, OptimizeOutcome, Optimizer};
+use tdals::core::{ChaseStrategy, EvalContext, OptimizerConfig};
 use tdals::netlist::Netlist;
 use tdals::obs::metrics;
 use tdals::sim::{ErrorMetric, Patterns};
@@ -38,10 +36,15 @@ use tdals::sta::TimingConfig;
 const POPULATION: usize = 10;
 const ITERATIONS: usize = 4;
 
+/// `cfg`'s run on `ctx` under `budget`.
+fn run(ctx: &EvalContext, cfg: &OptimizerConfig, budget: &Budget) -> OptimizeOutcome {
+    Dcgwo::new(cfg.clone()).optimize(ctx, 0.02, budget, &mut NopObserver)
+}
+
 /// Scoring bases one run builds, and the run's result.
-fn bases(ctx: &EvalContext, cfg: &OptimizerConfig) -> (u64, OptimizerResult) {
+fn bases(ctx: &EvalContext, cfg: &OptimizerConfig) -> (u64, OptimizeOutcome) {
     let before = metrics().scoring_bases.get();
-    let result = optimize(ctx, 0.02, cfg);
+    let result = run(ctx, cfg, &Budget::unlimited());
     assert_eq!(result.history.len(), ITERATIONS);
     (metrics().scoring_bases.get() - before, result)
 }
@@ -58,7 +61,7 @@ fn distinct_members(ctx: &EvalContext, cfg: &OptimizerConfig) -> u64 {
                 0 => Budget::unlimited().with_max_evaluations(POPULATION as u64),
                 k => Budget::unlimited().with_max_iterations(k),
             };
-            let outcome = optimize_session(ctx, 0.02, cfg, &budget, &mut NopObserver);
+            let outcome = run(ctx, cfg, &budget);
             let mut distinct: Vec<&Netlist> = Vec::new();
             for cand in &outcome.population {
                 if !distinct.contains(&&cand.netlist) {

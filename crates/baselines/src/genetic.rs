@@ -272,7 +272,7 @@ impl Optimizer for Genetic {
                 // generation is discarded (its evaluations are recorded).
                 stop = tracker
                     .interrupted()
-                    .expect("aborted batches imply a sticky interrupt");
+                    .expect("an aborted fan-out implies a sticky interrupt");
                 break;
             }
             next.extend(children.results);

@@ -154,7 +154,7 @@ impl Optimizer for Greedy {
             if !evaluated.completed {
                 stop = tracker
                     .interrupted()
-                    .expect("aborted batches imply a sticky interrupt");
+                    .expect("an aborted fan-out implies a sticky interrupt");
                 break;
             }
 

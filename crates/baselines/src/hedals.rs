@@ -188,7 +188,7 @@ impl Optimizer for Hedals {
             if !evaluated.completed {
                 stop = tracker
                     .interrupted()
-                    .expect("aborted batches imply a sticky interrupt");
+                    .expect("an aborted fan-out implies a sticky interrupt");
                 break;
             }
 

@@ -337,14 +337,17 @@ impl BudgetTracker {
     }
 
     /// Bounded-latency interrupt check: cancellation and the wall-clock
-    /// deadline only — the stop conditions that may fire *between
-    /// per-worker candidate batches*, mid-iteration.
+    /// deadline only — the stop conditions that may fire *inside a
+    /// worker-pool fan-out*, mid-iteration, where the calling thread
+    /// polls after every candidate it finishes and a `Some` stops every
+    /// worker's next claim.
     ///
     /// The deterministic caps (iterations, evaluations) are deliberately
-    /// excluded: batch boundaries depend on the thread count, and tying
-    /// a deterministic cap to them would break the bit-identical
-    /// parallel/sequential equivalence that [`crate::par`] guarantees.
-    /// Those caps are enforced in each loop's serial reduction instead.
+    /// excluded: where a fan-out stops claiming depends on the thread
+    /// count and on scheduling, and tying a deterministic cap to it
+    /// would break the bit-identical parallel/sequential equivalence
+    /// that [`crate::par`] guarantees. Those caps are enforced in each
+    /// loop's serial reduction instead.
     pub fn interrupted(&self) -> Option<StopReason> {
         if self.cancel.is_cancelled() {
             return Some(StopReason::Cancelled);

@@ -19,9 +19,11 @@
 //! [`par::split_seed`]`(stream, k)`. The offspring pass then builds,
 //! proposes and scores every child over the worker pool, each worker in
 //! its own recycled scoring base, so a search child's draws and score
-//! are the same on any worker and at any thread count. The same base
-//! builds the worker's seeded members and scores its reproduced
-//! children: one scoring object per worker for the whole run.
+//! are the same on any worker and at any thread count. A reproduced
+//! child is named by its two parents and reproduced on the worker that
+//! claims it (reproduction draws nothing). The same base builds the
+//! worker's seeded members and scores its reproduced children: one
+//! scoring object per worker for the whole run.
 //!
 //! A score depends only on the netlist, so no distinct netlist is paid
 //! for twice. A reproduced child equal to one of its parents takes that
@@ -309,8 +311,9 @@ impl Optimizer for Dcgwo {
         // admission loop below runs serially in member order: the
         // deterministic budget caps stop admission at the same member
         // for every thread count, while cancellation and the deadline
-        // abort the fan-out between batches. The accurate anchor is
-        // already in, so stopping early is always safe.
+        // stop the fan-out within about one member per worker. The
+        // accurate anchor is already in, so stopping early is always
+        // safe.
         let member_seeds: Vec<u64> = (1..cfg.population)
             .map(|i| par::split_seed(cfg.seed, i as u64))
             .take(tracker.seed_budget())
@@ -366,11 +369,13 @@ impl Optimizer for Dcgwo {
             };
 
             // Build, propose and score the offspring over the worker
-            // pool, polling for cancellation/deadline between batches so
-            // a raised flag stops the run within one batch even
-            // mid-iteration. Best-so-far tracking and event emission
-            // stay on this thread, in candidate-index order.
-            let scored = evaluate_offspring(ctx, offspring, threads, &mut workers, &tracker);
+            // pool, polling for cancellation/deadline after every unit
+            // this thread scores, so a raised flag stops the run within
+            // about one unit per worker even mid-iteration. Best-so-far
+            // tracking and event emission stay on this thread, in
+            // candidate-index order.
+            let scored =
+                evaluate_offspring(ctx, &weights, offspring, threads, &mut workers, &tracker);
             tracker.record_evaluations(scored.results.len() as u64);
             let mut new_entries: Vec<PoolEntry> = Vec::with_capacity(scored.results.len());
             for entry in scored.results {
@@ -384,11 +389,11 @@ impl Optimizer for Dcgwo {
                 // The interrupt is sticky (the flag stays raised, the
                 // deadline stays expired), so re-reading it here names
                 // the abort reason. The previous population survives
-                // untouched; whatever the completed batches found
+                // untouched; whatever the completed children found
                 // already fed the best-so-far above.
                 stop = tracker
                     .interrupted()
-                    .expect("aborted batches imply a sticky interrupt");
+                    .expect("an aborted fan-out implies a sticky interrupt");
                 break;
             }
 
@@ -469,8 +474,8 @@ struct WorkerScratch {
     /// The worker's one scoring object. Seeded members are built in it
     /// by commits from the accurate circuit; search children are built,
     /// proposed and scored in it, rebuilt once per distinct netlist;
-    /// reproduced children are rebuilt in it and read off it. It holds
-    /// the cone previews' overlay rows too.
+    /// reproduced children that equal neither parent are rebuilt in it
+    /// and read off it. It holds the cone previews' overlay rows too.
     base: Option<DeltaEval>,
     /// Switch-selection marks for proposals and seeding LACs.
     search: SearchScratch,
@@ -484,13 +489,9 @@ struct WorkerScratch {
 /// and are scored by rebuilding the worker's base at them, unless they
 /// equal a parent.
 enum Offspring<'p> {
-    /// Score by a full rebuild of the worker's base.
-    Full(Netlist),
-    /// A reproduced child equal to `parent`: reuse its measurements.
-    Copy {
-        netlist: Netlist,
-        parent: &'p Candidate,
-    },
+    /// The reproduced child of `a` and `b`, reproduced on the worker
+    /// that claims it.
+    Reproduce { a: &'p Candidate, b: &'p Candidate },
     /// Propose a LAC on `netlist`, drawing from the proposal stream
     /// `seed`, and score the result.
     Search { netlist: Netlist, seed: u64 },
@@ -579,14 +580,15 @@ impl PoolEntry {
 }
 
 /// Scores offspring into pool entries over the worker pool, polling the
-/// tracker's bounded-latency interrupts between batches. A child's
-/// entry depends only on the child, never on which worker's buffers
-/// served it or which children shared its base, and the output order
-/// matches the input order, so parallel and serial runs are
-/// bit-identical; an aborted run returns the completed prefix with
-/// `completed == false`.
+/// tracker's bounded-latency interrupts after every unit the calling
+/// thread scores. A child's entry depends only on the child, never on
+/// which worker's buffers served it or which children shared its base,
+/// and the output order matches the input order, so parallel and serial
+/// runs are bit-identical; an aborted run returns the completed prefix
+/// with `completed == false`.
 fn evaluate_offspring(
     ctx: &EvalContext,
+    weights: &LevelWeights,
     offspring: Vec<Offspring<'_>>,
     threads: usize,
     workers: &mut Vec<WorkerScratch>,
@@ -597,7 +599,7 @@ fn evaluate_offspring(
         threads,
         workers,
         group_searches(offspring),
-        |worker, work| worker.score(ctx, work),
+        |worker, work| worker.score(ctx, weights, work),
         || tracker.interrupted().is_none(),
     );
     let mut entries: Vec<Option<PoolEntry>> = (0..count).map(|_| None).collect();
@@ -691,17 +693,24 @@ impl WorkerScratch {
     /// base; each of its children proposes from its own stream (the
     /// base's words feed similarity-based switch selection and its
     /// timing engine critical-path target collection) and is scored
-    /// there. A reproduced child is the base rebuilt at it, and a
-    /// search child with nothing to propose the base as built, both
-    /// read off the base.
-    fn score(&mut self, ctx: &EvalContext, work: Work<'_>) -> Vec<(usize, PoolEntry)> {
+    /// there. A reproduced child is reproduced here from its parents
+    /// under `weights`: one equal to a parent takes that parent's
+    /// measurements, and any other is the base rebuilt at it and read
+    /// off it, as is a search child with nothing to propose.
+    fn score(
+        &mut self,
+        ctx: &EvalContext,
+        weights: &LevelWeights,
+        work: Work<'_>,
+    ) -> Vec<(usize, PoolEntry)> {
         let (netlist, children) = match work {
-            Work::Single(k, Offspring::Full(netlist)) => {
-                let base = ctx.rebuild_in(&mut self.base, netlist);
-                return vec![(k, PoolEntry::Ready(ctx.evaluate_base(base)))];
-            }
-            Work::Single(k, Offspring::Copy { netlist, parent }) => {
-                return vec![(k, PoolEntry::Ready(ctx.evaluate_reusing(netlist, parent)))]
+            Work::Single(k, Offspring::Reproduce { a, b }) => {
+                let netlist = reproduce(a, b, weights);
+                let child = match [a, b].into_iter().find(|parent| parent.netlist == netlist) {
+                    Some(parent) => ctx.evaluate_reusing(netlist, parent),
+                    None => ctx.evaluate_base(ctx.rebuild_in(&mut self.base, netlist)),
+                };
+                return vec![(k, PoolEntry::Ready(child))];
             }
             Work::Single(k, Offspring::Search { netlist, seed }) => (netlist, vec![(k, seed)]),
             Work::Search { netlist, children } => (netlist, children),
@@ -765,11 +774,13 @@ fn decision_parameter<R: Rng>(guide_fitness: f64, own_fitness: f64, a: f64, rng:
     encircle * d
 }
 
-/// The serial, RNG-owning half of an iteration: guidance decisions and
-/// reproduction. Search children are only described here, each with
-/// its own proposal stream split off `stream` by its index among the
-/// iteration's search children, so the offspring pass can build,
-/// propose and score them on any worker with the same draws.
+/// The serial, RNG-owning half of an iteration: guidance decisions, and
+/// the reproduction of ω children that search their reproduced child.
+/// Other children are only described here: a reproduced one by its
+/// parents, a search one by its netlist and its own proposal stream,
+/// split off `stream` by its index among the iteration's search
+/// children, so the offspring pass can build, propose and score them on
+/// any worker with the same draws.
 struct Chase<'a, R: Rng> {
     population: &'a [Candidate],
     weights: &'a LevelWeights,
@@ -793,17 +804,11 @@ impl<'a, R: Rng> Chase<'a, R> {
         self.search(self.population[idx].netlist.clone())
     }
 
-    /// The reproduced child of members `idx` and `partner`, marked as a
-    /// copy when it equals either parent.
+    /// The reproduced child of members `idx` and `partner`.
     fn reproduce(&self, idx: usize, partner: usize) -> Offspring<'a> {
-        let (ci, cp) = (&self.population[idx], &self.population[partner]);
-        let netlist = reproduce(ci, cp, self.weights);
-        match [ci, cp]
-            .into_iter()
-            .find(|parent| parent.netlist == netlist)
-        {
-            Some(parent) => Offspring::Copy { netlist, parent },
-            None => Offspring::Full(netlist),
+        Offspring::Reproduce {
+            a: &self.population[idx],
+            b: &self.population[partner],
         }
     }
 
@@ -1116,46 +1121,45 @@ mod tests {
         (ctx, population)
     }
 
-    /// Every reproduced child the chase marks as a copy of a parent
-    /// scores exactly as a full evaluation of it, including children of
-    /// parents whose dead-cone area differs from a fresh sum.
+    /// Every reproduced child scores exactly as a full evaluation of it,
+    /// whether it copies a parent and reuses its measurements (including
+    /// children of parents whose dead-cone area differs from a fresh
+    /// sum) or is rebuilt in a worker's recycled base.
     #[test]
-    fn reused_reproduction_scores_equal_full_evaluations() {
+    fn reproduced_children_score_as_full_evaluations() {
         let (ctx, population) = int2float_population();
-        let cfg = OptimizerConfig::default();
-        let weights = LevelWeights::paper_defaults(ctx.cpd_ori(), cfg.level_we);
-        let mut rng = StdRng::seed_from_u64(0);
-        let chase = Chase {
-            population: &population,
-            weights: &weights,
-            cfg: &cfg,
-            rng: &mut rng,
-            stream: 0,
-            searches: 0,
-        };
+        let weights =
+            LevelWeights::paper_defaults(ctx.cpd_ori(), OptimizerConfig::default().level_we);
         let mut worker = WorkerScratch::default();
-        let (mut copies, mut stale_area) = (0, 0);
-        for i in 0..population.len() {
-            for j in 0..population.len() {
-                let Offspring::Copy { netlist, parent } = chase.reproduce(i, j) else {
-                    continue;
-                };
-                copies += 1;
+        let (mut copies, mut stale_area, mut rebuilt) = (0, 0, 0);
+        for a in &population {
+            for b in &population {
+                let netlist = reproduce(a, b, &weights);
                 let fresh = ctx.evaluate(netlist.clone());
-                if parent.area.to_bits() != fresh.area.to_bits() {
-                    stale_area += 1;
+                match [a, b].into_iter().find(|parent| parent.netlist == netlist) {
+                    Some(parent) => {
+                        copies += 1;
+                        if parent.area.to_bits() != fresh.area.to_bits() {
+                            stale_area += 1;
+                        }
+                    }
+                    None => rebuilt += 1,
                 }
-                let scored =
-                    worker.score(&ctx, Work::Single(0, Offspring::Copy { netlist, parent }));
-                let [(0, PoolEntry::Ready(reused))] = &scored[..] else {
-                    panic!("a copy scores as one ready entry");
+                let scored = worker.score(
+                    &ctx,
+                    &weights,
+                    Work::Single(0, Offspring::Reproduce { a, b }),
+                );
+                let [(0, PoolEntry::Ready(child))] = &scored[..] else {
+                    panic!("a reproduced child scores as one ready entry");
                 };
-                assert!(same_scores(reused, &fresh), "children of {i} and {j}");
+                assert_eq!(child.netlist, netlist);
+                assert!(same_scores(child, &fresh));
             }
         }
         assert!(
-            copies > 0 && stale_area > 0,
-            "{copies} copies, {stale_area} stale areas"
+            copies > 0 && stale_area > 0 && rebuilt > 0,
+            "{copies} copies, {stale_area} stale areas, {rebuilt} rebuilt"
         );
     }
 
@@ -1164,6 +1168,8 @@ mod tests {
     #[test]
     fn grouped_search_children_score_as_separate_ones() {
         let (ctx, population) = int2float_population();
+        let weights =
+            LevelWeights::paper_defaults(ctx.cpd_ori(), OptimizerConfig::default().level_we);
         let mut offspring = Vec::new();
         for (k, member) in population.iter().take(4).enumerate() {
             for copy in 0..3 {
@@ -1184,7 +1190,8 @@ mod tests {
                     netlist: netlist.clone(),
                     seed: *seed,
                 };
-                let mut scored = WorkerScratch::default().score(&ctx, Work::Single(k, off));
+                let mut scored =
+                    WorkerScratch::default().score(&ctx, &weights, Work::Single(k, off));
                 scored.pop().expect("one entry").1
             })
             .collect();
@@ -1192,6 +1199,7 @@ mod tests {
         assert!(units.len() < 12, "equal netlists share a unit");
         let grouped = evaluate_offspring(
             &ctx,
+            &weights,
             units
                 .into_iter()
                 .flat_map(|unit| match unit {
@@ -1288,8 +1296,11 @@ mod tests {
         let mut worker = WorkerScratch::default();
         // The worker's base last served another netlist.
         drop(worker.seed(&ctx, INITIAL_LACS, 1));
+        let weights =
+            LevelWeights::paper_defaults(ctx.cpd_ori(), OptimizerConfig::default().level_we);
         let scored = worker.score(
             &ctx,
+            &weights,
             Work::Single(
                 0,
                 Offspring::Search {

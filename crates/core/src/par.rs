@@ -27,14 +27,16 @@
 //!
 //! # Cancellation
 //!
-//! [`par_map_batched_with`] processes the items in bounded batches and
-//! consults a `poll` callback between batches, so a raised
-//! [`CancelFlag`](crate::api::CancelFlag) or an expired deadline stops
-//! the fan-out within one batch instead of after the whole item set —
-//! cancellation latency stays bounded as thread count grows.
+//! [`par_map_batched_with`] opens one fan-out per call, with the
+//! calling thread working as one of the workers, and consults a `poll`
+//! callback on that thread before the helpers start and after each item
+//! it finishes. A raised [`CancelFlag`](crate::api::CancelFlag) or an
+//! expired deadline therefore stops every worker's claims within about
+//! one item instead of after the whole item set — cancellation latency
+//! stays bounded as thread count grows.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use tdals_obs::{clock, trace};
@@ -57,112 +59,40 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Batch size used between cancellation polls: enough items to keep
-/// every worker busy several times over (amortizing the scoped-spawn
-/// cost), small enough that a cancel or deadline is noticed promptly.
-pub fn poll_batch(threads: usize) -> usize {
-    resolve_threads(threads).saturating_mul(4).max(8)
-}
-
-/// Maps `items` through `f` over `threads` workers, returning the
-/// results in input order, with per-worker scratch lent from a
-/// caller-owned `Vec`: each worker has exclusive use of one element for
-/// every item it processes, and the inline path uses the first.
-/// `scratch` grows to the worker count with `S::default()` and never
-/// shrinks, so a caller that keeps it across calls reuses whatever
-/// buffers its elements hold. Which worker, and so which element,
-/// serves an item depends on scheduling: `f`'s result must not depend
-/// on the scratch's contents.
-///
-/// With `threads <= 1` (or fewer than two items) the map runs inline on
-/// the calling thread; the results are identical either way — see the
-/// module-level determinism contract.
-fn par_map_with<S, T, R, F>(threads: usize, scratch: &mut Vec<S>, items: Vec<T>, f: F) -> Vec<R>
-where
-    S: Default + Send,
-    T: Send,
-    R: Send,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let threads = resolve_threads(threads);
-    let workers = if threads <= 1 || items.len() <= 1 {
-        1
-    } else {
-        threads.min(items.len())
-    };
-    if scratch.len() < workers {
-        scratch.resize_with(workers, S::default);
-    }
-    if workers == 1 {
-        let own = &mut scratch[0];
-        return items.into_iter().map(|item| f(own, item)).collect();
-    }
-    let _span = trace::span(trace::cat::PAR, "par_map")
-        .arg("items", items.len() as u64)
-        .arg("workers", workers as u64);
-    // Per-slot mutexes instead of one big lock: workers only ever touch
-    // disjoint indices, so the locks are uncontended by construction,
-    // and the crate-wide `forbid(unsafe_code)` stays intact.
-    let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    // Shared borrows each worker closure takes by move, next to its own
-    // scratch element.
-    let (jobs, slots_ref, cursor, f) = (&jobs, &slots, &cursor, &f);
-    std::thread::scope(|scope| {
-        for own in &mut scratch[..workers] {
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let item = jobs[i]
-                    .lock()
-                    .expect("job mutex is never poisoned")
-                    .take()
-                    .expect("each job is claimed exactly once");
-                let result = f(own, item);
-                *slots_ref[i].lock().expect("slot mutex is never poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot mutex is never poisoned")
-                .expect("every claimed job fills its slot")
-        })
-        .collect()
-}
-
 /// Result of a [`par_map_batched_with`] run: the completed prefix of the
 /// map, in input order, and whether the whole item set was processed.
 #[derive(Debug)]
 pub struct BatchedMap<R> {
     /// Results for the processed prefix of the input, in input order.
     pub results: Vec<R>,
-    /// `false` when `poll` stopped the run before the last batch.
+    /// `false` when `poll` stopped the run before the last item.
     pub completed: bool,
 }
 
-/// Maps `items` through `f` over `threads` workers in bounded batches,
-/// with a cancellation poll between them, returning the results in
-/// input order. Each worker borrows one element of `scratch` for every
-/// item it processes; `scratch` grows to the worker count with
-/// `S::default()` and never shrinks, so a caller that keeps it across
-/// calls reuses its buffers. Which worker, and so which element, serves
-/// an item depends on scheduling: `f`'s result must not depend on the
-/// scratch's contents.
+/// Maps `items` through `f` over `threads` workers, with a cancellation
+/// poll after every item the calling thread finishes, returning the
+/// results in input order.
 ///
-/// `poll` is consulted before each batch (including the first); when it
-/// returns `false` the remaining items are dropped and the completed
-/// prefix is returned with `completed == false`. Batch boundaries
-/// depend on the thread count, so callers must not tie *deterministic*
-/// stop decisions (evaluation budgets) to them — poll only the
-/// non-deterministic interrupts (cancellation, wall-clock deadline) and
-/// enforce deterministic caps in the serial reduction, per item, in
-/// input order.
+/// One call is one fan-out: the calling thread is the first worker and
+/// `threads - 1` scoped helpers join it (none with `threads <= 1` or
+/// fewer than two items), every worker claiming the next item from one
+/// shared cursor until none is left. Each worker borrows one element of
+/// `scratch` for every item it processes, the calling thread the first;
+/// `scratch` grows to the worker count with `S::default()` and never
+/// shrinks, so a caller that keeps it across calls reuses its buffers.
+/// Which worker, and so which element, serves an item depends on
+/// scheduling: `f`'s result must not depend on the scratch's contents.
+///
+/// `poll` runs on the calling thread only: once before any helper
+/// starts, and again after each item the calling thread finishes. When
+/// it returns `false`, no worker claims another item; the items already
+/// claimed finish, and the claimed prefix of the input is returned with
+/// `completed == false` unless it covers every item. Where the stop
+/// lands depends on the thread count and on scheduling, so callers must
+/// not tie *deterministic* stop decisions (evaluation budgets) to it —
+/// poll only the non-deterministic interrupts (cancellation, wall-clock
+/// deadline) and enforce deterministic caps in the serial reduction,
+/// per item, in input order.
 pub fn par_map_batched_with<S, T, R, F, P>(
     threads: usize,
     scratch: &mut Vec<S>,
@@ -177,24 +107,72 @@ where
     F: Fn(&mut S, T) -> R + Sync,
     P: FnMut() -> bool,
 {
-    let batch = poll_batch(threads);
-    let mut results = Vec::with_capacity(items.len());
-    let mut rest = items.into_iter();
-    loop {
-        let chunk: Vec<T> = rest.by_ref().take(batch).collect();
-        if chunk.is_empty() {
-            return BatchedMap {
-                results,
-                completed: true,
-            };
-        }
-        if !poll() {
-            return BatchedMap {
-                results,
-                completed: false,
-            };
-        }
-        results.extend(par_map_with(threads, scratch, chunk, &f));
+    let count = items.len();
+    let workers = resolve_threads(threads).min(count).max(1);
+    if scratch.len() < workers {
+        scratch.resize_with(workers, S::default);
+    }
+    let _span = (workers > 1).then(|| {
+        trace::span(trace::cat::PAR, "par_map")
+            .arg("items", count as u64)
+            .arg("workers", workers as u64)
+    });
+    // Per-slot mutexes instead of one big lock: workers only ever touch
+    // disjoint indices, so the locks are uncontended by construction,
+    // and the crate-wide `forbid(unsafe_code)` stays intact.
+    let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    // Both atomics publish no data: jobs and results pass through their
+    // mutexes, and the scope's join hands the slots back to this thread.
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    // Claims the next item and runs it into its slot; `false` once every
+    // item is claimed. Claims are handed out in input order, so the
+    // claimed items are always a prefix of the input.
+    let run_next = |own: &mut S| {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(i) else {
+            return false;
+        };
+        let item = job
+            .lock()
+            .expect("job mutex is never poisoned")
+            .take()
+            .expect("each job is claimed exactly once");
+        let result = f(own, item);
+        *slots[i].lock().expect("slot mutex is never poisoned") = Some(result);
+        true
+    };
+    let (run_next, stop) = (&run_next, &stop);
+    let (own, helpers) = scratch[..workers]
+        .split_first_mut()
+        .expect("at least one worker");
+    if poll() {
+        std::thread::scope(|scope| {
+            for helper in helpers {
+                scope.spawn(move || while !stop.load(Ordering::Relaxed) && run_next(helper) {});
+            }
+            while run_next(own) {
+                if !poll() {
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
+        });
+    }
+    let claimed = cursor.into_inner().min(count);
+    let results: Vec<R> = slots
+        .into_iter()
+        .take(claimed)
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot mutex is never poisoned")
+                .expect("every claimed job fills its slot")
+        })
+        .collect();
+    BatchedMap {
+        completed: claimed == count,
+        results,
     }
 }
 
@@ -532,12 +510,14 @@ impl Drop for SlotLease {
 mod tests {
     use super::*;
 
-    /// A map with no scratch, through [`par_map_with`].
+    /// A map with no scratch that must complete.
     fn map<T: Send, R: Send>(threads: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-        par_map_with(threads, &mut Vec::<()>::new(), items, |(), item| f(item))
+        let out = map_batched(threads, items, f, || true);
+        assert!(out.completed);
+        out.results
     }
 
-    /// A batched map with no scratch, through [`par_map_batched_with`].
+    /// A map with no scratch, through [`par_map_batched_with`].
     fn map_batched<T: Send, R: Send>(
         threads: usize,
         items: Vec<T>,
@@ -570,18 +550,24 @@ mod tests {
     }
 
     #[test]
-    fn par_map_with_lends_one_scratch_per_worker_and_keeps_it() {
+    fn par_map_lends_one_scratch_per_worker_and_keeps_it() {
         let items: Vec<u64> = (0..57).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * 3).collect();
         for threads in [1, 2, 3, 8] {
             // Each element counts the items its worker processed.
             let mut scratch: Vec<u64> = Vec::new();
             for round in 1..=2u64 {
-                let got = par_map_with(threads, &mut scratch, items.clone(), |seen, x| {
-                    *seen += 1;
-                    x * 3
-                });
-                assert_eq!(got, serial, "threads {threads}");
+                let got = par_map_batched_with(
+                    threads,
+                    &mut scratch,
+                    items.clone(),
+                    |seen, x| {
+                        *seen += 1;
+                        x * 3
+                    },
+                    || true,
+                );
+                assert_eq!(got.results, serial, "threads {threads}");
                 assert_eq!(scratch.len(), threads, "one element per worker");
                 assert_eq!(scratch.iter().sum::<u64>(), round * 57, "kept across calls");
             }
@@ -600,29 +586,112 @@ mod tests {
         assert_eq!(out.results, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
+    /// Blocks until `flag` is raised; panics after a minute, so a pool
+    /// that never raises it fails instead of hanging.
+    fn wait_for(flag: &AtomicBool) {
+        let start = std::time::Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            assert!(start.elapsed().as_secs() < 60, "flag never raised");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn batched_map_stops_at_a_batch_boundary() {
-        let mut polls = 0;
-        let out = map_batched(
-            2,
-            (0..100usize).collect(),
-            |x| x,
-            || {
-                polls += 1;
-                polls <= 2 // allow two batches, stop before the third
-            },
-        );
-        assert!(!out.completed);
-        let batch = poll_batch(2);
-        assert_eq!(out.results.len(), 2 * batch);
-        assert_eq!(out.results, (0..2 * batch).collect::<Vec<_>>());
+    fn batched_map_stops_within_an_item_per_worker() {
+        const THREADS: usize = 2;
+        for k in [1, 3, 10] {
+            let caller = std::thread::current().id();
+            let (helper_started, turned_false) = (AtomicBool::new(false), AtomicBool::new(false));
+            let ran = AtomicUsize::new(0);
+            let mut polls = 0;
+            let out = map_batched(
+                THREADS,
+                (0..100usize).collect(),
+                |x| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if std::thread::current().id() == caller {
+                        // The helper holds an item while the calling
+                        // thread runs its own.
+                        wait_for(&helper_started);
+                    } else {
+                        // A helper's item finishes only once the poll has
+                        // turned, so the helper cannot run ahead of the
+                        // calling thread. The pause covers the window
+                        // between the poll returning `false` and the stop
+                        // flag being raised, which nothing outside the
+                        // pool can observe.
+                        helper_started.store(true, Ordering::SeqCst);
+                        wait_for(&turned_false);
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    x
+                },
+                || {
+                    polls += 1;
+                    let go = polls <= k;
+                    if !go {
+                        turned_false.store(true, Ordering::SeqCst);
+                    }
+                    go
+                },
+            );
+            assert!(!out.completed, "k = {k}");
+            assert_eq!(polls, k + 1, "no poll after the first false one");
+            let ran = ran.into_inner();
+            assert_eq!(out.results, (0..ran).collect::<Vec<_>>(), "k = {k}");
+            // The calling thread's k items, and the one the helper held.
+            assert_eq!(ran, k + THREADS - 1, "k = {k}");
+        }
     }
 
     #[test]
     fn batched_map_can_stop_before_any_work() {
-        let out = map_batched(4, vec![1, 2, 3], |x| x, || false);
+        let ran = AtomicBool::new(false);
+        let out = map_batched(
+            4,
+            vec![1, 2, 3],
+            |x| {
+                ran.store(true, Ordering::SeqCst);
+                x
+            },
+            || false,
+        );
         assert!(!out.completed);
         assert!(out.results.is_empty());
+        assert!(!ran.into_inner(), "f never ran");
+    }
+
+    #[test]
+    fn calling_thread_runs_items() {
+        let caller = std::thread::current().id();
+        for threads in [2, 3] {
+            let caller_ran = AtomicBool::new(false);
+            let out = map_batched(
+                threads,
+                (0..20usize).collect(),
+                |x| {
+                    let id = std::thread::current().id();
+                    if id == caller {
+                        caller_ran.store(true, Ordering::SeqCst);
+                    } else {
+                        // Helpers hold their first items until the
+                        // calling thread has run one of its own.
+                        wait_for(&caller_ran);
+                    }
+                    (x, id)
+                },
+                || true,
+            );
+            assert!(out.completed);
+            let ids: Vec<_> = out.results.iter().map(|&(_, id)| id).collect();
+            assert_eq!(
+                out.results.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
+                (0..20).collect::<Vec<_>>()
+            );
+            assert!(ids.contains(&caller), "threads {threads}");
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert!(distinct.len() <= threads, "threads {threads}: {distinct:?}");
+        }
     }
 
     #[test]
@@ -640,7 +709,6 @@ mod tests {
     fn resolve_zero_means_available() {
         assert_eq!(resolve_threads(0), available_threads());
         assert_eq!(resolve_threads(3), 3);
-        assert!(poll_batch(1) >= 8);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   restarts). Counters are always on; an increment is one relaxed
 //!   atomic add on a thread-striped shard.
 //! * [`trace`] — a ring-buffered hierarchical span recorder
-//!   (flow → phase → iteration → parallel batch). Disabled by default;
+//!   (flow → phase → iteration → pool fan-out). Disabled by default;
 //!   when off, opening a span is a single relaxed atomic load. The
 //!   drained records serialize to Chrome trace-event JSON through
 //!   [`report`], loadable in Perfetto.

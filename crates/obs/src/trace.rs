@@ -34,7 +34,7 @@ pub mod cat {
     pub const PHASE: &str = "phase";
     /// One optimizer iteration.
     pub const ITERATION: &str = "iteration";
-    /// One parallel batch fanned over the worker pool.
+    /// One fan-out over the worker pool (one pool call).
     pub const PAR: &str = "par";
 }
 

@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use tdals::baselines::{Method, MethodConfig, ALL_METHODS};
 use tdals::circuits::Benchmark;
 use tdals::core::api::{Budget, Flow, FlowEvent, StopReason};
-use tdals::core::par::poll_batch;
 use tdals::core::{EvalContext, IterationStats};
 use tdals::netlist::Netlist;
 use tdals::sim::{ErrorMetric, Patterns};
@@ -39,13 +38,14 @@ fn quick_ctx() -> EvalContext {
 }
 
 /// Population of a method's runs. DCGWO and GWO score their offspring,
-/// one per member, in batches of `par::poll_batch(threads)`, and every
-/// worker keeps one recycled scoring base across batches. Their
-/// population is `poll_batch(8) + 2` = 34: at every width up to 8 the
-/// offspring outnumber a batch, so a base serves search children of at
-/// least two batches, the leader's search child (always the last
-/// offspring) among them. `run_digest` fails a width whose batch would
-/// hold every child. The other methods keep a small population.
+/// one per member, in one pool call per iteration, and every worker
+/// keeps one recycled scoring base for the whole run. Their population
+/// is 34: at every width up to 8 there are more offspring than workers,
+/// so each worker's recycled base serves several units per call, and
+/// the leader's search child (always the last offspring) lands on a
+/// base that already served others. `run_digest` fails a width with no
+/// more offspring than workers. The other methods keep a small
+/// population.
 fn population(method: Method) -> usize {
     match method {
         Method::Dcgwo | Method::SingleChaseGwo => 34,
@@ -155,8 +155,8 @@ fn run_digest(
 ) -> RunDigest {
     if matches!(method, Method::Dcgwo | Method::SingleChaseGwo) && threads != 0 {
         assert!(
-            population(method) > poll_batch(threads),
-            "{method}: {} offspring fit one batch at {threads} worker(s)",
+            population(method) > threads,
+            "{method}: {} offspring do not outnumber {threads} worker(s)",
             population(method)
         );
     }
@@ -215,9 +215,9 @@ fn auto_thread_count_matches_sequential() {
 #[test]
 fn deterministic_budgets_stop_identically_at_any_width() {
     // Evaluation and iteration caps are enforced in each loop's serial
-    // reduction, per candidate in index order — never at thread-count-
-    // dependent batch boundaries — so a budgeted run stops at the very
-    // same candidate for every width.
+    // reduction, per candidate in index order — never at the thread-
+    // count-dependent point where a pool call stops claiming — so a
+    // budgeted run stops at the very same candidate for every width.
     //
     // The evaluation cap, population + 4, lies past seeding (the anchor
     // and population - 1 members), so the first iteration's chase and

@@ -20,7 +20,7 @@
 //! children that copy a parent build no base, so the builds after
 //! seeding stay below the child count. The one- and two-thread runs
 //! must also build the same count and return the same result, with
-//! children crossing batch boundaries.
+//! both workers' bases serving interleaved children in one pool call.
 //!
 //! The counter is process-wide, so this file holds a single test and
 //! runs its flows one after another.
@@ -92,8 +92,8 @@ fn every_width_builds_one_base_per_distinct_search_netlist() {
                 .with_reproduction(reproduction)
                 .with_seed(3);
             let expected = (!reproduction).then(|| distinct_members(&ctx, &cfg));
-            // Two workers split each iteration's children across batches
-            // of eight, so the workers' bases serve interleaved children.
+            // Two workers claim each iteration's children from one
+            // cursor, so the workers' bases serve interleaved children.
             let [(one, serial), (two, parallel)] =
                 [1, 2].map(|threads| bases(&ctx, &cfg.clone().with_threads(threads)));
             assert_eq!(serial.best.netlist, parallel.best.netlist);

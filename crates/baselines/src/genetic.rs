@@ -137,7 +137,7 @@ impl Optimizer for Genetic {
             // caps stop admission at the same member for every thread
             // count, and the accurate anchor is already in, so stopping
             // early is always safe.
-            let seeded = par::par_map_batched_with(
+            let seeded = par::par_map_with(
                 threads,
                 &mut workers,
                 seed_drafts,
@@ -235,7 +235,7 @@ impl Optimizer for Genetic {
             // candidate comes from a full evaluation, so an unmutated child
             // equal to a parent takes that parent's scores, bit for bit.
             let population_ref = &population;
-            let children = par::par_map_batched_with(
+            let children = par::par_map_with(
                 threads,
                 &mut workers,
                 plans,

@@ -143,7 +143,7 @@ impl Optimizer for Greedy {
             // cones in its own overlay rows over the shared words; the
             // pool returns (draft, error) pairs in draft order.
             let sim = base.sim();
-            let evaluated = par::par_map_batched_with(
+            let evaluated = par::par_map_with(
                 threads,
                 &mut previews,
                 drafts,

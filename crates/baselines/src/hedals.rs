@@ -177,7 +177,7 @@ impl Optimizer for Hedals {
             // Parallel probe phase: each worker previews its drafts'
             // cones on the probe engine in its own overlay rows; the
             // estimates come back in draft order.
-            let evaluated = par::par_map_batched_with(
+            let evaluated = par::par_map_with(
                 threads,
                 &mut previews,
                 drafts,

@@ -318,7 +318,7 @@ impl Optimizer for Dcgwo {
             .map(|i| par::split_seed(cfg.seed, i as u64))
             .take(tracker.seed_budget())
             .collect();
-        let seeded = par::par_map_batched_with(
+        let seeded = par::par_map_with(
             threads,
             &mut workers,
             member_seeds,
@@ -593,9 +593,9 @@ fn evaluate_offspring(
     threads: usize,
     workers: &mut Vec<WorkerScratch>,
     tracker: &BudgetTracker,
-) -> par::BatchedMap<PoolEntry> {
+) -> par::ParMap<PoolEntry> {
     let count = offspring.len();
-    let scored = par::par_map_batched_with(
+    let scored = par::par_map_with(
         threads,
         workers,
         group_searches(offspring),
@@ -607,7 +607,7 @@ fn evaluate_offspring(
         entries[k] = Some(entry);
     }
     let results: Vec<PoolEntry> = entries.into_iter().map_while(|entry| entry).collect();
-    par::BatchedMap {
+    par::ParMap {
         completed: results.len() == count,
         results,
     }

@@ -10,7 +10,7 @@
 //!
 //! # Determinism contract
 //!
-//! For a pure per-item function `f`, [`par_map_batched_with`] returns
+//! For a pure per-item function `f`, [`par_map_with`] returns
 //! exactly `items.map(f)` — same values, same order — for **every** thread
 //! count, including 1. Workers claim items from an atomic cursor, so
 //! *which worker* computes an item is scheduling-dependent, but each
@@ -27,7 +27,7 @@
 //!
 //! # Cancellation
 //!
-//! [`par_map_batched_with`] opens one fan-out per call, with the
+//! [`par_map_with`] opens one fan-out per call, with the
 //! calling thread working as one of the workers, and consults a `poll`
 //! callback on that thread before the helpers start and after each item
 //! it finishes. A raised [`CancelFlag`](crate::api::CancelFlag) or an
@@ -59,10 +59,10 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Result of a [`par_map_batched_with`] run: the completed prefix of the
+/// Result of a [`par_map_with`] run: the completed prefix of the
 /// map, in input order, and whether the whole item set was processed.
 #[derive(Debug)]
-pub struct BatchedMap<R> {
+pub struct ParMap<R> {
     /// Results for the processed prefix of the input, in input order.
     pub results: Vec<R>,
     /// `false` when `poll` stopped the run before the last item.
@@ -93,13 +93,13 @@ pub struct BatchedMap<R> {
 /// poll only the non-deterministic interrupts (cancellation, wall-clock
 /// deadline) and enforce deterministic caps in the serial reduction,
 /// per item, in input order.
-pub fn par_map_batched_with<S, T, R, F, P>(
+pub fn par_map_with<S, T, R, F, P>(
     threads: usize,
     scratch: &mut Vec<S>,
     items: Vec<T>,
     f: F,
     mut poll: P,
-) -> BatchedMap<R>
+) -> ParMap<R>
 where
     S: Default + Send,
     T: Send,
@@ -170,7 +170,7 @@ where
                 .expect("every claimed job fills its slot")
         })
         .collect();
-    BatchedMap {
+    ParMap {
         completed: claimed == count,
         results,
     }
@@ -512,19 +512,19 @@ mod tests {
 
     /// A map with no scratch that must complete.
     fn map<T: Send, R: Send>(threads: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-        let out = map_batched(threads, items, f, || true);
+        let out = map_polled(threads, items, f, || true);
         assert!(out.completed);
         out.results
     }
 
-    /// A map with no scratch, through [`par_map_batched_with`].
-    fn map_batched<T: Send, R: Send>(
+    /// A map with no scratch, through [`par_map_with`].
+    fn map_polled<T: Send, R: Send>(
         threads: usize,
         items: Vec<T>,
         f: impl Fn(T) -> R + Sync,
         poll: impl FnMut() -> bool,
-    ) -> BatchedMap<R> {
-        par_map_batched_with(
+    ) -> ParMap<R> {
+        par_map_with(
             threads,
             &mut Vec::<()>::new(),
             items,
@@ -557,7 +557,7 @@ mod tests {
             // Each element counts the items its worker processed.
             let mut scratch: Vec<u64> = Vec::new();
             for round in 1..=2u64 {
-                let got = par_map_batched_with(
+                let got = par_map_with(
                     threads,
                     &mut scratch,
                     items.clone(),
@@ -573,15 +573,15 @@ mod tests {
             }
         }
         let mut scratch = vec![0u64; 5];
-        let out = par_map_batched_with(2, &mut scratch, items.clone(), |_, x| x * 3, || true);
+        let out = par_map_with(2, &mut scratch, items.clone(), |_, x| x * 3, || true);
         assert_eq!(out.results, serial);
         assert_eq!(scratch.len(), 5, "scratch never shrinks");
     }
 
     #[test]
-    fn batched_map_completes_when_poll_allows() {
+    fn par_map_completes_when_poll_allows() {
         let items: Vec<usize> = (0..100).collect();
-        let out = map_batched(3, items.clone(), |x| x * 2, || true);
+        let out = map_polled(3, items.clone(), |x| x * 2, || true);
         assert!(out.completed);
         assert_eq!(out.results, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
@@ -597,14 +597,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_map_stops_within_an_item_per_worker() {
+    fn par_map_stops_within_an_item_per_worker() {
         const THREADS: usize = 2;
         for k in [1, 3, 10] {
             let caller = std::thread::current().id();
             let (helper_started, turned_false) = (AtomicBool::new(false), AtomicBool::new(false));
             let ran = AtomicUsize::new(0);
             let mut polls = 0;
-            let out = map_batched(
+            let out = map_polled(
                 THREADS,
                 (0..100usize).collect(),
                 |x| {
@@ -645,9 +645,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_map_can_stop_before_any_work() {
+    fn par_map_can_stop_before_any_work() {
         let ran = AtomicBool::new(false);
-        let out = map_batched(
+        let out = map_polled(
             4,
             vec![1, 2, 3],
             |x| {
@@ -666,7 +666,7 @@ mod tests {
         let caller = std::thread::current().id();
         for threads in [2, 3] {
             let caller_ran = AtomicBool::new(false);
-            let out = map_batched(
+            let out = map_polled(
                 threads,
                 (0..20usize).collect(),
                 |x| {

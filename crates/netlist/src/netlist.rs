@@ -207,9 +207,16 @@ struct Names {
 
 impl Names {
     fn new() -> Names {
+        Names::with_capacity(0, 0)
+    }
+
+    /// An empty table with room for `count` names of `bytes` bytes in all.
+    fn with_capacity(count: usize, bytes: usize) -> Names {
+        let mut bounds = Vec::with_capacity(count + 1);
+        bounds.push(0);
         Names {
-            text: String::new(),
-            bounds: vec![0],
+            text: String::with_capacity(bytes),
+            bounds,
         }
     }
 
@@ -347,6 +354,24 @@ pub struct Netlist {
     outputs: Vec<Output>,
 }
 
+/// Room to reserve in a [`Netlist`] whose final size is known before it
+/// is built, so that each of its arrays is allocated once.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Capacity {
+    /// Gates, primary inputs included.
+    pub gates: usize,
+    /// Fan-in pins over all gates.
+    pub pins: usize,
+    /// Bytes of all gate names.
+    pub name_bytes: usize,
+    /// Primary inputs.
+    pub inputs: usize,
+    /// Primary outputs.
+    pub outputs: usize,
+    /// Bytes of all output names.
+    pub output_name_bytes: usize,
+}
+
 /// Rejects any gate fan-in of `gate` that does not precede it.
 fn check_order(gate: GateId, fanins: &[SignalRef]) -> Result<(), NetlistError> {
     for &fanin in fanins {
@@ -362,15 +387,25 @@ fn check_order(gate: GateId, fanins: &[SignalRef]) -> Result<(), NetlistError> {
 impl Netlist {
     /// Creates an empty netlist with the given module name.
     pub fn new(name: impl Into<String>) -> Netlist {
+        Netlist::with_capacity(name, Capacity::default())
+    }
+
+    /// An empty netlist with room for `capacity`.
+    pub(crate) fn with_capacity(name: impl Into<String>, capacity: Capacity) -> Netlist {
+        let mut start = Vec::with_capacity(capacity.gates + 1);
+        start.push(0);
         Netlist {
             name: name.into(),
-            cells: Vec::new(),
-            start: vec![0],
-            pins: Vec::new(),
-            names: Arc::new(Names::new()),
-            inputs: Vec::new(),
-            output_names: Arc::new(Names::new()),
-            outputs: Vec::new(),
+            cells: Vec::with_capacity(capacity.gates),
+            start,
+            pins: Vec::with_capacity(capacity.pins),
+            names: Arc::new(Names::with_capacity(capacity.gates, capacity.name_bytes)),
+            inputs: Vec::with_capacity(capacity.inputs),
+            output_names: Arc::new(Names::with_capacity(
+                capacity.outputs,
+                capacity.output_name_bytes,
+            )),
+            outputs: Vec::with_capacity(capacity.outputs),
         }
     }
 

@@ -14,6 +14,18 @@
 //! (rejecting combinational loops) so the resulting [`Netlist`] satisfies
 //! the topological id invariant.
 //!
+//! # Memory
+//!
+//! Reading costs the source text plus the netlist. The lexer hands the
+//! parser one token at a time as a slice of the source; nets and
+//! instances refer to their names there and number their pins with
+//! `u32` ids, and the topological sort keeps its dependency rows in two
+//! flat arrays. Owned strings are made only for the module name, the
+//! netlist's name tables (reserved at their final size) and errors, so
+//! a parse makes a few dozen allocations whatever the circuit's size,
+//! none larger than about the source. Writing costs the output `String`,
+//! allocated once at its exact length.
+//!
 //! # Examples
 //!
 //! ```
@@ -40,7 +52,7 @@ use std::fmt::Write as _;
 
 use crate::cell::Cell;
 use crate::error::{Loc, ParseVerilogError};
-use crate::netlist::{GateId, Netlist, SignalRef};
+use crate::netlist::{Capacity, GateId, Netlist, SignalRef};
 
 /// Input pin names used in emitted Verilog, by pin position.
 const PIN_NAMES: [&str; 3] = ["A", "B", "C"];
@@ -49,156 +61,254 @@ const PIN_NAMES: [&str; 3] = ["A", "B", "C"];
 ///
 /// Dangling gates are emitted too (they are part of the circuit until the
 /// post-optimization sweep deletes them); nets are named `w<id>` and
-/// primary inputs/outputs keep their declared names.
+/// primary inputs/outputs keep their declared names. The text is written
+/// into one `String`, allocated once at its exact length.
 pub fn to_verilog(netlist: &Netlist) -> String {
-    let mut out = String::new();
-    let mut ports: Vec<String> = Vec::new();
-    for &pi in netlist.inputs() {
-        ports.push(netlist.gate(pi).name().to_owned());
-    }
-    for (name, _) in netlist.outputs() {
-        ports.push(name.to_owned());
-    }
-    let _ = writeln!(out, "module {} ({});", netlist.name(), ports.join(", "));
-    for &pi in netlist.inputs() {
-        let _ = writeln!(out, "  input {};", netlist.gate(pi).name());
-    }
-    for (name, _) in netlist.outputs() {
-        let _ = writeln!(out, "  output {};", name);
-    }
-
-    // Net name for each gate output.
-    let net_name = |id: GateId| -> String {
-        let gate = netlist.gate(id);
-        if gate.is_input() {
-            gate.name().to_owned()
-        } else {
-            format!("w{}", id.index())
-        }
-    };
-    let sig_name = |s: SignalRef| -> String {
-        match s {
-            SignalRef::Const0 => "1'b0".to_owned(),
-            SignalRef::Const1 => "1'b1".to_owned(),
-            SignalRef::Gate(id) => net_name(id),
-        }
-    };
-
-    let mut wires: Vec<String> = Vec::new();
-    for (id, gate) in netlist.iter() {
-        if !gate.is_input() {
-            wires.push(net_name(id));
-        }
-    }
-    if !wires.is_empty() {
-        let _ = writeln!(out, "  wire {};", wires.join(", "));
-    }
-
-    for (id, gate) in netlist.iter() {
-        if gate.is_input() {
-            continue;
-        }
-        let mut conns = vec![format!(".Y({})", net_name(id))];
-        for (pin, fanin) in gate.fanins().iter().enumerate() {
-            conns.push(format!(".{}({})", PIN_NAMES[pin], sig_name(*fanin)));
-        }
-        let _ = writeln!(
-            out,
-            "  {} {} ( {} );",
-            gate.cell().lib_name(),
-            gate.name(),
-            conns.join(", ")
-        );
-    }
-    for (name, driver) in netlist.outputs() {
-        let _ = writeln!(out, "  assign {} = {};", name, sig_name(driver));
-    }
-    let _ = writeln!(out, "endmodule");
+    let len = verilog_len(netlist);
+    let mut out = String::with_capacity(len);
+    // Writing into a `String` cannot fail.
+    let _ = write_verilog(netlist, &mut out);
+    debug_assert_eq!(out.len(), len, "verilog_len disagrees with the writer");
     out
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct Token {
-    text: String,
-    /// Position of the token's first character.
+/// The Verilog name of a signal: `1'b0`/`1'b1`, a primary input's
+/// declared name, or `w<id>` for a gate output.
+struct SignalName<'a>(&'a Netlist, SignalRef);
+
+impl std::fmt::Display for SignalName<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.1 {
+            SignalRef::Const0 => f.write_str("1'b0"),
+            SignalRef::Const1 => f.write_str("1'b1"),
+            SignalRef::Gate(id) if self.0.gate(id).is_input() => {
+                f.write_str(self.0.gate(id).name())
+            }
+            SignalRef::Gate(id) => write!(f, "w{}", id.index()),
+        }
+    }
+}
+
+fn write_verilog(netlist: &Netlist, out: &mut String) -> std::fmt::Result {
+    let input_names = || netlist.inputs().iter().map(|&pi| netlist.gate(pi).name());
+    let output_names = || netlist.outputs().map(|(name, _)| name);
+    write!(out, "module {} (", netlist.name())?;
+    for (i, port) in input_names().chain(output_names()).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(port);
+    }
+    out.push_str(");\n");
+    for name in input_names() {
+        writeln!(out, "  input {name};")?;
+    }
+    for name in output_names() {
+        writeln!(out, "  output {name};")?;
+    }
+
+    let gates = || netlist.iter().filter(|(_, gate)| !gate.is_input());
+    for (i, (id, _)) in gates().enumerate() {
+        out.push_str(if i == 0 { "  wire " } else { ", " });
+        write!(out, "w{}", id.index())?;
+    }
+    if netlist.logic_gate_count() > 0 {
+        out.push_str(";\n");
+    }
+    for (id, gate) in gates() {
+        let cell = gate.cell();
+        write!(
+            out,
+            "  {}{} {} ( .Y(w{})",
+            cell.func().stem(),
+            cell.drive().suffix(),
+            gate.name(),
+            id.index()
+        )?;
+        for (pin, &fanin) in PIN_NAMES.iter().zip(gate.fanins()) {
+            write!(out, ", .{pin}({})", SignalName(netlist, fanin))?;
+        }
+        out.push_str(" );\n");
+    }
+    for (name, driver) in netlist.outputs() {
+        writeln!(out, "  assign {name} = {};", SignalName(netlist, driver))?;
+    }
+    out.push_str("endmodule\n");
+    Ok(())
+}
+
+/// The exact length of [`write_verilog`]'s text, so [`to_verilog`]
+/// allocates its buffer once.
+fn verilog_len(netlist: &Netlist) -> usize {
+    let decimal_len = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let signal_len = |s: SignalRef| match s {
+        SignalRef::Const0 | SignalRef::Const1 => "1'b0".len(),
+        SignalRef::Gate(id) if netlist.gate(id).is_input() => netlist.gate(id).name().len(),
+        SignalRef::Gate(id) => 1 + decimal_len(id.index()),
+    };
+    let ports = netlist.input_count() + netlist.output_count();
+    let mut len = "module  ();\n".len()
+        + netlist.name().len()
+        + ", ".len() * ports.saturating_sub(1)
+        + "endmodule\n".len();
+    for &pi in netlist.inputs() {
+        // In the port list and in the declaration.
+        len += 2 * netlist.gate(pi).name().len() + "  input ;\n".len();
+    }
+    for (name, driver) in netlist.outputs() {
+        len += 2 * name.len() + "  output ;\n".len();
+        len += name.len() + signal_len(driver) + "  assign  = ;\n".len();
+    }
+    let gates = netlist.logic_gate_count();
+    if gates > 0 {
+        len += "  wire ;\n".len() + ", ".len() * (gates - 1);
+    }
+    for (id, gate) in netlist.iter().filter(|(_, gate)| !gate.is_input()) {
+        let cell = gate.cell();
+        let net = signal_len(SignalRef::Gate(id));
+        len += net; // in the wire list
+        len += "    ( .Y() );\n".len()
+            + cell.func().stem().len()
+            + cell.drive().suffix().len()
+            + gate.name().len()
+            + net;
+        for &fanin in gate.fanins() {
+            len += ", .A()".len() + signal_len(fanin);
+        }
+    }
+    len
+}
+
+/// One token: a slice of the source and the position of its first
+/// character.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Token<'a> {
+    text: &'a str,
     loc: Loc,
 }
 
-fn tokenize(src: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
-    let mut i = 0usize;
-    // Current position (1-based line and character column).
-    let mut line = 1usize;
-    let mut col = 1usize;
-    let mut cur = String::new();
-    let mut cur_loc = Loc::new(1, 1);
-    let flush = |cur: &mut String, cur_loc: Loc, tokens: &mut Vec<Token>| {
-        if !cur.is_empty() {
-            tokens.push(Token {
-                text: std::mem::take(cur),
-                loc: cur_loc,
-            });
+/// Splits source text into tokens on demand, as slices of the source.
+///
+/// Tokens are the punctuation characters `( ) , ; . =` and maximal runs
+/// of anything else up to whitespace, punctuation or the start of a
+/// comment; so a `/` that does not start `//` or `/*` is part of a name.
+/// Lines and columns are 1-based and count characters, not bytes.
+struct Lexer<'a> {
+    src: &'a str,
+    /// Byte offset of the next unread character.
+    pos: usize,
+    /// Line of the next unread character.
+    line: usize,
+    /// Column of the next unread character.
+    col: usize,
+}
+
+/// Whether `text` starts with a `//` or `/*` comment.
+#[inline]
+fn starts_comment(text: &str) -> bool {
+    text.starts_with("//") || text.starts_with("/*")
+}
+
+/// Whether `c` is a one-character token.
+#[inline]
+fn is_punctuation(c: char) -> bool {
+    matches!(c, '(' | ')' | ',' | ';' | '.' | '=')
+}
+
+impl<'a> Lexer<'a> {
+    fn new(src: &'a str) -> Lexer<'a> {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            col: 1,
         }
-    };
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            '\n' => {
-                flush(&mut cur, cur_loc, &mut tokens);
-                line += 1;
-                col = 1;
-                i += 1;
+    }
+
+    /// The next unread character.
+    #[inline]
+    fn peek(&self) -> Option<char> {
+        let &byte = self.src.as_bytes().get(self.pos)?;
+        if byte.is_ascii() {
+            Some(char::from(byte))
+        } else {
+            self.src[self.pos..].chars().next()
+        }
+    }
+
+    /// Skips a comment starting at the next unread character.
+    fn skip_comment(&mut self) {
+        let body_start = self.pos + 2;
+        if self.src.as_bytes()[self.pos + 1] == b'/' {
+            // A line comment runs to the newline, which resets the column.
+            self.pos = self.src[body_start..]
+                .find('\n')
+                .map_or(self.src.len(), |i| body_start + i);
+            return;
+        }
+        // A block comment runs to its `*/`, or to the end of the source.
+        let Some(body_len) = self.src[body_start..].find("*/") else {
+            self.pos = self.src.len();
+            return;
+        };
+        let body = &self.src[body_start..body_start + body_len];
+        match body.rfind('\n') {
+            Some(last) => {
+                self.line += body.bytes().filter(|&b| b == b'\n').count();
+                self.col = 1 + body[last + 1..].chars().count() + "*/".len();
             }
-            c if c.is_whitespace() => {
-                flush(&mut cur, cur_loc, &mut tokens);
-                col += 1;
-                i += 1;
-            }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '/' => {
-                flush(&mut cur, cur_loc, &mut tokens);
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                    col += 1;
+            None => self.col += "/*".len() + body.chars().count() + "*/".len(),
+        }
+        self.pos = body_start + body_len + "*/".len();
+    }
+
+    /// The next token, or `None` at the end of the source.
+    fn token(&mut self) -> Option<Token<'a>> {
+        loop {
+            let c = self.peek()?;
+            let start = self.pos;
+            let loc = Loc::new(self.line, self.col);
+            match c {
+                '\n' => {
+                    self.line += 1;
+                    self.col = 1;
+                    self.pos += 1;
                 }
-            }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '*' => {
-                flush(&mut cur, cur_loc, &mut tokens);
-                i += 2;
-                col += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == '*' && bytes[i + 1] == '/') {
-                    if bytes[i] == '\n' {
-                        line += 1;
-                        col = 1;
-                    } else {
-                        col += 1;
+                c if c.is_whitespace() => {
+                    self.col += 1;
+                    self.pos += c.len_utf8();
+                }
+                '/' if starts_comment(&self.src[start..]) => self.skip_comment(),
+                c if is_punctuation(c) => {
+                    self.col += 1;
+                    self.pos += 1;
+                    return Some(Token {
+                        text: &self.src[start..self.pos],
+                        loc,
+                    });
+                }
+                _ => {
+                    let rest = &self.src[start..];
+                    let mut len = rest.len();
+                    for (i, c) in rest.char_indices() {
+                        let ends = c.is_whitespace()
+                            || is_punctuation(c)
+                            || (c == '/' && starts_comment(&rest[i..]));
+                        if ends {
+                            len = i;
+                            break;
+                        }
+                        self.col += 1;
                     }
-                    i += 1;
+                    self.pos = start + len;
+                    return Some(Token {
+                        text: &self.src[start..self.pos],
+                        loc,
+                    });
                 }
-                i = (i + 2).min(bytes.len());
-                col += 2;
-            }
-            '(' | ')' | ',' | ';' | '.' | '=' => {
-                flush(&mut cur, cur_loc, &mut tokens);
-                tokens.push(Token {
-                    text: c.to_string(),
-                    loc: Loc::new(line, col),
-                });
-                col += 1;
-                i += 1;
-            }
-            _ => {
-                if cur.is_empty() {
-                    cur_loc = Loc::new(line, col);
-                }
-                cur.push(c);
-                col += 1;
-                i += 1;
             }
         }
     }
-    flush(&mut cur, cur_loc, &mut tokens);
-    tokens
 }
 
 /// A net value during elaboration.
@@ -206,39 +316,129 @@ fn tokenize(src: &str) -> Vec<Token> {
 enum NetDriver {
     Undriven,
     Const(bool),
-    Instance(usize),
+    Instance(u32),
     /// `assign lhs = rhs;` alias to another net.
-    Alias(usize),
-    PrimaryInput(usize),
+    Alias(u32),
+    PrimaryInput(u32),
+}
+
+/// A net during elaboration.
+#[derive(Debug)]
+struct Net<'a> {
+    name: &'a str,
+    /// First-seen position, so diagnostics discovered during elaboration
+    /// (undriven nets, alias cycles) still point into the source.
+    loc: Loc,
+    driver: NetDriver,
+}
+
+/// The nets of a module, numbered in order of first appearance.
+struct Nets<'a> {
+    ids: HashMap<&'a str, u32>,
+    nets: Vec<Net<'a>>,
+}
+
+impl<'a> Nets<'a> {
+    fn with_capacity(capacity: usize) -> Nets<'a> {
+        Nets {
+            ids: HashMap::with_capacity(capacity),
+            nets: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// The id of the net named by `tok`, numbering it if it is new.
+    fn intern(&mut self, tok: Token<'a>) -> u32 {
+        let next = u32::try_from(self.nets.len()).expect("a source below 4 GiB has fewer nets");
+        let id = *self.ids.entry(tok.text).or_insert(next);
+        if id == next {
+            // Constant literals used directly as operands are pre-driven nets.
+            let driver = match tok.text {
+                "1'b0" => NetDriver::Const(false),
+                "1'b1" => NetDriver::Const(true),
+                _ => NetDriver::Undriven,
+            };
+            self.nets.push(Net {
+                name: tok.text,
+                loc: tok.loc,
+                driver,
+            });
+        }
+        id
+    }
+
+    /// Makes `value` the driver of the net named by `tok`.
+    fn drive(&mut self, tok: Token<'a>, value: NetDriver) -> Result<u32, ParseVerilogError> {
+        let net = self.intern(tok);
+        let driver = &mut self.nets[net as usize].driver;
+        if *driver != NetDriver::Undriven {
+            return Err(ParseVerilogError::MultipleDrivers {
+                net: tok.text.to_owned(),
+                loc: tok.loc,
+            });
+        }
+        *driver = value;
+        Ok(net)
+    }
+
+    /// The driver at the end of `net`'s alias chain.
+    fn resolve(&self, mut net: u32) -> Result<NetDriver, ParseVerilogError> {
+        for _ in 0..=self.nets.len() {
+            match self.nets[net as usize].driver {
+                NetDriver::Alias(next) => net = next,
+                other => return Ok(other),
+            }
+        }
+        let net = &self.nets[net as usize];
+        Err(ParseVerilogError::CombinationalLoop {
+            instance: net.name.to_owned(),
+            loc: net.loc,
+        })
+    }
+
+    fn unknown(&self, net: u32, loc: Loc) -> ParseVerilogError {
+        ParseVerilogError::UnknownNet {
+            loc,
+            net: self.nets[net as usize].name.to_owned(),
+        }
+    }
 }
 
 #[derive(Debug)]
-struct RawInstance {
-    name: String,
+struct RawInstance<'a> {
+    name: &'a str,
     cell: Cell,
     loc: Loc,
-    /// Net index per input pin.
-    input_nets: Vec<Option<usize>>,
-    output_net: Option<usize>,
+    /// Net per input pin; only the first `cell.arity()` are used.
+    pins: [Option<u32>; 3],
+    has_output: bool,
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Parser {
-    fn next(&mut self) -> Result<Token, ParseVerilogError> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or(ParseVerilogError::UnexpectedEof)?;
-        self.pos += 1;
-        Ok(t)
+impl RawInstance<'_> {
+    fn syntax_error(&self, message: String) -> ParseVerilogError {
+        ParseVerilogError::Syntax {
+            loc: self.loc,
+            message,
+        }
     }
 
-    fn expect(&mut self, text: &str) -> Result<Token, ParseVerilogError> {
+    fn loop_error(&self) -> ParseVerilogError {
+        ParseVerilogError::CombinationalLoop {
+            instance: self.name.to_owned(),
+            loc: self.loc,
+        }
+    }
+}
+
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+}
+
+impl<'a> Parser<'a> {
+    fn next(&mut self) -> Result<Token<'a>, ParseVerilogError> {
+        self.lexer.token().ok_or(ParseVerilogError::UnexpectedEof)
+    }
+
+    fn expect(&mut self, text: &str) -> Result<Token<'a>, ParseVerilogError> {
         let t = self.next()?;
         if t.text != text {
             return Err(ParseVerilogError::Syntax {
@@ -249,7 +449,7 @@ impl Parser {
         Ok(t)
     }
 
-    fn ident(&mut self) -> Result<Token, ParseVerilogError> {
+    fn ident(&mut self) -> Result<Token<'a>, ParseVerilogError> {
         let t = self.next()?;
         let ok = t
             .text
@@ -263,9 +463,93 @@ impl Parser {
         }
         Ok(t)
     }
+
+    /// The rest of a declaration: names separated by `,` up to `;`.
+    fn declaration(
+        &mut self,
+        mut declare: impl FnMut(Token<'a>) -> Result<(), ParseVerilogError>,
+    ) -> Result<(), ParseVerilogError> {
+        loop {
+            declare(self.ident()?)?;
+            let sep = self.next()?;
+            match sep.text {
+                "," => continue,
+                ";" => return Ok(()),
+                other => {
+                    return Err(ParseVerilogError::Syntax {
+                        loc: sep.loc,
+                        message: format!("expected `,` or `;`, found `{other}`"),
+                    })
+                }
+            }
+        }
+    }
+
+    /// The rest of an instance of `cell`, after its cell name `t`.
+    fn instance(
+        &mut self,
+        t: Token<'a>,
+        cell: Cell,
+        nets: &mut Nets<'a>,
+        index: u32,
+    ) -> Result<RawInstance<'a>, ParseVerilogError> {
+        let mut inst = RawInstance {
+            name: self.ident()?.text,
+            cell,
+            loc: t.loc,
+            pins: [None; 3],
+            has_output: false,
+        };
+        self.expect("(")?;
+        loop {
+            let tok = self.next()?;
+            match tok.text {
+                ")" => break,
+                "," => continue,
+                "." => {
+                    let pin_tok = self.ident()?;
+                    self.expect("(")?;
+                    let net_tok = self.ident()?;
+                    self.expect(")")?;
+                    let pin = pin_tok.text;
+                    if pin == "Y" {
+                        if net_tok.text == "1'b0" || net_tok.text == "1'b1" {
+                            return Err(ParseVerilogError::Syntax {
+                                loc: net_tok.loc,
+                                message: "constant on output pin".to_owned(),
+                            });
+                        }
+                        nets.drive(net_tok, NetDriver::Instance(index))?;
+                        inst.has_output = true;
+                    } else {
+                        let idx = PIN_NAMES
+                            .iter()
+                            .position(|&n| n == pin)
+                            .filter(|&i| i < cell.arity())
+                            .ok_or_else(|| ParseVerilogError::Syntax {
+                                loc: pin_tok.loc,
+                                message: format!("unknown pin `{pin}` on cell {}", t.text),
+                            })?;
+                        inst.pins[idx] = Some(nets.intern(net_tok));
+                    }
+                }
+                other => {
+                    return Err(ParseVerilogError::Syntax {
+                        loc: tok.loc,
+                        message: format!("unexpected token `{other}` in instance"),
+                    })
+                }
+            }
+        }
+        self.expect(";")?;
+        Ok(inst)
+    }
 }
 
 /// Parses structural Verilog into a [`Netlist`].
+///
+/// Reading costs the source text plus the netlist (see the module
+/// docs).
 ///
 /// # Errors
 ///
@@ -273,347 +557,225 @@ impl Parser {
 /// nets, multiply-driven nets, or combinational loops. Only the first
 /// module in the source is read.
 pub fn parse(src: &str) -> Result<Netlist, ParseVerilogError> {
+    // Net and instance ids are `u32`; every net and instance takes at
+    // least two bytes of source, so a shorter source cannot overflow them.
+    if u32::try_from(src.len()).is_err() {
+        return Err(ParseVerilogError::Syntax {
+            loc: Loc::new(1, 1),
+            message: "source exceeds 4 GiB".to_owned(),
+        });
+    }
     let mut p = Parser {
-        tokens: tokenize(src),
-        pos: 0,
+        lexer: Lexer::new(src),
     };
     p.expect("module")?;
     let module_name = p.ident()?.text;
 
     // Port list (names repeated in input/output declarations).
     p.expect("(")?;
-    loop {
-        let t = p.next()?;
-        match t.text.as_str() {
-            ")" => break,
-            "," => continue,
-            _ => continue, // port name; direction comes from declarations
-        }
-    }
+    while p.next()?.text != ")" {}
     p.expect(";")?;
 
-    let mut net_ids: HashMap<String, usize> = HashMap::new();
-    let mut drivers: Vec<NetDriver> = Vec::new();
-    let mut net_names: Vec<String> = Vec::new();
-    // First-seen position of each net, so diagnostics discovered during
-    // elaboration (undriven nets, alias cycles) still point into the
-    // source.
-    let mut net_locs: Vec<Loc> = Vec::new();
-    let intern = |tok: &Token,
-                  net_ids: &mut HashMap<String, usize>,
-                  drivers: &mut Vec<NetDriver>,
-                  net_names: &mut Vec<String>,
-                  net_locs: &mut Vec<Loc>|
-     -> usize {
-        if let Some(&id) = net_ids.get(&tok.text) {
-            return id;
-        }
-        let id = drivers.len();
-        net_ids.insert(tok.text.clone(), id);
-        // Constant literals used directly as operands are pre-driven nets.
-        drivers.push(match tok.text.as_str() {
-            "1'b0" => NetDriver::Const(false),
-            "1'b1" => NetDriver::Const(true),
-            _ => NetDriver::Undriven,
-        });
-        net_names.push(tok.text.clone());
-        net_locs.push(tok.loc);
-        id
-    };
-
-    let mut input_order: Vec<usize> = Vec::new();
-    let mut output_order: Vec<(String, usize)> = Vec::new();
-    let mut instances: Vec<RawInstance> = Vec::new();
+    // Size the tables from the `;` count. Every instance ends in one, so
+    // it bounds the instances. Nets are about one per statement, plus the
+    // inputs a declaration lists together: a quarter more covers the
+    // suite circuits, and the tables still grow for a source that needs
+    // more.
+    let statements = src.bytes().filter(|&b| b == b';').count();
+    let mut nets = Nets::with_capacity(statements + statements / 4);
+    let mut instances: Vec<RawInstance<'_>> = Vec::with_capacity(statements);
+    let mut input_order: Vec<u32> = Vec::new();
+    let mut output_order: Vec<(&str, u32)> = Vec::new();
 
     loop {
         let t = p.next()?;
-        match t.text.as_str() {
+        match t.text {
             "endmodule" => break,
-            "input" | "output" | "wire" => {
-                let kind = t.text.clone();
-                loop {
-                    let name_tok = p.ident()?;
-                    let net = intern(
-                        &name_tok,
-                        &mut net_ids,
-                        &mut drivers,
-                        &mut net_names,
-                        &mut net_locs,
-                    );
-                    if kind == "input" {
-                        if drivers[net] != NetDriver::Undriven {
-                            return Err(ParseVerilogError::MultipleDrivers {
-                                net: name_tok.text,
-                                loc: name_tok.loc,
-                            });
-                        }
-                        drivers[net] = NetDriver::PrimaryInput(input_order.len());
-                        input_order.push(net);
-                    } else if kind == "output" {
-                        output_order.push((name_tok.text.clone(), net));
-                    }
-                    let sep = p.next()?;
-                    match sep.text.as_str() {
-                        "," => continue,
-                        ";" => break,
-                        other => {
-                            return Err(ParseVerilogError::Syntax {
-                                loc: sep.loc,
-                                message: format!("expected `,` or `;`, found `{other}`"),
-                            })
-                        }
-                    }
-                }
-            }
+            "input" => p.declaration(|name| {
+                let index = u32::try_from(input_order.len()).expect("inputs are nets");
+                input_order.push(nets.drive(name, NetDriver::PrimaryInput(index))?);
+                Ok(())
+            })?,
+            "output" => p.declaration(|name| {
+                output_order.push((name.text, nets.intern(name)));
+                Ok(())
+            })?,
+            "wire" => p.declaration(|name| {
+                nets.intern(name);
+                Ok(())
+            })?,
             "assign" => {
-                let lhs_tok = p.ident()?;
-                let lhs = intern(
-                    &lhs_tok,
-                    &mut net_ids,
-                    &mut drivers,
-                    &mut net_names,
-                    &mut net_locs,
-                );
+                let lhs = p.ident()?;
+                // Interned first, so a net first seen here (even as
+                // `assign x = x;`) is located at the left-hand side.
+                nets.intern(lhs);
                 p.expect("=")?;
-                let rhs_tok = p.ident()?;
-                let value = match rhs_tok.text.as_str() {
+                let rhs = p.ident()?;
+                let value = match rhs.text {
                     "1'b0" => NetDriver::Const(false),
                     "1'b1" => NetDriver::Const(true),
-                    _ => {
-                        let rhs = intern(
-                            &rhs_tok,
-                            &mut net_ids,
-                            &mut drivers,
-                            &mut net_names,
-                            &mut net_locs,
-                        );
-                        NetDriver::Alias(rhs)
-                    }
+                    _ => NetDriver::Alias(nets.intern(rhs)),
                 };
-                if !matches!(drivers[lhs], NetDriver::Undriven) {
-                    return Err(ParseVerilogError::MultipleDrivers {
-                        net: lhs_tok.text,
-                        loc: lhs_tok.loc,
-                    });
-                }
-                drivers[lhs] = value;
+                nets.drive(lhs, value)?;
                 p.expect(";")?;
             }
             cell_name => {
-                // A cell instance.
                 let cell: Cell = cell_name
                     .parse()
                     .map_err(|_| ParseVerilogError::UnknownCell {
                         loc: t.loc,
                         cell: cell_name.to_owned(),
                     })?;
-                let inst_name = p.ident()?.text;
-                p.expect("(")?;
-                let mut input_nets: Vec<Option<usize>> = vec![None; cell.arity()];
-                let mut output_net: Option<usize> = None;
-                loop {
-                    let tok = p.next()?;
-                    match tok.text.as_str() {
-                        ")" => break,
-                        "," => continue,
-                        "." => {
-                            let pin_tok = p.ident()?;
-                            p.expect("(")?;
-                            let net_tok = p.ident()?;
-                            p.expect(")")?;
-                            let pin = pin_tok.text.as_str();
-                            if pin == "Y" {
-                                if net_tok.text == "1'b0" || net_tok.text == "1'b1" {
-                                    return Err(ParseVerilogError::Syntax {
-                                        loc: net_tok.loc,
-                                        message: "constant on output pin".to_owned(),
-                                    });
-                                }
-                                let net = intern(
-                                    &net_tok,
-                                    &mut net_ids,
-                                    &mut drivers,
-                                    &mut net_names,
-                                    &mut net_locs,
-                                );
-                                if !matches!(drivers[net], NetDriver::Undriven) {
-                                    return Err(ParseVerilogError::MultipleDrivers {
-                                        net: net_tok.text,
-                                        loc: net_tok.loc,
-                                    });
-                                }
-                                drivers[net] = NetDriver::Instance(instances.len());
-                                output_net = Some(net);
-                            } else {
-                                let idx = PIN_NAMES
-                                    .iter()
-                                    .position(|&n| n == pin)
-                                    .filter(|&i| i < cell.arity())
-                                    .ok_or_else(|| ParseVerilogError::Syntax {
-                                        loc: pin_tok.loc,
-                                        message: format!("unknown pin `{pin}` on cell {cell_name}"),
-                                    })?;
-                                let net = intern(
-                                    &net_tok,
-                                    &mut net_ids,
-                                    &mut drivers,
-                                    &mut net_names,
-                                    &mut net_locs,
-                                );
-                                input_nets[idx] = Some(net);
-                            }
-                        }
-                        other => {
-                            return Err(ParseVerilogError::Syntax {
-                                loc: tok.loc,
-                                message: format!("unexpected token `{other}` in instance"),
-                            })
-                        }
-                    }
-                }
-                p.expect(";")?;
-                instances.push(RawInstance {
-                    name: inst_name,
-                    cell,
-                    loc: t.loc,
-                    input_nets,
-                    output_net,
-                });
+                let index = u32::try_from(instances.len())
+                    .expect("a source below 4 GiB has fewer instances");
+                let inst = p.instance(t, cell, &mut nets, index)?;
+                instances.push(inst);
             }
         }
     }
 
-    // Mark constants for nets driven by `assign x = 1'bX` chains and
-    // detect alias cycles while resolving.
-    fn resolve(
-        net: usize,
-        drivers: &[NetDriver],
-        net_names: &[String],
-        net_locs: &[Loc],
-        depth: usize,
-    ) -> Result<NetDriver, ParseVerilogError> {
-        if depth > drivers.len() {
-            return Err(ParseVerilogError::CombinationalLoop {
-                instance: net_names[net].clone(),
-                loc: net_locs[net],
-            });
-        }
-        match drivers[net] {
-            NetDriver::Alias(next) => resolve(next, drivers, net_names, net_locs, depth + 1),
-            other => Ok(other),
-        }
-    }
+    let order = topological_order(&instances, &nets)?;
 
-    // Topological sort of instances (Kahn) over instance->instance deps.
-    let inst_of_net = |net: usize| -> Result<Option<usize>, ParseVerilogError> {
-        match resolve(net, &drivers, &net_names, &net_locs, 0)? {
-            NetDriver::Instance(i) => Ok(Some(i)),
-            NetDriver::Undriven => Err(ParseVerilogError::UnknownNet {
-                loc: net_locs[net],
-                net: net_names[net].clone(),
-            }),
-            _ => Ok(None),
-        }
-    };
-
-    let mut indegree = vec![0usize; instances.len()];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); instances.len()];
-    for (i, inst) in instances.iter().enumerate() {
-        for (pin, net) in inst.input_nets.iter().enumerate() {
-            let net = net.ok_or_else(|| ParseVerilogError::Syntax {
-                loc: inst.loc,
-                message: format!(
-                    "instance `{}` leaves pin {} unconnected",
-                    inst.name, PIN_NAMES[pin]
-                ),
-            })?;
-            if let Some(src) = inst_of_net(net)? {
-                dependents[src].push(i);
-                indegree[i] += 1;
-            }
-        }
-    }
-
-    let mut ready: Vec<usize> = indegree
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d == 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut order: Vec<usize> = Vec::with_capacity(instances.len());
-    while let Some(i) = ready.pop() {
-        order.push(i);
-        for &j in &dependents[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                ready.push(j);
-            }
-        }
-    }
-    if order.len() != instances.len() {
-        let stuck = indegree
+    // Build the netlist: PIs first (so input `k` is gate `k`), then
+    // instances in topological order.
+    let capacity = Capacity {
+        gates: input_order.len() + instances.len(),
+        pins: instances.iter().map(|inst| inst.cell.arity()).sum(),
+        name_bytes: input_order
             .iter()
-            .position(|&d| d > 0)
-            .expect("cycle implies positive indegree");
-        return Err(ParseVerilogError::CombinationalLoop {
-            instance: instances[stuck].name.clone(),
-            loc: instances[stuck].loc,
-        });
-    }
-
-    // Build the netlist: PIs first, then instances in topological order.
-    let mut netlist = Netlist::new(module_name);
-    let mut pi_gate: Vec<GateId> = Vec::new();
+            .map(|&net| nets.nets[net as usize].name.len())
+            .chain(instances.iter().map(|inst| inst.name.len()))
+            .sum(),
+        inputs: input_order.len(),
+        outputs: output_order.len(),
+        output_name_bytes: output_order.iter().map(|(name, _)| name.len()).sum(),
+    };
+    let mut netlist = Netlist::with_capacity(module_name, capacity);
     for &net in &input_order {
-        pi_gate.push(netlist.add_input(&net_names[net]));
+        netlist.add_input(nets.nets[net as usize].name);
     }
     let mut inst_gate: Vec<Option<GateId>> = vec![None; instances.len()];
-    let signal_of_net = |net: usize,
+    let signal_of_net = |net: u32,
                          inst_gate: &[Option<GateId>],
                          loc: Loc|
      -> Result<SignalRef, ParseVerilogError> {
-        match resolve(net, &drivers, &net_names, &net_locs, 0)? {
+        match nets.resolve(net)? {
             NetDriver::Const(false) => Ok(SignalRef::Const0),
             NetDriver::Const(true) => Ok(SignalRef::Const1),
-            NetDriver::PrimaryInput(idx) => Ok(SignalRef::Gate(pi_gate[idx])),
-            NetDriver::Instance(i) => {
-                inst_gate[i]
-                    .map(SignalRef::Gate)
-                    .ok_or(ParseVerilogError::CombinationalLoop {
-                        instance: instances[i].name.clone(),
-                        loc: instances[i].loc,
-                    })
-            }
-            NetDriver::Undriven | NetDriver::Alias(_) => Err(ParseVerilogError::UnknownNet {
-                loc,
-                net: net_names[net].clone(),
-            }),
+            NetDriver::PrimaryInput(idx) => Ok(SignalRef::Gate(GateId::new(idx as usize))),
+            NetDriver::Instance(i) => inst_gate[i as usize]
+                .map(SignalRef::Gate)
+                .ok_or_else(|| instances[i as usize].loop_error()),
+            NetDriver::Undriven | NetDriver::Alias(_) => Err(nets.unknown(net, loc)),
         }
     };
 
     for &i in &order {
-        let inst = &instances[i];
-        let mut fanins = Vec::with_capacity(inst.cell.arity());
-        for net in &inst.input_nets {
-            let net = net.expect("checked above");
-            fanins.push(signal_of_net(net, &inst_gate, inst.loc)?);
+        let inst = &instances[i as usize];
+        let arity = inst.cell.arity();
+        let mut fanins = [SignalRef::Const0; 3];
+        for (fanin, net) in fanins.iter_mut().zip(&inst.pins[..arity]) {
+            *fanin = signal_of_net(net.expect("checked above"), &inst_gate, inst.loc)?;
         }
-        if inst.output_net.is_none() {
-            return Err(ParseVerilogError::Syntax {
-                loc: inst.loc,
-                message: format!("instance `{}` has no output connection", inst.name),
-            });
+        if !inst.has_output {
+            return Err(
+                inst.syntax_error(format!("instance `{}` has no output connection", inst.name))
+            );
         }
-        let id = netlist.add_gate(&inst.name, inst.cell, fanins)?;
-        inst_gate[i] = Some(id);
+        let id = netlist.add_gate(inst.name, inst.cell, &fanins[..arity])?;
+        inst_gate[i as usize] = Some(id);
     }
 
     for (name, net) in output_order {
-        let driver = signal_of_net(net, &inst_gate, net_locs[net])?;
+        let driver = signal_of_net(net, &inst_gate, nets.nets[net as usize].loc)?;
         netlist.add_output(name, driver);
     }
     netlist.check_invariants()?;
     Ok(netlist)
+}
+
+/// The instances in a topological order of their instance-to-instance
+/// dependencies (Kahn's algorithm; the ready set is a stack, so the
+/// order, and with it every gate id, is a function of the source).
+///
+/// # Errors
+///
+/// Returns the first unconnected input pin, undriven net or alias cycle
+/// in instance and pin order, and otherwise a combinational loop.
+fn topological_order(
+    instances: &[RawInstance<'_>],
+    nets: &Nets<'_>,
+) -> Result<Vec<u32>, ParseVerilogError> {
+    // The instance driving each pin's net, if any.
+    let source = |inst: &RawInstance<'_>, pin: usize| -> Result<Option<u32>, ParseVerilogError> {
+        let net = inst.pins[pin].ok_or_else(|| {
+            inst.syntax_error(format!(
+                "instance `{}` leaves pin {} unconnected",
+                inst.name, PIN_NAMES[pin]
+            ))
+        })?;
+        match nets.resolve(net)? {
+            NetDriver::Instance(i) => Ok(Some(i)),
+            NetDriver::Undriven => Err(nets.unknown(net, nets.nets[net as usize].loc)),
+            _ => Ok(None),
+        }
+    };
+
+    // Dependents of every instance in compressed-sparse-row form: count
+    // them, then fill each row back to front so it lists its readers in
+    // ascending (instance, pin) order.
+    let n = instances.len();
+    let mut indegree = vec![0u32; n];
+    let mut row_end = vec![0u32; n + 1];
+    for (i, inst) in instances.iter().enumerate() {
+        for pin in 0..inst.cell.arity() {
+            if let Some(src) = source(inst, pin)? {
+                row_end[src as usize] += 1;
+                indegree[i] += 1;
+            }
+        }
+    }
+    let mut total = 0;
+    for end in &mut row_end[..n] {
+        total += *end;
+        *end = total;
+    }
+    row_end[n] = total;
+    let mut dependents = vec![0u32; total as usize];
+    for (i, inst) in instances.iter().enumerate().rev() {
+        for pin in (0..inst.cell.arity()).rev() {
+            if let Some(src) = source(inst, pin).expect("checked above") {
+                row_end[src as usize] -= 1;
+                dependents[row_end[src as usize] as usize] = i as u32;
+            }
+        }
+    }
+    // `row_end[i]` is now where row `i` starts, and `row_end[i + 1]`
+    // where it ends.
+    let row_start = row_end;
+
+    let mut ready: Vec<u32> = (0..n as u32)
+        .filter(|&i| indegree[i as usize] == 0)
+        .collect();
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    while let Some(i) = ready.pop() {
+        order.push(i);
+        let i = i as usize;
+        for &j in &dependents[row_start[i] as usize..row_start[i + 1] as usize] {
+            indegree[j as usize] -= 1;
+            if indegree[j as usize] == 0 {
+                ready.push(j);
+            }
+        }
+    }
+    if order.len() != n {
+        let stuck = indegree
+            .iter()
+            .position(|&d| d > 0)
+            .expect("cycle implies positive indegree");
+        return Err(instances[stuck].loop_error());
+    }
+    Ok(order)
 }
 
 #[cfg(test)]

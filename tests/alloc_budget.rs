@@ -20,6 +20,12 @@
 //! an `EvalContext` makes no allocation of that size: the context keeps
 //! only the accurate circuit's output rows, from a simulation that
 //! recycles rows.
+//!
+//! A fifth pins Verilog I/O: reading a netlist costs the source text
+//! plus the netlist, so `verilog::parse` makes a fixed handful of
+//! allocations (the netlist's arrays and the reader's tables, with no
+//! string or vector per token, net or instance), none larger than twice
+//! the source; and `to_verilog` writes into one buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,7 +34,7 @@ use tdals::baselines::{Greedy, GreedyConfig, Hedals, HedalsConfig};
 use tdals::circuits::Benchmark;
 use tdals::core::api::{Budget, Dcgwo, NopObserver, Optimizer};
 use tdals::core::{EvalContext, OptimizerConfig};
-use tdals::netlist::Netlist;
+use tdals::netlist::{verilog, Netlist};
 use tdals::sim::{ErrorMetric, Patterns};
 use tdals::sta::TimingConfig;
 
@@ -44,11 +50,14 @@ thread_local! {
     static LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Size from which an allocation also counts as large.
     static LARGE_BYTES: Cell<usize> = const { Cell::new(usize::MAX) };
+    /// Size of the largest allocation since the last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count_one(size: usize) {
     // `try_with`: the allocator can run during thread-local teardown.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
     if LARGE_BYTES
         .try_with(Cell::get)
         .is_ok_and(|large| size >= large)
@@ -277,4 +286,54 @@ fn one_thread_baselines_allocate_word_storage_a_fixed_number_of_times() {
              a per-candidate simulation buffer is back"
         );
     }
+}
+
+/// Allocations `verilog::parse` may make on any circuit: the returned
+/// netlist's twelve arrays, and the reader's net, name-map, instance
+/// and topological-sort tables.
+const PARSE_BUDGET: u64 = 48;
+/// Allocations `verilog::to_verilog` may make on any circuit.
+const WRITE_BUDGET: u64 = 2;
+
+/// The size of the largest allocation `f` makes on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (LARGEST.with(Cell::get), out)
+}
+
+#[test]
+fn verilog_io_allocates_a_size_independent_handful() {
+    let mut writes = Vec::new();
+    for bench in [Benchmark::C880, Benchmark::Sqrt] {
+        let netlist = bench.build();
+        let (write, text) = allocations(|| verilog::to_verilog(&netlist));
+        let (largest, (parse, parsed)) =
+            largest_allocation(|| allocations(|| verilog::parse(&text)));
+        let parsed = parsed.expect("written Verilog parses");
+        assert_eq!(parsed.gate_count(), netlist.gate_count());
+
+        assert!(
+            parse <= PARSE_BUDGET,
+            "{bench}: verilog::parse made {parse} allocations for {} gates, budget {PARSE_BUDGET}; \
+             per-token, per-net or per-instance allocation is back",
+            netlist.gate_count()
+        );
+        assert!(
+            largest <= 2 * text.len(),
+            "{bench}: verilog::parse made a {largest}-byte allocation for {} bytes of source",
+            text.len()
+        );
+        assert!(
+            write <= WRITE_BUDGET,
+            "{bench}: to_verilog made {write} allocations, budget {WRITE_BUDGET}"
+        );
+        writes.push(write);
+    }
+    assert!(
+        writes[0].abs_diff(writes[1]) <= MAX_SIZE_DRIFT,
+        "to_verilog: {} allocations on c880 but {} on Sqrt; per-gate allocation is back",
+        writes[0],
+        writes[1]
+    );
 }

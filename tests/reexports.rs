@@ -124,15 +124,15 @@ fn par_surface_resolves() {
     assert_eq!(tdals::core::par::resolve_threads(0), {
         tdals::core::par::available_threads()
     });
-    let batched = tdals::core::par::par_map_batched_with(
+    let mapped = tdals::core::par::par_map_with(
         2,
         &mut Vec::<()>::new(),
         vec![1, 2, 3],
         |(), x: i32| x + 1,
         || true,
     );
-    assert!(batched.completed);
-    assert_eq!(batched.results, vec![2, 3, 4]);
+    assert!(mapped.completed);
+    assert_eq!(mapped.results, vec![2, 3, 4]);
     // The thread knobs thread through every configuration layer.
     assert_eq!(OptimizerConfig::default().with_threads(4).threads, 4);
     assert_eq!(MethodConfig::default().with_threads(4).threads, 4);

@@ -44,14 +44,14 @@ pub fn assign_synthesis_drives(netlist: &mut Netlist) {
         .filter(|(_, g)| !g.is_input())
         .map(|(id, _)| id)
         .collect();
-    for id in ids {
+    netlist.set_drives(ids.into_iter().map(|id| {
         let drive = match counts[id.index()] {
             0..=2 => Drive::X0,
             3..=6 => Drive::X1,
             _ => Drive::X2,
         };
-        netlist.set_drive(id, drive);
-    }
+        (id, drive)
+    }));
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tdals_netlist::{Netlist, SignalRef};
+use tdals_netlist::Netlist;
 use tdals_sim::ErrorMetric;
 
 use crate::api::{
@@ -614,18 +614,18 @@ fn evaluate_offspring(
 }
 
 /// The offspring as work units, in order of their first child: search
-/// children of equal netlists are gathered into one unit, found by a
-/// fingerprint and confirmed by comparing the netlists.
+/// children of equal netlists are gathered into one unit, found by
+/// [`Netlist::wiring_hash`] and confirmed by comparing the netlists.
 fn group_searches(offspring: Vec<Offspring<'_>>) -> Vec<Work<'_>> {
     let mut work: Vec<Work<'_>> = Vec::with_capacity(offspring.len());
-    // (fingerprint, unit index) of every search unit so far.
+    // (wiring hash, unit index) of every search unit so far.
     let mut searches: Vec<(u64, usize)> = Vec::new();
     for (k, off) in offspring.into_iter().enumerate() {
         let Offspring::Search { netlist, seed } = off else {
             work.push(Work::Single(k, off));
             continue;
         };
-        let print = fingerprint(&netlist);
+        let print = netlist.wiring_hash();
         let same = searches.iter().find(|&&(p, unit)| {
             p == print && matches!(&work[unit], Work::Search { netlist: n, .. } if *n == netlist)
         });
@@ -641,25 +641,6 @@ fn group_searches(offspring: Vec<Offspring<'_>>) -> Vec<Work<'_>> {
         }
     }
     work
-}
-
-/// A hash of `netlist`'s fan-in rows and primary-output drivers: equal
-/// netlists share it, so only netlists with equal fingerprints need a
-/// full comparison.
-fn fingerprint(netlist: &Netlist) -> u64 {
-    let code = |signal: SignalRef| match signal {
-        SignalRef::Const0 => 0,
-        SignalRef::Const1 => 1,
-        SignalRef::Gate(g) => g.index() as u64 + 2,
-    };
-    let mut hash = 0u64;
-    let pins = netlist
-        .iter()
-        .flat_map(|(_, gate)| gate.fanins().iter().copied());
-    for signal in pins.chain(netlist.output_drivers()) {
-        hash = (hash.rotate_left(5) ^ code(signal)).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    hash
 }
 
 impl WorkerScratch {
@@ -901,6 +882,7 @@ mod tests {
     use crate::fitness::same_scores;
     use crate::pareto::non_dominated_sort;
     use tdals_netlist::builder::Builder;
+    use tdals_netlist::SignalRef;
     use tdals_sim::{ErrorMetric, Patterns};
     use tdals_sta::TimingConfig;
 

@@ -317,7 +317,7 @@ impl DeltaEval {
         let mut stack = vec![target];
         while let Some(g) = stack.pop() {
             for fanin in netlist.gate(g).fanins() {
-                let SignalRef::Gate(src) = *fanin else {
+                let SignalRef::Gate(src) = fanin else {
                     continue;
                 };
                 if !self.live[src.index()] {
@@ -386,7 +386,7 @@ impl DeltaEval {
         let mut stack = vec![target];
         while let Some(g) = stack.pop() {
             for fanin in netlist.gate(g).fanins() {
-                let SignalRef::Gate(src) = *fanin else {
+                let SignalRef::Gate(src) = fanin else {
                     continue;
                 };
                 // The switch keeps the target's live readers, and

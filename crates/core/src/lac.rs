@@ -131,9 +131,9 @@ pub fn collect_targets<R: Rng, A: Arrivals + ?Sized>(
         if rng.gen::<f64>() > 0.5 {
             for fanin in netlist.gate(gate).fanins() {
                 if let SignalRef::Gate(src) = fanin {
-                    if !in_set[src.index()] && !netlist.gate(*src).is_input() {
+                    if !in_set[src.index()] && !netlist.gate(src).is_input() {
                         in_set[src.index()] = true;
-                        targets.push(*src);
+                        targets.push(src);
                     }
                 }
             }
@@ -172,7 +172,7 @@ impl SearchScratch {
         self.stack.push(root);
         while let Some(id) = self.stack.pop() {
             for fanin in netlist.gate(id).fanins() {
-                if let SignalRef::Gate(src) = *fanin {
+                if let SignalRef::Gate(src) = fanin {
                     if self.stamp[src.index()] != generation {
                         self.stamp[src.index()] = generation;
                         self.stack.push(src);
@@ -450,9 +450,9 @@ mod tests {
             if rng.gen::<f64>() > 0.5 {
                 for fanin in netlist.gate(gate).fanins() {
                     if let SignalRef::Gate(src) = fanin {
-                        if !in_set[src.index()] && !netlist.gate(*src).is_input() {
+                        if !in_set[src.index()] && !netlist.gate(src).is_input() {
                             in_set[src.index()] = true;
-                            targets.push(*src);
+                            targets.push(src);
                         }
                     }
                 }

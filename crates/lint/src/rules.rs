@@ -93,7 +93,7 @@ impl Rule for CycleRule {
     fn check(&self, netlist: &Netlist, report: &mut LintReport) {
         for (id, gate) in netlist.iter() {
             for fanin in gate.fanins() {
-                let SignalRef::Gate(src) = *fanin else {
+                let SignalRef::Gate(src) = fanin else {
                     continue;
                 };
                 if src.index() < netlist.gate_count() && src >= id {
@@ -147,7 +147,7 @@ impl Rule for UndrivenRule {
                 );
             }
             for fanin in gate.fanins() {
-                let SignalRef::Gate(src) = *fanin else {
+                let SignalRef::Gate(src) = fanin else {
                     continue;
                 };
                 if src.index() >= netlist.gate_count() {

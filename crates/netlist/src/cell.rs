@@ -508,33 +508,37 @@ impl Cell {
         self.func.is_input()
     }
 
+    /// This cell's row of [`CELL_MODEL`].
+    #[inline]
+    fn model(self) -> &'static CellModel {
+        &CELL_MODEL[self.func as usize][self.drive as usize]
+    }
+
     /// Cell area in µm².
     ///
     /// Area grows sub-linearly in the drive factor (`0.55 + 0.45·f`),
     /// reflecting diffusion sharing in real layouts.
+    #[inline]
     pub fn area(self) -> f64 {
-        if self.is_input() {
-            return 0.0;
-        }
-        self.func.base_area() * (0.55 + 0.45 * self.drive.factor())
+        self.model().area
     }
 
     /// Capacitance in fF presented by each input pin.
+    #[inline]
     pub fn input_cap(self) -> f64 {
-        self.func.base_cin() * self.drive.factor()
+        self.model().input_cap
     }
 
     /// Intrinsic (zero-load) delay in ps.
+    #[inline]
     pub fn intrinsic(self) -> f64 {
-        self.func.intrinsic_ps()
+        self.model().intrinsic
     }
 
     /// Output drive resistance in ps/fF.
+    #[inline]
     pub fn resistance(self) -> f64 {
-        if self.is_input() {
-            return 0.0;
-        }
-        self.func.base_resistance() / self.drive.factor()
+        self.model().resistance
     }
 
     /// Propagation delay in ps into an external load of `load_ff` fF.
@@ -577,6 +581,69 @@ impl Cell {
         format!("{}{}", self.func.stem(), self.drive.suffix())
     }
 }
+
+/// The area and delay model of one cell, as [`Cell`]'s accessors return
+/// it.
+#[derive(Clone, Copy)]
+struct CellModel {
+    area: f64,
+    input_cap: f64,
+    intrinsic: f64,
+    resistance: f64,
+}
+
+impl CellModel {
+    /// The model of `func` at `drive`, from the per-function X1 bases
+    /// and the drive factor.
+    const fn new(func: CellFunc, drive: Drive) -> CellModel {
+        let factor = drive.factor();
+        if func.is_input() {
+            return CellModel {
+                area: 0.0,
+                input_cap: 0.0,
+                intrinsic: 0.0,
+                resistance: 0.0,
+            };
+        }
+        CellModel {
+            area: func.base_area() * (0.55 + 0.45 * factor),
+            input_cap: func.base_cin() * factor,
+            intrinsic: func.intrinsic_ps(),
+            resistance: func.base_resistance() / factor,
+        }
+    }
+}
+
+/// Every cell function, `Input` included, in declaration order, so
+/// `FUNCS[f as usize] == f`.
+const FUNCS: [CellFunc; ALL_FUNCS.len() + 1] = {
+    let mut funcs = [CellFunc::Input; ALL_FUNCS.len() + 1];
+    let mut i = 0;
+    while i < ALL_FUNCS.len() {
+        funcs[i + 1] = ALL_FUNCS[i];
+        i += 1;
+    }
+    funcs
+};
+
+/// The model of every cell, indexed by `[func as usize][drive as usize]`
+/// and evaluated at compile time, so the timing and area accessors are
+/// one load instead of two `match`es and the arithmetic between them.
+/// IEEE arithmetic rounds the same at compile time as at run time, so
+/// every entry equals what [`CellModel::new`] computes when called.
+static CELL_MODEL: [[CellModel; ALL_DRIVES.len()]; FUNCS.len()] = {
+    let mut table = [[CellModel::new(CellFunc::Input, Drive::X1); ALL_DRIVES.len()]; FUNCS.len()];
+    let mut f = 0;
+    while f < FUNCS.len() {
+        let mut d = 0;
+        while d < ALL_DRIVES.len() {
+            table[f][d] = CellModel::new(FUNCS[f], ALL_DRIVES[d]);
+            d += 1;
+        }
+        f += 1;
+    }
+    table
+};
 
 impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -793,6 +860,43 @@ mod tests {
     fn parse_rejects_garbage() {
         for bad in ["", "NAND2", "NAND2X3", "X1", "INVX12", "nandx1"] {
             assert!(bad.parse::<Cell>().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn the_cell_model_table_equals_the_formulas_bit_for_bit() {
+        for (f, &func) in FUNCS.iter().enumerate() {
+            assert_eq!(func as usize, f, "{func} out of declaration order");
+            for drive in ALL_DRIVES {
+                let cell = Cell::new(func, drive);
+                let factor = drive.factor();
+                // The reference formulas, evaluated at run time.
+                let area = if func.is_input() {
+                    0.0
+                } else {
+                    func.base_area() * (0.55 + 0.45 * factor)
+                };
+                let input_cap = func.base_cin() * factor;
+                let intrinsic = func.intrinsic_ps();
+                let resistance = if func.is_input() {
+                    0.0
+                } else {
+                    func.base_resistance() / factor
+                };
+                let got = [
+                    cell.area(),
+                    cell.input_cap(),
+                    cell.intrinsic(),
+                    cell.resistance(),
+                ];
+                let want = [area, input_cap, intrinsic, resistance];
+                for (name, (got, want)) in ["area", "input_cap", "intrinsic", "resistance"]
+                    .into_iter()
+                    .zip(got.into_iter().zip(want))
+                {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{cell} {name}");
+                }
+            }
         }
     }
 

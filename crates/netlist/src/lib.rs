@@ -49,4 +49,4 @@ pub mod verilog;
 
 pub use cell::{Cell, CellFunc, Drive};
 pub use error::{Loc, NetlistError, ParseVerilogError};
-pub use netlist::{Fanouts, Gate, GateId, Netlist, Output, SignalRef};
+pub use netlist::{FaninIter, Fanins, Fanouts, Gate, GateId, Netlist, SignalRef};

@@ -14,7 +14,27 @@
 //! mixture of fan-in rows from approximate variants of the same circuit is
 //! acyclic by construction, which is what makes circuit searching and
 //! circuit reproduction safe and fast.
+//!
+//! # Storage
+//!
+//! The optimizers keep dozens of approximations of one circuit alive at
+//! once, and a local approximate change only ever rewires pins: it never
+//! changes a gate's cell, its arity or where its row starts. So a
+//! netlist is split in two:
+//!
+//! * its **pins**, every fan-in row back to back in one array of 4-byte
+//!   codes (a gate's index, or one of two reserved codes for the
+//!   constants), plus the primary-output drivers in the same code; and
+//! * its **structure**: the cells, the row offsets, the primary inputs
+//!   and the name tables, behind one [`Arc`] that every clone shares.
+//!
+//! A clone therefore copies 4 bytes per pin and per output and bumps one
+//! reference count; the few mutations that change the structure copy it
+//! first if another clone shares it ([`Netlist`] lists them).
+//! [`SignalRef`] stays the public signal type: [`Gate::fanins`] decodes
+//! the codes as it hands them out.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -43,10 +63,14 @@ impl GateId {
     ///
     /// # Panics
     ///
-    /// Panics if `index` exceeds `u32::MAX`.
+    /// Panics if `index` is `u32::MAX - 1` or more: the netlist's packed
+    /// pins keep the two largest `u32` codes for the constants.
     #[inline]
     pub fn new(index: usize) -> GateId {
-        GateId(u32::try_from(index).expect("gate index exceeds u32::MAX"))
+        match u32::try_from(index) {
+            Ok(code) if code < CONST0_CODE => GateId(code),
+            _ => panic!("gate index {index} collides with the reserved constant pin codes"),
+        }
     }
 
     /// Dense index of this gate.
@@ -134,11 +158,134 @@ impl fmt::Display for SignalRef {
     }
 }
 
+/// Packed pin code of `Const0`. A gate's code is its index, which
+/// [`GateId::new`] keeps below this.
+const CONST0_CODE: u32 = u32::MAX - 1;
+/// Packed pin code of `Const1`.
+const CONST1_CODE: u32 = u32::MAX;
+
+/// Largest cell arity: the room a fan-in row needs.
+const MAX_ARITY: usize = 3;
+
+#[inline]
+fn encode(signal: SignalRef) -> u32 {
+    match signal {
+        SignalRef::Const0 => CONST0_CODE,
+        SignalRef::Const1 => CONST1_CODE,
+        SignalRef::Gate(id) => id.0,
+    }
+}
+
+#[inline]
+fn decode(code: u32) -> SignalRef {
+    match code {
+        CONST0_CODE => SignalRef::Const0,
+        CONST1_CODE => SignalRef::Const1,
+        index => SignalRef::Gate(GateId(index)),
+    }
+}
+
+/// The gate index a pin code names, or `None` for a constant.
+#[inline]
+fn gate_index(code: u32) -> Option<usize> {
+    (code < CONST0_CODE).then_some(code as usize)
+}
+
+/// One gate's fan-in row: a `Copy` view of the netlist's packed pins
+/// that hands out each pin as a [`SignalRef`], in pin order.
+///
+/// # Examples
+///
+/// ```
+/// use tdals_netlist::{Netlist, SignalRef};
+/// use tdals_netlist::cell::{Cell, CellFunc, Drive};
+///
+/// let mut n = Netlist::new("t");
+/// let a = n.add_input("a");
+/// let g = n.add_gate("u", Cell::new(CellFunc::And2, Drive::X1), [a.into(), SignalRef::Const1])?;
+/// let fanins = n.gate(g).fanins();
+/// assert_eq!(fanins.len(), 2);
+/// assert_eq!(fanins.get(1), Some(SignalRef::Const1));
+/// assert_eq!(fanins.into_iter().collect::<Vec<_>>(), [a.into(), SignalRef::Const1]);
+/// # Ok::<(), tdals_netlist::NetlistError>(())
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Fanins<'a> {
+    codes: &'a [u32],
+}
+
+impl<'a> Fanins<'a> {
+    /// Number of input pins.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.codes.len()
+    }
+
+    /// `true` for a row without pins (a primary input's).
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The signal on input pin `pin`, or `None` past the last pin.
+    #[inline]
+    pub fn get(self, pin: usize) -> Option<SignalRef> {
+        self.codes.get(pin).map(|&code| decode(code))
+    }
+
+    /// Iterates over the pins' signals in pin order.
+    #[inline]
+    pub fn iter(self) -> FaninIter<'a> {
+        FaninIter(self.codes.iter())
+    }
+
+    /// The row as an owned vector of signals.
+    pub fn to_vec(self) -> Vec<SignalRef> {
+        self.iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for Fanins<'a> {
+    type Item = SignalRef;
+    type IntoIter = FaninIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> FaninIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Fanins<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(*self).finish()
+    }
+}
+
+/// Iterator over the signals of a [`Fanins`] row.
+#[derive(Debug, Clone)]
+pub struct FaninIter<'a>(std::slice::Iter<'a, u32>);
+
+impl Iterator for FaninIter<'_> {
+    type Item = SignalRef;
+
+    #[inline]
+    fn next(&mut self) -> Option<SignalRef> {
+        self.0.next().map(|&code| decode(code))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for FaninIter<'_> {}
+
 /// Read-only view of one gate: a cell plus its fan-in adjacency row.
 ///
 /// The netlist stores gates as parallel arrays (see [`Netlist`]), so a
 /// gate is not an object of its own; [`Netlist::gate`] and
-/// [`Netlist::iter`] hand out this `Copy` view instead. The slices and
+/// [`Netlist::iter`] hand out this `Copy` view instead. The rows and
 /// names it returns borrow from the netlist, not from the view, so
 /// `netlist.gate(id).fanins()` outlives the temporary view.
 #[derive(Clone, Copy)]
@@ -146,7 +293,7 @@ pub struct Gate<'a> {
     names: &'a Names,
     id: GateId,
     cell: Cell,
-    fanins: &'a [SignalRef],
+    fanins: Fanins<'a>,
 }
 
 impl<'a> Gate<'a> {
@@ -163,7 +310,7 @@ impl<'a> Gate<'a> {
 
     /// Fan-in adjacency row, one entry per input pin.
     #[inline]
-    pub fn fanins(self) -> &'a [SignalRef] {
+    pub fn fanins(self) -> Fanins<'a> {
         self.fanins
     }
 
@@ -188,12 +335,6 @@ impl PartialEq for Gate<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cell == other.cell && self.fanins() == other.fanins() && self.name() == other.name()
     }
-}
-
-/// A named primary output and the signal driving it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Output {
-    driver: SignalRef,
 }
 
 /// An append-only table of names packed into one string: name `i` is
@@ -304,16 +445,25 @@ impl Fanouts {
 ///
 /// # Storage
 ///
-/// Gates live in parallel arrays indexed by [`GateId`]: one `Vec` of
-/// cells, and all fan-in rows back to back in one pin array with an
-/// offsets array (`pins[start[g]..start[g + 1]]` is gate `g`'s row, the
-/// compressed-sparse-row layout). Gate and output names sit in
-/// reference-counted side tables, which only Verilog I/O and
-/// diagnostics need, so a clone copies five flat arrays plus the module
-/// name and only bumps a refcount for the names. Rows never change length after
+/// Gates live in parallel arrays indexed by [`GateId`]: all fan-in rows
+/// back to back in one pin array with an offsets array
+/// (`pins[start[g]..start[g + 1]]` is gate `g`'s row, the
+/// compressed-sparse-row layout), and one array of cells. Each pin is a
+/// 4-byte code: the driving gate's index, or one of two reserved codes
+/// for the constants; [`Gate::fanins`] decodes them into [`SignalRef`]s.
+///
+/// Only the pins and the primary-output drivers belong to one netlist.
+/// The cells, the row offsets, the primary inputs and the gate and
+/// output names sit in one reference-counted structure that every clone
+/// shares, so a clone copies two flat arrays of `u32` and bumps one
+/// reference count. Rows never change length after
 /// [`Netlist::add_gate`]: every rewrite ([`Netlist::set_fanin`],
 /// [`Netlist::set_fanins`], [`Netlist::substitute`]) keeps a gate's
-/// arity, so edits are in place.
+/// arity, so edits are in place and never touch the shared structure.
+/// The mutations that do change it ([`Netlist::set_drive`],
+/// [`Netlist::set_drives`], the `add_*` methods, [`Netlist::set_name`]
+/// and [`Netlist::sweep_dangling`]) copy it first when another clone
+/// shares it.
 ///
 /// [`Netlist::gate`] and [`Netlist::iter`] return [`Gate`] views into
 /// these arrays; [`Netlist::fanouts`] builds the reverse adjacency.
@@ -339,19 +489,27 @@ impl Fanouts {
 /// assert_eq!(n.logic_gate_count(), 2);
 /// # Ok::<(), tdals_netlist::NetlistError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Netlist {
+    /// Everything a pin rewrite leaves alone, shared by every clone.
+    structure: Arc<Structure>,
+    /// Every fan-in row's pin codes, back to back in id order.
+    pins: Vec<u32>,
+    /// Pin code of each primary output's driver.
+    outputs: Vec<u32>,
+}
+
+/// The part of a [`Netlist`] that its approximations share.
+#[derive(Clone, PartialEq, Eq)]
+struct Structure {
     name: String,
     /// Cell of each gate.
     cells: Vec<Cell>,
-    /// Row offsets into `pins`: `cells.len() + 1` entries, from 0.
+    /// Row offsets into the pins: `cells.len() + 1` entries, from 0.
     start: Vec<u32>,
-    /// Every fan-in row, back to back in id order.
-    pins: Vec<SignalRef>,
-    names: Arc<Names>,
     inputs: Vec<GateId>,
-    output_names: Arc<Names>,
-    outputs: Vec<Output>,
+    names: Names,
+    output_names: Names,
 }
 
 /// Room to reserve in a [`Netlist`] whose final size is known before it
@@ -372,16 +530,13 @@ pub(crate) struct Capacity {
     pub output_name_bytes: usize,
 }
 
-/// Rejects any gate fan-in of `gate` that does not precede it.
-fn check_order(gate: GateId, fanins: &[SignalRef]) -> Result<(), NetlistError> {
-    for &fanin in fanins {
-        if let SignalRef::Gate(src) = fanin {
-            if src >= gate {
-                return Err(NetlistError::FaninOrder { gate, fanin: src });
-            }
-        }
+/// Rejects a gate fan-in of `gate` that does not precede it.
+#[inline]
+fn check_order(gate: GateId, fanin: SignalRef) -> Result<(), NetlistError> {
+    match fanin {
+        SignalRef::Gate(src) if src >= gate => Err(NetlistError::FaninOrder { gate, fanin: src }),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 impl Netlist {
@@ -395,56 +550,64 @@ impl Netlist {
         let mut start = Vec::with_capacity(capacity.gates + 1);
         start.push(0);
         Netlist {
-            name: name.into(),
-            cells: Vec::with_capacity(capacity.gates),
-            start,
+            structure: Arc::new(Structure {
+                name: name.into(),
+                cells: Vec::with_capacity(capacity.gates),
+                start,
+                inputs: Vec::with_capacity(capacity.inputs),
+                names: Names::with_capacity(capacity.gates, capacity.name_bytes),
+                output_names: Names::with_capacity(capacity.outputs, capacity.output_name_bytes),
+            }),
             pins: Vec::with_capacity(capacity.pins),
-            names: Arc::new(Names::with_capacity(capacity.gates, capacity.name_bytes)),
-            inputs: Vec::with_capacity(capacity.inputs),
-            output_names: Arc::new(Names::with_capacity(
-                capacity.outputs,
-                capacity.output_name_bytes,
-            )),
             outputs: Vec::with_capacity(capacity.outputs),
         }
     }
 
+    /// The shared structure, copied first if another clone shares it.
+    fn structure_mut(&mut self) -> &mut Structure {
+        Arc::make_mut(&mut self.structure)
+    }
+
     /// Module name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.structure.name
     }
 
     /// Renames the module.
     pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
+        self.structure_mut().name = name.into();
     }
 
-    /// Fan-in row of gate index `i`.
+    /// Pin codes of gate index `i`'s fan-in row.
     #[inline]
-    fn row(&self, i: usize) -> &[SignalRef] {
-        &self.pins[self.start[i] as usize..self.start[i + 1] as usize]
+    fn row(&self, i: usize) -> &[u32] {
+        let start = &self.structure.start;
+        &self.pins[start[i] as usize..start[i + 1] as usize]
     }
 
-    /// Mutable fan-in row of gate index `i`.
-    fn row_mut(&mut self, i: usize) -> &mut [SignalRef] {
-        &mut self.pins[self.start[i] as usize..self.start[i + 1] as usize]
+    /// Mutable pin codes of gate index `i`'s fan-in row.
+    fn row_mut(&mut self, i: usize) -> &mut [u32] {
+        let start = &self.structure.start;
+        &mut self.pins[start[i] as usize..start[i + 1] as usize]
     }
 
     /// Appends a gate whose row has already been validated.
     fn push_gate(&mut self, name: &str, cell: Cell, fanins: &[SignalRef]) -> GateId {
-        let id = GateId::new(self.cells.len());
-        self.cells.push(cell);
-        self.pins.extend_from_slice(fanins);
-        self.start
-            .push(u32::try_from(self.pins.len()).expect("pin count exceeds u32::MAX"));
-        Arc::make_mut(&mut self.names).push(name);
+        let id = GateId::new(self.gate_count());
+        self.pins
+            .extend(fanins.iter().map(|&signal| encode(signal)));
+        let pins = u32::try_from(self.pins.len()).expect("pin count exceeds u32::MAX");
+        let structure = self.structure_mut();
+        structure.cells.push(cell);
+        structure.start.push(pins);
+        structure.names.push(name);
         id
     }
 
     /// Adds a primary input and returns its gate id.
     pub fn add_input(&mut self, name: impl AsRef<str>) -> GateId {
         let id = self.push_gate(name.as_ref(), Cell::input(), &[]);
-        self.inputs.push(id);
+        self.structure_mut().inputs.push(id);
         id
     }
 
@@ -456,6 +619,11 @@ impl Netlist {
     /// from the cell arity, and [`NetlistError::FaninOrder`] if any fan-in
     /// id is not strictly smaller than the new gate's id (which would
     /// break the topological id invariant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new gate's id would collide with a constant's pin
+    /// code (see [`GateId::new`]).
     pub fn add_gate(
         &mut self,
         name: impl AsRef<str>,
@@ -463,7 +631,7 @@ impl Netlist {
         fanins: impl AsRef<[SignalRef]>,
     ) -> Result<GateId, NetlistError> {
         let fanins = fanins.as_ref();
-        let id = GateId::new(self.cells.len());
+        let id = GateId::new(self.gate_count());
         if fanins.len() != cell.arity() {
             return Err(NetlistError::ArityMismatch {
                 gate: id,
@@ -472,30 +640,32 @@ impl Netlist {
                 actual: fanins.len(),
             });
         }
-        check_order(id, fanins)?;
+        for &fanin in fanins {
+            check_order(id, fanin)?;
+        }
         Ok(self.push_gate(name.as_ref(), cell, fanins))
     }
 
     /// Declares a primary output driven by `driver`.
     pub fn add_output(&mut self, name: impl AsRef<str>, driver: SignalRef) {
-        Arc::make_mut(&mut self.output_names).push(name.as_ref());
-        self.outputs.push(Output { driver });
+        self.structure_mut().output_names.push(name.as_ref());
+        self.outputs.push(encode(driver));
     }
 
     /// Total number of gates including primary-input pseudo-gates.
     #[inline]
     pub fn gate_count(&self) -> usize {
-        self.cells.len()
+        self.structure.cells.len()
     }
 
     /// Number of logic gates (excludes primary inputs).
     pub fn logic_gate_count(&self) -> usize {
-        self.cells.len() - self.inputs.len()
+        self.gate_count() - self.structure.inputs.len()
     }
 
     /// Number of primary inputs.
     pub fn input_count(&self) -> usize {
-        self.inputs.len()
+        self.structure.inputs.len()
     }
 
     /// Number of primary outputs.
@@ -512,10 +682,10 @@ impl Netlist {
     pub fn gate(&self, id: GateId) -> Gate<'_> {
         let i = id.index();
         Gate {
-            names: &self.names,
+            names: &self.structure.names,
             id,
-            cell: self.cells[i],
-            fanins: self.row(i),
+            cell: self.structure.cells[i],
+            fanins: Fanins { codes: self.row(i) },
         }
     }
 
@@ -524,25 +694,27 @@ impl Netlist {
     pub fn iter(&self) -> impl Iterator<Item = (GateId, Gate<'_>)> {
         // Rows are back to back in id order, so peel them off the pin
         // array front to back instead of indexing `start` per gate.
+        let structure = &*self.structure;
         let mut rest = self.pins.as_slice();
-        let ends = self.start[1..].iter();
+        let ends = structure.start[1..].iter();
         let mut row_start = 0;
-        self.cells
+        structure
+            .cells
             .iter()
             .zip(ends)
             .enumerate()
             .map(move |(i, (&cell, &end))| {
-                let (fanins, tail) = rest.split_at(end as usize - row_start);
+                let (codes, tail) = rest.split_at(end as usize - row_start);
                 rest = tail;
                 row_start = end as usize;
                 let id = GateId::new(i);
                 (
                     id,
                     Gate {
-                        names: &self.names,
+                        names: &structure.names,
                         id,
                         cell,
-                        fanins,
+                        fanins: Fanins { codes },
                     },
                 )
             })
@@ -550,7 +722,7 @@ impl Netlist {
 
     /// Ids of the primary inputs, in declaration order.
     pub fn inputs(&self) -> &[GateId] {
-        &self.inputs
+        &self.structure.inputs
     }
 
     /// Signal driving primary output `po`.
@@ -560,7 +732,7 @@ impl Netlist {
     /// Panics if `po` is out of bounds.
     #[inline]
     pub fn output_driver(&self, po: usize) -> SignalRef {
-        self.outputs[po].driver
+        decode(self.outputs[po])
     }
 
     /// Name of primary output `po`.
@@ -569,7 +741,7 @@ impl Netlist {
     ///
     /// Panics if `po` is out of bounds.
     pub fn output_name(&self, po: usize) -> &str {
-        self.output_names.get(po)
+        self.structure.output_names.get(po)
     }
 
     /// Iterates over `(name, driver)` of all primary outputs.
@@ -578,7 +750,7 @@ impl Netlist {
         self.outputs
             .iter()
             .enumerate()
-            .map(|(po, o)| (self.output_names.get(po), o.driver))
+            .map(|(po, &code)| (self.structure.output_names.get(po), decode(code)))
     }
 
     /// Iterates over the signals driving the primary outputs, in
@@ -586,7 +758,7 @@ impl Netlist {
     /// for the per-candidate paths that read only drivers.
     #[inline]
     pub fn output_drivers(&self) -> impl Iterator<Item = SignalRef> + '_ {
-        self.outputs.iter().map(|o| o.driver)
+        self.outputs.iter().map(|&code| decode(code))
     }
 
     /// Re-points primary output `po` at a new driver.
@@ -595,7 +767,7 @@ impl Netlist {
     ///
     /// Panics if `po` is out of bounds.
     pub fn set_output_driver(&mut self, po: usize, driver: SignalRef) {
-        self.outputs[po].driver = driver;
+        self.outputs[po] = encode(driver);
     }
 
     /// Overwrites one fan-in pin of a gate.
@@ -618,14 +790,15 @@ impl Netlist {
         pin: usize,
         signal: SignalRef,
     ) -> Result<(), NetlistError> {
-        check_order(gate, &[signal])?;
-        self.row_mut(gate.index())[pin] = signal;
+        check_order(gate, signal)?;
+        self.row_mut(gate.index())[pin] = encode(signal);
         Ok(())
     }
 
     /// Replaces the whole fan-in row of a gate (used by circuit
     /// reproduction, which copies adjacency rows between population
-    /// members). The row is overwritten in place.
+    /// members, straight from another netlist's [`Gate::fanins`]). The
+    /// row is overwritten in place.
     ///
     /// # Errors
     ///
@@ -639,20 +812,32 @@ impl Netlist {
     pub fn set_fanins(
         &mut self,
         gate: GateId,
-        fanins: impl AsRef<[SignalRef]>,
+        fanins: impl IntoIterator<Item = impl Borrow<SignalRef>>,
     ) -> Result<(), NetlistError> {
-        let fanins = fanins.as_ref();
-        let cell = self.cells[gate.index()];
-        if fanins.len() != cell.arity() {
+        let mut row = [0u32; MAX_ARITY];
+        let mut len = 0;
+        let mut order = Ok(());
+        for fanin in fanins {
+            let fanin = *fanin.borrow();
+            if let Some(code) = row.get_mut(len) {
+                *code = encode(fanin);
+            }
+            if order.is_ok() {
+                order = check_order(gate, fanin);
+            }
+            len += 1;
+        }
+        let cell = self.structure.cells[gate.index()];
+        if len != cell.arity() {
             return Err(NetlistError::ArityMismatch {
                 gate,
                 cell,
                 expected: cell.arity(),
-                actual: fanins.len(),
+                actual: len,
             });
         }
-        check_order(gate, fanins)?;
-        self.row_mut(gate.index()).copy_from_slice(fanins);
+        order?;
+        self.row_mut(gate.index()).copy_from_slice(&row[..len]);
         Ok(())
     }
 
@@ -674,20 +859,14 @@ impl Netlist {
     ///
     /// Panics if `target` is out of bounds.
     pub fn substitute(&mut self, target: GateId, switch: SignalRef) -> Result<usize, NetlistError> {
-        check_order(target, &[switch])?;
-        let old = SignalRef::Gate(target);
+        check_order(target, switch)?;
+        let (old, new) = (target.0, encode(switch));
         let mut rewritten = 0;
         // Only gates after `target` can read it (topological ids).
-        let first = self.start[target.index() + 1] as usize;
-        for fanin in &mut self.pins[first..] {
-            if *fanin == old {
-                *fanin = switch;
-                rewritten += 1;
-            }
-        }
-        for out in &mut self.outputs {
-            if out.driver == old {
-                out.driver = switch;
+        let first = self.structure.start[target.index() + 1] as usize;
+        for code in self.pins[first..].iter_mut().chain(&mut self.outputs) {
+            if *code == old {
+                *code = new;
                 rewritten += 1;
             }
         }
@@ -700,22 +879,36 @@ impl Netlist {
     ///
     /// Panics if `gate` is out of bounds or names a primary input.
     pub fn set_drive(&mut self, gate: GateId, drive: Drive) {
-        let cell = &mut self.cells[gate.index()];
+        let cell = self.structure.cells[gate.index()];
         assert!(!cell.is_input(), "cannot size a primary input");
-        *cell = cell.with_drive(drive);
+        if cell.drive() != drive {
+            self.structure_mut().cells[gate.index()] = cell.with_drive(drive);
+        }
+    }
+
+    /// [`Netlist::set_drive`] for many gates at once: the shared
+    /// structure is copied at most once, and a netlist that owns it
+    /// alone pays one reference-count check, not one per gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate is out of bounds or names a primary input.
+    pub fn set_drives(&mut self, drives: impl IntoIterator<Item = (GateId, Drive)>) {
+        let cells = &mut self.structure_mut().cells;
+        for (gate, drive) in drives {
+            let cell = &mut cells[gate.index()];
+            assert!(!cell.is_input(), "cannot size a primary input");
+            *cell = cell.with_drive(drive);
+        }
     }
 
     /// Number of fan-in references (gate pins plus PO drivers) fed by each
     /// gate.
     pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.cells.len()];
-        let drivers = self
-            .pins
-            .iter()
-            .chain(self.outputs.iter().map(|o| &o.driver));
-        for signal in drivers {
-            if let SignalRef::Gate(src) = signal {
-                counts[src.index()] += 1;
+        let mut counts = vec![0usize; self.gate_count()];
+        for &code in self.pins.iter().chain(&self.outputs) {
+            if let Some(src) = gate_index(code) {
+                counts[src] += 1;
             }
         }
         counts
@@ -739,14 +932,14 @@ impl Netlist {
     /// buffers are reused: no allocation once they have held rows of
     /// this size.
     pub fn fanouts_into(&self, fanouts: &mut Fanouts) {
-        let n = self.cells.len();
+        let n = self.gate_count();
         let Fanouts { start, readers } = fanouts;
         // Pass 1: count readers per driver into `start[driver + 1]`.
         start.clear();
         start.resize(n + 1, 0);
-        for fanin in &self.pins {
-            if let SignalRef::Gate(src) = fanin {
-                start[src.index() + 1] += 1;
+        for &code in &self.pins {
+            if let Some(src) = gate_index(code) {
+                start[src + 1] += 1;
             }
         }
         for i in 0..n {
@@ -756,12 +949,12 @@ impl Netlist {
         // `start[driver]` as the fill cursor; afterwards each cursor
         // sits on the next row's start, so shifting restores the offsets.
         readers.clear();
-        readers.resize(start[n] as usize, GateId::new(0));
+        readers.resize(start[n] as usize, GateId(0));
         for reader in 0..n {
-            for fanin in self.row(reader) {
-                if let SignalRef::Gate(src) = fanin {
-                    let cursor = &mut start[src.index()];
-                    readers[*cursor as usize] = GateId::new(reader);
+            for &code in self.row(reader) {
+                if let Some(src) = gate_index(code) {
+                    let cursor = &mut start[src];
+                    readers[*cursor as usize] = GateId(reader as u32);
                     *cursor += 1;
                 }
             }
@@ -777,25 +970,25 @@ impl Netlist {
     /// paper subtracts their area from `Area_app` and deletes them in
     /// post-optimization.
     pub fn live_mask(&self) -> Vec<bool> {
-        let mut live = vec![false; self.cells.len()];
-        for out in &self.outputs {
-            if let SignalRef::Gate(src) = out.driver {
-                live[src.index()] = true;
+        let mut live = vec![false; self.gate_count()];
+        for &code in &self.outputs {
+            if let Some(src) = gate_index(code) {
+                live[src] = true;
             }
         }
         // Fan-ins have smaller ids than their readers, so one descending
         // pass reaches a gate only after every reader that could make it
         // live.
-        for i in (0..self.cells.len()).rev() {
+        for i in (0..self.gate_count()).rev() {
             if live[i] {
-                for fanin in self.row(i) {
-                    if let SignalRef::Gate(src) = fanin {
-                        live[src.index()] = true;
+                for &code in self.row(i) {
+                    if let Some(src) = gate_index(code) {
+                        live[src] = true;
                     }
                 }
             }
         }
-        for &pi in &self.inputs {
+        for &pi in self.inputs() {
             live[pi.index()] = true;
         }
         live
@@ -803,14 +996,15 @@ impl Netlist {
 
     /// Total area in µm² of all logic gates (dangling included).
     pub fn area_total(&self) -> f64 {
-        self.cells.iter().map(|c| c.area()).sum()
+        self.structure.cells.iter().map(|c| c.area()).sum()
     }
 
     /// Area in µm² of gates reachable from a primary output
     /// (`Area_app` in the paper: dangling gates do not count).
     pub fn area_live(&self) -> f64 {
         let live = self.live_mask();
-        self.cells
+        self.structure
+            .cells
             .iter()
             .zip(&live)
             .filter(|(_, &l)| l)
@@ -832,55 +1026,65 @@ impl Netlist {
         if removed == 0 {
             return 0;
         }
-        let mut remap: Vec<Option<GateId>> = vec![None; self.cells.len()];
-        let mut next = 0usize;
+        // New code of every live gate; a constant keeps its code.
+        let mut remap = vec![CONST0_CODE; live.len()];
+        let mut next = 0u32;
         for (i, &keep) in live.iter().enumerate() {
             if keep {
-                remap[i] = Some(GateId::new(next));
+                remap[i] = next;
                 next += 1;
             }
         }
-        let remap_sig = |s: SignalRef| match s {
-            SignalRef::Gate(g) => {
-                SignalRef::Gate(remap[g.index()].expect("live gate references dead gate"))
+        let remap_code = |code: u32| match gate_index(code) {
+            Some(src) => {
+                assert!(live[src], "live gate references dead gate");
+                remap[src]
             }
-            c => c,
+            None => code,
         };
-        let mut cells = Vec::with_capacity(next);
-        let mut start = Vec::with_capacity(next + 1);
+        let old = &*self.structure;
+        let mut cells = Vec::with_capacity(next as usize);
+        let mut start = Vec::with_capacity(next as usize + 1);
         let mut pins = Vec::new();
         start.push(0);
         for (i, &keep) in live.iter().enumerate() {
             if keep {
-                cells.push(self.cells[i]);
-                pins.extend(self.row(i).iter().map(|&f| remap_sig(f)));
+                cells.push(old.cells[i]);
+                pins.extend(self.row(i).iter().map(|&code| remap_code(code)));
                 start.push(u32::try_from(pins.len()).expect("pin count exceeds u32::MAX"));
             }
         }
-        self.cells = cells;
-        self.start = start;
+        let structure = Structure {
+            name: old.name.clone(),
+            cells,
+            start,
+            inputs: old
+                .inputs
+                .iter()
+                .map(|pi| GateId(remap[pi.index()]))
+                .collect(),
+            names: old.names.retain(&live),
+            output_names: old.output_names.clone(),
+        };
+        for code in &mut self.outputs {
+            *code = remap_code(*code);
+        }
+        self.structure = Arc::new(structure);
         self.pins = pins;
-        self.names = Arc::new(self.names.retain(&live));
-        for pi in &mut self.inputs {
-            *pi = remap[pi.index()].expect("primary input removed");
-        }
-        for out in &mut self.outputs {
-            out.driver = remap_sig(out.driver);
-        }
         removed
     }
 
     /// Gates in the transitive fan-in of `root` (excluding `root`
     /// itself), as a boolean mask.
     pub fn tfi_mask(&self, root: GateId) -> Vec<bool> {
-        let mut mask = vec![false; self.cells.len()];
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            for fanin in self.row(id.index()) {
-                if let SignalRef::Gate(src) = fanin {
-                    if !mask[src.index()] {
-                        mask[src.index()] = true;
-                        stack.push(*src);
+        let mut mask = vec![false; self.gate_count()];
+        let mut stack = vec![root.index()];
+        while let Some(i) = stack.pop() {
+            for &code in self.row(i) {
+                if let Some(src) = gate_index(code) {
+                    if !mask[src] {
+                        mask[src] = true;
+                        stack.push(src);
                     }
                 }
             }
@@ -892,7 +1096,7 @@ impl Netlist {
     /// Gates in the transitive fan-out of `root` (excluding `root`).
     pub fn tfo_mask(&self, root: GateId) -> Vec<bool> {
         let fanouts = self.fanouts();
-        let mut mask = vec![false; self.cells.len()];
+        let mut mask = vec![false; self.gate_count()];
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
             for &dst in fanouts.readers(id) {
@@ -909,24 +1113,22 @@ impl Netlist {
     /// Gates in the transitive fan-in cones of the given primary outputs,
     /// including the driving gates themselves.
     pub fn po_cone_mask(&self, pos: &[usize]) -> Vec<bool> {
-        let mut mask = vec![false; self.cells.len()];
-        let mut stack: Vec<GateId> = Vec::new();
-        for &po in pos {
-            if let SignalRef::Gate(src) = self.outputs[po].driver {
-                if !mask[src.index()] {
-                    mask[src.index()] = true;
+        let mut mask = vec![false; self.gate_count()];
+        let mut stack: Vec<usize> = Vec::new();
+        let reach = |code: u32, mask: &mut [bool], stack: &mut Vec<usize>| {
+            if let Some(src) = gate_index(code) {
+                if !mask[src] {
+                    mask[src] = true;
                     stack.push(src);
                 }
             }
+        };
+        for &po in pos {
+            reach(self.outputs[po], &mut mask, &mut stack);
         }
-        while let Some(id) = stack.pop() {
-            for fanin in self.row(id.index()) {
-                if let SignalRef::Gate(src) = fanin {
-                    if !mask[src.index()] {
-                        mask[src.index()] = true;
-                        stack.push(*src);
-                    }
-                }
+        while let Some(i) = stack.pop() {
+            for &code in self.row(i) {
+                reach(code, &mut mask, &mut stack);
             }
         }
         mask
@@ -942,9 +1144,9 @@ impl Netlist {
     /// or vice versa ([`NetlistError::MalformedInput`]), or dangling
     /// output references ([`NetlistError::UnknownGate`]).
     pub fn check_invariants(&self) -> Result<(), NetlistError> {
-        let mut is_pi = vec![false; self.cells.len()];
-        for &pi in &self.inputs {
-            if pi.index() >= self.cells.len() {
+        let mut is_pi = vec![false; self.gate_count()];
+        for &pi in self.inputs() {
+            if pi.index() >= self.gate_count() {
                 return Err(NetlistError::UnknownGate { gate: pi });
             }
             is_pi[pi.index()] = true;
@@ -962,11 +1164,13 @@ impl Netlist {
                     actual: gate.fanins().len(),
                 });
             }
-            check_order(id, gate.fanins())?;
+            for fanin in gate.fanins() {
+                check_order(id, fanin)?;
+            }
         }
-        for out in &self.outputs {
-            if let SignalRef::Gate(src) = out.driver {
-                if src.index() >= self.cells.len() {
+        for driver in self.output_drivers() {
+            if let SignalRef::Gate(src) = driver {
+                if src.index() >= self.gate_count() {
                     return Err(NetlistError::UnknownGate { gate: src });
                 }
             }
@@ -997,6 +1201,55 @@ impl Netlist {
             }
         }
         hist
+    }
+
+    /// A hash of the fan-in rows and primary-output drivers: netlists
+    /// that compare equal share it, so only netlists with equal hashes
+    /// need a full comparison. The pin codes are hashed in four
+    /// independent lanes, so the multiply chains overlap.
+    pub fn wiring_hash(&self) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mix = |hash: u64, code: u32| (hash.rotate_left(5) ^ u64::from(code)).wrapping_mul(K);
+        let mut lanes = [0u64; 4];
+        let mut chunks = self.pins.chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (lane, &code) in lanes.iter_mut().zip(chunk) {
+                *lane = mix(*lane, code);
+            }
+        }
+        let hash = lanes.iter().fold(0u64, |hash, &lane| {
+            (hash.rotate_left(5) ^ lane).wrapping_mul(K)
+        });
+        chunks
+            .remainder()
+            .iter()
+            .chain(&self.outputs)
+            .fold(hash, |hash, &code| mix(hash, code))
+    }
+}
+
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Gates<'a>(&'a Netlist);
+        impl fmt::Debug for Gates<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list()
+                    .entries(self.0.iter().map(|(_, gate)| gate))
+                    .finish()
+            }
+        }
+        struct Outputs<'a>(&'a Netlist);
+        impl fmt::Debug for Outputs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.outputs()).finish()
+            }
+        }
+        f.debug_struct("Netlist")
+            .field("name", &self.name())
+            .field("inputs", &self.inputs())
+            .field("gates", &Gates(self))
+            .field("outputs", &Outputs(self))
+            .finish()
     }
 }
 
@@ -1093,7 +1346,7 @@ mod tests {
         let rewritten = n.substitute(g8, SignalRef::Const0).expect("legal LAC");
         assert_eq!(rewritten, 1); // only gate 11 reads gate 8
         let g11 = n.find_gate("u11").expect("u11");
-        assert_eq!(n.gate(g11).fanins()[1], SignalRef::Const0);
+        assert_eq!(n.gate(g11).fanins().get(1), Some(SignalRef::Const0));
         n.check_invariants().expect("still valid");
     }
 
@@ -1205,6 +1458,18 @@ mod tests {
                 .filter(|(_, d)| *d == SignalRef::Gate(id))
                 .count();
             assert_eq!(counts[id.index()], fanouts.readers(id).len() + po_fanout);
+        }
+    }
+
+    #[test]
+    fn gate_ids_that_collide_with_the_constant_codes_are_refused() {
+        let last = GateId::new(CONST0_CODE as usize - 1);
+        assert_eq!(decode(encode(last.into())), SignalRef::Gate(last));
+        assert_eq!(decode(encode(SignalRef::Const0)), SignalRef::Const0);
+        assert_eq!(decode(encode(SignalRef::Const1)), SignalRef::Const1);
+        for index in [CONST0_CODE as usize, CONST1_CODE as usize, usize::MAX] {
+            let refused = std::panic::catch_unwind(|| GateId::new(index));
+            assert!(refused.is_err(), "GateId::new({index}) was accepted");
         }
     }
 

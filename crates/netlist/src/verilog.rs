@@ -12,7 +12,10 @@
 //!
 //! Instances may appear in any order; the parser topologically sorts them
 //! (rejecting combinational loops) so the resulting [`Netlist`] satisfies
-//! the topological id invariant.
+//! the topological id invariant. A file whose instances are already in
+//! topological order, as every file [`to_verilog`] writes is, keeps its
+//! order, so reading back a written netlist gives the same gate ids and
+//! writing it again gives the same text.
 //!
 //! # Memory
 //!
@@ -125,7 +128,7 @@ fn write_verilog(netlist: &Netlist, out: &mut String) -> std::fmt::Result {
             gate.name(),
             id.index()
         )?;
-        for (pin, &fanin) in PIN_NAMES.iter().zip(gate.fanins()) {
+        for (pin, fanin) in PIN_NAMES.iter().zip(gate.fanins()) {
             write!(out, ", .{pin}({})", SignalName(netlist, fanin))?;
         }
         out.push_str(" );\n");
@@ -172,7 +175,7 @@ fn verilog_len(netlist: &Netlist) -> usize {
             + cell.drive().suffix().len()
             + gate.name().len()
             + net;
-        for &fanin in gate.fanins() {
+        for fanin in gate.fanins() {
             len += ", .A()".len() + signal_len(fanin);
         }
     }
@@ -695,8 +698,10 @@ pub fn parse(src: &str) -> Result<Netlist, ParseVerilogError> {
 }
 
 /// The instances in a topological order of their instance-to-instance
-/// dependencies (Kahn's algorithm; the ready set is a stack, so the
-/// order, and with it every gate id, is a function of the source).
+/// dependencies: file order when every instance reads only instances
+/// before it, and otherwise Kahn's algorithm (the ready set is a stack,
+/// so the order, and with it every gate id, is a function of the
+/// source).
 ///
 /// # Errors
 ///
@@ -727,13 +732,18 @@ fn topological_order(
     let n = instances.len();
     let mut indegree = vec![0u32; n];
     let mut row_end = vec![0u32; n + 1];
+    let mut sorted = true;
     for (i, inst) in instances.iter().enumerate() {
         for pin in 0..inst.cell.arity() {
             if let Some(src) = source(inst, pin)? {
+                sorted &= (src as usize) < i;
                 row_end[src as usize] += 1;
                 indegree[i] += 1;
             }
         }
+    }
+    if sorted {
+        return Ok((0..n as u32).collect());
     }
     let mut total = 0;
     for end in &mut row_end[..n] {

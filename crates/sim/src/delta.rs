@@ -388,12 +388,8 @@ impl DeltaSim {
             // Every reader of a changed gate is re-evaluated, so a
             // changed fan-in whose last reader is `id` is read no more,
             // unless it drives an output.
-            let fanins = if recycling {
-                self.netlist.gate(id).fanins()
-            } else {
-                &[]
-            };
-            for &fanin in fanins {
+            let fanins = recycling.then(|| self.netlist.gate(id).fanins());
+            for fanin in fanins.into_iter().flatten() {
                 let SignalRef::Gate(g) = fanin else {
                     continue;
                 };
@@ -462,7 +458,7 @@ impl DeltaSim {
             |id| {
                 eval_gate_row(
                     self.netlist.gate(id).cell().func(),
-                    self.netlist.gate(id).fanins().iter().copied(),
+                    self.netlist.gate(id).fanins(),
                     &self.patterns,
                     |g| gate_row(values, wc, g),
                     row,
@@ -545,7 +541,7 @@ fn fanins_after(
     target: GateId,
     switch: SignalRef,
 ) -> impl Iterator<Item = SignalRef> + '_ {
-    netlist.gate(id).fanins().iter().map(move |&fanin| {
+    netlist.gate(id).fanins().into_iter().map(move |fanin| {
         if fanin == SignalRef::Gate(target) {
             switch
         } else {

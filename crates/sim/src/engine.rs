@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 
 use tdals_netlist::cell::CellFunc;
-use tdals_netlist::{GateId, Netlist, SignalRef};
+use tdals_netlist::{Fanins, GateId, Netlist, SignalRef};
 
 use crate::kernel::eval_gate_row;
 use crate::patterns::Patterns;
@@ -162,7 +162,7 @@ pub fn simulate_reusing(netlist: &Netlist, patterns: &Patterns, words: Vec<u64>)
         let word_count = out.len();
         eval_gate_row(
             func,
-            fanins.iter().copied(),
+            fanins,
             patterns,
             |g| gate_row(done, word_count, g),
             out,
@@ -185,7 +185,7 @@ pub fn simulate_reference(netlist: &Netlist, patterns: &Patterns) -> SimResult {
     simulate_with(netlist, patterns, Vec::new(), |func, fanins, done, out| {
         let word_count = out.len();
         for (w, word) in out.iter_mut().enumerate() {
-            for (pin, &fanin) in fanin_words.iter_mut().zip(fanins) {
+            for (pin, fanin) in fanin_words.iter_mut().zip(fanins) {
                 *pin = raw_signal_word(done, word_count, fanin, w);
             }
             *word = func.eval_word(&fanin_words[..fanins.len()]);
@@ -209,7 +209,7 @@ fn simulate_with(
     netlist: &Netlist,
     patterns: &Patterns,
     words: Vec<u64>,
-    mut eval: impl FnMut(CellFunc, &[SignalRef], &[u64], &mut [u64]),
+    mut eval: impl FnMut(CellFunc, Fanins<'_>, &[u64], &mut [u64]),
 ) -> SimResult {
     assert_eq!(
         patterns.input_count(),
@@ -392,7 +392,7 @@ pub(crate) fn simulate_outputs(netlist: &Netlist, patterns: &Patterns) -> Output
         let (out, after) = rest.split_at_mut(wc);
         eval_gate_row(
             gate.cell().func(),
-            gate.fanins().iter().copied(),
+            gate.fanins(),
             patterns,
             |g| {
                 let s = slot[g.index()] as usize;
@@ -478,7 +478,7 @@ fn plan_rows(netlist: &Netlist) -> RowPlan {
 
     let mut last = vec![0u32; n];
     for (id, gate) in netlist.iter() {
-        for &fanin in gate.fanins() {
+        for fanin in gate.fanins() {
             if let SignalRef::Gate(g) = fanin {
                 last[g.index()] = id.index() as u32;
             }

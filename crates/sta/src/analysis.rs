@@ -295,7 +295,7 @@ pub(crate) fn gate_timing(
 ) -> (f64, u32) {
     let mut worst_arrival = 0.0f64;
     let mut worst_depth = 0u32;
-    for &fanin in gate.fanins() {
+    for fanin in gate.fanins() {
         if let SignalRef::Gate(src) = reads(fanin) {
             worst_arrival = worst_arrival.max(arrival[src.index()]);
             worst_depth = worst_depth.max(depth[src.index()]);
@@ -349,10 +349,10 @@ pub fn worst_fanin<A: Arrivals + ?Sized>(
     let mut best = f64::NEG_INFINITY;
     for fanin in netlist.gate(gate).fanins() {
         if let SignalRef::Gate(src) = fanin {
-            let t = timing.arrival(*src);
+            let t = timing.arrival(src);
             if t > best {
                 best = t;
-                next = Some(*src);
+                next = Some(src);
             }
         }
     }
@@ -427,7 +427,7 @@ mod tests {
             for fanin in gate.fanins() {
                 if let SignalRef::Gate(src) = fanin {
                     assert!(
-                        r.arrival(*src) < r.arrival(id),
+                        r.arrival(src) < r.arrival(id),
                         "arrival must increase along edges"
                     );
                 }

@@ -319,7 +319,7 @@ impl IncrementalSta {
             }
             Edit::Resize { gate } => {
                 self.wave.seed(gate);
-                for &fanin in netlist.gate(gate).fanins() {
+                for fanin in netlist.gate(gate).fanins() {
                     let SignalRef::Gate(src) = fanin else {
                         continue;
                     };

@@ -21,7 +21,11 @@
 //! only the accurate circuit's output rows, from a simulation that
 //! recycles rows.
 //!
-//! A fifth pins Verilog I/O: reading a netlist costs the source text
+//! Another pins the bytes of a clone: an approximation shares its
+//! circuit's cells, row offsets and names, so cloning one allocates its
+//! 4-byte pin codes and output drivers and nothing else.
+//!
+//! A last one pins Verilog I/O: reading a netlist costs the source text
 //! plus the netlist, so `verilog::parse` makes a fixed handful of
 //! allocations (the netlist's arrays and the reader's tables, with no
 //! string or vector per token, net or instance), none larger than twice
@@ -34,7 +38,7 @@ use tdals::baselines::{Greedy, GreedyConfig, Hedals, HedalsConfig};
 use tdals::circuits::Benchmark;
 use tdals::core::api::{Budget, Dcgwo, NopObserver, Optimizer};
 use tdals::core::{EvalContext, OptimizerConfig};
-use tdals::netlist::{verilog, Netlist};
+use tdals::netlist::{verilog, Netlist, SignalRef};
 use tdals::sim::{ErrorMetric, Patterns};
 use tdals::sta::TimingConfig;
 
@@ -47,6 +51,8 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes of all those blocks.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
     static LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Size from which an allocation also counts as large.
     static LARGE_BYTES: Cell<usize> = const { Cell::new(usize::MAX) };
@@ -57,6 +63,7 @@ thread_local! {
 fn count_one(size: usize) {
     // `try_with`: the allocator can run during thread-local teardown.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|bytes| bytes.set(bytes.get() + size));
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
     if LARGE_BYTES
         .try_with(Cell::get)
@@ -95,7 +102,8 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-const CLONE_BUDGET: u64 = 8;
+/// A clone allocates its pin codes and its output drivers.
+const CLONE_BUDGET: u64 = 2;
 const DELTA_EVAL_BUDGET: u64 = 32;
 const EVALUATE_BUDGET: u64 = 32;
 /// Largest allowed difference of one count between the two circuits.
@@ -151,6 +159,39 @@ fn per_candidate_layers_allocate_a_size_independent_handful() {
             large[i]
         );
     }
+}
+
+/// Heap bytes `f` allocates on this thread.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
+}
+
+#[test]
+fn a_clone_of_an_approximation_allocates_four_bytes_per_pin() {
+    let mut approx = Benchmark::Sin.build();
+    let targets: Vec<_> = approx
+        .iter()
+        .filter(|(_, gate)| !gate.is_input())
+        .map(|(id, _)| id)
+        .step_by(400)
+        .collect();
+    for target in targets {
+        approx
+            .substitute(target, SignalRef::Const0)
+            .expect("a constant switch is always legal");
+    }
+    let pins: usize = approx.iter().map(|(_, gate)| gate.fanins().len()).sum();
+    let budget = 4 * (pins + approx.output_count());
+    let (bytes, copy) = allocated_bytes(|| approx.clone());
+    assert!(copy == approx);
+    assert!(
+        bytes <= budget,
+        "a clone of a Sin approximation allocated {bytes} bytes for {pins} pins and {} \
+         outputs; budget {budget}",
+        approx.output_count()
+    );
 }
 
 /// Allocations of at least `bytes` that `f` makes on this thread.
@@ -289,8 +330,8 @@ fn one_thread_baselines_allocate_word_storage_a_fixed_number_of_times() {
 }
 
 /// Allocations `verilog::parse` may make on any circuit: the returned
-/// netlist's twelve arrays, and the reader's net, name-map, instance
-/// and topological-sort tables.
+/// netlist's arrays, and the reader's net, name-map, instance and
+/// topological-sort tables.
 const PARSE_BUDGET: u64 = 48;
 /// Allocations `verilog::to_verilog` may make on any circuit.
 const WRITE_BUDGET: u64 = 2;

@@ -1,8 +1,9 @@
 //! Integration checks over the regenerated benchmark suite: TABLE I
 //! metadata, determinism, functional sanity of the arithmetic cores via
-//! simulation, and timing plausibility via STA.
+//! simulation, timing plausibility via STA, and the Verilog round trip.
 
 use tdals::circuits::{Benchmark, CircuitClass, ALL_BENCHMARKS};
+use tdals::netlist::verilog::{parse, to_verilog};
 use tdals::netlist::SignalRef;
 use tdals::sim::{simulate, ErrorEvaluator, ErrorMetric, Patterns};
 use tdals::sta::{analyze, TimingConfig};
@@ -23,6 +24,20 @@ fn every_benchmark_builds_validates_and_times() {
             n.live_mask().iter().all(|&l| l),
             "{bench} has dangling gates at birth"
         );
+    }
+}
+
+/// Reading back the Verilog written for a suite circuit gives the same
+/// netlist, gate ids included, and writing that again gives the same
+/// text: a flow on a written file is the flow on the circuit itself.
+#[test]
+fn every_benchmark_round_trips_through_verilog_unchanged() {
+    for bench in ALL_BENCHMARKS {
+        let n = bench.build();
+        let text = to_verilog(&n);
+        let parsed = parse(&text).unwrap_or_else(|e| panic!("{bench}: {e}"));
+        assert!(parsed == n, "{bench}: the parsed netlist differs");
+        assert!(to_verilog(&parsed) == text, "{bench}: the text differs");
     }
 }
 

@@ -1,11 +1,12 @@
 //! Equivalence tests for the flat netlist storage.
 //!
-//! `Netlist` keeps its cells, fan-in rows and names in parallel arrays
-//! (a compressed-sparse-row pin array plus shared name tables). These
-//! tests drive random netlists through random mutation sequences and
-//! compare every observable, the fan-out CSR included, against a naive
-//! `Vec<Vec<SignalRef>>` reference model, check that a clone is
-//! independent of its source, and pin the Verilog text of every suite
+//! `Netlist` keeps its fan-in rows as one compressed-sparse-row array of
+//! packed pin codes, and its cells, row offsets, inputs and names in one
+//! structure shared by every clone. These tests drive random netlists
+//! through random mutation sequences and compare every observable, the
+//! fan-out CSR included, against a naive `Vec<Vec<SignalRef>>` reference
+//! model, check that every mutation of a clone leaves its source as it
+//! was and the other way round, and pin the Verilog text of every suite
 //! circuit.
 
 use rand::rngs::StdRng;
@@ -16,6 +17,7 @@ use tdals::netlist::{verilog, GateId, Netlist, NetlistError, SignalRef};
 
 /// The obvious representation: one owned row and one owned name per
 /// gate, mutated by the textbook algorithms.
+#[derive(Clone)]
 struct Model {
     names: Vec<String>,
     cells: Vec<Cell>,
@@ -212,7 +214,7 @@ fn assert_matches(n: &Netlist, m: &Model, step: &str) {
         let i = id.index();
         assert_eq!(gate.name(), m.names[i], "{step}: name of {id}");
         assert_eq!(gate.cell(), m.cells[i], "{step}: cell of {id}");
-        assert_eq!(gate.fanins(), m.rows[i].as_slice(), "{step}: row of {id}");
+        assert_eq!(gate.fanins().to_vec(), m.rows[i], "{step}: row of {id}");
         assert_eq!(n.gate(id), gate, "{step}: gate({id}) agrees with iter()");
     }
     let outputs: Vec<(String, SignalRef)> =
@@ -253,6 +255,96 @@ fn assert_matches(n: &Netlist, m: &Model, step: &str) {
     assert_eq!(n.live_mask(), m.live(), "{step}: liveness");
 }
 
+/// Kinds of mutation [`mutate`] makes.
+const MUTATIONS: usize = 8;
+
+/// Applies one random mutation of kind `op` to `n` and to its model `m`,
+/// checking that both accept or refuse it alike.
+fn mutate(rng: &mut StdRng, n: &mut Netlist, m: &mut Model, op: usize, step: &str) {
+    let gates = m.cells.len();
+    match op {
+        0 => {
+            let gate = GateId::new(rng.gen_range(0..gates));
+            let arity = m.cells[gate.index()].arity();
+            if arity > 0 {
+                let pin = rng.gen_range(0..arity);
+                let signal = any_signal(rng, gates);
+                let ok = n.set_fanin(gate, pin, signal).is_ok();
+                assert_eq!(ok, m.set_fanin(gate, pin, signal), "{step}: set_fanin");
+            }
+        }
+        1 => {
+            let gate = GateId::new(rng.gen_range(0..gates));
+            // Mostly the right arity, sometimes one pin off.
+            let arity = m.cells[gate.index()].arity();
+            let len = if rng.gen_bool(0.8) { arity } else { arity + 1 };
+            let row: Vec<SignalRef> = (0..len).map(|_| any_signal(rng, gates)).collect();
+            let got = n.set_fanins(gate, &row);
+            let ok = m.set_fanins(gate, &row);
+            assert_eq!(got.is_ok(), ok, "{step}: set_fanins");
+            if len != arity {
+                assert!(matches!(got, Err(NetlistError::ArityMismatch { .. })));
+            }
+        }
+        2 => {
+            let target = GateId::new(rng.gen_range(0..gates));
+            let switch = any_signal(rng, gates);
+            let got = n.substitute(target, switch).ok();
+            assert_eq!(got, m.substitute(target, switch), "{step}: substitute");
+        }
+        3 => {
+            // One gate through `set_drive`, or a few through `set_drives`.
+            let mut sized: Vec<(GateId, Drive)> = Vec::new();
+            for _ in 0..rng.gen_range(1..4) {
+                let gate = GateId::new(rng.gen_range(0..gates));
+                if !m.cells[gate.index()].is_input() {
+                    sized.push((gate, ALL_DRIVES[rng.gen_range(0..ALL_DRIVES.len())]));
+                }
+            }
+            match sized.as_slice() {
+                &[(gate, drive)] => n.set_drive(gate, drive),
+                _ => n.set_drives(sized.iter().copied()),
+            }
+            for (gate, drive) in sized {
+                let cell = &mut m.cells[gate.index()];
+                *cell = cell.with_drive(drive);
+            }
+        }
+        4 => {
+            assert_eq!(n.sweep_dangling(), m.sweep_dangling(), "{step}: sweep");
+        }
+        5 => {
+            let func = ALL_FUNCS[rng.gen_range(0..ALL_FUNCS.len())];
+            let cell = Cell::new(func, ALL_DRIVES[rng.gen_range(0..ALL_DRIVES.len())]);
+            let id = GateId::new(gates);
+            let row: Vec<SignalRef> = (0..cell.arity()).map(|_| signal_before(rng, id)).collect();
+            let name = format!("late{gates}");
+            let got = n.add_gate(&name, cell, &row).expect("valid gate");
+            assert_eq!(got, id, "{step}: add_gate");
+            m.names.push(name);
+            m.cells.push(cell);
+            m.rows.push(row);
+        }
+        6 => {
+            let name = format!("late_x{gates}");
+            m.inputs.push(n.add_input(&name));
+            m.names.push(name);
+            m.cells.push(Cell::input());
+            m.rows.push(Vec::new());
+            let driver = any_signal(rng, gates + 1);
+            let name = format!("late_y{}", m.outputs.len());
+            n.add_output(&name, driver);
+            m.outputs.push((name, driver));
+        }
+        _ => {
+            let po = rng.gen_range(0..m.outputs.len());
+            let driver = any_signal(rng, gates);
+            n.set_output_driver(po, driver);
+            m.outputs[po].1 = driver;
+        }
+    }
+}
+
 #[test]
 fn random_mutation_sequences_match_the_reference_model() {
     for seed in 0..60 {
@@ -260,53 +352,40 @@ fn random_mutation_sequences_match_the_reference_model() {
         let (mut n, mut m) = random_pair(&mut rng);
         assert_matches(&n, &m, &format!("seed {seed} build"));
         for op in 0..30 {
-            let gates = m.cells.len();
             let step = format!("seed {seed} op {op}");
-            match rng.gen_range(0..5) {
-                0 => {
-                    let gate = GateId::new(rng.gen_range(0..gates));
-                    let arity = m.cells[gate.index()].arity();
-                    if arity > 0 {
-                        let pin = rng.gen_range(0..arity);
-                        let signal = any_signal(&mut rng, gates);
-                        let ok = n.set_fanin(gate, pin, signal).is_ok();
-                        assert_eq!(ok, m.set_fanin(gate, pin, signal), "{step}: set_fanin");
-                    }
-                }
-                1 => {
-                    let gate = GateId::new(rng.gen_range(0..gates));
-                    // Mostly the right arity, sometimes one pin off.
-                    let arity = m.cells[gate.index()].arity();
-                    let len = if rng.gen_bool(0.8) { arity } else { arity + 1 };
-                    let row: Vec<SignalRef> =
-                        (0..len).map(|_| any_signal(&mut rng, gates)).collect();
-                    let got = n.set_fanins(gate, &row);
-                    let ok = m.set_fanins(gate, &row);
-                    assert_eq!(got.is_ok(), ok, "{step}: set_fanins");
-                    if len != arity {
-                        assert!(matches!(got, Err(NetlistError::ArityMismatch { .. })));
-                    }
-                }
-                2 => {
-                    let target = GateId::new(rng.gen_range(0..gates));
-                    let switch = any_signal(&mut rng, gates);
-                    let got = n.substitute(target, switch).ok();
-                    assert_eq!(got, m.substitute(target, switch), "{step}: substitute");
-                }
-                3 => {
-                    let gate = GateId::new(rng.gen_range(0..gates));
-                    if !m.cells[gate.index()].is_input() {
-                        let drive: Drive = ALL_DRIVES[rng.gen_range(0..ALL_DRIVES.len())];
-                        n.set_drive(gate, drive);
-                        let cell = &mut m.cells[gate.index()];
-                        *cell = cell.with_drive(drive);
-                    }
-                }
-                _ => {
-                    assert_eq!(n.sweep_dangling(), m.sweep_dangling(), "{step}: sweep");
-                }
-            }
+            let kind = rng.gen_range(0..MUTATIONS);
+            mutate(&mut rng, &mut n, &mut m, kind, &step);
             assert_matches(&n, &m, &step);
+        }
+    }
+}
+
+/// Every kind of mutation, made on a clone, leaves its source as it
+/// was, and made on the source leaves the clone as it was: pin rewrites
+/// touch only the mutated copy's own pins, and the mutations of the
+/// shared structure (sizing, growth, sweeping) copy it first.
+#[test]
+fn each_mutation_of_a_clone_or_its_source_leaves_the_other_untouched() {
+    for seed in 0..30 {
+        for kind in 0..MUTATIONS {
+            for on_source in [false, true] {
+                let mut rng = StdRng::seed_from_u64(2000 + seed);
+                let (source, model) = random_pair(&mut rng);
+                let copy = source.clone();
+                let (mut changed, kept) = if on_source {
+                    (source, copy)
+                } else {
+                    (copy, source)
+                };
+                let which = if on_source { "source" } else { "clone" };
+                let step = format!("seed {seed} kind {kind} on the {which}");
+                let mut changed_model = model.clone();
+                for _ in 0..6 {
+                    mutate(&mut rng, &mut changed, &mut changed_model, kind, &step);
+                }
+                assert_matches(&changed, &changed_model, &step);
+                assert_matches(&kept, &model, &format!("{step}: the other copy"));
+            }
         }
     }
 }
@@ -345,27 +424,27 @@ fn a_mutated_clone_leaves_its_source_untouched() {
 }
 
 /// FNV-1a, 64-bit, of the Verilog text of every suite circuit, in
-/// [`ALL_BENCHMARKS`] order: `(written, written after one parse)`.
-/// Recorded before the netlist moved to flat storage, so generators,
-/// storage, writer and reader together must keep emitting these exact
-/// bytes. (The reader orders instances topologically its own way, so
-/// the re-emitted text differs from the first; both are pinned.)
-const VERILOG_DIGESTS: [(u64, u64); 15] = [
-    (0xafb2_dea8_45fd_c563, 0xb0e3_94cc_1d50_b40b), // Cavlc
-    (0x57cd_15e7_2eff_b32f, 0x0aef_6ae2_6810_4d8a), // C880
-    (0xa277_e0d0_502d_b571, 0x846b_3549_8547_d92c), // C1908
-    (0x65fa_f9e2_2f4a_2391, 0xb23d_d202_6b6c_c592), // C2670
-    (0x7eb0_9461_cdbf_23da, 0x2378_fce8_b1ef_acd2), // C3540
-    (0xa334_8b8b_019c_99d7, 0x4791_9489_c7d0_9fe8), // C5315
-    (0x8083_61ce_6179_3a78, 0x5b48_221b_6a61_06de), // C7552
-    (0x8016_ca56_1338_a57d, 0x5ecd_bbd5_a020_bf7d), // Int2float
-    (0xb7be_0350_e3ff_b495, 0xbf31_d47c_07c9_9bbb), // Adder16
-    (0xfbc5_4251_f46d_e35c, 0xf3cc_5337_606b_866d), // Max16
-    (0x806f_cd4a_229b_4d68, 0xb536_537c_fcf1_78ed), // C6288
-    (0x291e_9d20_45c2_1fb0, 0x168f_c3fe_400e_b4af), // Adder
-    (0xf56c_38a6_6fd7_b925, 0x4aca_40ab_c0b6_8bfb), // Max
-    (0x1da2_bd1f_9316_11fe, 0x652b_6591_4697_08df), // Sin
-    (0x207c_ccbe_18be_e35a, 0x695a_d4c4_4edb_4a5e), // Sqrt
+/// [`ALL_BENCHMARKS`] order. Recorded before the netlist moved to flat
+/// storage, so generators, storage and writer together must keep
+/// emitting these exact bytes. The reader keeps the order of a file
+/// that is already topologically sorted, so writing a parsed file
+/// gives the same bytes again.
+const VERILOG_DIGESTS: [u64; 15] = [
+    0xafb2_dea8_45fd_c563, // Cavlc
+    0x57cd_15e7_2eff_b32f, // C880
+    0xa277_e0d0_502d_b571, // C1908
+    0x65fa_f9e2_2f4a_2391, // C2670
+    0x7eb0_9461_cdbf_23da, // C3540
+    0xa334_8b8b_019c_99d7, // C5315
+    0x8083_61ce_6179_3a78, // C7552
+    0x8016_ca56_1338_a57d, // Int2float
+    0xb7be_0350_e3ff_b495, // Adder16
+    0xfbc5_4251_f46d_e35c, // Max16
+    0x806f_cd4a_229b_4d68, // C6288
+    0x291e_9d20_45c2_1fb0, // Adder
+    0xf56c_38a6_6fd7_b925, // Max
+    0x1da2_bd1f_9316_11fe, // Sin
+    0x207c_ccbe_18be_e35a, // Sqrt
 ];
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -380,9 +459,12 @@ fn suite_verilog_and_its_round_trip_are_pinned() {
     for (bench, want) in ALL_BENCHMARKS.into_iter().zip(VERILOG_DIGESTS) {
         let text = verilog::to_verilog(&bench.build());
         let again = verilog::to_verilog(&verilog::parse(&text).expect("suite Verilog parses"));
-        let got = (fnv(text.as_bytes()), fnv(again.as_bytes()));
+        let got = fnv(text.as_bytes());
         if got != want {
-            mismatches.push(format!("{bench:?}: got {got:#018x?}, pinned {want:#018x?}"));
+            mismatches.push(format!("{bench:?}: got {got:#018x}, pinned {want:#018x}"));
+        }
+        if again != text {
+            mismatches.push(format!("{bench:?}: the round trip rewrote the text"));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));

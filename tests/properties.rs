@@ -126,7 +126,7 @@ proptest! {
         for (id, gate) in n.iter() {
             for fanin in gate.fanins() {
                 if let SignalRef::Gate(src) = fanin {
-                    prop_assert!(report.arrival(*src) < report.arrival(id));
+                    prop_assert!(report.arrival(src) < report.arrival(id));
                 }
             }
         }

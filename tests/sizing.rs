@@ -38,7 +38,7 @@ fn estimate_upsize_delta(
     let cap_increase = bigger.input_cap() - cell.input_cap();
     for fanin in g.fanins() {
         if let SignalRef::Gate(src) = fanin {
-            let drv = netlist.gate(*src);
+            let drv = netlist.gate(src);
             if !drv.is_input() {
                 delta += drv.cell().resistance() * cap_increase;
             }
@@ -73,8 +73,8 @@ fn reference_size(
             for &g in &path {
                 for fanin in netlist.gate(g).fanins() {
                     if let SignalRef::Gate(src) = fanin {
-                        if live[src.index()] && !netlist.gate(*src).is_input() {
-                            candidates.push(*src);
+                        if live[src.index()] && !netlist.gate(src).is_input() {
+                            candidates.push(src);
                         }
                     }
                 }
